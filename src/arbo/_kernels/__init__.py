@@ -1,21 +1,217 @@
-"""RK4 kernel backend selection.
+"""RK4 kernels of the forward-backward sweep.
 
-Prefers the compiled extension; falls back to the pure-Python mirror
-when it is not built.  `BACKEND` reports which one is active; both
-implementations are importable directly for benchmarking.
+`rk4.c` holds the three right-hand sides (basic, controlled, adjoint)
+and their RK4 loops over flat double arrays, with the parameters in the
+order of `model.params_to_array` / `model.control_params_to_array`.  On
+first import it is compiled with the system C compiler and loaded with
+ctypes.  The library is cached under a hash of the source and the
+compile command, in `__pycache__` next to the source, or in the user
+cache directory when that is not writable.
+
+If the build or the load fails, the same three functions run the Python
+right-hand sides (`model.basic_field`, `model.controlled_field`,
+`control.adjoint_field`) through `ode.forward_steps` /
+`ode.backward_steps`.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
+is None or the error that forced the fallback.  Every kernel raises
+`ode.NonFiniteError` at the first node holding a NaN or an infinity.
 """
 
-from . import fallback
+from __future__ import annotations
 
-try:
-    from . import _fbs as _impl
-    BACKEND = "cython"
-except ImportError:
-    _impl = fallback
-    BACKEND = "python"
+import ctypes
+import dataclasses
+import hashlib
+import logging
+import os
+from pathlib import Path
+from typing import Callable
 
-rk4_basic = _impl.rk4_basic
-rk4_controlled = _impl.rk4_controlled
-rk4_adjoint = _impl.rk4_adjoint
+import numpy as np
 
-__all__ = ["BACKEND", "fallback", "rk4_basic", "rk4_controlled", "rk4_adjoint"]
+from .. import model, ode
+
+SOURCE = Path(__file__).with_name("rk4.c")
+FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+LIBS = ("-lm",)
+
+_log = logging.getLogger("arbo")
+
+
+@dataclasses.dataclass(frozen=True)
+class Kernels:
+    """One backend's three kernels, with the reason it was chosen when
+    it is the fallback."""
+
+    backend: str
+    reason: str | None
+    rk4_basic: Callable
+    rk4_controlled: Callable
+    rk4_adjoint: Callable
+
+
+def _finite(bad: int, dt: float) -> None:
+    if bad >= 0:
+        raise ode.NonFiniteError(bad, bad * dt)
+
+
+def _array(a, shape) -> np.ndarray:
+    """`a` as C-contiguous doubles of the given shape, where None stands
+    for any positive number of rows."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != len(shape) or 0 in a.shape or any(
+            w is not None and w != s for w, s in zip(shape, a.shape)):
+        raise ValueError(f"array of shape {a.shape}, need {shape}")
+    return a
+
+
+def _steps(n_steps) -> int:
+    n = int(n_steps)
+    if n < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n}")
+    return n
+
+
+def _model_params(par) -> model.ModelParams:
+    return model.ModelParams(*_array(par, (21,)).tolist())
+
+
+def _control_params(cpar) -> model.ControlParams:
+    return model.ControlParams(*_array(cpar, (6,)).tolist())
+
+
+def _py_basic(par, x0, n_steps, dt):
+    p = _model_params(par)
+    return ode.forward_steps(lambda t, x: model.basic_field(x, p),
+                             _array(x0, (10,)), _steps(n_steps), float(dt))
+
+
+def _py_controlled(par, cpar, x0, u, dt):
+    p, c = _model_params(par), _control_params(cpar)
+    u = _array(u, (None, 5))
+    return ode.forward_steps(lambda t, x, uu: model.controlled_field(x, uu, p, c),
+                             _array(x0, (10,)), u.shape[0] - 1, float(dt), u)
+
+
+def _py_adjoint(par, cpar, dwts, states, u, dt):
+    from ..control import ObjectiveWeights, adjoint_field  # control imports us
+
+    p, c = _model_params(par), _control_params(cpar)
+    # The control costs B1..B5 do not enter the adjoint equations.
+    w = ObjectiveWeights(*_array(dwts, (4,)).tolist(), 1.0, 1.0, 1.0, 1.0, 1.0)
+    states = _array(states, (None, 10))
+    u = _array(u, (states.shape[0], 5))
+    return ode.backward_steps(
+        lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
+        np.zeros(10), states, float(dt), u)
+
+
+PYTHON = Kernels("python", None, _py_basic, _py_controlled, _py_adjoint)
+
+
+def _c_kernels(lib: ctypes.CDLL) -> Kernels:
+    arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    n, step = ctypes.c_long, ctypes.c_double
+    lib.rk4_basic.argtypes = [arr, arr, n, step, arr]
+    lib.rk4_controlled.argtypes = [arr, arr, arr, arr, n, step, arr]
+    lib.rk4_adjoint.argtypes = [arr, arr, arr, arr, arr, n, step, arr]
+    for fn in (lib.rk4_basic, lib.rk4_controlled, lib.rk4_adjoint):
+        fn.restype = ctypes.c_long
+
+    def rk4_basic(par, x0, n_steps, dt):
+        """Uncontrolled forward RK4; returns the (n_steps+1, 10) trajectory."""
+        n = _steps(n_steps)
+        out = np.empty((n + 1, 10))
+        _finite(lib.rk4_basic(_array(par, (21,)), _array(x0, (10,)), n, dt, out),
+                dt)
+        return out
+
+    def rk4_controlled(par, cpar, x0, u, dt):
+        """Controlled forward RK4 with node controls u of shape (n+1, 5);
+        half-step controls are the average of the adjacent nodes."""
+        u = _array(u, (None, 5))
+        out = np.empty((u.shape[0], 10))
+        _finite(lib.rk4_controlled(_array(par, (21,)), _array(cpar, (6,)),
+                                   _array(x0, (10,)), u, u.shape[0] - 1,
+                                   dt, out), dt)
+        return out
+
+    def rk4_adjoint(par, cpar, dwts, states, u, dt):
+        """Backward RK4 for the adjoint system with zero terminal value;
+        intermediate stages average the adjacent nodes."""
+        states = _array(states, (None, 10))
+        out = np.empty(states.shape)
+        _finite(lib.rk4_adjoint(_array(par, (21,)), _array(cpar, (6,)),
+                                _array(dwts, (4,)), states,
+                                _array(u, (states.shape[0], 5)),
+                                states.shape[0] - 1, dt, out), dt)
+        return out
+
+    return Kernels("c", None, rk4_basic, rk4_controlled, rk4_adjoint)
+
+
+def _cache_dirs() -> list[Path]:
+    user = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return [SOURCE.parent / "__pycache__", Path(user) / "arbo"]
+
+
+def _library(compiler: str, cache_dir) -> Path:
+    """The cached shared library, built first if no cache holds it."""
+    command = [compiler, *FLAGS]
+    recipe = SOURCE.read_bytes() + "\0".join([*command, *LIBS]).encode()
+    name = f"rk4-{hashlib.sha256(recipe).hexdigest()[:16]}.so"
+    dirs = [Path(cache_dir)] if cache_dir is not None else _cache_dirs()
+    for d in dirs:
+        if (d / name).is_file():
+            return d / name
+    for d in dirs:
+        if _writable(d):
+            return _build(command, d / name)
+    raise OSError(f"no writable cache directory among {[str(d) for d in dirs]}")
+
+
+def _writable(d: Path) -> bool:
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(d, os.W_OK)
+
+
+def _build(command: list, target: Path) -> Path:
+    """Compile to a temporary name, then move the result into place."""
+    import subprocess  # only a build needs it; keeps start-up lean
+
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        proc = subprocess.run([*command, "-o", str(tmp), str(SOURCE), *LIBS],
+                              capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0:
+            raise OSError(f"{command[0]} exited with status {proc.returncode}: "
+                          f"{proc.stderr.strip()[-2000:]}")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return target
+
+
+def load(compiler: str = "cc", cache_dir=None) -> Kernels:
+    """Build (or reuse) and load the C kernels; on any failure return the
+    Python kernels with the reason, logged as one warning."""
+    try:
+        return _c_kernels(ctypes.CDLL(str(_library(compiler, cache_dir))))
+    except Exception as exc:  # any build or load failure means fallback
+        reason = f"{type(exc).__name__}: {exc}"
+        _log.warning("compiled RK4 kernels unavailable, using the Python "
+                     "kernels: %s", reason)
+        return dataclasses.replace(PYTHON, reason=reason)
+
+
+_active = load()
+BACKEND = _active.backend
+FALLBACK_REASON = _active.reason
+rk4_basic = _active.rk4_basic
+rk4_controlled = _active.rk4_controlled
+rk4_adjoint = _active.rk4_adjoint
+
+__all__ = ["BACKEND", "FALLBACK_REASON", "PYTHON", "Kernels", "load",
+           "rk4_adjoint", "rk4_basic", "rk4_controlled"]

@@ -1,0 +1,214 @@
+/* Fixed-step RK4 kernels of the forward-backward sweep.
+ *
+ * Each right-hand side is written in the same operation order as its
+ * Python counterpart (model.basic_field, model.controlled_field,
+ * control.adjoint_field) and each loop in the same order as
+ * ode.forward_steps / ode.backward_steps, so that without fused
+ * multiply-add the two routes agree to the last bit.
+ *
+ * Arrays are C-contiguous doubles: par in the order of
+ * model.params_to_array, cpar in that of model.control_params_to_array,
+ * dwts = (D1, D2, D3, D4), states and out as (n_steps + 1) x 10 and the
+ * controls u as (n_steps + 1) x 5.  Every loop stops at the first node
+ * holding a NaN or an infinity and returns its index; it returns -1
+ * when all nodes are finite.
+ */
+
+#include <math.h>
+
+enum {
+    LAM, MUH, A, BHV, BVH, GAMH, DELTA, SIGMA, ETAH, ETAV, MUV, GAMV,
+    THETA, MUB, GE, GL, MUE, MUL, MUP, S, L
+};
+enum { OMEGA, ALPHA1, ALPHA2, CM, ETA1, ETA2 };
+enum { SH, EH, IH, RH, SV, EV, IV, EGG, LAR, PUP, NX };
+enum { NU = 5 };
+
+static void basic_rhs(const double *x, const double *p, double *dx)
+{
+    double n_h = x[SH] + x[EH] + x[IH] + x[RH];
+    double foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
+    double foi_v = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / n_h;
+    double n_v = x[SV] + x[EV] + x[IV];
+    dx[SH] = p[LAM] - (foi_h + p[MUH]) * x[SH];
+    dx[EH] = foi_h * x[SH] - (p[MUH] + p[GAMH]) * x[EH];
+    dx[IH] = p[GAMH] * x[EH] - (p[MUH] + p[DELTA] + p[SIGMA]) * x[IH];
+    dx[RH] = p[SIGMA] * x[IH] - p[MUH] * x[RH];
+    dx[SV] = p[THETA] * x[PUP] - foi_v * x[SV] - p[MUV] * x[SV];
+    dx[EV] = foi_v * x[SV] - (p[MUV] + p[GAMV]) * x[EV];
+    dx[IV] = p[GAMV] * x[EV] - p[MUV] * x[IV];
+    dx[EGG] = p[MUB] * (1.0 - x[EGG] / p[GE]) * n_v - (p[S] + p[MUE]) * x[EGG];
+    dx[LAR] = p[S] * x[EGG] * (1.0 - x[LAR] / p[GL]) - (p[L] + p[MUL]) * x[LAR];
+    dx[PUP] = p[L] * x[LAR] - (p[THETA] + p[MUP]) * x[PUP];
+}
+
+static void controlled_rhs(const double *x, const double *u, const double *p,
+                           const double *c, double *dx)
+{
+    double n_h = x[SH] + x[EH] + x[IH] + x[RH];
+    double foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
+    double foi_v = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / n_h;
+    double n_v = x[SV] + x[EV] + x[IV];
+    double protect = 1.0 - c[ALPHA1] * u[1];
+    double foi_h_c = protect * foi_h;
+    double foi_v_c = protect * foi_v;
+    double mu_v_c = p[MUV] + c[CM] * u[3];
+    dx[SH] = p[LAM] - (foi_h_c + p[MUH] + u[0]) * x[SH] + c[OMEGA] * u[0] * x[RH];
+    dx[EH] = foi_h_c * x[SH] - (p[MUH] + p[GAMH]) * x[EH];
+    dx[IH] = p[GAMH] * x[EH]
+             - (p[MUH] + (1.0 - c[ALPHA2] * u[2]) * p[DELTA] + p[SIGMA]
+                + c[ALPHA2] * u[2]) * x[IH];
+    dx[RH] = (p[SIGMA] + c[ALPHA2] * u[2]) * x[IH] + u[0] * x[SH]
+             - (p[MUH] + c[OMEGA] * u[0]) * x[RH];
+    dx[SV] = p[THETA] * x[PUP] - foi_v_c * x[SV] - mu_v_c * x[SV];
+    dx[EV] = foi_v_c * x[SV] - (p[MUV] + p[GAMV] + c[CM] * u[3]) * x[EV];
+    dx[IV] = p[GAMV] * x[EV] - mu_v_c * x[IV];
+    dx[EGG] = p[MUB] * (1.0 - x[EGG] / p[GE]) * n_v
+              - (p[S] + p[MUE] + c[ETA1] * u[4]) * x[EGG];
+    dx[LAR] = p[S] * x[EGG] * (1.0 - x[LAR] / p[GL])
+              - (p[L] + p[MUL] + c[ETA2] * u[4]) * x[LAR];
+    dx[PUP] = p[L] * x[LAR] - (p[THETA] + p[MUP]) * x[PUP];
+}
+
+static void adjoint_rhs(const double *l, const double *x, const double *u,
+                        const double *p, const double *c, const double *dw,
+                        double *d)
+{
+    double n_h = x[SH] + x[EH] + x[IH] + x[RH];
+    double k3 = p[MUH] + p[GAMH];
+    double k5 = p[S] + p[MUE];
+    double k6 = p[L] + p[MUL];
+    double k7 = p[THETA] + p[MUP];
+    double k9 = p[MUV] + p[GAMV];
+    double g2 = 1.0 - c[ALPHA1] * u[1];
+    double fh = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
+    double fv = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / n_h;
+    double m_v = p[MUV] + c[CM] * u[3];
+    double q = g2 * fv * x[SV] / n_h;
+    double share = g2 * fh * x[SH] / n_h;
+    double egg_room = p[MUB] * (1.0 - x[EGG] / p[GE]);
+    double n_v = x[SV] + x[EV] + x[IV];
+    double treat = c[ALPHA2] * u[2];
+    d[SH] = (l[0] - l[1]) * g2 * fh * (1.0 - x[SH] / n_h)
+            + (p[MUH] + u[0]) * l[0] - u[0] * l[3] + q * (l[5] - l[4]);
+    d[EH] = (l[1] - l[0]) * share + k3 * l[1] - p[GAMH] * l[2]
+            + (l[4] - l[5]) * g2 * x[SV] * (p[A] * p[BVH] * p[ETAH] - fv) / n_h;
+    d[IH] = -dw[0] + (l[1] - l[0]) * share
+            + (p[MUH] + (1.0 - treat) * p[DELTA] + p[SIGMA] + treat) * l[2]
+            - (p[SIGMA] + treat) * l[3]
+            + (l[4] - l[5]) * g2 * x[SV] * (p[A] * p[BVH] - fv) / n_h;
+    d[RH] = (l[1] - l[0]) * share - c[OMEGA] * u[0] * l[0]
+            + (p[MUH] + c[OMEGA] * u[0]) * l[3] + q * (l[5] - l[4]);
+    d[SV] = -dw[1] + (l[4] - l[5]) * g2 * fv + m_v * l[4] - egg_room * l[7];
+    d[EV] = -dw[1] + (l[0] - l[1]) * g2 * p[A] * p[BHV] * p[ETAV] * x[SH] / n_h
+            + (k9 + c[CM] * u[3]) * l[5] - p[GAMV] * l[6] - egg_room * l[7];
+    d[IV] = -dw[1] + (l[0] - l[1]) * g2 * p[A] * p[BHV] * x[SH] / n_h
+            + m_v * l[6] - egg_room * l[7];
+    d[EGG] = -dw[2] + (p[MUB] * n_v / p[GE] + k5 + c[ETA1] * u[4]) * l[7]
+             - p[S] * (1.0 - x[LAR] / p[GL]) * l[8];
+    d[LAR] = -dw[3] + (p[S] * x[EGG] / p[GL] + k6 + c[ETA2] * u[4]) * l[8]
+             - p[L] * l[9];
+    d[PUP] = -p[THETA] * l[4] + k7 * l[9];
+}
+
+static int all_finite(const double *v)
+{
+    for (int j = 0; j < NX; j++)
+        if (!isfinite(v[j]))
+            return 0;
+    return 1;
+}
+
+long rk4_basic(const double *par, const double *x0, long n_steps, double dt,
+               double *out)
+{
+    double k1[NX], k2[NX], k3[NX], k4[NX], xs[NX], x[NX];
+    for (int j = 0; j < NX; j++)
+        out[j] = x[j] = x0[j];
+    for (long i = 0; i < n_steps; i++) {
+        basic_rhs(x, par, k1);
+        for (int j = 0; j < NX; j++)
+            xs[j] = x[j] + 0.5 * dt * k1[j];
+        basic_rhs(xs, par, k2);
+        for (int j = 0; j < NX; j++)
+            xs[j] = x[j] + 0.5 * dt * k2[j];
+        basic_rhs(xs, par, k3);
+        for (int j = 0; j < NX; j++)
+            xs[j] = x[j] + dt * k3[j];
+        basic_rhs(xs, par, k4);
+        for (int j = 0; j < NX; j++)
+            x[j] = x[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+        if (!all_finite(x))
+            return i + 1;
+        for (int j = 0; j < NX; j++)
+            out[(i + 1) * NX + j] = x[j];
+    }
+    return -1;
+}
+
+long rk4_controlled(const double *par, const double *cpar, const double *x0,
+                    const double *u, long n_steps, double dt, double *out)
+{
+    double k1[NX], k2[NX], k3[NX], k4[NX], xs[NX], x[NX], u_mid[NU];
+    for (int j = 0; j < NX; j++)
+        out[j] = x[j] = x0[j];
+    for (long i = 0; i < n_steps; i++) {
+        const double *u_lo = u + i * NU, *u_hi = u_lo + NU;
+        for (int j = 0; j < NU; j++)
+            u_mid[j] = 0.5 * (u_lo[j] + u_hi[j]);
+        controlled_rhs(x, u_lo, par, cpar, k1);
+        for (int j = 0; j < NX; j++)
+            xs[j] = x[j] + 0.5 * dt * k1[j];
+        controlled_rhs(xs, u_mid, par, cpar, k2);
+        for (int j = 0; j < NX; j++)
+            xs[j] = x[j] + 0.5 * dt * k2[j];
+        controlled_rhs(xs, u_mid, par, cpar, k3);
+        for (int j = 0; j < NX; j++)
+            xs[j] = x[j] + dt * k3[j];
+        controlled_rhs(xs, u_hi, par, cpar, k4);
+        for (int j = 0; j < NX; j++)
+            x[j] = x[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+        if (!all_finite(x))
+            return i + 1;
+        for (int j = 0; j < NX; j++)
+            out[(i + 1) * NX + j] = x[j];
+    }
+    return -1;
+}
+
+/* Backward from the zero terminal value; the intermediate stages use the
+ * average of the two adjacent nodes' states and controls. */
+long rk4_adjoint(const double *par, const double *cpar, const double *dwts,
+                 const double *states, const double *u, long n_steps,
+                 double dt, double *out)
+{
+    double k1[NX], k2[NX], k3[NX], k4[NX], ls[NX], lam[NX];
+    double x_mid[NX], u_mid[NU];
+    for (int j = 0; j < NX; j++)
+        out[n_steps * NX + j] = lam[j] = 0.0;
+    for (long i = n_steps - 1; i >= 0; i--) {
+        const double *x_lo = states + i * NX, *x_hi = x_lo + NX;
+        const double *u_lo = u + i * NU, *u_hi = u_lo + NU;
+        for (int j = 0; j < NX; j++)
+            x_mid[j] = 0.5 * (x_lo[j] + x_hi[j]);
+        for (int j = 0; j < NU; j++)
+            u_mid[j] = 0.5 * (u_lo[j] + u_hi[j]);
+        adjoint_rhs(lam, x_hi, u_hi, par, cpar, dwts, k1);
+        for (int j = 0; j < NX; j++)
+            ls[j] = lam[j] - 0.5 * dt * k1[j];
+        adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k2);
+        for (int j = 0; j < NX; j++)
+            ls[j] = lam[j] - 0.5 * dt * k2[j];
+        adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k3);
+        for (int j = 0; j < NX; j++)
+            ls[j] = lam[j] - dt * k3[j];
+        adjoint_rhs(ls, x_lo, u_lo, par, cpar, dwts, k4);
+        for (int j = 0; j < NX; j++)
+            lam[j] = lam[j] - (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+        if (!all_finite(lam))
+            return i;
+        for (int j = 0; j < NX; j++)
+            out[i * NX + j] = lam[j];
+    }
+    return -1;
+}

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import SPEC_VERSION, econ, equilibria, sensitivity
-from ._kernels import BACKEND, rk4_basic
+from ._kernels import BACKEND, FALLBACK_REASON, rk4_basic
 from .control import (
     ObjectiveWeights, StrategyMask, forward_backward_sweep,
 )
@@ -206,10 +206,10 @@ def cmd_simulate(args) -> int:
     p = _build_params(cfg)
     grid = _build_grid(cfg, args)
     x0 = _initial_state(cfg)
-    values = rk4_basic(params_to_array(p), x0, grid.n_steps, grid.dt)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argwhere(~np.isfinite(values).all(axis=1))[0][0])
-        raise NonFiniteError(bad, grid.t0 + bad * grid.dt)
+    try:
+        values = rk4_basic(params_to_array(p), x0, grid.n_steps, grid.dt)
+    except NonFiniteError as exc:  # the kernel counts time from 0
+        raise NonFiniteError(exc.step, grid.t0 + exc.step * grid.dt) from None
     traj = Trajectory(grid, values)
     if args.out is None:
         raise ConfigError("simulate requires --out CSV path")
@@ -279,6 +279,7 @@ def cmd_control(args) -> int:
         "suspect": result.suspect,
         "cumulated_Ih": cumulated,
         "kernel_backend": BACKEND,
+        "kernel_fallback_reason": FALLBACK_REASON,
         "log": result.log,
     }, args.out)
     if not result.converged:

@@ -198,21 +198,26 @@ def adjoint_field(x, u, adj, p: ModelParams, c: ControlParams,
 def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
                           w: ObjectiveWeights, mask: StrategyMask) -> np.ndarray:
     """The five stationary-point controls, clamped to [0,1]; masked-off
-    controls are exactly zero."""
-    n_h = x[S_H] + x[E_H] + x[I_H] + x[R_H]
-    if n_h <= 0.0:
+    controls are exactly zero.  Works on one node (x, adj of shape (10,))
+    or on a whole grid at once (shape (n+1, 10), giving (n+1, 5))."""
+    x = np.asarray(x, dtype=float)
+    adj = np.asarray(adj, dtype=float)
+    n_h = x[..., S_H] + x[..., E_H] + x[..., I_H] + x[..., R_H]
+    if np.any(n_h <= 0.0):
         raise ZeroPopulationError("total human population is zero")
-    l1, l2, l3, l4, l5, l6, l7, l8, l9, _ = adj
-    fh = p.a * p.beta_hv * (p.eta_v * x[E_V] + x[I_V]) / n_h
-    fv = p.a * p.beta_vh * (p.eta_h * x[E_H] + x[I_H]) / n_h
+    l1, l2, l3, l4, l5, l6, l7, l8, l9 = (adj[..., i] for i in range(9))
+    fh = p.a * p.beta_hv * (p.eta_v * x[..., E_V] + x[..., I_V]) / n_h
+    fv = p.a * p.beta_vh * (p.eta_h * x[..., E_H] + x[..., I_H]) / n_h
 
-    u = np.empty(N_CONTROLS)
-    u[0] = (l1 - l4) * (x[S_H] - c.omega * x[R_H]) / (2.0 * w.B1)
-    u[1] = c.alpha1 * (fh * x[S_H] * (l2 - l1)
-                       + fv * x[S_V] * (l6 - l5)) / (2.0 * w.B2)
-    u[2] = c.alpha2 * ((1.0 - p.delta) * l3 - l4) * x[I_H] / (2.0 * w.B3)
-    u[3] = c.c_m * (x[S_V] * l5 + x[E_V] * l6 + x[I_V] * l7) / (2.0 * w.B4)
-    u[4] = (c.eta1 * x[EGG] * l8 + c.eta2 * x[LAR] * l9) / (2.0 * w.B5)
+    u = np.stack([
+        (l1 - l4) * (x[..., S_H] - c.omega * x[..., R_H]) / (2.0 * w.B1),
+        c.alpha1 * (fh * x[..., S_H] * (l2 - l1)
+                    + fv * x[..., S_V] * (l6 - l5)) / (2.0 * w.B2),
+        c.alpha2 * ((1.0 - p.delta) * l3 - l4) * x[..., I_H] / (2.0 * w.B3),
+        c.c_m * (x[..., S_V] * l5 + x[..., E_V] * l6
+                 + x[..., I_V] * l7) / (2.0 * w.B4),
+        (c.eta1 * x[..., EGG] * l8 + c.eta2 * x[..., LAR] * l9) / (2.0 * w.B5),
+    ], axis=-1)
     np.clip(u, 0.0, 1.0, out=u)
     return u * mask.as_array()
 
@@ -237,7 +242,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         raise ValueError(f"mix must be in (0, 1], got {mix}")
     par = params_to_array(p)
     cpar = control_params_to_array(c)
-    wts = w.to_array()
+    dwts = w.to_array()[:4]
     x0 = np.asarray(x0, dtype=float)
     n = grid.n_steps
     mask_arr = mask.as_array()
@@ -251,8 +256,6 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         u = np.clip(u, 0.0, 1.0) * mask_arr
 
     log = []
-    states = None
-    adjoints = None
     converged = False
     suspect = False
     prev_states = None
@@ -261,19 +264,15 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
 
     for iterations in range(1, max_iters + 1):
         states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-        adjoints = _kernels.rk4_adjoint(par, cpar, wts[:4], states, u, grid.dt)
+        adjoints = _kernels.rk4_adjoint(par, cpar, dwts, states, u, grid.dt)
 
-        u_char = np.empty_like(u)
-        for i in range(n + 1):
-            u_char[i] = _characterize_raw(states[i], adjoints[i], par, cpar, wts)
-        np.clip(u_char, 0.0, 1.0, out=u_char)
-        u_char *= mask_arr
+        u_char = characterize_controls(states, adjoints, p, c, w, mask)
         u_new = mix * u_char + (1.0 - mix) * u
 
         control_change = _rel_sup_change(u_new, u)
         state_change = (_rel_sup_change(states, prev_states)
                         if prev_states is not None else float("inf"))
-        j = _objective_arrays(states, u_new, w, grid.dt)
+        j = objective(Trajectory(grid, states), Trajectory(grid, u_new), w)
         log.append({"iteration": iterations, "J": j,
                     "control_change": control_change,
                     "state_change": state_change})
@@ -285,45 +284,19 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
             break
 
     states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-    adjoints = _kernels.rk4_adjoint(par, cpar, wts[:4], states, u, grid.dt)
-    j = _objective_arrays(states, u, w, grid.dt)
+    adjoints = _kernels.rk4_adjoint(par, cpar, dwts, states, u, grid.dt)
+    states = Trajectory(grid, states)
+    controls = Trajectory(grid, u)
 
     return SweepResult(
-        states=Trajectory(grid, states),
+        states=states,
         adjoints=Trajectory(grid, adjoints),
-        controls=Trajectory(grid, u),
-        objective_j=j,
+        controls=controls,
+        objective_j=objective(states, controls, w),
         iterations=iterations,
         converged=converged,
         suspect=suspect,
         log=log)
-
-
-def _objective_arrays(xs, us, w: ObjectiveWeights, dt: float) -> float:
-    n_v = xs[:, S_V] + xs[:, E_V] + xs[:, I_V]
-    integrand = (w.D1 * xs[:, I_H] + w.D2 * n_v + w.D3 * xs[:, EGG]
-                 + w.D4 * xs[:, LAR]
-                 + us ** 2 @ np.array([w.B1, w.B2, w.B3, w.B4, w.B5]))
-    return float(np.trapezoid(integrand, dx=dt))
-
-
-def _characterize_raw(x, adj, par, cpar, wts) -> np.ndarray:
-    """Unclamped characterization on raw arrays (hot path of the sweep)."""
-    n_h = x[S_H] + x[E_H] + x[I_H] + x[R_H]
-    a, beta_hv, beta_vh = par[2], par[3], par[4]
-    delta, eta_h, eta_v = par[6], par[8], par[9]
-    omega, alpha1, alpha2, c_m, eta1, eta2 = cpar
-    b1, b2, b3, b4, b5 = wts[4:]
-    l1, l2, l3, l4, l5, l6, l7, l8, l9, _ = adj
-    fh = a * beta_hv * (eta_v * x[E_V] + x[I_V]) / n_h
-    fv = a * beta_vh * (eta_h * x[E_H] + x[I_H]) / n_h
-    return np.array([
-        (l1 - l4) * (x[S_H] - omega * x[R_H]) / (2.0 * b1),
-        alpha1 * (fh * x[S_H] * (l2 - l1) + fv * x[S_V] * (l6 - l5)) / (2.0 * b2),
-        alpha2 * ((1.0 - delta) * l3 - l4) * x[I_H] / (2.0 * b3),
-        c_m * (x[S_V] * l5 + x[E_V] * l6 + x[I_V] * l7) / (2.0 * b4),
-        (eta1 * x[EGG] * l8 + eta2 * x[LAR] * l9) / (2.0 * b5),
-    ])
 
 
 def controls_to_csv(result: SweepResult, path) -> None:

@@ -77,6 +77,15 @@ def _check_finite(x: np.ndarray, step: int, t: float) -> None:
         raise NonFiniteError(step, t)
 
 
+def _node_values(traj, grid: TimeGrid, what: str) -> np.ndarray:
+    values = traj.values if isinstance(traj, Trajectory) \
+        else np.asarray(traj, dtype=float)
+    if values.shape[0] != grid.n_steps + 1:
+        raise ValueError(f"{what} trajectory has {values.shape[0]} rows, "
+                         f"need {grid.n_steps + 1}")
+    return values
+
+
 def rk4_forward(field, x0, grid: TimeGrid, control_lookup=None) -> Trajectory:
     """Classic RK4 from t0 to tf.
 
@@ -86,44 +95,40 @@ def rk4_forward(field, x0, grid: TimeGrid, control_lookup=None) -> Trajectory:
     half-step control is the average of the adjacent nodes (linear
     interpolation at the midpoint).
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = grid.n_steps
-    dt = grid.dt
-    out = np.empty((n + 1, x0.shape[0]))
-    out[0] = x0
-    times = grid.times()
+    u = None if control_lookup is None \
+        else _node_values(control_lookup, grid, "control")
+    return Trajectory(grid, forward_steps(field, x0, grid.n_steps, grid.dt,
+                                          u, grid.t0))
 
-    if control_lookup is None:
-        x = x0.copy()
-        for i in range(n):
-            t = times[i]
-            k1 = field(t, x)
-            k2 = field(t + 0.5 * dt, x + 0.5 * dt * k1)
-            k3 = field(t + 0.5 * dt, x + 0.5 * dt * k2)
-            k4 = field(t + dt, x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_finite(x, i + 1, times[i + 1])
-            out[i + 1] = x
-        return Trajectory(grid, out)
 
-    u = control_lookup.values if isinstance(control_lookup, Trajectory) \
-        else np.asarray(control_lookup, dtype=float)
-    if u.shape[0] != n + 1:
-        raise ValueError(f"control trajectory has {u.shape[0]} rows, need {n + 1}")
-    x = x0.copy()
-    for i in range(n):
+def forward_steps(field, x0, n_steps: int, dt: float, u=None,
+                  t0: float = 0.0) -> np.ndarray:
+    """The loop of `rk4_forward` on a bare step count and size: returns
+    the (n_steps+1, dim) node values, `u` holds one control row per node
+    or is None."""
+    rhs = field
+    if u is None:
+        u = np.zeros((n_steps + 1, 0))
+
+        def rhs(t, x, _):
+            return field(t, x)
+    x = np.array(x0, dtype=float)
+    out = np.empty((n_steps + 1, x.shape[0]))
+    out[0] = x
+    times = t0 + dt * np.arange(n_steps + 1)
+    for i in range(n_steps):
         t = times[i]
         u_lo = u[i]
         u_hi = u[i + 1]
         u_mid = 0.5 * (u_lo + u_hi)
-        k1 = field(t, x, u_lo)
-        k2 = field(t + 0.5 * dt, x + 0.5 * dt * k1, u_mid)
-        k3 = field(t + 0.5 * dt, x + 0.5 * dt * k2, u_mid)
-        k4 = field(t + dt, x + dt * k3, u_hi)
+        k1 = rhs(t, x, u_lo)
+        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1, u_mid)
+        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2, u_mid)
+        k4 = rhs(t + dt, x + dt * k3, u_hi)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(x, i + 1, times[i + 1])
         out[i + 1] = x
-    return Trajectory(grid, out)
+    return out
 
 
 def rk4_backward(adjoint_field, terminal_value, grid: TimeGrid,
@@ -135,42 +140,41 @@ def rk4_backward(adjoint_field, terminal_value, grid: TimeGrid,
     adjacent grid nodes; the terminal node is set to `terminal_value`
     exactly.
     """
-    lam = np.asarray(terminal_value, dtype=float).copy()
-    n = grid.n_steps
-    dt = grid.dt
-    xs = state_traj.values if isinstance(state_traj, Trajectory) \
-        else np.asarray(state_traj, dtype=float)
-    if xs.shape[0] != n + 1:
-        raise ValueError(f"state trajectory has {xs.shape[0]} rows, need {n + 1}")
-    us = None
-    if control_traj is not None:
-        us = control_traj.values if isinstance(control_traj, Trajectory) \
-            else np.asarray(control_traj, dtype=float)
-        if us.shape[0] != n + 1:
-            raise ValueError(f"control trajectory has {us.shape[0]} rows, need {n + 1}")
+    xs = _node_values(state_traj, grid, "state")
+    us = None if control_traj is None \
+        else _node_values(control_traj, grid, "control")
+    return Trajectory(grid, backward_steps(adjoint_field, terminal_value, xs,
+                                           grid.dt, us, grid.t0))
 
+
+def backward_steps(adjoint_field, terminal_value, xs, dt: float, us=None,
+                   t0: float = 0.0) -> np.ndarray:
+    """The loop of `rk4_backward` over the node states `xs` (and controls
+    `us`, or None) with step size `dt`; returns the node values."""
+    n = xs.shape[0] - 1
+    rhs = adjoint_field
+    if us is None:
+        us = np.zeros((n + 1, 0))
+
+        def rhs(t, lam, x, _):
+            return adjoint_field(t, lam, x)
+    lam = np.array(terminal_value, dtype=float)
     out = np.empty((n + 1, lam.shape[0]))
     out[n] = lam
-    times = grid.times()
+    times = t0 + dt * np.arange(n + 1)
     for i in range(n - 1, -1, -1):
         t_hi = times[i + 1]
         x_hi = xs[i + 1]
         x_lo = xs[i]
         x_mid = 0.5 * (x_lo + x_hi)
-        if us is None:
-            k1 = adjoint_field(t_hi, lam, x_hi)
-            k2 = adjoint_field(t_hi - 0.5 * dt, lam - 0.5 * dt * k1, x_mid)
-            k3 = adjoint_field(t_hi - 0.5 * dt, lam - 0.5 * dt * k2, x_mid)
-            k4 = adjoint_field(t_hi - dt, lam - dt * k3, x_lo)
-        else:
-            u_hi = us[i + 1]
-            u_lo = us[i]
-            u_mid = 0.5 * (u_lo + u_hi)
-            k1 = adjoint_field(t_hi, lam, x_hi, u_hi)
-            k2 = adjoint_field(t_hi - 0.5 * dt, lam - 0.5 * dt * k1, x_mid, u_mid)
-            k3 = adjoint_field(t_hi - 0.5 * dt, lam - 0.5 * dt * k2, x_mid, u_mid)
-            k4 = adjoint_field(t_hi - dt, lam - dt * k3, x_lo, u_lo)
+        u_hi = us[i + 1]
+        u_lo = us[i]
+        u_mid = 0.5 * (u_lo + u_hi)
+        k1 = rhs(t_hi, lam, x_hi, u_hi)
+        k2 = rhs(t_hi - 0.5 * dt, lam - 0.5 * dt * k1, x_mid, u_mid)
+        k3 = rhs(t_hi - 0.5 * dt, lam - 0.5 * dt * k2, x_mid, u_mid)
+        k4 = rhs(t_hi - dt, lam - dt * k3, x_lo, u_lo)
         lam = lam - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(lam, i, times[i])
         out[i] = lam
-    return Trajectory(grid, out)
+    return out

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .model import ModelParams
 from .thresholds import bifurcation_thresholds, net_reproductive_number
@@ -197,6 +196,20 @@ def condition_probabilities(samples: SampleSet) -> dict:
     }
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of the
+    positions they occupy (so [3, 1, 3, 2] ranks as [3.5, 1, 3.5, 2])."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = (0.5 * (starts + 1 + ends))[np.cumsum(first) - 1]
+    return ranks
+
+
 def prcc(samples: SampleSet, outputs) -> PRCCReport:
     """Partial rank correlation of each parameter against the output.
 
@@ -220,8 +233,8 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
             raise SingularSampleError(
                 f"parameter {PARAM_ORDER[j]} is constant over the sample")
 
-    ranks = np.column_stack([rankdata(samples.matrix[:, j]) for j in active])
-    out_ranks = rankdata(outputs)
+    ranks = np.column_stack([average_ranks(samples.matrix[:, j]) for j in active])
+    out_ranks = average_ranks(outputs)
     coeffs = {}
     for idx, j in enumerate(active):
         others = np.delete(ranks, idx, axis=1)

@@ -154,18 +154,13 @@ def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     dfe = dfe_components(p)
     nh0, nv0 = dfe[S_H], dfe[S_V]
 
+    # R0^2 is linear in beta_hv, so R0(beta_x) = R_x at beta_x = beta_star * R_x^2.
     beta_star = _beta_star(p, k, nh0, nv0)
-    beta_bar = ((p.a * p.mu_h * p.beta_vh * k.k10 + 2.0 * k.k2 * k.k8) * nh0
-                / (p.a ** 2 * p.beta_vh * k.k10 * k.k11 * nv0))
-
+    beta_bar = beta_star * r_c ** 2
     beta_minus = beta_plus = None
-    if psi < 0.0:
-        root_a = math.sqrt(p.delta * p.gamma_h
-                           * (p.a * p.mu_h * p.beta_vh * k.k10 + k.k2 * k.k8))
-        root_b = math.sqrt(-k.k2 * psi)
-        scale = k.k9 * nh0 / (k.k3 * k.k4 * k.k10 * k.k11 * p.a ** 2 * nv0 * p.beta_vh)
-        beta_minus = scale * (root_a - root_b) ** 2
-        beta_plus = scale * (root_a + root_b) ** 2
+    if r_1b is not None:
+        beta_minus = beta_star * r_1b ** 2
+        beta_plus = beta_star * r_2b ** 2
 
     return ThresholdReport(
         net_repro=n, r0=r0, r0_defined=True, k_vh=k_vh, k_hv=k_hv,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from arbo import _kernels
 from arbo.cli import EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, main
 from arbo.thresholds import basic_reproduction_number
 from conftest import load_fixture
@@ -90,6 +91,8 @@ def test_control_command_masks_excluded_control(config_file, tmp_path):
     report = json.loads(out.read_text())
     assert report["strategy"] == "Z1"
     assert report["converged"] is True
+    assert report["kernel_backend"] == _kernels.BACKEND
+    assert report["kernel_fallback_reason"] == _kernels.FALLBACK_REASON
     assert report["J"] > 0.0
     data = np.loadtxt(controls_csv, delimiter=",", skiprows=1)
     assert np.all(data[:, 5] == 0.0)  # u5 masked off under Z1
@@ -177,3 +180,20 @@ def test_numeric_error_exit_code(config_file, tmp_path):
     out = tmp_path / "traj.csv"
     code = main(["simulate", "--config", config_file(cfg), "--out", str(out)])
     assert code == EXIT_NUMERIC
+
+
+def test_numeric_error_reports_grid_time(config_file, tmp_path, capsys):
+    # No infection and no carrying capacity: the vector population grows
+    # until it overflows, and the first non-finite node is reported at
+    # its time on the config's grid.
+    cfg = _table5()
+    cfg["params"].update(beta_hv=0.0, beta_vh=0.0, delta=0.0, mu_b=1e4,
+                         Gamma_E=1e300, Gamma_L=1e300)
+    cfg["grid"].update(t0=100.0, tf=600.0, n_steps=100)
+    out = tmp_path / "traj.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["simulate", "--config", config_file(cfg), "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite value at step 74 (t = 470)" in err
+    assert not out.exists()

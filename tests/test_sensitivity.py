@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arbo.sensitivity import (
-    PARAM_ORDER, ParamDistribution, RangeError, baseline_ranges,
+    PARAM_ORDER, ParamDistribution, RangeError, average_ranks, baseline_ranges,
     condition_probabilities, histogram_to_csv, lhs_sample, prcc,
     prcc_to_csv, r0_distribution, r0_of, r0_values,
 )
@@ -150,3 +150,10 @@ def test_csv_emission(tmp_path):
     assert rows[0] == "bin_lo,bin_hi,count"
     counts = [int(r.split(",")[2]) for r in rows[1:]]
     assert sum(counts) == 60
+
+
+def test_average_ranks_ties():
+    """[TRIVIAL] Hand-computed ranks: tied values share their mean rank."""
+    assert average_ranks([3.0, 1.0, 3.0, 2.0]).tolist() == [3.5, 1.0, 3.5, 2.0]
+    assert average_ranks([0.0, 0.0, 0.0, 5.0, -1.0]).tolist() == [3.0, 3.0, 3.0, 5.0, 1.0]
+    assert average_ranks([2.0]).tolist() == [1.0]

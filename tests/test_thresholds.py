@@ -113,3 +113,21 @@ def test_report_without_vectors(table5):
     assert not rep.r0_defined
     assert rep.r0 == 0.0
     assert math.isnan(rep.beta_star)
+
+
+def test_beta_thresholds_map_to_r_thresholds():
+    """[DERIVED] Setting beta_hv to beta_bar, beta_minus or beta_plus
+    gives R0 = R_c, R_1b or R_2b (R0^2 is linear in beta_hv)."""
+    rng = np.random.default_rng(7)
+    windows = 0
+    for _ in range(100):
+        p = random_established_params(rng)
+        rep = bifurcation_thresholds(p)
+        pairs = [(rep.beta_bar, rep.r_c)]
+        if rep.r_1b is not None:
+            windows += 1
+            pairs += [(rep.beta_minus, rep.r_1b), (rep.beta_plus, rep.r_2b)]
+        for beta, r_x in pairs:
+            r0 = basic_reproduction_number(dataclasses.replace(p, beta_hv=beta))
+            assert r0 == pytest.approx(r_x, rel=1e-12)
+    assert windows > 10
