@@ -15,6 +15,7 @@ from .ode import TimeGrid, Trajectory, rk4_backward, rk4_forward
 from .thresholds import (
     ThresholdError, ThresholdReport, basic_reproduction_number,
     bifurcation_thresholds, dfe_components, net_reproductive_number,
+    threshold_arrays,
 )
 
 __version__ = "0.1.0"
@@ -27,5 +28,5 @@ __all__ = [
     "ZeroPopulationError", "basic_field", "basic_reproduction_number",
     "bifurcation_thresholds", "controlled_field", "derive_constants",
     "dfe_components", "kernel_backend", "net_reproductive_number",
-    "rk4_backward", "rk4_forward",
+    "rk4_backward", "rk4_forward", "threshold_arrays",
 ]

@@ -13,7 +13,9 @@ right-hand sides (`model.basic_field`, `model.controlled_field`,
 `control.adjoint_field`) through `ode.forward_steps` /
 `ode.backward_steps`.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
 is None or the error that forced the fallback.  Every kernel raises
-`ode.NonFiniteError` at the first node holding a NaN or an infinity.
+`model.ZeroPopulationError` in the step whose right-hand side meets a
+zero or negative human total, and `ode.NonFiniteError` at the first
+node holding a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -49,7 +51,13 @@ class Kernels:
     rk4_adjoint: Callable
 
 
-def _finite(bad: int, dt: float) -> None:
+_NO_HUMANS = -2  # NO_HUMANS in rk4.c
+
+
+def _check(bad: int, dt: float) -> None:
+    """Raise the error a C loop's return code stands for."""
+    if bad == _NO_HUMANS:
+        raise model.ZeroPopulationError("total human population is zero")
     if bad >= 0:
         raise ode.NonFiniteError(bad, bad * dt)
 
@@ -121,8 +129,8 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
         """Uncontrolled forward RK4; returns the (n_steps+1, 10) trajectory."""
         n = _steps(n_steps)
         out = np.empty((n + 1, 10))
-        _finite(lib.rk4_basic(_array(par, (21,)), _array(x0, (10,)), n, dt, out),
-                dt)
+        _check(lib.rk4_basic(_array(par, (21,)), _array(x0, (10,)), n, dt, out),
+               dt)
         return out
 
     def rk4_controlled(par, cpar, x0, u, dt):
@@ -130,9 +138,9 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
         half-step controls are the average of the adjacent nodes."""
         u = _array(u, (None, 5))
         out = np.empty((u.shape[0], 10))
-        _finite(lib.rk4_controlled(_array(par, (21,)), _array(cpar, (6,)),
-                                   _array(x0, (10,)), u, u.shape[0] - 1,
-                                   dt, out), dt)
+        _check(lib.rk4_controlled(_array(par, (21,)), _array(cpar, (6,)),
+                                  _array(x0, (10,)), u, u.shape[0] - 1,
+                                  dt, out), dt)
         return out
 
     def rk4_adjoint(par, cpar, dwts, states, u, dt):
@@ -140,10 +148,10 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
         intermediate stages average the adjacent nodes."""
         states = _array(states, (None, 10))
         out = np.empty(states.shape)
-        _finite(lib.rk4_adjoint(_array(par, (21,)), _array(cpar, (6,)),
-                                _array(dwts, (4,)), states,
-                                _array(u, (states.shape[0], 5)),
-                                states.shape[0] - 1, dt, out), dt)
+        _check(lib.rk4_adjoint(_array(par, (21,)), _array(cpar, (6,)),
+                               _array(dwts, (4,)), states,
+                               _array(u, (states.shape[0], 5)),
+                               states.shape[0] - 1, dt, out), dt)
         return out
 
     return Kernels("c", None, rk4_basic, rk4_controlled, rk4_adjoint)

@@ -10,8 +10,10 @@
  * model.params_to_array, cpar in that of model.control_params_to_array,
  * dwts = (D1, D2, D3, D4), states and out as (n_steps + 1) x 10 and the
  * controls u as (n_steps + 1) x 5.  Every loop stops at the first node
- * holding a NaN or an infinity and returns its index; it returns -1
- * when all nodes are finite.
+ * holding a NaN or an infinity and returns its index.  It returns
+ * NO_HUMANS when a right-hand side met a zero or negative human total
+ * (where the Python right-hand sides raise ZeroPopulationError), and
+ * FINITE when all nodes are finite.
  */
 
 #include <math.h>
@@ -23,8 +25,11 @@ enum {
 enum { OMEGA, ALPHA1, ALPHA2, CM, ETA1, ETA2 };
 enum { SH, EH, IH, RH, SV, EV, IV, EGG, LAR, PUP, NX };
 enum { NU = 5 };
+enum { FINITE = -1, NO_HUMANS = -2 };
 
-static void basic_rhs(const double *x, const double *p, double *dx)
+/* Each right-hand side returns nonzero when the human total is <= 0. */
+
+static int basic_rhs(const double *x, const double *p, double *dx)
 {
     double n_h = x[SH] + x[EH] + x[IH] + x[RH];
     double foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
@@ -40,10 +45,11 @@ static void basic_rhs(const double *x, const double *p, double *dx)
     dx[EGG] = p[MUB] * (1.0 - x[EGG] / p[GE]) * n_v - (p[S] + p[MUE]) * x[EGG];
     dx[LAR] = p[S] * x[EGG] * (1.0 - x[LAR] / p[GL]) - (p[L] + p[MUL]) * x[LAR];
     dx[PUP] = p[L] * x[LAR] - (p[THETA] + p[MUP]) * x[PUP];
+    return n_h <= 0.0;
 }
 
-static void controlled_rhs(const double *x, const double *u, const double *p,
-                           const double *c, double *dx)
+static int controlled_rhs(const double *x, const double *u, const double *p,
+                          const double *c, double *dx)
 {
     double n_h = x[SH] + x[EH] + x[IH] + x[RH];
     double foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
@@ -68,11 +74,12 @@ static void controlled_rhs(const double *x, const double *u, const double *p,
     dx[LAR] = p[S] * x[EGG] * (1.0 - x[LAR] / p[GL])
               - (p[L] + p[MUL] + c[ETA2] * u[4]) * x[LAR];
     dx[PUP] = p[L] * x[LAR] - (p[THETA] + p[MUP]) * x[PUP];
+    return n_h <= 0.0;
 }
 
-static void adjoint_rhs(const double *l, const double *x, const double *u,
-                        const double *p, const double *c, const double *dw,
-                        double *d)
+static int adjoint_rhs(const double *l, const double *x, const double *u,
+                       const double *p, const double *c, const double *dw,
+                       double *d)
 {
     double n_h = x[SH] + x[EH] + x[IH] + x[RH];
     double k3 = p[MUH] + p[GAMH];
@@ -109,6 +116,7 @@ static void adjoint_rhs(const double *l, const double *x, const double *u,
     d[LAR] = -dw[3] + (p[S] * x[EGG] / p[GL] + k6 + c[ETA2] * u[4]) * l[8]
              - p[L] * l[9];
     d[PUP] = -p[THETA] * l[4] + k7 * l[9];
+    return n_h <= 0.0;
 }
 
 static int all_finite(const double *v)
@@ -126,16 +134,18 @@ long rk4_basic(const double *par, const double *x0, long n_steps, double dt,
     for (int j = 0; j < NX; j++)
         out[j] = x[j] = x0[j];
     for (long i = 0; i < n_steps; i++) {
-        basic_rhs(x, par, k1);
+        int empty = basic_rhs(x, par, k1);
         for (int j = 0; j < NX; j++)
             xs[j] = x[j] + 0.5 * dt * k1[j];
-        basic_rhs(xs, par, k2);
+        empty |= basic_rhs(xs, par, k2);
         for (int j = 0; j < NX; j++)
             xs[j] = x[j] + 0.5 * dt * k2[j];
-        basic_rhs(xs, par, k3);
+        empty |= basic_rhs(xs, par, k3);
         for (int j = 0; j < NX; j++)
             xs[j] = x[j] + dt * k3[j];
-        basic_rhs(xs, par, k4);
+        empty |= basic_rhs(xs, par, k4);
+        if (empty)
+            return NO_HUMANS;
         for (int j = 0; j < NX; j++)
             x[j] = x[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
         if (!all_finite(x))
@@ -143,7 +153,7 @@ long rk4_basic(const double *par, const double *x0, long n_steps, double dt,
         for (int j = 0; j < NX; j++)
             out[(i + 1) * NX + j] = x[j];
     }
-    return -1;
+    return FINITE;
 }
 
 long rk4_controlled(const double *par, const double *cpar, const double *x0,
@@ -156,16 +166,18 @@ long rk4_controlled(const double *par, const double *cpar, const double *x0,
         const double *u_lo = u + i * NU, *u_hi = u_lo + NU;
         for (int j = 0; j < NU; j++)
             u_mid[j] = 0.5 * (u_lo[j] + u_hi[j]);
-        controlled_rhs(x, u_lo, par, cpar, k1);
+        int empty = controlled_rhs(x, u_lo, par, cpar, k1);
         for (int j = 0; j < NX; j++)
             xs[j] = x[j] + 0.5 * dt * k1[j];
-        controlled_rhs(xs, u_mid, par, cpar, k2);
+        empty |= controlled_rhs(xs, u_mid, par, cpar, k2);
         for (int j = 0; j < NX; j++)
             xs[j] = x[j] + 0.5 * dt * k2[j];
-        controlled_rhs(xs, u_mid, par, cpar, k3);
+        empty |= controlled_rhs(xs, u_mid, par, cpar, k3);
         for (int j = 0; j < NX; j++)
             xs[j] = x[j] + dt * k3[j];
-        controlled_rhs(xs, u_hi, par, cpar, k4);
+        empty |= controlled_rhs(xs, u_hi, par, cpar, k4);
+        if (empty)
+            return NO_HUMANS;
         for (int j = 0; j < NX; j++)
             x[j] = x[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
         if (!all_finite(x))
@@ -173,7 +185,7 @@ long rk4_controlled(const double *par, const double *cpar, const double *x0,
         for (int j = 0; j < NX; j++)
             out[(i + 1) * NX + j] = x[j];
     }
-    return -1;
+    return FINITE;
 }
 
 /* Backward from the zero terminal value; the intermediate stages use the
@@ -193,16 +205,18 @@ long rk4_adjoint(const double *par, const double *cpar, const double *dwts,
             x_mid[j] = 0.5 * (x_lo[j] + x_hi[j]);
         for (int j = 0; j < NU; j++)
             u_mid[j] = 0.5 * (u_lo[j] + u_hi[j]);
-        adjoint_rhs(lam, x_hi, u_hi, par, cpar, dwts, k1);
+        int empty = adjoint_rhs(lam, x_hi, u_hi, par, cpar, dwts, k1);
         for (int j = 0; j < NX; j++)
             ls[j] = lam[j] - 0.5 * dt * k1[j];
-        adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k2);
+        empty |= adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k2);
         for (int j = 0; j < NX; j++)
             ls[j] = lam[j] - 0.5 * dt * k2[j];
-        adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k3);
+        empty |= adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k3);
         for (int j = 0; j < NX; j++)
             ls[j] = lam[j] - dt * k3[j];
-        adjoint_rhs(ls, x_lo, u_lo, par, cpar, dwts, k4);
+        empty |= adjoint_rhs(ls, x_lo, u_lo, par, cpar, dwts, k4);
+        if (empty)
+            return NO_HUMANS;
         for (int j = 0; j < NX; j++)
             lam[j] = lam[j] - (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
         if (!all_finite(lam))
@@ -210,5 +224,5 @@ long rk4_adjoint(const double *par, const double *cpar, const double *dwts,
         for (int j = 0; j < NX; j++)
             out[i * NX + j] = lam[j];
     }
-    return -1;
+    return FINITE;
 }

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -186,19 +187,11 @@ def cmd_bifurcation(args) -> int:
     p = _build_params(cfg)
     if args.out is None:
         raise ConfigError("bifurcation requires --out CSV path")
-    rows = _scan_with_stability(p, args.param, args.lo, args.hi, args.steps)
+    rows = equilibria.bifurcation_scan(
+        p, args.param, args.lo, args.hi, args.steps,
+        stability_checker=lambda x, pv: eigen_verdict(x, pv).stable)
     equilibria.scan_to_csv(rows, args.out)
     return 0
-
-
-def _scan_with_stability(p, param_name, lo, hi, steps):
-    out = []
-    for value in np.linspace(lo, hi, steps + 1):
-        pv = dataclasses.replace(p, **{param_name: float(value)})
-        out.extend(equilibria.bifurcation_scan(
-            pv, param_name, float(value), float(value), 0,
-            stability_checker=lambda x, pv=pv: eigen_verdict(x, pv).stable))
-    return out
 
 
 def cmd_simulate(args) -> int:
@@ -228,11 +221,15 @@ def cmd_sensitivity(args) -> int:
             {k: tuple(v) for k, v in ranges_cfg.items()})
     n = args.samples or int(sens_cfg.get("samples", 5000))
     seed = _seed(cfg, args)
+    t0 = time.perf_counter()
     samples = sensitivity.lhs_sample(dist, n, seed)
+    t1 = time.perf_counter()
     outputs = sensitivity.r0_values(samples)
     dist_stats = sensitivity.r0_distribution(samples)
     probs = sensitivity.condition_probabilities(samples)
+    t2 = time.perf_counter()
     report = sensitivity.prcc(samples, outputs)
+    t3 = time.perf_counter()
     if args.prcc_csv:
         sensitivity.prcc_to_csv(report, args.prcc_csv)
     if args.hist_csv:
@@ -246,6 +243,8 @@ def cmd_sensitivity(args) -> int:
         "probabilities": probs,
         "prcc": report.coefficients,
         "excluded": list(report.excluded),
+        "diagnostics": {"stage_s": {
+            "sampling": t1 - t0, "thresholds": t2 - t1, "prcc": t3 - t2}},
     }, args.out)
     return 0
 

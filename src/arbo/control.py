@@ -297,7 +297,3 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         converged=converged,
         suspect=suspect,
         log=log)
-
-
-def controls_to_csv(result: SweepResult, path) -> None:
-    result.controls.to_csv(path, ["u1", "u2", "u3", "u4", "u5"])

@@ -256,6 +256,8 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
     Branch 0 is the biological disease-free equilibrium; positive
     branches are endemic points ordered by increasing force of
     infection.  Per-point failures become flagged rows, never aborts.
+    `stability_checker(x, pv)` receives each equilibrium with the
+    parameters of its own grid point.
     """
     if param_name not in {f.name for f in dataclasses.fields(ModelParams)}:
         raise ValueError(f"unknown parameter {param_name!r}")
@@ -268,8 +270,10 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
             rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, 0,
                                 math.nan, error=str(exc)))
             continue
+        checker = (None if stability_checker is None
+                   else lambda x: stability_checker(x, pv))
         try:
-            eq = solve_endemic(pv, stability_checker=stability_checker)
+            eq = solve_endemic(pv, stability_checker=checker)
         except (ThresholdError, ResidualError, ArithmeticError) as exc:
             rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, 0,
                                 math.nan, error=str(exc)))
@@ -281,7 +285,7 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
         rep = bifurcation_thresholds(pv)
         dfe = eq.dfe_biological
         dfe_res = float(np.max(np.abs(basic_field(dfe, pv))))
-        dfe_stable = stability_checker(dfe) if stability_checker else None
+        dfe_stable = checker(dfe) if checker else None
         rows.append(ScanRow(value, rep.r0, 0, 0.0, 0.0,
                             int(bool(dfe_stable)), dfe_res))
         for branch, (x, lam, stable) in enumerate(eq.endemic, start=1):

@@ -5,11 +5,14 @@ rank correlation coefficients."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import ModelParams
-from .thresholds import bifurcation_thresholds, net_reproductive_number
+from .thresholds import (
+    bifurcation_thresholds, net_reproductive_number, threshold_arrays,
+)
 
 PARAM_ORDER = (
     "lambda_h_in", "mu_h", "a", "beta_hv", "beta_vh", "gamma_h", "delta",
@@ -93,16 +96,21 @@ class ParamDistribution:
 @dataclass(frozen=True)
 class SampleSet:
     """An LHS design: the raw matrix (n x n_params, column order
-    PARAM_ORDER) plus the materialized parameter objects."""
+    PARAM_ORDER)."""
 
     matrix: np.ndarray = field(repr=False)
-    params: list = field(repr=False)
     seed: int
     distribution: ParamDistribution
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    def columns(self) -> SimpleNamespace:
+        """The draws as one array per `ModelParams` field, the form the
+        functions of `thresholds` take for a whole design at once."""
+        return SimpleNamespace(**{name: np.ascontiguousarray(self.matrix[:, j])
+                                  for j, name in enumerate(PARAM_ORDER)})
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,11 @@ class PRCCReport:
 def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
     """Stratified uniform design: each range is split into n equal
     strata with one draw per stratum, stratum order independently
-    permuted per parameter.  Fully determined by the seed."""
+    permuted per parameter.  Fully determined by the seed.
+
+    Raises `ParamError` if any draw is outside the parameter domain.
+    Every domain is an interval, so checking the column minima and
+    maxima checks every draw."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
@@ -126,8 +138,9 @@ def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
         perm = rng.permutation(n)
         quantiles = (perm + rng.random(n)) / n
         matrix[:, j] = lo + (hi - lo) * quantiles
-    params = [ModelParams(**dict(zip(PARAM_ORDER, row))) for row in matrix]
-    return SampleSet(matrix=matrix, params=params, seed=seed, distribution=dist)
+    for extreme in (matrix.min(axis=0), matrix.max(axis=0)):
+        ModelParams(**dict(zip(PARAM_ORDER, extreme.tolist())))
+    return SampleSet(matrix=matrix, seed=seed, distribution=dist)
 
 
 def r0_of(p: ModelParams) -> float:
@@ -139,7 +152,8 @@ def r0_of(p: ModelParams) -> float:
 
 
 def r0_values(samples: SampleSet) -> np.ndarray:
-    return np.array([r0_of(p) for p in samples.params])
+    """R0 of every draw, as `r0_of` gives it, in one array pass."""
+    return threshold_arrays(samples.columns()).r0
 
 
 def r0_distribution(samples: SampleSet, n_bins: int = 50) -> dict:
@@ -165,25 +179,16 @@ def condition_probabilities(samples: SampleSet) -> dict:
     (no vectors / subcritical / supercritical) partition the draws.
     """
     n = samples.n
-    trivial = 0
-    sub = 0
-    sup = 0
-    two_low = 0
-    two_high = 0
-    for p in samples.params:
-        if net_reproductive_number(p) <= 1.0:
-            trivial += 1
-            continue
-        rep = bifurcation_thresholds(p)
-        if rep.r0 >= 1.0:
-            sup += 1
-            continue
-        sub += 1
-        if rep.r_1b is not None:
-            if rep.r_c < rep.r0 < min(1.0, rep.r_1b):
-                two_low += 1
-            elif max(rep.r_c, rep.r_2b) < rep.r0 < 1.0:
-                two_high += 1
+    rep = threshold_arrays(samples.columns())
+    vectors = rep.r0_defined
+    supercritical = vectors & (rep.r0 >= 1.0)
+    subcritical = vectors & ~supercritical
+    # NaN bounds (no saddle-node window) compare False.
+    low = subcritical & (rep.r_c < rep.r0) & (rep.r0 < np.minimum(1.0, rep.r_1b))
+    high = subcritical & ~low & (np.maximum(rep.r_c, rep.r_2b) < rep.r0)
+    trivial, sub, sup, two_low, two_high = (
+        int(np.count_nonzero(m))
+        for m in (~vectors, subcritical, supercritical, low, high))
     return {
         "p_no_vectors": trivial / n,
         "p_vectors": (sub + sup) / n,
@@ -200,7 +205,7 @@ def average_ranks(values) -> np.ndarray:
     """1-based ranks of a 1-D array; tied values share the mean of the
     positions they occupy (so [3, 1, 3, 2] ranks as [3.5, 1, 3.5, 2])."""
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="mergesort")
+    order = np.argsort(values)  # any order within a tie group gives the same ranks
     ordered = values[order]
     first = np.r_[True, ordered[1:] != ordered[:-1]]
     starts = np.flatnonzero(first)
@@ -213,11 +218,13 @@ def average_ranks(values) -> np.ndarray:
 def prcc(samples: SampleSet, outputs) -> PRCCReport:
     """Partial rank correlation of each parameter against the output.
 
-    All columns are rank-transformed (average ranks on ties); for each
-    parameter, both its ranks and the output ranks are regressed on all
-    other parameters' ranks, and the coefficient is the Pearson
-    correlation of the two residual vectors.  Degenerate-range columns
-    are excluded.
+    All columns are rank-transformed (average ranks on ties).  The
+    coefficient for parameter j is the Pearson correlation of the
+    residuals left after regressing its ranks and the output ranks on
+    all other parameters' ranks.  By Frisch-Waugh this equals
+    -P[j, y] / sqrt(P[j, j] P[y, y]) with P the inverse of the rank
+    correlation matrix, so one inverse gives every coefficient.
+    Degenerate-range columns are excluded.
     """
     outputs = np.asarray(outputs, dtype=float)
     n = samples.n
@@ -233,24 +240,15 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
             raise SingularSampleError(
                 f"parameter {PARAM_ORDER[j]} is constant over the sample")
 
-    ranks = np.column_stack([average_ranks(samples.matrix[:, j]) for j in active])
-    out_ranks = average_ranks(outputs)
-    coeffs = {}
-    for idx, j in enumerate(active):
-        others = np.delete(ranks, idx, axis=1)
-        design = np.column_stack([np.ones(n), others])
-        design = (design - design.mean(axis=0)) / np.where(
-            design.std(axis=0) > 0, design.std(axis=0), 1.0)
-        design[:, 0] = 1.0
-        coef_x, *_ = np.linalg.lstsq(design, ranks[:, idx], rcond=None)
-        coef_y, *_ = np.linalg.lstsq(design, out_ranks, rcond=None)
-        res_x = ranks[:, idx] - design @ coef_x
-        res_y = out_ranks - design @ coef_y
-        coeffs[PARAM_ORDER[j]] = float(np.corrcoef(res_x, res_y)[0, 1])
+    ranks = np.column_stack([average_ranks(samples.matrix[:, j]) for j in active]
+                            + [average_ranks(outputs)])
+    inv = np.linalg.inv(np.corrcoef(ranks, rowvar=False))
+    coeffs = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
     excluded = tuple(name for name in PARAM_ORDER
                      if samples.distribution.degenerate(name))
-    return PRCCReport(coefficients=coeffs, excluded=excluded, n=n,
-                      seed=samples.seed)
+    return PRCCReport(
+        coefficients={PARAM_ORDER[j]: float(c) for j, c in zip(active, coeffs)},
+        excluded=excluded, n=n, seed=samples.seed)
 
 
 def prcc_to_csv(report: PRCCReport, path) -> None:

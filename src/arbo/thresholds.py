@@ -1,15 +1,21 @@
-"""Closed-form epidemic thresholds and bifurcation boundary values."""
+"""Closed-form epidemic thresholds and bifurcation boundary values.
+
+Each formula is written once with numpy ufuncs, so it runs on one
+`ModelParams` or on any object with the same fields holding equal-length
+arrays, such as `sensitivity.SampleSet.columns()`.  The scalar functions
+below are thin wrappers over `threshold_arrays`.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import (
     E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
-    DerivedConstants, ModelParams, derive_constants,
+    ModelParams, derive_constants,
 )
 
 
@@ -24,7 +30,8 @@ class ThresholdReport:
     Quantities that only exist in part of parameter space (R_1b, R_2b,
     beta_minus, beta_plus) are None when absent.  `r0_defined` is False
     when the vector population does not establish (N <= 1); R0 is then
-    reported as 0 by convention.
+    reported as 0 by convention.  `threshold_arrays` returns the same
+    fields as arrays, with NaN in place of None.
     """
 
     net_repro: float
@@ -48,6 +55,20 @@ def net_reproductive_number(p: ModelParams) -> float:
     return p.mu_b * p.theta * p.l * p.s / (k.k5 * k.k6 * k.k7 * k.k8)
 
 
+def _established(p: ModelParams, what: str) -> float:
+    """N, after checking that the vector population establishes."""
+    n = net_reproductive_number(p)
+    if n <= 1.0:
+        raise ThresholdError(f"{what} net reproductive number > 1, got {n:.6g}")
+    return n
+
+
+def _disease_free_vectors(p: ModelParams, k, n):
+    """Adult vectors at the biological DFE (positive only where N > 1)."""
+    denom = p.mu_b * (p.Gamma_E * p.s + k.k6 * p.Gamma_L)
+    return p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * (n - 1.0) / denom
+
+
 def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
     """Disease-free equilibrium as a state vector.
 
@@ -59,13 +80,10 @@ def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
     x[S_H] = p.lambda_h_in / p.mu_h
     if trivial:
         return x
-    n = net_reproductive_number(p)
-    if n <= 1.0:
-        raise ThresholdError(
-            f"biological DFE requires net reproductive number > 1, got {n:.6g}")
+    n = _established(p, "biological DFE requires")
     k = derive_constants(p)
     denom = p.mu_b * (p.Gamma_E * p.s + k.k6 * p.Gamma_L)
-    x[S_V] = p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * (n - 1.0) / denom
+    x[S_V] = _disease_free_vectors(p, k, n)
     x[PUP] = p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k8 * (n - 1.0) / (p.theta * denom)
     x[LAR] = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k7 * k.k8 * (n - 1.0)
               / (p.theta * p.l * denom))
@@ -74,26 +92,77 @@ def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
     return x
 
 
+def threshold_arrays(p) -> ThresholdReport:
+    """The threshold report over every draw at once.
+
+    `p` has the fields of `ModelParams`, as floats or as equal-length
+    arrays.  Every field of the result is an array (or a numpy scalar):
+    NaN where the scalar report has None, and, where N <= 1, R0 = K_vh =
+    K_hv = 0 with beta_star = beta_bar = NaN.
+    """
+    k = derive_constants(p)
+    n = net_reproductive_number(p)
+    established = n > 1.0
+
+    psi = k.k10 * p.a * p.mu_h * p.beta_vh - p.delta * p.gamma_h * k.k8
+    r_c = np.sqrt((2.0 * k.k8 * k.k2 + k.k10 * p.a * p.mu_h * p.beta_vh)
+                  / (k.k3 * k.k4 * k.k8))
+
+    # The saddle-node bounds exist only where psi <= 0.
+    root_a = np.sqrt(p.delta * p.gamma_h
+                     * (p.a * p.mu_h * p.beta_vh * k.k10 + k.k2 * k.k8))
+    root_b = np.sqrt(np.where(psi <= 0.0, -k.k2 * psi, np.nan))
+    scale = 1.0 / (k.k3 * k.k4) * np.sqrt(1.0 / k.k8)
+    r_1b = scale * np.abs(root_a - root_b)
+    r_2b = scale * (root_a + root_b)
+
+    nh0 = p.lambda_h_in / p.mu_h
+    nv0 = _disease_free_vectors(p, k, n)
+    k_vh = np.where(established, p.a * p.beta_vh * (p.gamma_h + k.k4 * p.eta_h)
+                    * nv0 / (k.k3 * k.k4 * nh0), 0.0)
+    k_hv = np.where(established,
+                    p.a * p.beta_hv * (p.gamma_v + k.k8 * p.eta_v) / (k.k8 * k.k9),
+                    0.0)
+
+    # R0^2 is linear in beta_hv, so R0(beta_x) = R_x at beta_x = beta_star * R_x^2.
+    with np.errstate(divide="ignore"):  # beta_vh = 0, or nv0 = 0 at N = 1
+        beta_star = np.where(established,
+                             k.k3 * k.k4 * k.k8 * k.k9 * nh0
+                             / (p.a * p.a * p.beta_vh * k.k10 * k.k11 * nv0),
+                             np.nan)
+    return ThresholdReport(
+        net_repro=n, r0=np.sqrt(k_vh * k_hv), r0_defined=established,
+        k_vh=k_vh, k_hv=k_hv, r_c=r_c, r_1b=r_1b, r_2b=r_2b, psi=psi,
+        beta_star=beta_star, beta_bar=beta_star * r_c * r_c,
+        beta_minus=beta_star * r_1b * r_1b, beta_plus=beta_star * r_2b * r_2b)
+
+
+_OPTIONAL = ("r_1b", "r_2b", "beta_minus", "beta_plus")
+
+
+def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
+    """Full threshold report: R0, R_c, the saddle-node bounds in both the
+    R0 scale (R_1b, R_2b) and the beta_hv scale (beta_bar, beta_minus,
+    beta_plus), and the transcritical value beta_star."""
+    rep = threshold_arrays(p)
+    values = {f.name: float(getattr(rep, f.name)) for f in fields(ThresholdReport)}
+    values["r0_defined"] = bool(rep.r0_defined)
+    values.update((name, None) for name in _OPTIONAL if math.isnan(values[name]))
+    return ThresholdReport(**values)
+
+
 def infection_generation_factors(p: ModelParams) -> tuple[float, float]:
     """(K_vh, K_hv): vectors infected per human and humans infected per vector
     near the biological DFE.  R0 is their geometric mean."""
-    n = net_reproductive_number(p)
-    if n <= 1.0:
-        raise ThresholdError(
-            f"infection generation factors require net reproductive number > 1, got {n:.6g}")
-    k = derive_constants(p)
-    dfe = dfe_components(p)
-    nv0 = dfe[S_V]
-    nh0 = dfe[S_H]
-    k_vh = p.a * p.beta_vh * (p.gamma_h + k.k4 * p.eta_h) * nv0 / (k.k3 * k.k4 * nh0)
-    k_hv = p.a * p.beta_hv * (p.gamma_v + k.k8 * p.eta_v) / (k.k8 * k.k9)
-    return k_vh, k_hv
+    _established(p, "infection generation factors require")
+    rep = threshold_arrays(p)
+    return float(rep.k_vh), float(rep.k_hv)
 
 
 def basic_reproduction_number(p: ModelParams) -> float:
     """Closed-form R0; requires an established vector population (N > 1)."""
-    k_vh, k_hv = infection_generation_factors(p)
-    return math.sqrt(k_vh * k_hv)
+    _established(p, "infection generation factors require")
+    return float(threshold_arrays(p).r0)
 
 
 def next_generation_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -115,55 +184,3 @@ def next_generation_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         [0.0, 0.0, -p.gamma_v, k.k8],
     ])
     return f, v
-
-
-def _beta_star(p: ModelParams, k: DerivedConstants, nh0: float, nv0: float) -> float:
-    return (k.k3 * k.k4 * k.k8 * k.k9 * nh0
-            / (p.a ** 2 * p.beta_vh * k.k10 * k.k11 * nv0))
-
-
-def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
-    """Full threshold report: R0, R_c, the saddle-node bounds in both the
-    R0 scale (R_1b, R_2b) and the beta_hv scale (beta_bar, beta_minus,
-    beta_plus), and the transcritical value beta_star."""
-    k = derive_constants(p)
-    n = net_reproductive_number(p)
-
-    psi = k.k10 * p.a * p.mu_h * p.beta_vh - p.delta * p.gamma_h * k.k8
-    r_c = math.sqrt((2.0 * k.k8 * k.k2 + k.k10 * p.a * p.mu_h * p.beta_vh)
-                    / (k.k3 * k.k4 * k.k8))
-
-    r_1b = r_2b = None
-    if psi <= 0.0:
-        root_a = math.sqrt(p.delta * p.gamma_h
-                           * (p.a * p.mu_h * p.beta_vh * k.k10 + k.k2 * k.k8))
-        root_b = math.sqrt(-k.k2 * psi)
-        scale = 1.0 / (k.k3 * k.k4) * math.sqrt(1.0 / k.k8)
-        r_1b = scale * abs(root_a - root_b)
-        r_2b = scale * (root_a + root_b)
-
-    if n <= 1.0:
-        return ThresholdReport(
-            net_repro=n, r0=0.0, r0_defined=False, k_vh=0.0, k_hv=0.0,
-            r_c=r_c, r_1b=r_1b, r_2b=r_2b, psi=psi,
-            beta_star=math.nan, beta_bar=math.nan,
-            beta_minus=None, beta_plus=None)
-
-    k_vh, k_hv = infection_generation_factors(p)
-    r0 = math.sqrt(k_vh * k_hv)
-    dfe = dfe_components(p)
-    nh0, nv0 = dfe[S_H], dfe[S_V]
-
-    # R0^2 is linear in beta_hv, so R0(beta_x) = R_x at beta_x = beta_star * R_x^2.
-    beta_star = _beta_star(p, k, nh0, nv0)
-    beta_bar = beta_star * r_c ** 2
-    beta_minus = beta_plus = None
-    if r_1b is not None:
-        beta_minus = beta_star * r_1b ** 2
-        beta_plus = beta_star * r_2b ** 2
-
-    return ThresholdReport(
-        net_repro=n, r0=r0, r0_defined=True, k_vh=k_vh, k_hv=k_hv,
-        r_c=r_c, r_1b=r_1b, r_2b=r_2b, psi=psi,
-        beta_star=beta_star, beta_bar=beta_bar,
-        beta_minus=beta_minus, beta_plus=beta_plus)

@@ -10,7 +10,7 @@ import arbo
 from arbo.control import ObjectiveWeights
 from arbo.model import ControlParams, ModelParams
 from arbo.ode import TimeGrid
-from arbo.sensitivity import PARAM_ORDER, baseline_ranges
+from arbo.sensitivity import PARAM_ORDER, ParamDistribution, baseline_ranges
 from arbo.thresholds import net_reproductive_number
 
 FIXTURES = pathlib.Path(arbo.__file__).parent / "fixtures"
@@ -72,3 +72,14 @@ def random_established_params(rng: np.random.Generator,
         if net_reproductive_number(p) > 1.0:
             return p
     raise AssertionError("could not draw params with N > 1")
+
+
+def mixed_regime_ranges() -> ParamDistribution:
+    """+/-20 % around the backward-bifurcation set, widened so that LHS
+    draws fall in every regime: no vectors (N <= 1), sub- and
+    supercritical, with (psi <= 0) and without a saddle-node window."""
+    ranges = {k: (0.8 * v, 1.2 * v)
+              for k, v in load_fixture("sec22_backward")["params"].items()}
+    ranges.update(beta_hv=(0.0, 0.75), mu_b=(0.02, 7.2), delta=(0.0, 0.05),
+                  eta_h=(0.0, 0.999), eta_v=(0.0, 0.999))
+    return ParamDistribution(ranges)

@@ -143,6 +143,16 @@ def test_sensitivity_command_and_seed_precedence(config_file, tmp_path,
     assert report["prcc"]  # non-empty coefficient table
 
 
+def test_sensitivity_reports_stage_times(config_file, tmp_path):
+    cfg = copy.deepcopy(load_fixture("table2_baseline"))
+    cfg["sensitivity"]["samples"] = 60
+    out = tmp_path / "sens.json"
+    assert main(["sensitivity", "--config", config_file(cfg), "--out", str(out)]) == 0
+    stages = json.loads(out.read_text())["diagnostics"]["stage_s"]
+    assert set(stages) == {"sampling", "thresholds", "prcc"}
+    assert all(v >= 0.0 for v in stages.values())
+
+
 def test_bad_json_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -12,7 +12,8 @@ from arbo.equilibria import (
 from arbo.model import E_H, I_H, PUP, S_H, S_V, basic_field, derive_constants
 from arbo.stability import eigen_verdict
 from arbo.thresholds import (
-    ThresholdError, bifurcation_thresholds, net_reproductive_number,
+    ThresholdError, bifurcation_thresholds, dfe_components,
+    net_reproductive_number,
 )
 from conftest import random_established_params
 
@@ -164,3 +165,20 @@ def test_scan_rejects_unknown_parameter(table5):
     """[TRIVIAL] Typos in the scan parameter fail fast."""
     with pytest.raises(ValueError):
         bifurcation_scan(table5.params, "beta_xy", 0.0, 1.0, 10)
+
+
+def test_scan_stability_uses_each_points_parameters(sec22):
+    """[DERIVED] Every row's stable flag is the eigenvalue verdict of its
+    equilibrium under the parameters of its own grid point, not those of
+    the base point."""
+    rows = bifurcation_scan(sec22.params, "beta_hv", 0.05, 0.5, 10,
+                            stability_checker=lambda x, pv: eigen_verdict(x, pv).stable)
+    assert len({r.param_value for r in rows}) == 11
+    for r in rows:
+        assert r.error is None
+        pv = dataclasses.replace(sec22.params, beta_hv=r.param_value)
+        if r.branch_id == 0:
+            x = dfe_components(pv)
+        else:
+            x = solve_endemic(pv).endemic[r.branch_id - 1][0]
+        assert r.stable == int(bool(eigen_verdict(x, pv).stable)), r

@@ -12,7 +12,8 @@ import pytest
 from arbo import _kernels
 from arbo.control import adjoint_field
 from arbo.model import (
-    basic_field, control_params_to_array, controlled_field, params_to_array,
+    ZeroPopulationError, basic_field, control_params_to_array,
+    controlled_field, params_to_array,
 )
 from arbo.ode import NonFiniteError, TimeGrid, rk4_backward, rk4_forward
 
@@ -130,6 +131,23 @@ def test_kernels_report_first_nonfinite_step(table5):
         want = _first_bad_step(lambda: getattr(PYTHON, name)(*args))
         assert got == want, name
         assert 1 < got[0] < n, name
+
+
+@pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
+def test_zero_human_total_raises(kernels, table5):
+    """[TRIVIAL] Table 5 at dt = 1 drives the human total through zero
+    within 50 steps; both backends raise ZeroPopulationError there
+    rather than integrating on to a non-finite value.  The adjoint
+    kernel raises it for forward states without humans."""
+    par = params_to_array(table5.params)
+    cpar = control_params_to_array(table5.control_params)
+    with pytest.raises(ZeroPopulationError):
+        kernels.rk4_basic(par, table5.x0, 50, 1.0)
+    with pytest.raises(ZeroPopulationError):
+        kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((51, 5)), 1.0)
+    with pytest.raises(ZeroPopulationError):
+        kernels.rk4_adjoint(par, cpar, np.ones(4), np.zeros((11, 10)),
+                            np.zeros((11, 5)), 0.1)
 
 
 @pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])

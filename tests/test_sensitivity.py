@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from arbo.model import ModelParams, ParamError
 from arbo.sensitivity import (
     PARAM_ORDER, ParamDistribution, RangeError, average_ranks, baseline_ranges,
     condition_probabilities, histogram_to_csv, lhs_sample, prcc,
     prcc_to_csv, r0_distribution, r0_of, r0_values,
 )
-from arbo.thresholds import net_reproductive_number
-from conftest import random_params
+from arbo.thresholds import bifurcation_thresholds, net_reproductive_number
+from conftest import mixed_regime_ranges, random_params
 
 
 def _ranges(**overrides):
@@ -157,3 +158,82 @@ def test_average_ranks_ties():
     assert average_ranks([3.0, 1.0, 3.0, 2.0]).tolist() == [3.5, 1.0, 3.5, 2.0]
     assert average_ranks([0.0, 0.0, 0.0, 5.0, -1.0]).tolist() == [3.0, 3.0, 3.0, 5.0, 1.0]
     assert average_ranks([2.0]).tolist() == [1.0]
+    values = np.random.default_rng(15).integers(0, 10, 1000).astype(float)
+    below = np.array([np.sum(values < v) for v in values])
+    equal = np.array([np.sum(values == v) for v in values])
+    assert average_ranks(values).tolist() == (below + (equal + 1) / 2).tolist()
+
+
+def _draws(samples):
+    return [ModelParams(**dict(zip(PARAM_ORDER, row))) for row in samples.matrix]
+
+
+def test_r0_values_equal_per_draw_r0():
+    """[DERIVED] The array pass gives, bit for bit, the R0 of each draw
+    as `r0_of` computes it, including the R0 = 0 of N <= 1 draws."""
+    for seed in (1, 7):
+        samples = lhs_sample(mixed_regime_ranges(), 500, seed=seed)
+        want = np.array([r0_of(p) for p in _draws(samples)])
+        got = r0_values(samples)
+        assert np.count_nonzero(want == 0.0) > 0
+        assert got.tobytes() == want.tobytes()
+
+
+def test_condition_probabilities_equal_per_draw_classification():
+    """[DERIVED] The regime frequencies equal a draw-by-draw
+    classification from the scalar threshold reports."""
+    samples = lhs_sample(mixed_regime_ranges(), 500, seed=12)
+    counts = dict.fromkeys(("none", "sub", "sup", "low", "high"), 0)
+    for p in _draws(samples):
+        if net_reproductive_number(p) <= 1.0:
+            counts["none"] += 1
+            continue
+        rep = bifurcation_thresholds(p)
+        if rep.r0 >= 1.0:
+            counts["sup"] += 1
+            continue
+        counts["sub"] += 1
+        if rep.r_1b is not None:
+            if rep.r_c < rep.r0 < min(1.0, rep.r_1b):
+                counts["low"] += 1
+            elif max(rep.r_c, rep.r_2b) < rep.r0 < 1.0:
+                counts["high"] += 1
+    n = samples.n
+    assert min(counts["none"], counts["sup"], counts["high"]) > 0
+    assert condition_probabilities(samples) == {
+        "p_no_vectors": counts["none"] / n,
+        "p_vectors": (counts["sub"] + counts["sup"]) / n,
+        "p_subcritical": counts["sub"] / n,
+        "p_supercritical": counts["sup"] / n,
+        "p_two_endemic_low": counts["low"] / n,
+        "p_two_endemic_high": counts["high"] / n,
+        "p_two_endemic": (counts["low"] + counts["high"]) / n,
+        "p_no_endemic_subcritical":
+            (counts["sub"] - counts["low"] - counts["high"]) / n,
+    }
+
+
+def test_prcc_equals_residual_regression():
+    """[DERIVED] PRCC from the inverse correlation matrix equals the
+    correlation of least-squares residuals, parameter by parameter."""
+    samples = lhs_sample(baseline_ranges(), 400, seed=13)
+    outputs = r0_values(samples)
+    report = prcc(samples, outputs)
+    ranks = np.column_stack([average_ranks(samples.matrix[:, j])
+                             for j in range(len(PARAM_ORDER))])
+    y = average_ranks(outputs)
+    for j, name in enumerate(PARAM_ORDER):
+        design = np.column_stack([np.ones(samples.n), np.delete(ranks, j, axis=1)])
+        res_x = ranks[:, j] - design @ np.linalg.lstsq(design, ranks[:, j], rcond=None)[0]
+        res_y = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+        want = res_x @ res_y / np.sqrt((res_x @ res_x) * (res_y @ res_y))
+        assert abs(report.coefficients[name] - want) <= 1e-12, name
+
+
+def test_lhs_rejects_out_of_domain_draws():
+    """[TRIVIAL] A range reaching outside a parameter's domain raises
+    the model's ParamError, naming the parameter."""
+    with pytest.raises(ParamError, match="mu_v"):
+        lhs_sample(_ranges(mu_v=(-0.1, 0.1)), 50, seed=14)
+    with pytest.raises(ParamError, match="eta_h"):
+        lhs_sample(_ranges(eta_h=(0.5, 1.5)), 50, seed=14)

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from arbo.model import basic_field, derive_constants
+from arbo.model import ModelParams
+from arbo.sensitivity import PARAM_ORDER, lhs_sample
 from arbo.thresholds import (
-    ThresholdError, basic_reproduction_number, bifurcation_thresholds,
-    dfe_components, infection_generation_factors, net_reproductive_number,
-    next_generation_matrices,
+    ThresholdError, ThresholdReport, basic_reproduction_number,
+    bifurcation_thresholds, dfe_components, infection_generation_factors,
+    net_reproductive_number, next_generation_matrices, threshold_arrays,
 )
-from conftest import random_established_params, random_params
+from conftest import mixed_regime_ranges, random_established_params, random_params
 
 
 def test_net_reproductive_number_table5(table5):
@@ -131,3 +133,25 @@ def test_beta_thresholds_map_to_r_thresholds():
             r0 = basic_reproduction_number(dataclasses.replace(p, beta_hv=beta))
             assert r0 == pytest.approx(r_x, rel=1e-12)
     assert windows > 10
+
+
+def test_threshold_arrays_equal_scalar_reports():
+    """[DERIVED] One array pass over a design equals the scalar report of
+    every draw field by field, bit for bit, with NaN exactly where the
+    scalar report has None."""
+    samples = lhs_sample(mixed_regime_ranges(), 300, seed=3)
+    arrays = threshold_arrays(samples.columns())
+    absent = {"r_1b": 0, "beta_minus": 0, "r0_defined": 0}
+    for i, row in enumerate(samples.matrix):
+        rep = bifurcation_thresholds(ModelParams(**dict(zip(PARAM_ORDER, row))))
+        absent["r0_defined"] += not rep.r0_defined
+        for f in dataclasses.fields(ThresholdReport):
+            want, got = getattr(rep, f.name), getattr(arrays, f.name)[i]
+            if want is None:
+                absent[f.name] = absent.get(f.name, 0) + 1
+                assert math.isnan(got), (i, f.name)
+            elif isinstance(want, bool):
+                assert got == want, (i, f.name)
+            else:
+                assert np.float64(want).tobytes() == got.tobytes(), (i, f.name)
+    assert min(absent.values()) > 0  # every kind of draw occurs
