@@ -1,17 +1,18 @@
 """RK4 kernels of the forward-backward sweep.
 
-`rk4.c` holds the three right-hand sides (basic, controlled, adjoint)
-and their RK4 loops over flat double arrays, with the parameters in the
-order of `model.params_to_array` / `model.control_params_to_array`.  On
-first import it is compiled with the system C compiler and loaded with
-ctypes.  The library is cached under a hash of the source and the
-compile command, in `__pycache__` next to the source, or in the user
-cache directory when that is not writable.
+`rk4.c` holds the controlled and the adjoint right-hand sides and their
+RK4 loops over flat double arrays, with the parameters in the order of
+`model.params_to_array` / `model.control_params_to_array`.  On first
+import it is compiled with the system C compiler and loaded with ctypes.
+The library is cached under a hash of the source and the compile
+command, in `__pycache__` next to the source, or in the user cache
+directory when that is not writable.
 
-If the build or the load fails, the same three functions run the Python
-right-hand sides (`model.basic_field`, `model.controlled_field`,
-`control.adjoint_field`) through `ode.forward_steps` /
-`ode.backward_steps`.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
+If the build or the load fails, the same kernels run the Python
+right-hand sides (`model.controlled_field`, `control.adjoint_field`)
+through `ode.forward_steps` / `ode.backward_steps`.  Each backend's
+`rk4_basic` is its own `rk4_controlled` with zero controls and zero
+control efficacies.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
 is None or the error that forced the fallback.  Every kernel raises
 `model.ZeroPopulationError` in the step whose right-hand side meets a
 zero or negative human total, and `ode.NonFiniteError` at the first
@@ -41,8 +42,8 @@ _log = logging.getLogger("arbo")
 
 @dataclasses.dataclass(frozen=True)
 class Kernels:
-    """One backend's three kernels, with the reason it was chosen when
-    it is the fallback."""
+    """One backend's kernels, with the reason it was chosen when it is
+    the fallback."""
 
     backend: str
     reason: str | None
@@ -87,10 +88,15 @@ def _control_params(cpar) -> model.ControlParams:
     return model.ControlParams(*_array(cpar, (6,)).tolist())
 
 
-def _py_basic(par, x0, n_steps, dt):
-    p = _model_params(par)
-    return ode.forward_steps(lambda t, x: model.basic_field(x, p),
-                             _array(x0, (10,)), _steps(n_steps), float(dt))
+def _zero_control(rk4_controlled):
+    """`rk4_basic` of the backend whose controlled kernel is given."""
+    no_effect = np.zeros(6)
+
+    def rk4_basic(par, x0, n_steps, dt):
+        """Uncontrolled forward RK4; returns the (n_steps+1, 10) trajectory."""
+        return rk4_controlled(par, no_effect, x0,
+                              np.zeros((_steps(n_steps) + 1, 5)), dt)
+    return rk4_basic
 
 
 def _py_controlled(par, cpar, x0, u, dt):
@@ -113,25 +119,17 @@ def _py_adjoint(par, cpar, dwts, states, u, dt):
         np.zeros(10), states, float(dt), u)
 
 
-PYTHON = Kernels("python", None, _py_basic, _py_controlled, _py_adjoint)
+PYTHON = Kernels("python", None, _zero_control(_py_controlled), _py_controlled,
+                 _py_adjoint)
 
 
 def _c_kernels(lib: ctypes.CDLL) -> Kernels:
     arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     n, step = ctypes.c_long, ctypes.c_double
-    lib.rk4_basic.argtypes = [arr, arr, n, step, arr]
     lib.rk4_controlled.argtypes = [arr, arr, arr, arr, n, step, arr]
     lib.rk4_adjoint.argtypes = [arr, arr, arr, arr, arr, n, step, arr]
-    for fn in (lib.rk4_basic, lib.rk4_controlled, lib.rk4_adjoint):
+    for fn in (lib.rk4_controlled, lib.rk4_adjoint):
         fn.restype = ctypes.c_long
-
-    def rk4_basic(par, x0, n_steps, dt):
-        """Uncontrolled forward RK4; returns the (n_steps+1, 10) trajectory."""
-        n = _steps(n_steps)
-        out = np.empty((n + 1, 10))
-        _check(lib.rk4_basic(_array(par, (21,)), _array(x0, (10,)), n, dt, out),
-               dt)
-        return out
 
     def rk4_controlled(par, cpar, x0, u, dt):
         """Controlled forward RK4 with node controls u of shape (n+1, 5);
@@ -154,7 +152,8 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
                                states.shape[0] - 1, dt, out), dt)
         return out
 
-    return Kernels("c", None, rk4_basic, rk4_controlled, rk4_adjoint)
+    return Kernels("c", None, _zero_control(rk4_controlled), rk4_controlled,
+                   rk4_adjoint)
 
 
 def _cache_dirs() -> list[Path]:

@@ -1,10 +1,11 @@
 /* Fixed-step RK4 kernels of the forward-backward sweep.
  *
  * Each right-hand side is written in the same operation order as its
- * Python counterpart (model.basic_field, model.controlled_field,
- * control.adjoint_field) and each loop in the same order as
- * ode.forward_steps / ode.backward_steps, so that without fused
- * multiply-add the two routes agree to the last bit.
+ * Python counterpart (model.controlled_field, control.adjoint_field)
+ * and each loop in the same order as ode.forward_steps /
+ * ode.backward_steps, so that without fused multiply-add the two routes
+ * agree to the last bit.  The uncontrolled system is the controlled one
+ * with zero controls and zero control efficacies.
  *
  * Arrays are C-contiguous doubles: par in the order of
  * model.params_to_array, cpar in that of model.control_params_to_array,
@@ -27,33 +28,23 @@ enum { SH, EH, IH, RH, SV, EV, IV, EGG, LAR, PUP, NX };
 enum { NU = 5 };
 enum { FINITE = -1, NO_HUMANS = -2 };
 
-/* Each right-hand side returns nonzero when the human total is <= 0. */
-
-static int basic_rhs(const double *x, const double *p, double *dx)
+/* The human total and the two forces of infection (model._infection);
+ * returns nonzero when the human total is <= 0, as does each
+ * right-hand side. */
+static int infection(const double *x, const double *p, double *n_h,
+                     double *foi_h, double *foi_v)
 {
-    double n_h = x[SH] + x[EH] + x[IH] + x[RH];
-    double foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
-    double foi_v = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / n_h;
-    double n_v = x[SV] + x[EV] + x[IV];
-    dx[SH] = p[LAM] - (foi_h + p[MUH]) * x[SH];
-    dx[EH] = foi_h * x[SH] - (p[MUH] + p[GAMH]) * x[EH];
-    dx[IH] = p[GAMH] * x[EH] - (p[MUH] + p[DELTA] + p[SIGMA]) * x[IH];
-    dx[RH] = p[SIGMA] * x[IH] - p[MUH] * x[RH];
-    dx[SV] = p[THETA] * x[PUP] - foi_v * x[SV] - p[MUV] * x[SV];
-    dx[EV] = foi_v * x[SV] - (p[MUV] + p[GAMV]) * x[EV];
-    dx[IV] = p[GAMV] * x[EV] - p[MUV] * x[IV];
-    dx[EGG] = p[MUB] * (1.0 - x[EGG] / p[GE]) * n_v - (p[S] + p[MUE]) * x[EGG];
-    dx[LAR] = p[S] * x[EGG] * (1.0 - x[LAR] / p[GL]) - (p[L] + p[MUL]) * x[LAR];
-    dx[PUP] = p[L] * x[LAR] - (p[THETA] + p[MUP]) * x[PUP];
-    return n_h <= 0.0;
+    *n_h = x[SH] + x[EH] + x[IH] + x[RH];
+    *foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / *n_h;
+    *foi_v = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / *n_h;
+    return *n_h <= 0.0;
 }
 
 static int controlled_rhs(const double *x, const double *u, const double *p,
                           const double *c, double *dx)
 {
-    double n_h = x[SH] + x[EH] + x[IH] + x[RH];
-    double foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
-    double foi_v = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / n_h;
+    double n_h, foi_h, foi_v;
+    int empty = infection(x, p, &n_h, &foi_h, &foi_v);
     double n_v = x[SV] + x[EV] + x[IV];
     double protect = 1.0 - c[ALPHA1] * u[1];
     double foi_h_c = protect * foi_h;
@@ -74,22 +65,21 @@ static int controlled_rhs(const double *x, const double *u, const double *p,
     dx[LAR] = p[S] * x[EGG] * (1.0 - x[LAR] / p[GL])
               - (p[L] + p[MUL] + c[ETA2] * u[4]) * x[LAR];
     dx[PUP] = p[L] * x[LAR] - (p[THETA] + p[MUP]) * x[PUP];
-    return n_h <= 0.0;
+    return empty;
 }
 
 static int adjoint_rhs(const double *l, const double *x, const double *u,
                        const double *p, const double *c, const double *dw,
                        double *d)
 {
-    double n_h = x[SH] + x[EH] + x[IH] + x[RH];
+    double n_h, fh, fv;
+    int empty = infection(x, p, &n_h, &fh, &fv);
     double k3 = p[MUH] + p[GAMH];
     double k5 = p[S] + p[MUE];
     double k6 = p[L] + p[MUL];
     double k7 = p[THETA] + p[MUP];
     double k9 = p[MUV] + p[GAMV];
     double g2 = 1.0 - c[ALPHA1] * u[1];
-    double fh = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / n_h;
-    double fv = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / n_h;
     double m_v = p[MUV] + c[CM] * u[3];
     double q = g2 * fv * x[SV] / n_h;
     double share = g2 * fh * x[SH] / n_h;
@@ -116,7 +106,7 @@ static int adjoint_rhs(const double *l, const double *x, const double *u,
     d[LAR] = -dw[3] + (p[S] * x[EGG] / p[GL] + k6 + c[ETA2] * u[4]) * l[8]
              - p[L] * l[9];
     d[PUP] = -p[THETA] * l[4] + k7 * l[9];
-    return n_h <= 0.0;
+    return empty;
 }
 
 static int all_finite(const double *v)
@@ -125,35 +115,6 @@ static int all_finite(const double *v)
         if (!isfinite(v[j]))
             return 0;
     return 1;
-}
-
-long rk4_basic(const double *par, const double *x0, long n_steps, double dt,
-               double *out)
-{
-    double k1[NX], k2[NX], k3[NX], k4[NX], xs[NX], x[NX];
-    for (int j = 0; j < NX; j++)
-        out[j] = x[j] = x0[j];
-    for (long i = 0; i < n_steps; i++) {
-        int empty = basic_rhs(x, par, k1);
-        for (int j = 0; j < NX; j++)
-            xs[j] = x[j] + 0.5 * dt * k1[j];
-        empty |= basic_rhs(xs, par, k2);
-        for (int j = 0; j < NX; j++)
-            xs[j] = x[j] + 0.5 * dt * k2[j];
-        empty |= basic_rhs(xs, par, k3);
-        for (int j = 0; j < NX; j++)
-            xs[j] = x[j] + dt * k3[j];
-        empty |= basic_rhs(xs, par, k4);
-        if (empty)
-            return NO_HUMANS;
-        for (int j = 0; j < NX; j++)
-            x[j] = x[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-        if (!all_finite(x))
-            return i + 1;
-        for (int j = 0; j < NX; j++)
-            out[(i + 1) * NX + j] = x[j];
-    }
-    return FINITE;
 }
 
 long rk4_controlled(const double *par, const double *cpar, const double *x0,

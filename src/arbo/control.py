@@ -11,8 +11,9 @@ import numpy as np
 from . import _kernels
 from .model import (
     E_H, E_V, EGG, I_H, I_V, LAR, N_CONTROLS, PUP, R_H, S_H, S_V,
-    ControlParams, ModelParams, ParamError, ZeroPopulationError,
-    control_params_to_array, derive_constants, params_to_array,
+    ControlParams, ModelParams, ParamError, _infection,
+    control_params_to_array, controlled_field, derive_constants,
+    params_to_array,
 )
 from .ode import TimeGrid, Trajectory
 
@@ -82,31 +83,6 @@ class StrategyMask:
 
 
 @dataclass(frozen=True)
-class AdjointVector:
-    """One adjoint value per state compartment (all zero at tf)."""
-
-    adj_Sh: float
-    adj_Eh: float
-    adj_Ih: float
-    adj_Rh: float
-    adj_Sv: float
-    adj_Ev: float
-    adj_Iv: float
-    adj_E: float
-    adj_L: float
-    adj_P: float
-
-    @classmethod
-    def from_array(cls, arr) -> "AdjointVector":
-        return cls(*[float(a) for a in arr])
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.adj_Sh, self.adj_Eh, self.adj_Ih, self.adj_Rh,
-                         self.adj_Sv, self.adj_Ev, self.adj_Iv,
-                         self.adj_E, self.adj_L, self.adj_P])
-
-
-@dataclass(frozen=True)
 class SweepResult:
     states: Trajectory
     adjoints: Trajectory
@@ -122,11 +98,13 @@ class GridMismatchError(ValueError):
     """State and control trajectories live on different grids."""
 
 
-def running_cost(x, u, w: ObjectiveWeights) -> float:
+def running_cost(x, u, w: ObjectiveWeights):
+    """Integrand of the objective at one node (x (10,), u (5,)) or at
+    every node of a grid (x (n+1, 10), u (n+1, 5))."""
+    x = np.asarray(x).T
     n_v = x[S_V] + x[E_V] + x[I_V]
     return (w.D1 * x[I_H] + w.D2 * n_v + w.D3 * x[EGG] + w.D4 * x[LAR]
-            + w.B1 * u[0] ** 2 + w.B2 * u[1] ** 2 + w.B3 * u[2] ** 2
-            + w.B4 * u[3] ** 2 + w.B5 * u[4] ** 2)
+            + np.asarray(u) ** 2 @ np.array([w.B1, w.B2, w.B3, w.B4, w.B5]))
 
 
 def objective(states: Trajectory, controls: Trajectory,
@@ -135,18 +113,12 @@ def objective(states: Trajectory, controls: Trajectory,
     if states.grid != controls.grid:
         raise GridMismatchError(
             f"state grid {states.grid} != control grid {controls.grid}")
-    xs = states.values
-    us = controls.values
-    n_v = xs[:, S_V] + xs[:, E_V] + xs[:, I_V]
-    integrand = (w.D1 * xs[:, I_H] + w.D2 * n_v + w.D3 * xs[:, EGG]
-                 + w.D4 * xs[:, LAR]
-                 + us ** 2 @ np.array([w.B1, w.B2, w.B3, w.B4, w.B5]))
-    return float(np.trapezoid(integrand, dx=states.grid.dt))
+    return float(np.trapezoid(running_cost(states.values, controls.values, w),
+                              dx=states.grid.dt))
 
 
 def hamiltonian(x, u, adj, p: ModelParams, c: ControlParams,
                 w: ObjectiveWeights) -> float:
-    from .model import controlled_field
     adj = np.asarray(adj, dtype=float)
     return running_cost(x, u, w) + float(adj @ controlled_field(x, u, p, c))
 
@@ -154,16 +126,12 @@ def hamiltonian(x, u, adj, p: ModelParams, c: ControlParams,
 def adjoint_field(x, u, adj, p: ModelParams, c: ControlParams,
                   w: ObjectiveWeights) -> np.ndarray:
     """Right-hand side of the ten adjoint equations (equals -dH/dx)."""
-    n_h = x[S_H] + x[E_H] + x[I_H] + x[R_H]
-    if n_h <= 0.0:
-        raise ZeroPopulationError("total human population is zero")
+    n_h, fh, fv = _infection(x, p)
     k = derive_constants(p)
     l1, l2, l3, l4, l5, l6, l7, l8, l9, l10 = adj
     u1, u2, u3, u4, u5 = u[0], u[1], u[2], u[3], u[4]
 
     g2 = 1.0 - c.alpha1 * u2
-    fh = p.a * p.beta_hv * (p.eta_v * x[E_V] + x[I_V]) / n_h
-    fv = p.a * p.beta_vh * (p.eta_h * x[E_H] + x[I_H]) / n_h
     m_v = p.mu_v + c.c_m * u4
     q = g2 * fv * x[S_V] / n_h
     share = g2 * fh * x[S_H] / n_h
@@ -202,12 +170,8 @@ def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
     or on a whole grid at once (shape (n+1, 10), giving (n+1, 5))."""
     x = np.asarray(x, dtype=float)
     adj = np.asarray(adj, dtype=float)
-    n_h = x[..., S_H] + x[..., E_H] + x[..., I_H] + x[..., R_H]
-    if np.any(n_h <= 0.0):
-        raise ZeroPopulationError("total human population is zero")
+    _, fh, fv = _infection(x, p)
     l1, l2, l3, l4, l5, l6, l7, l8, l9 = (adj[..., i] for i in range(9))
-    fh = p.a * p.beta_hv * (p.eta_v * x[..., E_V] + x[..., I_V]) / n_h
-    fv = p.a * p.beta_vh * (p.eta_h * x[..., E_H] + x[..., I_H]) / n_h
 
     u = np.stack([
         (l1 - l4) * (x[..., S_H] - c.omega * x[..., R_H]) / (2.0 * w.B1),

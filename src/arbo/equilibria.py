@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import (
     E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
-    ModelParams, basic_field, derive_constants,
+    ModelParams, _infection, basic_field, derive_constants,
 )
 from .thresholds import (
     ThresholdError, bifurcation_thresholds, dfe_components,
@@ -113,13 +113,12 @@ def back_substitute(p: ModelParams, lambda_h: float) -> np.ndarray:
     """Endemic state vector from the human force of infection at
     equilibrium.  Requires net reproductive number > 1."""
     k = derive_constants(p)
-    x = np.empty(10)
+    x = np.zeros(10)
     s_h = p.lambda_h_in / (p.mu_h + lambda_h)
     x[S_H] = s_h
     x[E_H] = lambda_h * s_h / k.k3
     x[I_H] = p.gamma_h * lambda_h * s_h / (k.k3 * k.k4)
     x[R_H] = p.sigma * p.gamma_h * lambda_h * s_h / (p.mu_h * k.k3 * k.k4)
-    n_h = x[S_H] + x[E_H] + x[I_H] + x[R_H]
 
     # Aquatic stages decouple from infection status: pupae sit at the
     # same level as at the disease-free equilibrium.
@@ -130,7 +129,7 @@ def back_substitute(p: ModelParams, lambda_h: float) -> np.ndarray:
     pupae = (k.k5 * k.k6 * k.k8 * p.Gamma_E * p.Gamma_L * (n - 1.0)
              / (p.mu_b * p.theta * (p.s * p.Gamma_E + k.k6 * p.Gamma_L)))
     x[PUP] = pupae
-    lambda_v = p.a * p.beta_vh * (p.eta_h * x[E_H] + x[I_H]) / n_h
+    _, _, lambda_v = _infection(x, p)  # needs the human compartments only
     x[S_V] = p.theta * pupae / (lambda_v + k.k8)
     x[E_V] = p.theta * pupae * lambda_v / (k.k9 * (lambda_v + k.k8))
     x[I_V] = (p.gamma_v * p.theta * pupae * lambda_v

@@ -156,80 +156,66 @@ def derive_constants(p: ModelParams) -> DerivedConstants:
     )
 
 
-def _human_total(x) -> float:
+def _infection(x, p: ModelParams):
+    """(n_h, foi_h, foi_v): the human total and the per-susceptible
+    infection rates of humans (from infected vectors) and of vectors
+    (from infected humans), for one state (10,) or a stack (m, 10)."""
+    x = np.asarray(x).T
     n_h = x[S_H] + x[E_H] + x[I_H] + x[R_H]
-    if n_h <= 0.0:
+    if (n_h <= 0.0).any():
         raise ZeroPopulationError("total human population is zero")
-    return n_h
-
-
-def force_of_infection_h(x, p: ModelParams) -> float:
-    """Per-susceptible-human infection rate from infected vectors."""
-    n_h = _human_total(x)
-    return p.a * p.beta_hv * (p.eta_v * x[E_V] + x[I_V]) / n_h
-
-
-def force_of_infection_v(x, p: ModelParams) -> float:
-    """Per-susceptible-vector infection rate from infected humans."""
-    n_h = _human_total(x)
-    return p.a * p.beta_vh * (p.eta_h * x[E_H] + x[I_H]) / n_h
-
-
-def basic_field(x, p: ModelParams) -> np.ndarray:
-    """Right-hand side of the uncontrolled ten-compartment system."""
-    n_h = _human_total(x)
     foi_h = p.a * p.beta_hv * (p.eta_v * x[E_V] + x[I_V]) / n_h
     foi_v = p.a * p.beta_vh * (p.eta_h * x[E_H] + x[I_H]) / n_h
-    n_v = x[S_V] + x[E_V] + x[I_V]
-
-    dx = np.empty(N_STATES)
-    dx[S_H] = p.lambda_h_in - (foi_h + p.mu_h) * x[S_H]
-    dx[E_H] = foi_h * x[S_H] - (p.mu_h + p.gamma_h) * x[E_H]
-    dx[I_H] = p.gamma_h * x[E_H] - (p.mu_h + p.delta + p.sigma) * x[I_H]
-    dx[R_H] = p.sigma * x[I_H] - p.mu_h * x[R_H]
-    dx[S_V] = p.theta * x[PUP] - foi_v * x[S_V] - p.mu_v * x[S_V]
-    dx[E_V] = foi_v * x[S_V] - (p.mu_v + p.gamma_v) * x[E_V]
-    dx[I_V] = p.gamma_v * x[E_V] - p.mu_v * x[I_V]
-    dx[EGG] = p.mu_b * (1.0 - x[EGG] / p.Gamma_E) * n_v - (p.s + p.mu_E) * x[EGG]
-    dx[LAR] = p.s * x[EGG] * (1.0 - x[LAR] / p.Gamma_L) - (p.l + p.mu_L) * x[LAR]
-    dx[PUP] = p.l * x[LAR] - (p.theta + p.mu_P) * x[PUP]
-    return dx
+    return n_h, foi_h, foi_v
 
 
 def controlled_field(x, u, p: ModelParams, c: ControlParams) -> np.ndarray:
     """Right-hand side of the controlled system.
 
-    `u` is a length-5 sequence of control intensities in [0, 1].
-    With u == 0 this reduces exactly (bitwise) to `basic_field`.
+    Takes one state `x` (10,) with its five control intensities `u` in
+    [0, 1], or a stack of states (m, 10) with one control row each
+    (m, 5) or one row (5,) for all; each row of the result equals the
+    single-state call bitwise.  With u == 0 and zero control efficacies
+    this is the uncontrolled system, `basic_field`.
     """
-    n_h = _human_total(x)
-    foi_h = p.a * p.beta_hv * (p.eta_v * x[E_V] + x[I_V]) / n_h
-    foi_v = p.a * p.beta_vh * (p.eta_h * x[E_H] + x[I_H]) / n_h
-    n_v = x[S_V] + x[E_V] + x[I_V]
-    u1, u2, u3, u4, u5 = u[0], u[1], u[2], u[3], u[4]
+    x = np.asarray(x)
+    n_h, foi_h, foi_v = _infection(x, p)
+    s_h, e_h, i_h, r_h, s_v, e_v, i_v, egg, lar, pup = x.T
+    u1, u2, u3, u4, u5 = np.asarray(u).T
+    n_v = s_v + e_v + i_v
 
     protect = 1.0 - c.alpha1 * u2
     foi_h_c = protect * foi_h
     foi_v_c = protect * foi_v
     mu_v_c = p.mu_v + c.c_m * u4
 
-    dx = np.empty(N_STATES)
-    dx[S_H] = (p.lambda_h_in - (foi_h_c + p.mu_h + u1) * x[S_H]
-               + c.omega * u1 * x[R_H])
-    dx[E_H] = foi_h_c * x[S_H] - (p.mu_h + p.gamma_h) * x[E_H]
-    dx[I_H] = (p.gamma_h * x[E_H]
-               - (p.mu_h + (1.0 - c.alpha2 * u3) * p.delta + p.sigma + c.alpha2 * u3) * x[I_H])
-    dx[R_H] = ((p.sigma + c.alpha2 * u3) * x[I_H] + u1 * x[S_H]
-               - (p.mu_h + c.omega * u1) * x[R_H])
-    dx[S_V] = p.theta * x[PUP] - foi_v_c * x[S_V] - mu_v_c * x[S_V]
-    dx[E_V] = foi_v_c * x[S_V] - (p.mu_v + p.gamma_v + c.c_m * u4) * x[E_V]
-    dx[I_V] = p.gamma_v * x[E_V] - mu_v_c * x[I_V]
-    dx[EGG] = (p.mu_b * (1.0 - x[EGG] / p.Gamma_E) * n_v
-               - (p.s + p.mu_E + c.eta1 * u5) * x[EGG])
-    dx[LAR] = (p.s * x[EGG] * (1.0 - x[LAR] / p.Gamma_L)
-               - (p.l + p.mu_L + c.eta2 * u5) * x[LAR])
-    dx[PUP] = p.l * x[LAR] - (p.theta + p.mu_P) * x[PUP]
-    return dx
+    dx = np.empty((N_STATES,) + x.shape[:-1])
+    dx[S_H] = (p.lambda_h_in - (foi_h_c + p.mu_h + u1) * s_h
+               + c.omega * u1 * r_h)
+    dx[E_H] = foi_h_c * s_h - (p.mu_h + p.gamma_h) * e_h
+    dx[I_H] = (p.gamma_h * e_h
+               - (p.mu_h + (1.0 - c.alpha2 * u3) * p.delta + p.sigma + c.alpha2 * u3) * i_h)
+    dx[R_H] = ((p.sigma + c.alpha2 * u3) * i_h + u1 * s_h
+               - (p.mu_h + c.omega * u1) * r_h)
+    dx[S_V] = p.theta * pup - foi_v_c * s_v - mu_v_c * s_v
+    dx[E_V] = foi_v_c * s_v - (p.mu_v + p.gamma_v + c.c_m * u4) * e_v
+    dx[I_V] = p.gamma_v * e_v - mu_v_c * i_v
+    dx[EGG] = (p.mu_b * (1.0 - egg / p.Gamma_E) * n_v
+               - (p.s + p.mu_E + c.eta1 * u5) * egg)
+    dx[LAR] = (p.s * egg * (1.0 - lar / p.Gamma_L)
+               - (p.l + p.mu_L + c.eta2 * u5) * lar)
+    dx[PUP] = p.l * lar - (p.theta + p.mu_P) * pup
+    return dx.T
+
+
+_NO_CONTROL = np.zeros(N_CONTROLS)
+_NO_EFFECT = ControlParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def basic_field(x, p: ModelParams) -> np.ndarray:
+    """Right-hand side of the uncontrolled system, for one state (10,) or
+    a stack (m, 10): the controlled one with every control off."""
+    return controlled_field(x, _NO_CONTROL, p, _NO_EFFECT)
 
 
 def params_to_array(p: ModelParams) -> np.ndarray:

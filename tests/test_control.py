@@ -5,7 +5,7 @@ import pytest
 
 from arbo import _kernels
 from arbo.control import (
-    AdjointVector, GridMismatchError, ObjectiveWeights, StrategyMask,
+    GridMismatchError, ObjectiveWeights, StrategyMask,
     adjoint_field, characterize_controls, forward_backward_sweep, hamiltonian,
     objective, running_cost,
 )
@@ -60,12 +60,6 @@ def test_objective_matches_running_cost(table5):
         dx=grid.dt)
     assert objective(states, controls, table5.weights) == pytest.approx(
         manual, rel=1e-12)
-
-
-def test_adjoint_vector_roundtrip():
-    """[TRIVIAL] Array conversion preserves ordering."""
-    arr = np.arange(10.0)
-    assert np.all(AdjointVector.from_array(arr).to_array() == arr)
 
 
 def test_adjoint_field_is_negative_state_gradient(table5):

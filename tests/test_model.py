@@ -8,8 +8,8 @@ import pytest
 from arbo.model import (
     E_H, E_V, I_H, I_V, S_H, S_V,
     ControlParams, ModelParams, ParamError, ZeroPopulationError,
-    basic_field, control_params_to_array, controlled_field, derive_constants,
-    force_of_infection_h, force_of_infection_v, params_to_array,
+    _infection, basic_field, control_params_to_array, controlled_field,
+    derive_constants, params_to_array,
 )
 from arbo.sensitivity import PARAM_ORDER
 from arbo.thresholds import dfe_components
@@ -48,8 +48,8 @@ def test_force_of_infection_trivial_cases(table5):
     """[TRIVIAL] No infected vectors/humans -> zero force of infection."""
     x = np.zeros(10)
     x[S_H] = 1000.0
-    assert force_of_infection_h(x, table5.params) == 0.0
-    assert force_of_infection_v(x, table5.params) == 0.0
+    n_h, foi_h, foi_v = _infection(x, table5.params)
+    assert (n_h, foi_h, foi_v) == (1000.0, 0.0, 0.0)
 
 
 def test_force_of_infection_unit_normalization():
@@ -59,7 +59,7 @@ def test_force_of_infection_unit_normalization():
     x = np.zeros(10)
     x[S_H] = 250.0
     x[I_V] = 250.0
-    assert force_of_infection_h(x, p) == pytest.approx(1.0)
+    assert _infection(x, p)[1] == pytest.approx(1.0)
 
 
 def test_zero_population_raises(table5):
@@ -86,6 +86,19 @@ def test_controlled_field_reduces_to_basic(table5):
     out_ctrl = controlled_field(x, np.zeros(5), table5.params,
                                 table5.control_params)
     assert np.all(out_basic == out_ctrl)
+
+
+def test_controlled_field_on_a_stack_equals_row_by_row(table5):
+    """[TRIVIAL] A stack of states with one control row each gives, row
+    for row, the single-state result bitwise."""
+    p, c = table5.params, table5.control_params
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(1.0, 1e4, (64, 10))
+    us = rng.uniform(0.0, 1.0, (64, 5))
+    rows = np.array([controlled_field(x, u, p, c) for x, u in zip(xs, us)])
+    assert controlled_field(xs, us, p, c).tobytes(order="C") == rows.tobytes()
+    assert basic_field(xs, p).tobytes(order="C") == np.array(
+        [basic_field(x, p) for x in xs]).tobytes()
 
 
 def test_total_protection_blocks_transmission(table5):

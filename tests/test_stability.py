@@ -7,7 +7,8 @@ import pytest
 
 from arbo.equilibria import solve_endemic
 from arbo.model import (
-    E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V, derive_constants,
+    E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V, basic_field,
+    derive_constants,
 )
 from arbo.ode import TimeGrid, Trajectory
 from arbo.stability import (
@@ -59,6 +60,32 @@ def test_jacobian_matches_closed_form_at_trivial_dfe(table5, sec22):
         fd = jacobian(x0, p)
         closed = _trivial_dfe_jacobian_closed_form(p)
         assert np.allclose(fd, closed, atol=1e-5, rtol=1e-5)
+
+
+def _column_by_column_jacobian(x, p):
+    """The reference loop: one pair of single-state field calls per
+    column, step 1e-6*max(1, |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    jac = np.empty((10, 10))
+    for i in range(10):
+        h = 1e-6 * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        jac[:, i] = (basic_field(xp, p) - basic_field(xm, p)) / (2.0 * h)
+    return jac
+
+
+def test_stacked_jacobian_equals_column_loop(table5, sec22):
+    """[TRIVIAL] One field call on the stack of displaced states gives the
+    column-by-column central differences bitwise, at the sec22 DFE and at
+    the Table 5 endemic point."""
+    (endemic, _, _), = solve_endemic(table5.params).endemic
+    for x, p in ((dfe_components(sec22.params), sec22.params),
+                 (endemic, table5.params)):
+        assert jacobian(x, p).tobytes() == _column_by_column_jacobian(
+            x, p).tobytes()
 
 
 def test_routh_hurwitz_flips_at_persistence_threshold(table5):

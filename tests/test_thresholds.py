@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from arbo.model import basic_field, derive_constants
 from arbo.model import ModelParams
-from arbo.sensitivity import PARAM_ORDER, lhs_sample
+from arbo.sensitivity import PARAM_ORDER, baseline_ranges, lhs_sample
 from arbo.thresholds import (
     ThresholdError, ThresholdReport, basic_reproduction_number,
     bifurcation_thresholds, dfe_components, infection_generation_factors,
@@ -133,6 +134,28 @@ def test_beta_thresholds_map_to_r_thresholds():
             r0 = basic_reproduction_number(dataclasses.replace(p, beta_hv=beta))
             assert r0 == pytest.approx(r_x, rel=1e-12)
     assert windows > 10
+
+
+def test_low_saddle_node_bound_is_below_r_c():
+    """[DERIVED] R_1b < R_c wherever the saddle-node bounds exist (psi <=
+    0), so the low two-endemic window R_c < R0 < min(1, R_1b) is empty:
+    with X = k10 a mu_h beta_vh, (root_a - root_b)^2 <= root_a^2 +
+    root_b^2 < k3 k4 (2 k2 k8 + X) because delta gamma_h < k3 k4.  Checked
+    on LHS designs over the baseline and the mixed-regime ranges and on
+    log-uniform draws over several decades of every rate."""
+    rng = np.random.default_rng(11)
+    n = 20000
+    wide = {name: 10.0 ** rng.uniform(-4.0, 3.0, n) for name in PARAM_ORDER}
+    wide.update(eta_h=rng.uniform(0.0, 1.0, n), eta_v=rng.uniform(0.0, 1.0, n))
+    designs = [lhs_sample(baseline_ranges(), n, seed=5).columns(),
+               lhs_sample(mixed_regime_ranges(), n, seed=6).columns(),
+               SimpleNamespace(**wide)]
+    for design in designs:
+        with np.errstate(all="ignore"):
+            rep = threshold_arrays(design)
+        window = rep.psi <= 0.0
+        assert np.count_nonzero(window) > 1000
+        assert np.all(rep.r_1b[window] < rep.r_c[window])
 
 
 def test_threshold_arrays_equal_scalar_reports():
