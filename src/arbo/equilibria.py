@@ -13,11 +13,13 @@ import numpy as np
 
 from .model import (
     E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
-    ModelParams, _infection, basic_field, derive_constants,
+    ModelParams, ParamError, _infection, basic_field, derive_constants,
 )
-from .thresholds import (
-    ThresholdError, bifurcation_thresholds, dfe_components,
-    net_reproductive_number,
+# net_reproductive_number has no caller here; perfbench's tracer counts
+# calls made through this module's name for it.
+from .thresholds import (  # noqa: F401
+    ThresholdError, ThresholdReport, _established, bifurcation_thresholds,
+    dfe_components, net_reproductive_number,
 )
 
 # A discriminant this close to zero (relative to the coefficient scale)
@@ -55,9 +57,11 @@ class EndemicQuadratic:
 class EquilibriumSet:
     """All equilibria of the uncontrolled system for one parameter set.
 
-    `endemic` lists (state vector, lambda_h, stable flag or None);
-    `rejected` logs quadratic roots dropped by the positivity filter.
-    `case` is the governing clause of the root-count classification.
+    `endemic` lists (state vector, lambda_h, stable flag or None), and
+    `residuals` holds max|f(x)| for each of those points in the same
+    order; `rejected` logs quadratic roots dropped by the positivity
+    filter.  `case` is the governing clause of the root-count
+    classification, and `thresholds` the report it was read from.
     """
 
     dfe_trivial: np.ndarray
@@ -67,16 +71,18 @@ class EquilibriumSet:
     case: str
     quadratic: EndemicQuadratic | None
     rejected: list
+    thresholds: ThresholdReport
+    residuals: list
 
 
 def endemic_quadratic(p: ModelParams) -> EndemicQuadratic:
     """Closed-form coefficients; requires an established vector population."""
-    n = net_reproductive_number(p)
-    if n <= 1.0:
-        raise ThresholdError(
-            f"endemic quadratic requires net reproductive number > 1, got {n:.6g}")
+    _established(p, "endemic quadratic requires")
+    return _quadratic(p, bifurcation_thresholds(p))
+
+
+def _quadratic(p: ModelParams, rep: ThresholdReport) -> EndemicQuadratic:
     k = derive_constants(p)
-    rep = bifurcation_thresholds(p)
     pref = k.k3 ** 2 * k.k4 ** 2 * k.k8 * p.mu_h
     d2 = -k.k2 * (k.k10 * p.a * p.mu_h * p.beta_vh + k.k2 * k.k8)
     d1 = pref * (rep.r0 ** 2 - rep.r_c ** 2)
@@ -112,37 +118,29 @@ def is_double_root(q: EndemicQuadratic) -> bool:
 def back_substitute(p: ModelParams, lambda_h: float) -> np.ndarray:
     """Endemic state vector from the human force of infection at
     equilibrium.  Requires net reproductive number > 1."""
+    # Aquatic stages decouple from infection status: eggs, larvae and
+    # pupae sit at their disease-free levels.
+    x = dfe_components(p)
     k = derive_constants(p)
-    x = np.zeros(10)
     s_h = p.lambda_h_in / (p.mu_h + lambda_h)
     x[S_H] = s_h
     x[E_H] = lambda_h * s_h / k.k3
     x[I_H] = p.gamma_h * lambda_h * s_h / (k.k3 * k.k4)
     x[R_H] = p.sigma * p.gamma_h * lambda_h * s_h / (p.mu_h * k.k3 * k.k4)
 
-    # Aquatic stages decouple from infection status: pupae sit at the
-    # same level as at the disease-free equilibrium.
-    n = net_reproductive_number(p)
-    if n <= 1.0:
-        raise ThresholdError(
-            f"endemic equilibrium requires net reproductive number > 1, got {n:.6g}")
-    pupae = (k.k5 * k.k6 * k.k8 * p.Gamma_E * p.Gamma_L * (n - 1.0)
-             / (p.mu_b * p.theta * (p.s * p.Gamma_E + k.k6 * p.Gamma_L)))
-    x[PUP] = pupae
+    # The vector total theta*P/k8 splits by the force of infection on vectors.
+    pupae = x[PUP]
     _, _, lambda_v = _infection(x, p)  # needs the human compartments only
     x[S_V] = p.theta * pupae / (lambda_v + k.k8)
     x[E_V] = p.theta * pupae * lambda_v / (k.k9 * (lambda_v + k.k8))
     x[I_V] = (p.gamma_v * p.theta * pupae * lambda_v
               / (k.k8 * k.k9 * (lambda_v + k.k8)))
-    x[EGG] = (p.mu_b * p.theta * p.Gamma_E * pupae
-              / (k.k5 * k.k8 * p.Gamma_E + p.mu_b * p.theta * pupae))
-    x[LAR] = k.k7 * pupae / p.l
     return x
 
 
-def _classify(p: ModelParams, q: EndemicQuadratic) -> tuple[Classification, str]:
+def _classify(rep: ThresholdReport,
+              q: EndemicQuadratic) -> tuple[Classification, str]:
     """Root-count classification from the threshold quantities alone."""
-    rep = bifurcation_thresholds(p)
     r0, r_c = rep.r0, rep.r_c
     if r0 > 1.0:
         return Classification.UNIQUE, "i"
@@ -168,19 +166,20 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
     flag per endemic point (see the stability module); otherwise the
     flag is None.
     """
+    rep = bifurcation_thresholds(p)
     dfe0 = dfe_components(p, trivial=True)
-    n = net_reproductive_number(p)
-    if n <= 1.0:
+    if not rep.r0_defined:  # N <= 1: no vectors, no endemic point
         return EquilibriumSet(
             dfe_trivial=dfe0, dfe_biological=None, endemic=[],
             classification=Classification.NO_ENDEMIC, case="N<=1",
-            quadratic=None, rejected=[])
+            quadratic=None, rejected=[], thresholds=rep, residuals=[])
 
     dfe1 = dfe_components(p)
-    quad = endemic_quadratic(p)
-    classification, case = _classify(p, quad)
+    quad = _quadratic(p, rep)
+    classification, case = _classify(rep, quad)
 
     endemic = []
+    residuals = []
     rejected = []
     seen = []
     for lam in _quadratic_roots(quad):
@@ -202,11 +201,12 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
                 f"{residual:.3g} > {tol:.3g}")
         stable = stability_checker(x) if stability_checker is not None else None
         endemic.append((x, lam, stable))
+        residuals.append(residual)
 
     return EquilibriumSet(
         dfe_trivial=dfe0, dfe_biological=dfe1, endemic=endemic,
         classification=classification, case=case, quadratic=quad,
-        rejected=rejected)
+        rejected=rejected, thresholds=rep, residuals=residuals)
 
 
 def delta_zero_check(p: ModelParams) -> dict:
@@ -218,10 +218,7 @@ def delta_zero_check(p: ModelParams) -> dict:
     """
     if p.delta != 0.0:
         raise ValueError(f"delta_zero_check requires delta = 0, got {p.delta!r}")
-    n = net_reproductive_number(p)
-    if n <= 1.0:
-        raise ThresholdError(
-            f"delta_zero_check requires net reproductive number > 1, got {n:.6g}")
+    _established(p, "delta_zero_check requires")
     k = derive_constants(p)
     rep = bifurcation_thresholds(p)
     common = p.mu_b * p.lambda_h_in * k.k9
@@ -265,32 +262,25 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
         value = float(value)
         try:
             pv = dataclasses.replace(p, **{param_name: value})
-        except Exception as exc:
-            rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, 0,
-                                math.nan, error=str(exc)))
-            continue
-        checker = (None if stability_checker is None
-                   else lambda x: stability_checker(x, pv))
-        try:
+            checker = (None if stability_checker is None
+                       else lambda x: stability_checker(x, pv))
             eq = solve_endemic(pv, stability_checker=checker)
-        except (ThresholdError, ResidualError, ArithmeticError) as exc:
+        except (ParamError, ThresholdError, ArithmeticError) as exc:
             rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, 0,
                                 math.nan, error=str(exc)))
             continue
-        n = net_reproductive_number(pv)
-        if n <= 1.0:
+        dfe = eq.dfe_biological
+        if dfe is None:  # N <= 1
             rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, 0, 0.0))
             continue
-        rep = bifurcation_thresholds(pv)
-        dfe = eq.dfe_biological
+        r0 = eq.thresholds.r0
         dfe_res = float(np.max(np.abs(basic_field(dfe, pv))))
         dfe_stable = checker(dfe) if checker else None
-        rows.append(ScanRow(value, rep.r0, 0, 0.0, 0.0,
+        rows.append(ScanRow(value, r0, 0, 0.0, 0.0,
                             int(bool(dfe_stable)), dfe_res))
-        for branch, (x, lam, stable) in enumerate(eq.endemic, start=1):
-            res = float(np.max(np.abs(basic_field(x, pv))))
-            rows.append(ScanRow(value, rep.r0, branch,
-                                float(x[I_H]), float(x[I_V]),
+        for branch, ((x, _, stable), res) in enumerate(
+                zip(eq.endemic, eq.residuals), start=1):
+            rows.append(ScanRow(value, r0, branch, float(x[I_H]), float(x[I_V]),
                                 int(bool(stable)), res))
     return rows
 

@@ -58,10 +58,6 @@ class Trajectory:
                 f"values has {self.values.shape[0]} rows, grid needs "
                 f"{self.grid.n_steps + 1}")
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
     def to_csv(self, path, names) -> None:
         """Write t plus one column per component, full round-trip precision."""
         times = self.grid.times()

@@ -17,7 +17,7 @@ from .model import (
 )
 from .ode import Trajectory
 from .thresholds import (
-    ThresholdError, bifurcation_thresholds, dfe_components,
+    _established, bifurcation_thresholds, dfe_components,
     net_reproductive_number,
 )
 
@@ -134,10 +134,7 @@ def bifurcation_coefficients(p: ModelParams) -> BifurcationCoefficients:
     the infectious-vector component of the right vector is 1 and the
     left/right product is 1.
     """
-    n = net_reproductive_number(p)
-    if n <= 1.0:
-        raise ThresholdError(
-            f"bifurcation analysis requires net reproductive number > 1, got {n:.6g}")
+    _established(p, "bifurcation analysis requires")
     rep = bifurcation_thresholds(p)
     ps = dataclasses.replace(p, beta_hv=rep.beta_star)
     e1 = dfe_components(ps)

@@ -125,10 +125,11 @@ def threshold_arrays(p) -> ThresholdReport:
                     0.0)
 
     # R0^2 is linear in beta_hv, so R0(beta_x) = R_x at beta_x = beta_star * R_x^2.
+    # np.divide so that scalar inputs also divide by zero into inf.
     with np.errstate(divide="ignore"):  # beta_vh = 0, or nv0 = 0 at N = 1
         beta_star = np.where(established,
-                             k.k3 * k.k4 * k.k8 * k.k9 * nh0
-                             / (p.a * p.a * p.beta_vh * k.k10 * k.k11 * nv0),
+                             np.divide(k.k3 * k.k4 * k.k8 * k.k9 * nh0,
+                                       p.a * p.a * p.beta_vh * k.k10 * k.k11 * nv0),
                              np.nan)
     return ThresholdReport(
         net_repro=n, r0=np.sqrt(k_vh * k_hv), r0_defined=established,
@@ -161,7 +162,7 @@ def infection_generation_factors(p: ModelParams) -> tuple[float, float]:
 
 def basic_reproduction_number(p: ModelParams) -> float:
     """Closed-form R0; requires an established vector population (N > 1)."""
-    _established(p, "infection generation factors require")
+    _established(p, "R0 requires")
     return float(threshold_arrays(p).r0)
 
 

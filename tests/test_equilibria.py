@@ -9,7 +9,7 @@ from arbo.equilibria import (
     Classification, bifurcation_scan, delta_zero_check, endemic_quadratic,
     solve_endemic,
 )
-from arbo.model import E_H, I_H, PUP, S_H, S_V, basic_field, derive_constants
+from arbo.model import E_H, I_H, I_V, PUP, S_H, S_V, basic_field, derive_constants
 from arbo.stability import eigen_verdict
 from arbo.thresholds import (
     ThresholdError, bifurcation_thresholds, dfe_components,
@@ -59,6 +59,16 @@ def test_no_endemic_without_transmission(table5):
     eq = solve_endemic(p)
     assert eq.classification is Classification.NO_ENDEMIC
     assert eq.endemic == []
+
+
+def test_no_endemic_without_vector_infection(table5):
+    """[TRIVIAL] beta_vh = 0 gives R0 = 0 and beta* = inf, and leaves only
+    the disease-free points, with or without established vectors."""
+    p = dataclasses.replace(table5.params, beta_vh=0.0)
+    rep = bifurcation_thresholds(p)
+    assert rep.r0 == 0.0 and rep.beta_star == np.inf
+    assert solve_endemic(p).endemic == []
+    assert solve_endemic(dataclasses.replace(p, mu_b=0.1)).case == "N<=1"
 
 
 def test_unique_endemic_supercritical(table5):
@@ -182,3 +192,36 @@ def test_scan_stability_uses_each_points_parameters(sec22):
         else:
             x = solve_endemic(pv).endemic[r.branch_id - 1][0]
         assert r.stable == int(bool(eigen_verdict(x, pv).stable)), r
+
+
+@pytest.mark.parametrize("scenario, param, lo, hi, steps", [
+    ("sec22", "beta_hv", 0.0, 0.0877, 100),
+    ("table5", "mu_b", 0.05, 6.0, 40),
+])
+def test_scan_rows_match_per_point_solves(request, scenario, param, lo, hi, steps):
+    """[DERIVED] Every scan row equals what an independent per-point route
+    gives: R0 from the threshold report, the residual from the field at
+    the solved point, and one row for the DFE plus one per endemic point."""
+    base = request.getfixturevalue(scenario).params
+    rows = bifurcation_scan(base, param, lo, hi, steps)
+    by_value = {}
+    for r in rows:
+        assert r.error is None
+        by_value.setdefault(r.param_value, []).append(r)
+    assert len(by_value) == steps + 1
+    established = 0
+    for value, group in by_value.items():
+        pv = dataclasses.replace(base, **{param: value})
+        eq = solve_endemic(pv)
+        assert [r.branch_id for r in group] == list(range(1 + len(eq.endemic)))
+        if net_reproductive_number(pv) <= 1.0:
+            assert group[0].r0 == 0.0 and group[0].residual == 0.0
+            continue
+        established += 1
+        r0 = bifurcation_thresholds(pv).r0
+        assert all(r.r0 == r0 for r in group)
+        for r, (x, _, _) in zip(group[1:], eq.endemic):
+            assert r.residual == float(np.max(np.abs(basic_field(x, pv))))
+            assert (r.i_h, r.i_v) == (x[I_H], x[I_V])
+    if param == "mu_b":
+        assert 0 < established < steps + 1  # the grid crosses N = 1

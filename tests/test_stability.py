@@ -12,8 +12,9 @@ from arbo.model import (
 )
 from arbo.ode import TimeGrid, Trajectory
 from arbo.stability import (
-    Direction, bifurcation_coefficients, eigen_verdict, hessian_double_sum,
-    jacobian, lyapunov_trivial_check, lyapunov_weights, routh_hurwitz_trivial,
+    Direction, KernelError, bifurcation_coefficients, eigen_verdict,
+    hessian_double_sum, jacobian, lyapunov_trivial_check, lyapunov_weights,
+    routh_hurwitz_trivial,
 )
 from arbo.thresholds import (
     ThresholdError, bifurcation_thresholds, dfe_components,
@@ -21,6 +22,7 @@ from arbo.thresholds import (
 )
 from arbo import _kernels
 from arbo.model import params_to_array
+from conftest import random_established_params
 
 
 def _trivial_dfe_jacobian_closed_form(p):
@@ -142,6 +144,27 @@ def test_backward_direction_with_disease_mortality(sec22):
     assert coeffs.bif_a1 > 0.0
     assert coeffs.bif_a2 > 0.0
     assert coeffs.zeta1 > coeffs.zeta2
+
+
+def test_direction_is_backward_iff_r_c_below_one():
+    """[DERIVED] Center-manifold direction against the quadratic: at
+    R0 = 1 the coefficient d1 is a positive multiple of 1 - R_c^2, so
+    small positive roots exist just below R0 = 1 exactly when R_c < 1
+    (Castillo-Chavez & Song 2004, Thm 4.1)."""
+    rng = np.random.default_rng(31)
+    draws, kernel_errors, backward = 300, 0, 0
+    for _ in range(draws):
+        p = random_established_params(rng, delta=rng.uniform(0.0, 0.5))
+        try:
+            direction = bifurcation_coefficients(p).direction
+        except KernelError:
+            kernel_errors += 1
+            continue
+        r_c = bifurcation_thresholds(p).r_c
+        assert (direction is Direction.BACKWARD) == (r_c < 1.0), (p, r_c)
+        backward += direction is Direction.BACKWARD
+    assert kernel_errors <= draws // 20
+    assert 0 < backward < draws - kernel_errors
 
 
 def test_closed_form_matches_hessian_sum(table5, sec22):

@@ -43,6 +43,14 @@ def test_biological_dfe_requires_establishment(table5):
         infection_generation_factors(p)
 
 
+def test_r0_requires_establishment(table5):
+    """[TRIVIAL] The R0 error names R0, not another quantity."""
+    p = dataclasses.replace(table5.params, mu_b=0.1)
+    with pytest.raises(ThresholdError,
+                       match=r"^R0 requires net reproductive number > 1, got "):
+        basic_reproduction_number(p)
+
+
 def test_dfe_components_are_equilibria(sec22):
     """[DERIVED] Both closed-form disease-free points zero the field."""
     p = sec22.params
