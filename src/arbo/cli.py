@@ -187,10 +187,18 @@ def cmd_bifurcation(args) -> int:
     p = _build_params(cfg)
     if args.out is None:
         raise ConfigError("bifurcation requires --out CSV path")
+    t0 = time.perf_counter()
     rows = equilibria.bifurcation_scan(
-        p, args.param, args.lo, args.hi, args.steps,
-        stability_checker=lambda x, pv: eigen_verdict(x, pv).stable)
+        p, args.param, args.lo, args.hi, args.steps, stability=True)
+    seconds = time.perf_counter() - t0
     equilibria.scan_to_csv(rows, args.out)
+    errors = sum(r.error is not None for r in rows)
+    unknown = sum(r.error is None and r.stable is None for r in rows)
+    import logging
+    logging.getLogger("arbo").info(
+        "bifurcation scan of %s: %d grid points, %d rows, %d error rows, "
+        "%d unknown verdicts, %.3f s", args.param, args.steps + 1, len(rows),
+        errors, unknown, seconds)
     return 0
 
 

@@ -8,18 +8,20 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import (
-    E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
-    ModelParams, ParamError, _infection, basic_field, derive_constants,
+    E_H, E_V, I_H, I_V, N_STATES, PUP, R_H, S_H, S_V, ModelParams, ParamError,
+    _infection, basic_field, derive_constants, in_bounds, param_rows,
 )
+from .stability import eigen_verdicts
 # net_reproductive_number has no caller here; perfbench's tracer counts
 # calls made through this module's name for it.
 from .thresholds import (  # noqa: F401
-    ThresholdError, ThresholdReport, _established, bifurcation_thresholds,
-    dfe_components, net_reproductive_number,
+    ThresholdReport, _established, bifurcation_thresholds, dfe_components,
+    net_reproductive_number, threshold_arrays,
 )
 
 # A discriminant this close to zero (relative to the coefficient scale)
@@ -78,36 +80,39 @@ class EquilibriumSet:
 def endemic_quadratic(p: ModelParams) -> EndemicQuadratic:
     """Closed-form coefficients; requires an established vector population."""
     _established(p, "endemic quadratic requires")
-    return _quadratic(p, bifurcation_thresholds(p))
+    rep = bifurcation_thresholds(p)
+    return _quadratic(p, rep.r0, rep.r_c)
 
 
-def _quadratic(p: ModelParams, rep: ThresholdReport) -> EndemicQuadratic:
+def _quadratic(p, r0, r_c) -> EndemicQuadratic:
+    """Coefficients for one parameter set, or per row when `p`, `r0` and
+    `r_c` hold arrays."""
     k = derive_constants(p)
-    pref = k.k3 ** 2 * k.k4 ** 2 * k.k8 * p.mu_h
+    pref = k.k3 * k.k3 * k.k4 * k.k4 * k.k8 * p.mu_h
     d2 = -k.k2 * (k.k10 * p.a * p.mu_h * p.beta_vh + k.k2 * k.k8)
-    d1 = pref * (rep.r0 ** 2 - rep.r_c ** 2)
-    d0 = pref * p.mu_h * (rep.r0 ** 2 - 1.0)
+    d1 = pref * (r0 * r0 - r_c * r_c)
+    d0 = pref * p.mu_h * (r0 * r0 - 1.0)
     return EndemicQuadratic(d2=d2, d1=d1, d0=d0,
                             discriminant=d1 * d1 - 4.0 * d2 * d0)
 
 
-def _quadratic_roots(q: EndemicQuadratic) -> list[float]:
-    """Real roots via the numerically stable form (coefficients span
-    many orders of magnitude, so the naive formula cancels)."""
+def _quadratic_roots(q: EndemicQuadratic) -> np.ndarray:
+    """Real roots in ascending order, shape (..., 2) with NaN for an
+    absent root, via the numerically stable form (coefficients span many
+    orders of magnitude, so the naive formula cancels)."""
     disc = q.discriminant
-    scale = max(q.d1 * q.d1, abs(4.0 * q.d2 * q.d0))
-    if disc < 0.0 and abs(disc) > _DOUBLE_ROOT_RTOL * scale:
-        return []
-    disc = max(disc, 0.0)
-    sgn = 1.0 if q.d1 >= 0.0 else -1.0
-    qq = -0.5 * (q.d1 + sgn * math.sqrt(disc))
-    roots = []
-    if qq != 0.0:
-        roots.append(qq / q.d2)
-        roots.append(q.d0 / qq)
-    elif q.d2 != 0.0:
-        roots.append(0.0)
-    return sorted(roots)
+    scale = np.maximum(q.d1 * q.d1, np.abs(4.0 * q.d2 * q.d0))
+    real = ~((disc < 0.0) & (np.abs(disc) > _DOUBLE_ROOT_RTOL * scale))
+    sgn = np.where(q.d1 >= 0.0, 1.0, -1.0)
+    qq = -0.5 * (q.d1 + sgn * np.sqrt(np.maximum(disc, 0.0)))
+    split = real & (qq != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = qq / q.d2, q.d0 / qq
+    # qq == 0 leaves the single root 0 (when d2 != 0).
+    lo = np.where(split, np.minimum(r1, r2),
+                  np.where(real & (q.d2 != 0.0), 0.0, np.nan))
+    hi = np.where(split, np.maximum(r1, r2), np.nan)
+    return np.stack([lo, hi], axis=-1)
 
 
 def is_double_root(q: EndemicQuadratic) -> bool:
@@ -115,27 +120,63 @@ def is_double_root(q: EndemicQuadratic) -> bool:
     return scale == 0.0 or abs(q.discriminant) <= _DOUBLE_ROOT_RTOL * scale
 
 
-def back_substitute(p: ModelParams, lambda_h: float) -> np.ndarray:
+def back_substitute(p, lambda_h) -> np.ndarray:
     """Endemic state vector from the human force of infection at
-    equilibrium.  Requires net reproductive number > 1."""
+    equilibrium; a stack (m, 10) for an array `lambda_h`, row i under row
+    i of `p` (fields scalar or of length m).  Requires net reproductive
+    number > 1."""
     # Aquatic stages decouple from infection status: eggs, larvae and
     # pupae sit at their disease-free levels.
-    x = dfe_components(p)
+    x = np.broadcast_to(dfe_components(p),
+                        np.shape(lambda_h) + (N_STATES,)).copy()
     k = derive_constants(p)
     s_h = p.lambda_h_in / (p.mu_h + lambda_h)
-    x[S_H] = s_h
-    x[E_H] = lambda_h * s_h / k.k3
-    x[I_H] = p.gamma_h * lambda_h * s_h / (k.k3 * k.k4)
-    x[R_H] = p.sigma * p.gamma_h * lambda_h * s_h / (p.mu_h * k.k3 * k.k4)
+    x[..., S_H] = s_h
+    x[..., E_H] = lambda_h * s_h / k.k3
+    x[..., I_H] = p.gamma_h * lambda_h * s_h / (k.k3 * k.k4)
+    x[..., R_H] = p.sigma * p.gamma_h * lambda_h * s_h / (p.mu_h * k.k3 * k.k4)
 
     # The vector total theta*P/k8 splits by the force of infection on vectors.
-    pupae = x[PUP]
+    pupae = x[..., PUP]
     _, _, lambda_v = _infection(x, p)  # needs the human compartments only
-    x[S_V] = p.theta * pupae / (lambda_v + k.k8)
-    x[E_V] = p.theta * pupae * lambda_v / (k.k9 * (lambda_v + k.k8))
-    x[I_V] = (p.gamma_v * p.theta * pupae * lambda_v
-              / (k.k8 * k.k9 * (lambda_v + k.k8)))
+    x[..., S_V] = p.theta * pupae / (lambda_v + k.k8)
+    x[..., E_V] = p.theta * pupae * lambda_v / (k.k9 * (lambda_v + k.k8))
+    x[..., I_V] = (p.gamma_v * p.theta * pupae * lambda_v
+                   / (k.k8 * k.k9 * (lambda_v + k.k8)))
     return x
+
+
+def _endemic_points(p, q: EndemicQuadratic):
+    """The endemic points of every row of `p` (fields scalar or of length
+    m, vectors established at every row) with quadratic `q`.
+
+    Returns (lam, reason, row, root, x): the ascending roots (m, 2); the
+    reason each rejected root was dropped, else None (m, 2); and the kept
+    points in (row, root) order, as indices into `lam` (K,) and states
+    (K, 10).  A double root is kept once and not listed as rejected.
+    """
+    lam = _quadratic_roots(q).reshape(-1, 2)
+    positive = lam > _LAMBDA_POSITIVE_TOL  # False for an absent root
+    reason = np.full(lam.shape, None, dtype=object)
+    reason[~np.isnan(lam) & ~positive] = "non-positive force of infection"
+    positive[:, 1] &= ~(positive[:, 0] & (np.abs(lam[:, 1] - lam[:, 0])
+                                          <= 1e-9 * np.abs(lam[:, 0])))
+    row, root = np.nonzero(positive)
+    x = back_substitute(param_rows(p, row), lam[row, root])
+    kept = np.all(x > 0.0, axis=1)
+    reason[row[~kept], root[~kept]] = (
+        "non-positive component after back-substitution")
+    return lam, reason, row[kept], root[kept], x[kept]
+
+
+def _residual_errors(lam, x, residual) -> list:
+    """Per point: the `ResidualError` message when max|f(x)| exceeds the
+    tolerance, else None."""
+    tol = _RESIDUAL_RTOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+    return [None if r <= t else
+            f"endemic point at lambda_h={lm:.6g} has field residual "
+            f"{r:.3g} > {t:.3g}"
+            for lm, r, t in zip(lam.tolist(), residual.tolist(), tol.tolist())]
 
 
 def _classify(rep: ThresholdReport,
@@ -175,38 +216,22 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
             quadratic=None, rejected=[], thresholds=rep, residuals=[])
 
     dfe1 = dfe_components(p)
-    quad = _quadratic(p, rep)
+    quad = _quadratic(p, rep.r0, rep.r_c)
     classification, case = _classify(rep, quad)
-
-    endemic = []
-    residuals = []
-    rejected = []
-    seen = []
-    for lam in _quadratic_roots(quad):
-        if lam <= _LAMBDA_POSITIVE_TOL:
-            rejected.append((lam, "non-positive force of infection"))
-            continue
-        if any(abs(lam - s) <= 1e-9 * abs(s) for s in seen):
-            continue  # double root listed once
-        seen.append(lam)
-        x = back_substitute(p, lam)
-        if not np.all(x > 0.0):
-            rejected.append((lam, "non-positive component after back-substitution"))
-            continue
-        residual = float(np.max(np.abs(basic_field(x, p))))
-        tol = _RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(x))))
-        if residual > tol:
-            raise ResidualError(
-                f"endemic point at lambda_h={lam:.6g} has field residual "
-                f"{residual:.3g} > {tol:.3g}")
-        stable = stability_checker(x) if stability_checker is not None else None
-        endemic.append((x, lam, stable))
-        residuals.append(residual)
-
+    roots, reason, _, root, states = _endemic_points(p, quad)
+    rejected = [(r, why) for r, why in zip(roots[0].tolist(), reason[0])
+                if why is not None]
+    lam = roots[0, root]
+    residuals = np.max(np.abs(basic_field(states, p)), axis=1)
+    for error in _residual_errors(lam, states, residuals):
+        if error is not None:
+            raise ResidualError(error)
+    endemic = [(x, r, None if stability_checker is None else stability_checker(x))
+               for x, r in zip(states, lam.tolist())]
     return EquilibriumSet(
         dfe_trivial=dfe0, dfe_biological=dfe1, endemic=endemic,
         classification=classification, case=case, quadratic=quad,
-        rejected=rejected, thresholds=rep, residuals=residuals)
+        rejected=rejected, thresholds=rep, residuals=residuals.tolist())
 
 
 def delta_zero_check(p: ModelParams) -> dict:
@@ -233,61 +258,100 @@ def delta_zero_check(p: ModelParams) -> dict:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One (parameter value, branch) record of a bifurcation scan."""
+    """One (parameter value, branch) record of a bifurcation scan.
+
+    `stable` is the eigenvalue verdict: True or False, or None when no
+    verdicts were asked for, the verdict is marginal or the row has none
+    (N <= 1, or an error).
+    """
 
     param_value: float
     r0: float
     branch_id: int
     i_h: float
     i_v: float
-    stable: int
+    stable: bool | None
     residual: float
     error: str | None = None
 
 
 def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
-                     steps: int, stability_checker=None) -> list[ScanRow]:
+                     steps: int, stability: bool = False) -> list[ScanRow]:
     """Branch table over a uniform grid of one parameter.
 
     Branch 0 is the biological disease-free equilibrium; positive
     branches are endemic points ordered by increasing force of
     infection.  Per-point failures become flagged rows, never aborts.
-    `stability_checker(x, pv)` receives each equilibrium with the
-    parameters of its own grid point.
+    The whole grid goes through each step as one array pass, and each
+    row comes out bitwise as `solve_endemic` computes it under the
+    parameters of its own grid point.  With `stability`, each row
+    carries the eigenvalue verdict under those parameters.
     """
     if param_name not in {f.name for f in dataclasses.fields(ModelParams)}:
         raise ValueError(f"unknown parameter {param_name!r}")
-    rows = []
-    for value in np.linspace(lo, hi, steps + 1):
-        value = float(value)
+    values = np.linspace(lo, hi, steps + 1)
+    valid = in_bounds(param_name, values)
+    errors = {}
+    for i in np.flatnonzero(~valid).tolist():
         try:
-            pv = dataclasses.replace(p, **{param_name: value})
-            checker = (None if stability_checker is None
-                       else lambda x: stability_checker(x, pv))
-            eq = solve_endemic(pv, stability_checker=checker)
-        except (ParamError, ThresholdError, ArithmeticError) as exc:
-            rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, 0,
-                                math.nan, error=str(exc)))
-            continue
-        dfe = eq.dfe_biological
-        if dfe is None:  # N <= 1
-            rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, 0, 0.0))
-            continue
-        r0 = eq.thresholds.r0
-        dfe_res = float(np.max(np.abs(basic_field(dfe, pv))))
-        dfe_stable = checker(dfe) if checker else None
-        rows.append(ScanRow(value, r0, 0, 0.0, 0.0,
-                            int(bool(dfe_stable)), dfe_res))
-        for branch, ((x, _, stable), res) in enumerate(
-                zip(eq.endemic, eq.residuals), start=1):
-            rows.append(ScanRow(value, r0, branch, float(x[I_H]), float(x[I_V]),
-                                int(bool(stable)), res))
+            dataclasses.replace(p, **{param_name: values[i].item()})
+        except ParamError as exc:
+            errors[i] = str(exc)
+
+    # Grid points with valid parameters, then those of them where the
+    # vector population establishes: the rows that get equilibria.  Every
+    # field is a column, so every derived quantity has one entry per row.
+    grid = np.flatnonzero(valid)
+    columns = {name: np.full(grid.size, v) for name, v in vars(p).items()}
+    columns[param_name] = values[grid]
+    pv = SimpleNamespace(**columns)
+    rep = threshold_arrays(pv)
+    est = np.flatnonzero(rep.r0_defined)
+    pe = param_rows(pv, est)
+    roots, _, row, root, x = _endemic_points(
+        pe, _quadratic(pe, rep.r0[est], rep.r_c[est]))
+
+    # One field call for the residuals of every DFE and endemic point.
+    states = np.concatenate([dfe_components(pe), x])
+    owner = param_rows(pe, np.concatenate([np.arange(est.size), row]))
+    residual = np.max(np.abs(basic_field(states, owner)), axis=1)
+    for i, error in zip(row.tolist(), _residual_errors(
+            roots[row, root], x, residual[est.size:])):
+        if error is not None:
+            errors.setdefault(grid[est[i]].item(), error)
+    if stability:
+        flags = [None if v.marginal else v.stable
+                 for v in eigen_verdicts(states, owner)]
+    else:
+        flags = [None] * len(states)
+
+    at = np.full(values.shape, -1)  # grid point -> row of `pe`
+    at[grid[est]] = np.arange(est.size)
+    first = np.searchsorted(row, np.arange(est.size + 1)).tolist()
+    r0 = rep.r0[est].tolist()
+    residual = residual.tolist()
+    i_h, i_v = x[:, I_H].tolist(), x[:, I_V].tolist()
+    rows = []
+    for i, (value, e) in enumerate(zip(values.tolist(), at.tolist())):
+        if i in errors:
+            rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, None,
+                                math.nan, error=errors[i]))
+        elif e < 0:  # N <= 1
+            rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, None, 0.0))
+        else:
+            rows.append(ScanRow(value, r0[e], 0, 0.0, 0.0, flags[e], residual[e]))
+            for branch, k in enumerate(range(first[e], first[e + 1]), start=1):
+                j = est.size + k
+                rows.append(ScanRow(value, r0[e], branch, i_h[k], i_v[k],
+                                    flags[j], residual[j]))
     return rows
 
 
 def scan_to_csv(rows: list[ScanRow], path) -> None:
+    """Write the rows as CSV, `stable` as 1 (stable) or 0 (anything else)."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("param_value,R0,branch_id,I_h,I_v,stable,residual\n")
         for r in rows:
             f.write(f"{r.param_value:.17g},{r.r0:.17g},{r.branch_id},"
-                    f"{r.i_h:.17g},{r.i_v:.17g},{r.stable},{r.residual:.17g}\n")
+                    f"{r.i_h:.17g},{r.i_v:.17g},{int(bool(r.stable))},"
+                    f"{r.residual:.17g}\n")

@@ -18,6 +18,7 @@ State ordering (used everywhere in the package):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,21 +77,35 @@ class ModelParams:
     l: float            # larva -> pupa transfer
 
     def __post_init__(self):
-        violations = []
-        nonneg = ("delta", "eta_h", "eta_v", "beta_hv", "beta_vh")
-        positive = [f.name for f in fields(self) if f.name not in nonneg]
-        for name in positive:
-            if not getattr(self, name) > 0:
-                violations.append(f"{name} must be > 0, got {getattr(self, name)!r}")
-        for name in ("delta", "beta_hv", "beta_vh"):
-            if not getattr(self, name) >= 0:
-                violations.append(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("eta_h", "eta_v"):
-            v = getattr(self, name)
-            if not (0 <= v < 1):
-                violations.append(f"{name} must be in [0, 1), got {v!r}")
+        positive = [f.name for f in fields(self)
+                    if f.name not in _NONNEGATIVE + _UNIT_INTERVAL]
+        groups = ((positive, "> 0"), (_NONNEGATIVE, ">= 0"),
+                  (_UNIT_INTERVAL, "in [0, 1)"))
+        violations = [f"{name} must be {bound}, got {getattr(self, name)!r}"
+                      for names, bound in groups for name in names
+                      if not in_bounds(name, getattr(self, name))]
         if violations:
             raise ParamError(violations)
+
+
+_NONNEGATIVE = ("delta", "beta_hv", "beta_vh")
+_UNIT_INTERVAL = ("eta_h", "eta_v")
+
+
+def in_bounds(name: str, value):
+    """Whether `value` is allowed for the `ModelParams` field `name`;
+    elementwise on arrays, False for NaN."""
+    if name in _UNIT_INTERVAL:
+        return (0 <= value) & (value < 1)
+    return value >= 0 if name in _NONNEGATIVE else value > 0
+
+
+def param_rows(p, index):
+    """`p` with each array field replaced by its rows at `index`, scalar
+    fields kept: the per-row parameter form that `threshold_arrays` and
+    the field functions take."""
+    return SimpleNamespace(**{name: v[index] if isinstance(v, np.ndarray) else v
+                              for name, v in vars(p).items()})
 
 
 @dataclass(frozen=True)
@@ -175,8 +190,10 @@ def controlled_field(x, u, p: ModelParams, c: ControlParams) -> np.ndarray:
     Takes one state `x` (10,) with its five control intensities `u` in
     [0, 1], or a stack of states (m, 10) with one control row each
     (m, 5) or one row (5,) for all; each row of the result equals the
-    single-state call bitwise.  With u == 0 and zero control efficacies
-    this is the uncontrolled system, `basic_field`.
+    single-state call bitwise.  Parameter fields may hold one value per
+    row (length m), and a stack (m, k, 10) takes row i's values for all
+    k states x[i].  With u == 0 and zero control efficacies this is the
+    uncontrolled system, `basic_field`.
     """
     x = np.asarray(x)
     n_h, foi_h, foi_v = _infection(x, p)
@@ -189,7 +206,7 @@ def controlled_field(x, u, p: ModelParams, c: ControlParams) -> np.ndarray:
     foi_v_c = protect * foi_v
     mu_v_c = p.mu_v + c.c_m * u4
 
-    dx = np.empty((N_STATES,) + x.shape[:-1])
+    dx = np.empty(x.T.shape)
     dx[S_H] = (p.lambda_h_in - (foi_h_c + p.mu_h + u1) * s_h
                + c.omega * u1 * r_h)
     dx[E_H] = foi_h_c * s_h - (p.mu_h + p.gamma_h) * e_h
@@ -214,7 +231,7 @@ _NO_EFFECT = ControlParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 def basic_field(x, p: ModelParams) -> np.ndarray:
     """Right-hand side of the uncontrolled system, for one state (10,) or
-    a stack (m, 10): the controlled one with every control off."""
+    a stack of them: the controlled one with every control off."""
     return controlled_field(x, _NO_CONTROL, p, _NO_EFFECT)
 
 

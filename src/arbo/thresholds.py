@@ -13,10 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import (
-    E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
-    ModelParams, derive_constants,
-)
+from .model import S_H, S_V, ModelParams, derive_constants
 
 
 class ThresholdError(ValueError):
@@ -56,10 +53,12 @@ def net_reproductive_number(p: ModelParams) -> float:
 
 
 def _established(p: ModelParams, what: str) -> float:
-    """N, after checking that the vector population establishes."""
+    """N, after checking that the vector population establishes (at every
+    row, for array fields)."""
     n = net_reproductive_number(p)
-    if n <= 1.0:
-        raise ThresholdError(f"{what} net reproductive number > 1, got {n:.6g}")
+    if np.any(n <= 1.0):
+        raise ThresholdError(
+            f"{what} net reproductive number > 1, got {np.min(n):.6g}")
     return n
 
 
@@ -70,26 +69,30 @@ def _disease_free_vectors(p: ModelParams, k, n):
 
 
 def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
-    """Disease-free equilibrium as a state vector.
+    """Disease-free equilibrium as a state vector, or as a stack (m, 10)
+    when fields of `p` hold arrays of length m.
 
     With `trivial=True` returns the vector-free equilibrium (humans only).
     Otherwise returns the biological DFE with the vector population at its
     persistence level, which requires net reproductive number > 1.
     """
-    x = np.zeros(10)
-    x[S_H] = p.lambda_h_in / p.mu_h
-    if trivial:
-        return x
-    n = _established(p, "biological DFE requires")
-    k = derive_constants(p)
-    denom = p.mu_b * (p.Gamma_E * p.s + k.k6 * p.Gamma_L)
-    x[S_V] = _disease_free_vectors(p, k, n)
-    x[PUP] = p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k8 * (n - 1.0) / (p.theta * denom)
-    x[LAR] = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k7 * k.k8 * (n - 1.0)
-              / (p.theta * p.l * denom))
-    x[EGG] = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k7 * k.k8 * (n - 1.0)
-              / (p.s * (p.mu_b * p.l * p.Gamma_L * p.theta + k.k5 * k.k7 * k.k8 * p.Gamma_E)))
-    return x
+    vectors = egg = lar = pup = 0.0
+    if not trivial:
+        n = _established(p, "biological DFE requires")
+        k = derive_constants(p)
+        denom = p.mu_b * (p.Gamma_E * p.s + k.k6 * p.Gamma_L)
+        vectors = _disease_free_vectors(p, k, n)
+        pup = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k8 * (n - 1.0)
+               / (p.theta * denom))
+        lar = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k7 * k.k8 * (n - 1.0)
+               / (p.theta * p.l * denom))
+        egg = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k7 * k.k8 * (n - 1.0)
+               / (p.s * (p.mu_b * p.l * p.Gamma_L * p.theta
+                         + k.k5 * k.k7 * k.k8 * p.Gamma_E)))
+    # In state order: S_h, E_h, I_h, R_h, S_v, E_v, I_v, E, L, P.
+    return np.stack(np.broadcast_arrays(
+        p.lambda_h_in / p.mu_h, 0.0, 0.0, 0.0, vectors, 0.0, 0.0,
+        egg, lar, pup), axis=-1)
 
 
 def threshold_arrays(p) -> ThresholdReport:

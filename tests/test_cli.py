@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ def test_bifurcation_command(config_file, tmp_path):
     assert lines[0] == "param_value,R0,branch_id,I_h,I_v,stable,residual"
     branch_ids = {int(line.split(",")[2]) for line in lines[1:]}
     assert {0, 1, 2} <= branch_ids  # window with two endemic branches
+
+
+def test_bifurcation_command_logs_one_summary(config_file, tmp_path, caplog,
+                                             capsys):
+    """The scan's counters go to one INFO record on the "arbo" logger;
+    nothing goes to stdout."""
+    out = tmp_path / "scan.csv"
+    with caplog.at_level(logging.INFO, logger="arbo"):
+        code = main(["bifurcation", "--config",
+                     config_file(load_fixture("sec22_backward")),
+                     "--lo", "0.0", "--hi", "0.12", "--steps", "40",
+                     "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    (record,) = [r for r in caplog.records if r.name == "arbo"]
+    assert record.levelno == logging.INFO
+    rows = len(out.read_text().splitlines()) - 1
+    assert (f"41 grid points, {rows} rows, 0 error rows, 0 unknown verdicts"
+            in record.getMessage())
 
 
 def test_control_command_masks_excluded_control(config_file, tmp_path):

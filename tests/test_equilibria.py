@@ -1,15 +1,18 @@
 """Endemic quadratic, back-substitution, classification, and scans."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from arbo.equilibria import (
-    Classification, bifurcation_scan, delta_zero_check, endemic_quadratic,
-    solve_endemic,
+    Classification, ScanRow, bifurcation_scan, delta_zero_check,
+    endemic_quadratic, scan_to_csv, solve_endemic,
 )
-from arbo.model import E_H, I_H, I_V, PUP, S_H, S_V, basic_field, derive_constants
+from arbo.model import (
+    E_H, I_H, I_V, PUP, S_H, S_V, ParamError, basic_field, derive_constants,
+)
 from arbo.stability import eigen_verdict
 from arbo.thresholds import (
     ThresholdError, bifurcation_thresholds, dfe_components,
@@ -182,7 +185,7 @@ def test_scan_stability_uses_each_points_parameters(sec22):
     equilibrium under the parameters of its own grid point, not those of
     the base point."""
     rows = bifurcation_scan(sec22.params, "beta_hv", 0.05, 0.5, 10,
-                            stability_checker=lambda x, pv: eigen_verdict(x, pv).stable)
+                            stability=True)
     assert len({r.param_value for r in rows}) == 11
     for r in rows:
         assert r.error is None
@@ -225,3 +228,98 @@ def test_scan_rows_match_per_point_solves(request, scenario, param, lo, hi, step
             assert (r.i_h, r.i_v) == (x[I_H], x[I_V])
     if param == "mu_b":
         assert 0 < established < steps + 1  # the grid crosses N = 1
+
+
+def _per_point_scan(p, param_name, lo, hi, steps, stability=False):
+    """The reference route: per grid point, one `dataclasses.replace`, one
+    `solve_endemic` and one `eigen_verdict` per equilibrium, under the
+    parameters of that point."""
+    def flag(x, pv):
+        if not stability:
+            return None
+        verdict = eigen_verdict(x, pv)
+        return None if verdict.marginal else verdict.stable
+
+    rows = []
+    for value in np.linspace(lo, hi, steps + 1):
+        value = float(value)
+        try:
+            pv = dataclasses.replace(p, **{param_name: value})
+            eq = solve_endemic(pv, stability_checker=lambda x: flag(x, pv))
+        except (ParamError, ThresholdError, ArithmeticError) as exc:
+            rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, None,
+                                math.nan, error=str(exc)))
+            continue
+        dfe = eq.dfe_biological
+        if dfe is None:  # N <= 1
+            rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, None, 0.0))
+            continue
+        r0 = eq.thresholds.r0
+        dfe_res = float(np.max(np.abs(basic_field(dfe, pv))))
+        rows.append(ScanRow(value, r0, 0, 0.0, 0.0, flag(dfe, pv), dfe_res))
+        for branch, ((x, _, stable), res) in enumerate(
+                zip(eq.endemic, eq.residuals), start=1):
+            rows.append(ScanRow(value, r0, branch, float(x[I_H]),
+                                float(x[I_V]), stable, res))
+    return rows
+
+
+@pytest.mark.parametrize("scenario, param, lo, hi, steps", [
+    ("sec22", "beta_hv", 0.0, 0.0877, 500),
+    ("table5", "mu_b", 0.05, 6.0, 40),   # crosses N = 1
+    ("table5", "eta_h", 0.5, 1.5, 20),   # eta_h >= 1 is invalid
+])
+def test_scan_equals_per_point_reference(request, scenario, param, lo, hi,
+                                         steps):
+    """[TRIVIAL] The array scan gives the reference route's rows, flags
+    and error messages, row for row and bitwise (repr of a float is
+    exact)."""
+    base = request.getfixturevalue(scenario).params
+    rows = bifurcation_scan(base, param, lo, hi, steps, stability=True)
+    ref = _per_point_scan(base, param, lo, hi, steps, stability=True)
+    assert [repr(r) for r in rows] == [repr(r) for r in ref]
+    kinds = {(r.branch_id > 0, r.stable, r.error is not None) for r in rows}
+    if param == "mu_b":
+        assert any(r.r0 == 0.0 for r in rows) and (True, True, False) in kinds
+    if param == "eta_h":
+        assert sum(r.error is not None for r in rows) == 11  # 1.0, ..., 1.5
+        assert rows[-1].error.startswith("invalid parameters: eta_h must be")
+
+
+def test_scan_at_transcritical_point_is_marginal(sec22, tmp_path):
+    """[DERIVED] At beta_hv = beta* the DFE has a zero eigenvalue: its
+    verdict is marginal, the row's flag unknown, and the CSV writes 0."""
+    beta = bifurcation_thresholds(sec22.params).beta_star
+    rows = bifurcation_scan(sec22.params, "beta_hv", beta, beta, 0,
+                            stability=True)
+    assert rows[0].branch_id == 0 and rows[0].stable is None
+    pv = dataclasses.replace(sec22.params, beta_hv=beta)
+    verdict = eigen_verdict(dfe_components(pv), pv)
+    assert verdict.marginal and abs(verdict.eigen_max_real) < 1e-12
+    out = tmp_path / "scan.csv"
+    scan_to_csv(rows, out)
+    assert out.read_text().splitlines()[1].split(",")[5] == "0"
+
+
+def test_two_endemic_window_at_high_resolution(sec22):
+    """[DERIVED] A 10^5-point scan puts the two-endemic window's edges
+    within one cell of beta_plus and beta_star, the README's accounting.
+    Right at the fold the roots are taken as double from a discriminant
+    that is slightly negative, so a grid point there can fail the
+    residual check: such error rows are counted and bounded."""
+    rep = bifurcation_thresholds(sec22.params)
+    lo, hi, steps = 0.0, 0.6, 100_000
+    cell = (hi - lo) / steps
+    rows = bifurcation_scan(sec22.params, "beta_hv", lo, hi, steps)
+    count = {}
+    for r in rows:
+        if r.branch_id >= 1:
+            count[r.param_value] = count.get(r.param_value, 0) + 1
+    two = sorted(v for v, c in count.items() if c == 2)
+    assert abs(two[0] - rep.beta_plus) <= cell
+    assert abs(two[-1] - rep.beta_star) <= cell
+    errors = [r for r in rows if r.error is not None]
+    assert len(errors) <= 2
+    for r in errors:
+        assert r.error.startswith("endemic point at lambda_h=")
+        assert abs(r.param_value - rep.beta_plus) <= cell

@@ -1,6 +1,7 @@
 """Parameter validation, derived constants, and the two vector fields."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from arbo.model import (
     E_H, E_V, I_H, I_V, S_H, S_V,
     ControlParams, ModelParams, ParamError, ZeroPopulationError,
     _infection, basic_field, control_params_to_array, controlled_field,
-    derive_constants, params_to_array,
+    derive_constants, in_bounds, param_rows, params_to_array,
 )
 from arbo.sensitivity import PARAM_ORDER
 from arbo.thresholds import dfe_components
@@ -99,6 +100,37 @@ def test_controlled_field_on_a_stack_equals_row_by_row(table5):
     assert controlled_field(xs, us, p, c).tobytes(order="C") == rows.tobytes()
     assert basic_field(xs, p).tobytes(order="C") == np.array(
         [basic_field(x, p) for x in xs]).tobytes()
+
+
+def test_basic_field_with_per_row_parameters_equals_row_by_row():
+    """[TRIVIAL] Parameter fields holding one value per state row give,
+    row for row, the single-state result under that row's `ModelParams`
+    bitwise; `param_rows` selects and repeats those rows."""
+    rng = np.random.default_rng(6)
+    ps = [random_params(rng) for _ in range(64)]
+    xs = rng.uniform(1.0, 1e4, (64, 10))
+    rows = SimpleNamespace(**{name: np.array([getattr(p, name) for p in ps])
+                              for name in PARAM_ORDER})
+    want = np.array([basic_field(x, p) for x, p in zip(xs, ps)])
+    assert basic_field(xs, rows).tobytes() == want.tobytes()
+    index = np.array([3, 3, 0, 63])
+    assert basic_field(xs[index], param_rows(rows, index)).tobytes() == (
+        want[index].tobytes())
+
+
+def test_bounds_check_matches_construction(table5):
+    """[TRIVIAL] `in_bounds` on an array of values says, per value,
+    whether a `ModelParams` with that value can be built."""
+    values = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, np.nan, np.inf])
+    for name in ("mu_h", "beta_hv", "eta_h"):
+        ok = in_bounds(name, values)
+        for v, expect in zip(values.tolist(), ok.tolist()):
+            try:
+                dataclasses.replace(table5.params, **{name: v})
+            except ParamError:
+                assert not expect, (name, v)
+            else:
+                assert expect, (name, v)
 
 
 def test_total_protection_blocks_transmission(table5):
