@@ -251,8 +251,10 @@ def cmd_sensitivity(args) -> int:
         "probabilities": probs,
         "prcc": report.coefficients,
         "excluded": list(report.excluded),
-        "diagnostics": {"stage_s": {
-            "sampling": t1 - t0, "thresholds": t2 - t1, "prcc": t3 - t2}},
+        "diagnostics": {
+            "stage_s": {"sampling": t1 - t0, "thresholds": t2 - t1,
+                        "prcc": t3 - t2},
+            "sorted_columns": list(report.sorted_columns)},
     }, args.out)
     return 0
 

@@ -24,9 +24,11 @@ from .thresholds import (  # noqa: F401
     net_reproductive_number, threshold_arrays,
 )
 
-# A discriminant this close to zero (relative to the coefficient scale)
-# is treated as a double root.
-_DOUBLE_ROOT_RTOL = 1e-3
+# A discriminant this close to zero (relative to the coefficient scale
+# max(d1^2, |4 d2 d0|)) is treated as a double root: the rounding level
+# of d1^2 - 4 d2 d0, whose coefficients each carry a few roundings.  A
+# wider band would take -d1 / (2 d2) for a root where there is none.
+_DOUBLE_ROOT_RTOL = 64 * np.finfo(float).eps
 
 # Positive roots smaller than this are spurious zeros (R0 crossing 1).
 _LAMBDA_POSITIVE_TOL = 1e-14

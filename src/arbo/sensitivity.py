@@ -4,7 +4,9 @@ rank correlation coefficients."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,8 @@ from .model import ModelParams
 # net_reproductive_number has no caller here; perfbench's tracer counts
 # calls made through this module's name for it.
 from .thresholds import (  # noqa: F401
-    bifurcation_thresholds, net_reproductive_number, threshold_arrays,
+    ThresholdReport, bifurcation_thresholds, net_reproductive_number,
+    threshold_arrays,
 )
 
 PARAM_ORDER = (
@@ -23,6 +26,8 @@ PARAM_ORDER = (
 )
 
 _MU_H = 1.0 / (67.0 * 365.0)
+
+_log = logging.getLogger("arbo")
 
 
 def _pm(center: float, frac: float) -> tuple[float, float]:
@@ -98,7 +103,8 @@ class ParamDistribution:
 @dataclass(frozen=True)
 class SampleSet:
     """An LHS design: the raw matrix (n x n_params, column order
-    PARAM_ORDER)."""
+    PARAM_ORDER).  `lhs_sample` stores it column-major and read-only,
+    which keeps `thresholds` valid for the life of the set."""
 
     matrix: np.ndarray = field(repr=False)
     seed: int
@@ -109,18 +115,33 @@ class SampleSet:
         return self.matrix.shape[0]
 
     def columns(self) -> SimpleNamespace:
-        """The draws as one array per `ModelParams` field, the form the
-        functions of `thresholds` take for a whole design at once."""
-        return SimpleNamespace(**{name: np.ascontiguousarray(self.matrix[:, j])
-                                  for j, name in enumerate(PARAM_ORDER)})
+        """The draws as one array per `ModelParams` field (views of the
+        matrix), the form the functions of `thresholds` take for a whole
+        design at once."""
+        return SimpleNamespace(**dict(zip(PARAM_ORDER, self.matrix.T)))
+
+    @cached_property
+    def thresholds(self) -> ThresholdReport:
+        """`threshold_arrays` over every draw, computed on first use and
+        shared by `r0_values` and `condition_probabilities`; its arrays
+        are read-only."""
+        rep = threshold_arrays(self.columns())
+        for f in fields(rep):
+            np.asarray(getattr(rep, f.name)).flags.writeable = False
+        return rep
 
 
 @dataclass(frozen=True)
 class PRCCReport:
+    """PRCC per active parameter.  `sorted_columns` names the parameter
+    columns whose ranks could not be read off their LHS strata and were
+    found by sorting (`average_ranks`)."""
+
     coefficients: dict
     excluded: tuple
     n: int
     seed: int
+    sorted_columns: tuple
 
 
 def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
@@ -134,15 +155,16 @@ def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    matrix = np.empty((n, len(PARAM_ORDER)))
+    design = np.empty((len(PARAM_ORDER), n))  # one contiguous row per column
     for j, name in enumerate(PARAM_ORDER):
         lo, hi = dist.bounds(name)
         perm = rng.permutation(n)
         quantiles = (perm + rng.random(n)) / n
-        matrix[:, j] = lo + (hi - lo) * quantiles
-    for extreme in (matrix.min(axis=0), matrix.max(axis=0)):
+        design[j] = lo + (hi - lo) * quantiles
+    for extreme in (design.min(axis=1), design.max(axis=1)):
         ModelParams(**dict(zip(PARAM_ORDER, extreme.tolist())))
-    return SampleSet(matrix=matrix, seed=seed, distribution=dist)
+    design.flags.writeable = False
+    return SampleSet(matrix=design.T, seed=seed, distribution=dist)
 
 
 def r0_of(p: ModelParams) -> float:
@@ -152,8 +174,9 @@ def r0_of(p: ModelParams) -> float:
 
 
 def r0_values(samples: SampleSet) -> np.ndarray:
-    """R0 of every draw, as `r0_of` gives it, in one array pass."""
-    return threshold_arrays(samples.columns()).r0
+    """R0 of every draw, as `r0_of` gives it, in one array pass; the
+    read-only array of the design's `thresholds`."""
+    return samples.thresholds.r0
 
 
 def r0_distribution(samples: SampleSet, n_bins: int = 50) -> dict:
@@ -179,7 +202,7 @@ def condition_probabilities(samples: SampleSet) -> dict:
     (no vectors / subcritical / supercritical) partition the draws.
     """
     n = samples.n
-    rep = threshold_arrays(samples.columns())
+    rep = samples.thresholds
     vectors = rep.r0_defined
     supercritical = vectors & (rep.r0 >= 1.0)
     subcritical = vectors & ~supercritical
@@ -215,10 +238,38 @@ def average_ranks(values) -> np.ndarray:
     return ranks
 
 
+def _stratum_ranks(col: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
+    """1-based ranks of an LHS column read off its strata, or None when
+    they cannot be certified equal to `average_ranks`.
+
+    A draw's stratum index is its rank when the indices form a
+    permutation and the draws, put in stratum order, strictly increase;
+    both are checked, so rounding that puts two draws in one stratum, or
+    a hand-built column, gets None."""
+    n = col.size
+    scaled = np.subtract(col, lo, dtype=float)
+    scaled *= n
+    scaled /= hi - lo
+    with np.errstate(invalid="ignore"):  # NaN draws fail the checks below
+        idx = np.floor(scaled, out=scaled).astype(np.intp)
+    np.clip(idx, 0, n - 1, out=idx)
+    inv = np.full(n, -1)
+    inv[idx] = np.arange(n)
+    if inv.min() < 0:
+        return None
+    ordered = col[inv]
+    if not np.all(ordered[1:] > ordered[:-1]):
+        return None
+    return idx + 1.0
+
+
 def prcc(samples: SampleSet, outputs) -> PRCCReport:
     """Partial rank correlation of each parameter against the output.
 
-    All columns are rank-transformed (average ranks on ties).  The
+    All columns are rank-transformed (average ranks on ties).  A
+    parameter column's ranks are its LHS stratum indices where
+    `_stratum_ranks` certifies them; any other column is sorted
+    (`average_ranks`), logged and listed in `sorted_columns`.  The
     coefficient for parameter j is the Pearson correlation of the
     residuals left after regressing its ranks and the output ranks on
     all other parameters' ranks.  By Frisch-Waugh this equals
@@ -240,15 +291,27 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
             raise SingularSampleError(
                 f"parameter {PARAM_ORDER[j]} is constant over the sample")
 
-    ranks = np.column_stack([average_ranks(samples.matrix[:, j]) for j in active]
-                            + [average_ranks(outputs)])
+    ranks = np.empty((n, len(active) + 1))
+    sorted_columns = []
+    for k, j in enumerate(active):
+        name = PARAM_ORDER[j]
+        col = samples.matrix[:, j]
+        column_ranks = _stratum_ranks(col, *samples.distribution.bounds(name))
+        if column_ranks is None:
+            _log.warning("PRCC: %s is not ranked by its LHS strata; "
+                         "sorting it", name)
+            sorted_columns.append(name)
+            column_ranks = average_ranks(col)
+        ranks[:, k] = column_ranks
+    ranks[:, -1] = average_ranks(outputs)
     inv = np.linalg.inv(np.corrcoef(ranks, rowvar=False))
     coeffs = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
     excluded = tuple(name for name in PARAM_ORDER
                      if samples.distribution.degenerate(name))
     return PRCCReport(
         coefficients={PARAM_ORDER[j]: float(c) for j, c in zip(active, coeffs)},
-        excluded=excluded, n=n, seed=samples.seed)
+        excluded=excluded, n=n, seed=samples.seed,
+        sorted_columns=tuple(sorted_columns))
 
 
 def prcc_to_csv(report: PRCCReport, path) -> None:

@@ -168,9 +168,11 @@ def test_sensitivity_reports_stage_times(config_file, tmp_path):
     cfg["sensitivity"]["samples"] = 60
     out = tmp_path / "sens.json"
     assert main(["sensitivity", "--config", config_file(cfg), "--out", str(out)]) == 0
-    stages = json.loads(out.read_text())["diagnostics"]["stage_s"]
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    stages = diagnostics["stage_s"]
     assert set(stages) == {"sampling", "thresholds", "prcc"}
     assert all(v >= 0.0 for v in stages.values())
+    assert diagnostics["sorted_columns"] == []
 
 
 def test_bad_json_config(tmp_path):

@@ -303,10 +303,8 @@ def test_scan_at_transcritical_point_is_marginal(sec22, tmp_path):
 
 def test_two_endemic_window_at_high_resolution(sec22):
     """[DERIVED] A 10^5-point scan puts the two-endemic window's edges
-    within one cell of beta_plus and beta_star, the README's accounting.
-    Right at the fold the roots are taken as double from a discriminant
-    that is slightly negative, so a grid point there can fail the
-    residual check: such error rows are counted and bounded."""
+    within one cell of beta_plus and beta_star, the README's accounting,
+    and no grid point next to the fold fails the residual check."""
     rep = bifurcation_thresholds(sec22.params)
     lo, hi, steps = 0.0, 0.6, 100_000
     cell = (hi - lo) / steps
@@ -318,8 +316,33 @@ def test_two_endemic_window_at_high_resolution(sec22):
     two = sorted(v for v, c in count.items() if c == 2)
     assert abs(two[0] - rep.beta_plus) <= cell
     assert abs(two[-1] - rep.beta_star) <= cell
-    errors = [r for r in rows if r.error is not None]
-    assert len(errors) <= 2
-    for r in errors:
-        assert r.error.startswith("endemic point at lambda_h=")
-        assert abs(r.param_value - rep.beta_plus) <= cell
+    assert [r for r in rows if r.error is not None] == []
+
+
+@pytest.mark.parametrize("beta_hv", [0.037524, 0.0375276, 0.03753])
+def test_classification_next_to_the_fold_follows_the_discriminant(sec22, beta_hv):
+    """[DERIVED] A few grid cells either side of beta_plus, the root
+    count follows the discriminant's sign: below the fold (negative, far
+    above its rounding level) there is no endemic point and no false
+    double root failing the residual check; above it there are two."""
+    p = dataclasses.replace(sec22.params, beta_hv=beta_hv)
+    eq = solve_endemic(p)
+    disc = eq.quadratic.discriminant
+    scale = max(eq.quadratic.d1 ** 2, abs(4.0 * eq.quadratic.d2 * eq.quadratic.d0))
+    assert abs(disc) > 1e-9 * scale
+    if disc < 0.0:
+        assert (eq.classification, eq.case) == (Classification.NO_ENDEMIC, "iii-c")
+        assert eq.endemic == []
+    else:
+        assert (eq.classification, eq.case) == (Classification.TWO, "iii-a")
+        assert len(eq.endemic) == 2
+
+
+def test_double_root_at_the_fold(sec22):
+    """[DERIVED] At beta_plus itself the discriminant is zero up to its
+    rounding: one endemic point, the double root, which passes the
+    residual check (case iii-b)."""
+    beta = bifurcation_thresholds(sec22.params).beta_plus
+    eq = solve_endemic(dataclasses.replace(sec22.params, beta_hv=beta))
+    assert (eq.classification, eq.case) == (Classification.UNIQUE, "iii-b")
+    assert len(eq.endemic) == 1

@@ -1,15 +1,21 @@
 """Latin hypercube design, R0 statistics, and PRCC machinery."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+import arbo.sensitivity
 from arbo.model import ModelParams, ParamError
 from arbo.sensitivity import (
-    PARAM_ORDER, ParamDistribution, RangeError, average_ranks, baseline_ranges,
-    condition_probabilities, histogram_to_csv, lhs_sample, prcc,
-    prcc_to_csv, r0_distribution, r0_of, r0_values,
+    PARAM_ORDER, ParamDistribution, RangeError, SampleSet, _stratum_ranks,
+    average_ranks, baseline_ranges, condition_probabilities, histogram_to_csv,
+    lhs_sample, prcc, prcc_to_csv, r0_distribution, r0_of, r0_values,
 )
-from arbo.thresholds import bifurcation_thresholds, net_reproductive_number
+from arbo.thresholds import (
+    bifurcation_thresholds, net_reproductive_number, threshold_arrays,
+)
 from conftest import mixed_regime_ranges, random_params
 
 
@@ -237,3 +243,88 @@ def test_lhs_rejects_out_of_domain_draws():
         lhs_sample(_ranges(mu_v=(-0.1, 0.1)), 50, seed=14)
     with pytest.raises(ParamError, match="eta_h"):
         lhs_sample(_ranges(eta_h=(0.5, 1.5)), 50, seed=14)
+
+
+def test_lhs_matrix_is_read_only_and_equals_row_major_loop():
+    """[TRIVIAL] The column-major design holds, bitwise, what a row-major
+    fill from the same RNG stream gives, and cannot be written to."""
+    dist = _ranges(delta=(1e-3, 1e-3))
+    n, seed = 257, 16
+    samples = lhs_sample(dist, n, seed)
+    rng = np.random.default_rng(seed)
+    want = np.empty((n, len(PARAM_ORDER)))
+    for j, name in enumerate(PARAM_ORDER):
+        lo, hi = dist.bounds(name)
+        perm = rng.permutation(n)
+        quantiles = (perm + rng.random(n)) / n
+        want[:, j] = lo + (hi - lo) * quantiles
+    assert samples.matrix.shape == want.shape
+    assert np.ascontiguousarray(samples.matrix).tobytes() == want.tobytes()
+    assert not samples.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        samples.matrix[0, 0] = 0.0
+    columns = vars(samples.columns())
+    assert all(np.shares_memory(col, samples.matrix) for col in columns.values())
+
+
+def test_thresholds_are_computed_once_per_design(monkeypatch):
+    """[TRIVIAL] R0 values, their distribution and the regime
+    probabilities share one `threshold_arrays` pass, whose arrays equal
+    a fresh pass bitwise and are read-only."""
+    samples = lhs_sample(mixed_regime_ranges(), 500, seed=17)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return threshold_arrays(p)
+
+    monkeypatch.setattr(arbo.sensitivity, "threshold_arrays", counted)
+    values = r0_values(samples)
+    stats = r0_distribution(samples)
+    condition_probabilities(samples)
+    assert len(calls) == 1
+    assert stats["values"] is values
+    fresh = threshold_arrays(samples.columns())
+    for f in dataclasses.fields(fresh):
+        got, want = getattr(samples.thresholds, f.name), getattr(fresh, f.name)
+        assert got.tobytes() == want.tobytes(), f.name
+        assert not got.flags.writeable, f.name
+
+
+@pytest.mark.parametrize("n, seed", [(5000, 20260823), (20000, 1)])
+def test_stratum_ranks_equal_average_ranks(n, seed):
+    """[DERIVED] On the criterion-6 and benchmark designs every parameter
+    column's strata give, bitwise, the ranks sorting gives, so PRCC
+    sorts none of them."""
+    samples = lhs_sample(baseline_ranges(), n, seed)
+    for j, name in enumerate(PARAM_ORDER):
+        col = samples.matrix[:, j]
+        ranks = _stratum_ranks(col, *samples.distribution.bounds(name))
+        assert ranks is not None, name
+        assert ranks.tobytes() == average_ranks(col).tobytes(), name
+    assert prcc(samples, r0_values(samples)).sorted_columns == ()
+
+
+def test_prcc_sorts_a_column_whose_strata_tie(caplog):
+    """[DERIVED] A hand-built design with one duplicated value: that
+    column's strata are not a permutation, so PRCC sorts it, logs one
+    WARNING naming it and lists it; the coefficients equal those from
+    sorting every column."""
+    samples = lhs_sample(baseline_ranges(), 300, seed=18)
+    matrix = np.array(samples.matrix)
+    j = PARAM_ORDER.index("mu_v")
+    matrix[1, j] = matrix[0, j]
+    tied = SampleSet(matrix=matrix, seed=18, distribution=samples.distribution)
+    outputs = r0_values(tied)
+    with caplog.at_level(logging.WARNING, logger="arbo"):
+        report = prcc(tied, outputs)
+    assert report.sorted_columns == ("mu_v",)
+    (record,) = [r for r in caplog.records if r.name == "arbo"]
+    assert record.levelno == logging.WARNING and "mu_v" in record.getMessage()
+
+    ranks = np.column_stack([average_ranks(matrix[:, k])
+                             for k in range(len(PARAM_ORDER))]
+                            + [average_ranks(outputs)])
+    inv = np.linalg.inv(np.corrcoef(ranks, rowvar=False))
+    want = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
+    assert list(report.coefficients.values()) == want.tolist()
