@@ -1,6 +1,8 @@
 """RK4 kernels of the forward-backward sweep.
 
-`rk4.c` holds the controlled and the adjoint right-hand sides and their
+`rk4.c` holds the controlled right-hand side, its state derivative
+`field_vjp` (J^T lambda, as `model.field_vjp`), the adjoint right-hand
+side built from that derivative (as `control.adjoint_field`) and their
 RK4 loops over flat double arrays, with the parameters in the order of
 `model.params_to_array` / `model.control_params_to_array`.  On first
 import it is compiled with the system C compiler and loaded with ctypes.
@@ -10,9 +12,10 @@ directory when that is not writable.
 
 If the build or the load fails, the same kernels run the Python
 right-hand sides (`model.controlled_field`, `control.adjoint_field`)
-through `ode.forward_steps` / `ode.backward_steps`.  Each backend's
-`rk4_basic` is its own `rk4_controlled` with zero controls and zero
-control efficacies.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
+through `ode.forward_steps` / `ode.backward_steps`; built without fused
+multiply-add, the C kernels give the same values to the last bit.  Each
+backend's `rk4_basic` is its own `rk4_controlled` with zero controls and
+zero control efficacies.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
 is None or the error that forced the fallback.  Every kernel raises
 `model.ZeroPopulationError` in the step whose right-hand side meets a
 zero or negative human total, and `ode.NonFiniteError` at the first

@@ -1,11 +1,13 @@
 /* Fixed-step RK4 kernels of the forward-backward sweep.
  *
- * Each right-hand side is written in the same operation order as its
- * Python counterpart (model.controlled_field, control.adjoint_field)
- * and each loop in the same order as ode.forward_steps /
- * ode.backward_steps, so that without fused multiply-add the two routes
- * agree to the last bit.  The uncontrolled system is the controlled one
- * with zero controls and zero control efficacies.
+ * The right-hand side and its state derivative are written in the same
+ * operation order as their Python counterparts (model.controlled_field,
+ * model.field_vjp), the adjoint right-hand side is built from the
+ * derivative as control.adjoint_field is, and each loop runs in the
+ * same order as ode.forward_steps / ode.backward_steps, so that without
+ * fused multiply-add the two routes agree to the last bit.  The
+ * uncontrolled system is the controlled one with zero controls and zero
+ * control efficacies.
  *
  * Arrays are C-contiguous doubles: par in the order of
  * model.params_to_array, cpar in that of model.control_params_to_array,
@@ -68,44 +70,53 @@ static int controlled_rhs(const double *x, const double *u, const double *p,
     return empty;
 }
 
+/* J^T l for the state Jacobian J of controlled_rhs (model.field_vjp). */
+static int field_vjp(const double *x, const double *u, const double *l,
+                     const double *p, const double *c, double *g)
+{
+    double n_h, foi_h, foi_v;
+    int empty = infection(x, p, &n_h, &foi_h, &foi_v);
+    double n_v = x[SV] + x[EV] + x[IV];
+    double protect = 1.0 - c[ALPHA1] * u[1];
+    double mu_v_c = p[MUV] + c[CM] * u[3];
+    double treat = c[ALPHA2] * u[2];
+    double egg_room = p[MUB] * (1.0 - x[EGG] / p[GE]);
+    double flux_h = (l[EH] - l[SH]) * protect;
+    double flux_v = (l[EV] - l[SV]) * protect;
+    double via_n_h = -(flux_h * foi_h * x[SH] + flux_v * foi_v * x[SV]) / n_h;
+    g[SH] = via_n_h + flux_h * foi_h - (p[MUH] + u[0]) * l[SH] + u[0] * l[RH];
+    g[EH] = via_n_h + flux_v * p[A] * p[BVH] * p[ETAH] * x[SV] / n_h
+            - (p[MUH] + p[GAMH]) * l[EH] + p[GAMH] * l[IH];
+    g[IH] = via_n_h + flux_v * p[A] * p[BVH] * x[SV] / n_h
+            - (p[MUH] + (1.0 - treat) * p[DELTA] + p[SIGMA] + treat) * l[IH]
+            + (p[SIGMA] + treat) * l[RH];
+    g[RH] = via_n_h + c[OMEGA] * u[0] * l[SH] - (p[MUH] + c[OMEGA] * u[0]) * l[RH];
+    g[SV] = flux_v * foi_v - mu_v_c * l[SV] + egg_room * l[EGG];
+    g[EV] = flux_h * p[A] * p[BHV] * p[ETAV] * x[SH] / n_h
+            - (p[MUV] + p[GAMV] + c[CM] * u[3]) * l[EV] + p[GAMV] * l[IV]
+            + egg_room * l[EGG];
+    g[IV] = flux_h * p[A] * p[BHV] * x[SH] / n_h - mu_v_c * l[IV]
+            + egg_room * l[EGG];
+    g[EGG] = -(p[MUB] * n_v / p[GE] + p[S] + p[MUE] + c[ETA1] * u[4]) * l[EGG]
+             + p[S] * (1.0 - x[LAR] / p[GL]) * l[LAR];
+    g[LAR] = -(p[S] * x[EGG] / p[GL] + p[L] + p[MUL] + c[ETA2] * u[4]) * l[LAR]
+             + p[L] * l[PUP];
+    g[PUP] = p[THETA] * l[SV] - (p[THETA] + p[MUP]) * l[PUP];
+    return empty;
+}
+
+/* -dH/dx (control.adjoint_field): minus the running cost's state
+ * gradient and J^T l; dw = (D1, D2, D3, D4). */
 static int adjoint_rhs(const double *l, const double *x, const double *u,
                        const double *p, const double *c, const double *dw,
                        double *d)
 {
-    double n_h, fh, fv;
-    int empty = infection(x, p, &n_h, &fh, &fv);
-    double k3 = p[MUH] + p[GAMH];
-    double k5 = p[S] + p[MUE];
-    double k6 = p[L] + p[MUL];
-    double k7 = p[THETA] + p[MUP];
-    double k9 = p[MUV] + p[GAMV];
-    double g2 = 1.0 - c[ALPHA1] * u[1];
-    double m_v = p[MUV] + c[CM] * u[3];
-    double q = g2 * fv * x[SV] / n_h;
-    double share = g2 * fh * x[SH] / n_h;
-    double egg_room = p[MUB] * (1.0 - x[EGG] / p[GE]);
-    double n_v = x[SV] + x[EV] + x[IV];
-    double treat = c[ALPHA2] * u[2];
-    d[SH] = (l[0] - l[1]) * g2 * fh * (1.0 - x[SH] / n_h)
-            + (p[MUH] + u[0]) * l[0] - u[0] * l[3] + q * (l[5] - l[4]);
-    d[EH] = (l[1] - l[0]) * share + k3 * l[1] - p[GAMH] * l[2]
-            + (l[4] - l[5]) * g2 * x[SV] * (p[A] * p[BVH] * p[ETAH] - fv) / n_h;
-    d[IH] = -dw[0] + (l[1] - l[0]) * share
-            + (p[MUH] + (1.0 - treat) * p[DELTA] + p[SIGMA] + treat) * l[2]
-            - (p[SIGMA] + treat) * l[3]
-            + (l[4] - l[5]) * g2 * x[SV] * (p[A] * p[BVH] - fv) / n_h;
-    d[RH] = (l[1] - l[0]) * share - c[OMEGA] * u[0] * l[0]
-            + (p[MUH] + c[OMEGA] * u[0]) * l[3] + q * (l[5] - l[4]);
-    d[SV] = -dw[1] + (l[4] - l[5]) * g2 * fv + m_v * l[4] - egg_room * l[7];
-    d[EV] = -dw[1] + (l[0] - l[1]) * g2 * p[A] * p[BHV] * p[ETAV] * x[SH] / n_h
-            + (k9 + c[CM] * u[3]) * l[5] - p[GAMV] * l[6] - egg_room * l[7];
-    d[IV] = -dw[1] + (l[0] - l[1]) * g2 * p[A] * p[BHV] * x[SH] / n_h
-            + m_v * l[6] - egg_room * l[7];
-    d[EGG] = -dw[2] + (p[MUB] * n_v / p[GE] + k5 + c[ETA1] * u[4]) * l[7]
-             - p[S] * (1.0 - x[LAR] / p[GL]) * l[8];
-    d[LAR] = -dw[3] + (p[S] * x[EGG] / p[GL] + k6 + c[ETA2] * u[4]) * l[8]
-             - p[L] * l[9];
-    d[PUP] = -p[THETA] * l[4] + k7 * l[9];
+    const double cost[NX] = {0.0, 0.0, dw[0], 0.0, dw[1], dw[1], dw[1],
+                             dw[2], dw[3], 0.0};
+    double vjp[NX];
+    int empty = field_vjp(x, u, l, p, c, vjp);
+    for (int j = 0; j < NX; j++)
+        d[j] = -(cost[j] + vjp[j]);
     return empty;
 }
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
@@ -34,6 +35,8 @@ from .thresholds import ThresholdError, bifurcation_thresholds, derive_constants
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
+
+_log = logging.getLogger("arbo")
 
 
 class ConfigError(ValueError):
@@ -125,7 +128,7 @@ def _initial_state(cfg: dict) -> np.ndarray:
 
 
 def _seed(cfg: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("ARBO_SEED")
     if env is not None:
@@ -194,8 +197,7 @@ def cmd_bifurcation(args) -> int:
     equilibria.scan_to_csv(rows, args.out)
     errors = sum(r.error is not None for r in rows)
     unknown = sum(r.error is None and r.stable is None for r in rows)
-    import logging
-    logging.getLogger("arbo").info(
+    _log.info(
         "bifurcation scan of %s: %d grid points, %d rows, %d error rows, "
         "%d unknown verdicts, %.3f s", args.param, args.steps + 1, len(rows),
         errors, unknown, seconds)
@@ -340,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (overrides ARBO_SEED and config)")
 
     sp = sub.add_parser("thresholds", help="threshold report JSON")
     common(sp)
@@ -368,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sensitivity", help="LHS/PRCC report")
     common(sp)
     sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="RNG seed (overrides ARBO_SEED and config)")
     sp.add_argument("--prcc-csv", default=None)
     sp.add_argument("--hist-csv", default=None)
     sp.set_defaults(func=cmd_sensitivity)

@@ -10,10 +10,9 @@ import numpy as np
 
 from . import _kernels
 from .model import (
-    E_H, E_V, EGG, I_H, I_V, LAR, N_CONTROLS, PUP, R_H, S_H, S_V,
+    E_V, EGG, I_H, I_V, LAR, N_CONTROLS, R_H, S_H, S_V,
     ControlParams, ModelParams, ParamError, _infection,
-    control_params_to_array, controlled_field, derive_constants,
-    params_to_array,
+    control_params_to_array, controlled_field, field_vjp, params_to_array,
 )
 from .ode import TimeGrid, Trajectory
 
@@ -125,42 +124,14 @@ def hamiltonian(x, u, adj, p: ModelParams, c: ControlParams,
 
 def adjoint_field(x, u, adj, p: ModelParams, c: ControlParams,
                   w: ObjectiveWeights) -> np.ndarray:
-    """Right-hand side of the ten adjoint equations (equals -dH/dx)."""
-    n_h, fh, fv = _infection(x, p)
-    k = derive_constants(p)
-    l1, l2, l3, l4, l5, l6, l7, l8, l9, l10 = adj
-    u1, u2, u3, u4, u5 = u[0], u[1], u[2], u[3], u[4]
-
-    g2 = 1.0 - c.alpha1 * u2
-    m_v = p.mu_v + c.c_m * u4
-    q = g2 * fv * x[S_V] / n_h
-    share = g2 * fh * x[S_H] / n_h
-    egg_room = p.mu_b * (1.0 - x[EGG] / p.Gamma_E)
-    n_v = x[S_V] + x[E_V] + x[I_V]
-    treat = c.alpha2 * u3
-
-    d = np.empty(10)
-    d[S_H] = ((l1 - l2) * g2 * fh * (1.0 - x[S_H] / n_h)
-              + (p.mu_h + u1) * l1 - u1 * l4 + q * (l6 - l5))
-    d[E_H] = ((l2 - l1) * share + k.k3 * l2 - p.gamma_h * l3
-              + (l5 - l6) * g2 * x[S_V] * (p.a * p.beta_vh * p.eta_h - fv) / n_h)
-    d[I_H] = (-w.D1 + (l2 - l1) * share
-              + (p.mu_h + (1.0 - treat) * p.delta + p.sigma + treat) * l3
-              - (p.sigma + treat) * l4
-              + (l5 - l6) * g2 * x[S_V] * (p.a * p.beta_vh - fv) / n_h)
-    d[R_H] = ((l2 - l1) * share - c.omega * u1 * l1
-              + (p.mu_h + c.omega * u1) * l4 + q * (l6 - l5))
-    d[S_V] = -w.D2 + (l5 - l6) * g2 * fv + m_v * l5 - egg_room * l8
-    d[E_V] = (-w.D2 + (l1 - l2) * g2 * p.a * p.beta_hv * p.eta_v * x[S_H] / n_h
-              + (k.k9 + c.c_m * u4) * l6 - p.gamma_v * l7 - egg_room * l8)
-    d[I_V] = (-w.D2 + (l1 - l2) * g2 * p.a * p.beta_hv * x[S_H] / n_h
-              + m_v * l7 - egg_room * l8)
-    d[EGG] = (-w.D3 + (p.mu_b * n_v / p.Gamma_E + k.k5 + c.eta1 * u5) * l8
-              - p.s * (1.0 - x[LAR] / p.Gamma_L) * l9)
-    d[LAR] = (-w.D4 + (p.s * x[EGG] / p.Gamma_L + k.k6 + c.eta2 * u5) * l9
-              - p.l * l10)
-    d[PUP] = -p.theta * l5 + k.k7 * l10
-    return d
+    """Right-hand side of the ten adjoint equations, -dH/dx: minus the
+    running cost's state gradient and J^T adj (`model.field_vjp`)."""
+    cost = np.zeros(10)
+    cost[I_H] = w.D1
+    cost[[S_V, E_V, I_V]] = w.D2
+    cost[EGG] = w.D3
+    cost[LAR] = w.D4
+    return -(cost + field_vjp(x, u, adj, p, c))
 
 
 def characterize_controls(x, adj, p: ModelParams, c: ControlParams,

@@ -225,6 +225,55 @@ def controlled_field(x, u, p: ModelParams, c: ControlParams) -> np.ndarray:
     return dx.T
 
 
+def field_vjp(x, u, lam, p: ModelParams, c: ControlParams) -> np.ndarray:
+    """J^T lam, where J is the state Jacobian of `controlled_field` at
+    (x, u): the exact derivative, row k of J being `field_vjp` at the
+    k-th unit vector.
+
+    Takes the shapes of `controlled_field`, with `lam` shaped like `x`;
+    each row of a stack's result equals the single-state call bitwise.
+    `rk4.c`'s `field_vjp` is this function term for term.
+    """
+    x = np.asarray(x)
+    n_h, foi_h, foi_v = _infection(x, p)
+    s_h, e_h, i_h, r_h, s_v, e_v, i_v, egg, lar, pup = x.T
+    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9 = np.asarray(lam).T
+    u1, u2, u3, u4, u5 = np.asarray(u).T
+    n_v = s_v + e_v + i_v
+
+    protect = 1.0 - c.alpha1 * u2
+    mu_v_c = p.mu_v + c.c_m * u4
+    treat = c.alpha2 * u3
+    egg_room = p.mu_b * (1.0 - egg / p.Gamma_E)
+    # Weights of the infection fluxes foi_h*s_h (S_h -> E_h) and
+    # foi_v*s_v (S_v -> E_v); both forces divide by the human total, so
+    # every human compartment gets the flux derivative through n_h.
+    flux_h = (l1 - l0) * protect
+    flux_v = (l5 - l4) * protect
+    via_n_h = -(flux_h * foi_h * s_h + flux_v * foi_v * s_v) / n_h
+
+    g = np.empty(x.T.shape)
+    g[S_H] = via_n_h + flux_h * foi_h - (p.mu_h + u1) * l0 + u1 * l3
+    g[E_H] = (via_n_h + flux_v * p.a * p.beta_vh * p.eta_h * s_v / n_h
+              - (p.mu_h + p.gamma_h) * l1 + p.gamma_h * l2)
+    g[I_H] = (via_n_h + flux_v * p.a * p.beta_vh * s_v / n_h
+              - (p.mu_h + (1.0 - treat) * p.delta + p.sigma + treat) * l2
+              + (p.sigma + treat) * l3)
+    g[R_H] = via_n_h + c.omega * u1 * l0 - (p.mu_h + c.omega * u1) * l3
+    g[S_V] = flux_v * foi_v - mu_v_c * l4 + egg_room * l7
+    g[E_V] = (flux_h * p.a * p.beta_hv * p.eta_v * s_h / n_h
+              - (p.mu_v + p.gamma_v + c.c_m * u4) * l5 + p.gamma_v * l6
+              + egg_room * l7)
+    g[I_V] = (flux_h * p.a * p.beta_hv * s_h / n_h - mu_v_c * l6
+              + egg_room * l7)
+    g[EGG] = (-(p.mu_b * n_v / p.Gamma_E + p.s + p.mu_E + c.eta1 * u5) * l7
+              + p.s * (1.0 - lar / p.Gamma_L) * l8)
+    g[LAR] = (-(p.s * egg / p.Gamma_L + p.l + p.mu_L + c.eta2 * u5) * l8
+              + p.l * l9)
+    g[PUP] = p.theta * l4 - (p.theta + p.mu_P) * l9
+    return g.T
+
+
 _NO_CONTROL = np.zeros(N_CONTROLS)
 _NO_EFFECT = ControlParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 

@@ -1,6 +1,6 @@
-"""Local stability analysis: finite-difference Jacobians and eigenvalue
-verdicts for one equilibrium or a stack, Routh-Hurwitz for the trivial
-equilibrium, center-manifold bifurcation coefficients at the
+"""Local stability analysis: exact Jacobians (from `model.field_vjp`)
+and eigenvalue verdicts for one equilibrium or a stack, Routh-Hurwitz for
+the trivial equilibrium, center-manifold bifurcation coefficients at the
 transcritical point, and a numeric Lyapunov monotonicity check."""
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
-    ModelParams, basic_field, derive_constants, param_rows,
+    _NO_CONTROL, _NO_EFFECT, E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
+    ModelParams, basic_field, derive_constants, field_vjp, param_rows,
 )
 from .ode import Trajectory
 from .thresholds import (
@@ -73,19 +73,16 @@ class BifurcationCoefficients:
 
 
 def jacobians(x, p) -> np.ndarray:
-    """Central finite-difference Jacobians (m, 10, 10) of the uncontrolled
-    right-hand side at a stack of states (m, 10), row i under row i of
-    `p` (fields scalar or of length m), step h_i = 1e-6*max(1, |x_i|);
-    the (m, 2n, 10) displaced states go through one field call."""
+    """Exact Jacobians (m, 10, 10) of the uncontrolled right-hand side at
+    a stack of states (m, 10), row i under row i of `p` (fields scalar or
+    of length m): one `field_vjp` call on each state repeated ten times
+    against the rows of the identity, row k giving J^T e_k."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[1]
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    cols = np.arange(n)
-    stack = np.repeat(x[:, None, :], 2 * n, axis=1)
-    stack[:, cols, cols] += h
-    stack[:, n + cols, cols] -= h
-    f = basic_field(stack, p)
-    return (f[:, :n] - f[:, n:]).transpose(0, 2, 1) / (2.0 * h[:, None, :])
+    m, n = x.shape
+    rows = np.repeat(np.arange(m), n)
+    lam = np.tile(np.eye(n), (m, 1))
+    return field_vjp(x[rows], _NO_CONTROL, lam, param_rows(p, rows),
+                     _NO_EFFECT).reshape(m, n, n)
 
 
 def jacobian(x, p: ModelParams) -> np.ndarray:

@@ -175,6 +175,15 @@ def test_sensitivity_reports_stage_times(config_file, tmp_path):
     assert diagnostics["sorted_columns"] == []
 
 
+def test_seed_is_refused_where_no_command_reads_it(config_file, capsys):
+    """[TRIVIAL] Only `sensitivity` draws random numbers, so only it takes
+    `--seed`; elsewhere the option is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["thresholds", "--config", config_file(_table5()), "--seed", "3"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_bad_json_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

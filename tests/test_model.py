@@ -10,7 +10,7 @@ from arbo.model import (
     E_H, E_V, I_H, I_V, S_H, S_V,
     ControlParams, ModelParams, ParamError, ZeroPopulationError,
     _infection, basic_field, control_params_to_array, controlled_field,
-    derive_constants, in_bounds, param_rows, params_to_array,
+    derive_constants, field_vjp, in_bounds, param_rows, params_to_array,
 )
 from arbo.sensitivity import PARAM_ORDER
 from arbo.thresholds import dfe_components
@@ -116,6 +116,35 @@ def test_basic_field_with_per_row_parameters_equals_row_by_row():
     index = np.array([3, 3, 0, 63])
     assert basic_field(xs[index], param_rows(rows, index)).tobytes() == (
         want[index].tobytes())
+
+
+def test_field_vjp_matches_central_differences(table5):
+    """[DERIVED] J^T lam from `field_vjp` equals the central difference of
+    lam . controlled_field along each state coordinate, with every
+    control on and one parameter set per row; the stacked call equals
+    the row-by-row calls bitwise."""
+    c = table5.control_params
+    rng = np.random.default_rng(7)
+    ps = [random_params(rng) for _ in range(64)]
+    rows = SimpleNamespace(**{name: np.array([getattr(p, name) for p in ps])
+                              for name in PARAM_ORDER})
+    xs = rng.uniform(1.0, 1e4, (64, 10))
+    us = rng.uniform(0.0, 1.0, (64, 5))
+    lam = rng.normal(size=(64, 10))
+    exact = field_vjp(xs, us, lam, rows, c)
+    assert exact.tobytes() == np.array(
+        [field_vjp(x, u, v, p, c)
+         for x, u, v, p in zip(xs, us, lam, ps)]).tobytes()
+    fd = np.empty_like(exact)
+    for j in range(10):
+        h = 1e-6 * np.maximum(1.0, np.abs(xs[:, j]))
+        up, down = xs.copy(), xs.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        diff = controlled_field(up, us, rows, c) - controlled_field(down, us, rows, c)
+        fd[:, j] = np.sum(lam * diff, axis=1) / (2.0 * h)
+    scale = np.max(np.abs(exact), axis=1, keepdims=True)
+    assert np.all(np.abs(fd - exact) < 1e-7 * scale)
 
 
 def test_bounds_check_matches_construction(table5):
