@@ -2,17 +2,22 @@
 
 `rk4.c` holds the controlled right-hand side, its state derivative
 `field_vjp` (J^T lambda, as `model.field_vjp`), the adjoint right-hand
-side built from that derivative (as `control.adjoint_field`) and their
-RK4 loops over flat double arrays, with the parameters in the order of
-`model.params_to_array` / `model.control_params_to_array`.  On first
-import it is compiled with the system C compiler and loaded with ctypes.
-The library is cached under a hash of the source and the compile
-command, in `__pycache__` next to the source, or in the user cache
-directory when that is not writable.
+side built from that derivative (as `control.adjoint_field`) and the
+control characterization (as `control.characterize_controls`), over
+flat double arrays with the parameters in the order of
+`model.params_to_array` / `model.control_params_to_array`.  Its three
+entry points are `rk4_controlled` (forward states), `rk4_adjoint`
+(backward adjoints) and `sweep_step`, one whole sweep iteration: both
+passes, the relaxed control update and the two relative changes.  On
+first import it is compiled with the system C compiler and loaded with
+ctypes.  The library is cached under a hash of the source and the
+compile command, in `__pycache__` next to the source, or in the user
+cache directory when that is not writable.
 
 If the build or the load fails, the same kernels run the Python
 right-hand sides (`model.controlled_field`, `control.adjoint_field`)
-through `ode.forward_steps` / `ode.backward_steps`; built without fused
+through `ode.forward_steps` / `ode.backward_steps`, and `sweep_step`
+composes those with `control.characterize_controls`; built without fused
 multiply-add, the C kernels give the same values to the last bit.  Each
 backend's `rk4_basic` is its own `rk4_controlled` with zero controls and
 zero control efficacies.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
@@ -53,6 +58,7 @@ class Kernels:
     rk4_basic: Callable
     rk4_controlled: Callable
     rk4_adjoint: Callable
+    sweep_step: Callable
 
 
 _NO_HUMANS = -2  # NO_HUMANS in rk4.c
@@ -74,6 +80,14 @@ def _array(a, shape) -> np.ndarray:
             w is not None and w != s for w, s in zip(shape, a.shape)):
         raise ValueError(f"array of shape {a.shape}, need {shape}")
     return a
+
+
+def _mask(mask) -> np.ndarray:
+    """A strategy mask: five entries, each 0 or 1."""
+    mask = _array(mask, (5,))
+    if not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ValueError(f"mask entries must be 0 or 1, got {mask}")
+    return mask
 
 
 def _steps(n_steps) -> int:
@@ -122,41 +136,91 @@ def _py_adjoint(par, cpar, dwts, states, u, dt):
         np.zeros(10), states, float(dt), u)
 
 
+def _py_sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
+    from ..control import (  # control imports us
+        ObjectiveWeights, StrategyMask, _rel_sup_change, characterize_controls,
+    )
+
+    w = ObjectiveWeights(*_array(wts, (9,)).tolist())
+    active = StrategyMask("sweep", tuple((_mask(mask) == 1.0).tolist()))
+    u = _array(u, (None, 5))
+    if prev_states is not None:
+        prev_states = _array(prev_states, (u.shape[0], 10))
+    states = _py_controlled(par, cpar, x0, u, dt)
+    adjoints = _py_adjoint(par, cpar, w.to_array()[:4], states, u, dt)
+    u_char = characterize_controls(states, adjoints, _model_params(par),
+                                   _control_params(cpar), w, active)
+    mix = float(mix)
+    u_new = mix * u_char + (1.0 - mix) * u
+    state_change = (float("inf") if prev_states is None
+                    else _rel_sup_change(states, prev_states))
+    return states, adjoints, u_new, _rel_sup_change(u_new, u), state_change
+
+
 PYTHON = Kernels("python", None, _zero_control(_py_controlled), _py_controlled,
-                 _py_adjoint)
+                 _py_adjoint, _py_sweep_step)
 
 
 def _c_kernels(lib: ctypes.CDLL) -> Kernels:
-    arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    n, step = ctypes.c_long, ctypes.c_double
+    # Every array is validated by `_array` (or made by np.empty) before
+    # its address is passed, so the arguments are bare pointers.
+    arr, n, step = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.rk4_controlled.argtypes = [arr, arr, arr, arr, n, step, arr]
     lib.rk4_adjoint.argtypes = [arr, arr, arr, arr, arr, n, step, arr]
-    for fn in (lib.rk4_controlled, lib.rk4_adjoint):
+    lib.sweep_step.argtypes = [arr, arr, arr, arr, step, arr, arr, arr, n,
+                               step, arr, arr, arr, arr]
+    for fn in (lib.rk4_controlled, lib.rk4_adjoint, lib.sweep_step):
         fn.restype = ctypes.c_long
 
     def rk4_controlled(par, cpar, x0, u, dt):
         """Controlled forward RK4 with node controls u of shape (n+1, 5);
         half-step controls are the average of the adjacent nodes."""
         u = _array(u, (None, 5))
+        args = [_array(par, (21,)), _array(cpar, (6,)), _array(x0, (10,)), u]
         out = np.empty((u.shape[0], 10))
-        _check(lib.rk4_controlled(_array(par, (21,)), _array(cpar, (6,)),
-                                  _array(x0, (10,)), u, u.shape[0] - 1,
-                                  dt, out), dt)
+        _check(lib.rk4_controlled(*_addresses(args), u.shape[0] - 1, dt,
+                                  out.ctypes.data), dt)
         return out
 
     def rk4_adjoint(par, cpar, dwts, states, u, dt):
         """Backward RK4 for the adjoint system with zero terminal value;
         intermediate stages average the adjacent nodes."""
         states = _array(states, (None, 10))
+        args = [_array(par, (21,)), _array(cpar, (6,)), _array(dwts, (4,)),
+                states, _array(u, (states.shape[0], 5))]
         out = np.empty(states.shape)
-        _check(lib.rk4_adjoint(_array(par, (21,)), _array(cpar, (6,)),
-                               _array(dwts, (4,)), states,
-                               _array(u, (states.shape[0], 5)),
-                               states.shape[0] - 1, dt, out), dt)
+        _check(lib.rk4_adjoint(*_addresses(args), states.shape[0] - 1, dt,
+                               out.ctypes.data), dt)
         return out
 
+    def sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
+        """One sweep iteration under the node controls u (n+1, 5): returns
+        (states, adjoints, u_new, control_change, state_change), where
+        u_new = mix * u_char + (1 - mix) * u for the masked, clamped
+        characterization u_char, and each change is the relative
+        sup-norm change (`control._rel_sup_change`); the state change
+        against prev_states is infinite when prev_states is None."""
+        u = _array(u, (None, 5))
+        rows = u.shape[0]
+        head = [_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
+                _mask(mask)]
+        x0 = _array(x0, (10,))
+        if prev_states is not None:
+            prev_states = _array(prev_states, (rows, 10))
+        states, adjoints = np.empty((rows, 10)), np.empty((rows, 10))
+        u_new, change = np.empty((rows, 5)), np.empty(2)
+        _check(lib.sweep_step(
+            *_addresses(head), mix, x0.ctypes.data, u.ctypes.data,
+            None if prev_states is None else prev_states.ctypes.data,
+            rows - 1, dt, *_addresses([states, adjoints, u_new, change])), dt)
+        return states, adjoints, u_new, float(change[0]), float(change[1])
+
     return Kernels("c", None, _zero_control(rk4_controlled), rk4_controlled,
-                   rk4_adjoint)
+                   rk4_adjoint, sweep_step)
+
+
+def _addresses(arrays) -> list:
+    return [a.ctypes.data for a in arrays]
 
 
 def _cache_dirs() -> list[Path]:
@@ -222,6 +286,7 @@ FALLBACK_REASON = _active.reason
 rk4_basic = _active.rk4_basic
 rk4_controlled = _active.rk4_controlled
 rk4_adjoint = _active.rk4_adjoint
+sweep_step = _active.sweep_step
 
 __all__ = ["BACKEND", "FALLBACK_REASON", "PYTHON", "Kernels", "load",
-           "rk4_adjoint", "rk4_basic", "rk4_controlled"]
+           "rk4_adjoint", "rk4_basic", "rk4_controlled", "sweep_step"]

@@ -1,22 +1,28 @@
 /* Fixed-step RK4 kernels of the forward-backward sweep.
  *
+ * Three entry points: rk4_controlled (the forward state pass),
+ * rk4_adjoint (the backward adjoint pass) and sweep_step, one whole
+ * sweep iteration: both passes, then the control update and the two
+ * change norms in one pass over the nodes.
+ *
  * The right-hand side and its state derivative are written in the same
  * operation order as their Python counterparts (model.controlled_field,
  * model.field_vjp), the adjoint right-hand side is built from the
- * derivative as control.adjoint_field is, and each loop runs in the
- * same order as ode.forward_steps / ode.backward_steps, so that without
- * fused multiply-add the two routes agree to the last bit.  The
+ * derivative as control.adjoint_field is, each loop runs in the same
+ * order as ode.forward_steps / ode.backward_steps, and the control
+ * update follows control.characterize_controls term for term, so that
+ * without fused multiply-add the two routes agree to the last bit.  The
  * uncontrolled system is the controlled one with zero controls and zero
  * control efficacies.
  *
  * Arrays are C-contiguous doubles: par in the order of
  * model.params_to_array, cpar in that of model.control_params_to_array,
- * dwts = (D1, D2, D3, D4), states and out as (n_steps + 1) x 10 and the
- * controls u as (n_steps + 1) x 5.  Every loop stops at the first node
- * holding a NaN or an infinity and returns its index.  It returns
- * NO_HUMANS when a right-hand side met a zero or negative human total
- * (where the Python right-hand sides raise ZeroPopulationError), and
- * FINITE when all nodes are finite.
+ * dwts = (D1, D2, D3, D4), wts = (D1, D2, D3, D4, B1, ..., B5), states
+ * and out as (n_steps + 1) x 10 and the controls u as (n_steps + 1) x 5.
+ * Every loop stops at the first node holding a NaN or an infinity and
+ * returns its index.  It returns NO_HUMANS when a right-hand side met a
+ * zero or negative human total (where the Python right-hand sides raise
+ * ZeroPopulationError), and FINITE when all nodes are finite.
  */
 
 #include <math.h>
@@ -196,5 +202,81 @@ long rk4_adjoint(const double *par, const double *cpar, const double *dwts,
         for (int j = 0; j < NX; j++)
             out[i * NX + j] = lam[j];
     }
+    return FINITE;
+}
+
+/* The stationary-point controls at one node (control.characterize_controls):
+ * the root of dH/du_j, clamped to [0, 1] as np.clip does (NaN and -0.0
+ * pass through), times the strategy mask; b = (B1, ..., B5). */
+static int characterize(const double *x, const double *l, const double *p,
+                        const double *c, const double *b, const double *mask,
+                        double *u)
+{
+    double n_h, fh, fv;
+    int empty = infection(x, p, &n_h, &fh, &fv);
+    u[0] = (l[SH] - l[RH]) * (x[SH] - c[OMEGA] * x[RH]) / (2.0 * b[0]);
+    u[1] = c[ALPHA1] * (fh * x[SH] * (l[EH] - l[SH])
+                        + fv * x[SV] * (l[EV] - l[SV])) / (2.0 * b[1]);
+    u[2] = c[ALPHA2] * ((1.0 - p[DELTA]) * l[IH] - l[RH]) * x[IH] / (2.0 * b[2]);
+    u[3] = c[CM] * (x[SV] * l[SV] + x[EV] * l[EV] + x[IV] * l[IV]) / (2.0 * b[3]);
+    u[4] = (c[ETA1] * x[EGG] * l[EGG] + c[ETA2] * x[LAR] * l[LAR]) / (2.0 * b[4]);
+    for (int j = 0; j < NU; j++)
+        u[j] = (u[j] < 0.0 ? 0.0 : u[j] > 1.0 ? 1.0 : u[j]) * mask[j];
+    return empty;
+}
+
+/* Running maximum of |v| that sticks at NaN, as np.max(np.abs(.)) does. */
+static double sup_abs(double m, double v)
+{
+    if (isnan(m))
+        return m;
+    v = fabs(v);
+    return isnan(v) || v > m ? v : m;
+}
+
+/* max|new - old| / max(1, max|new|), with Python's max(1.0, NaN) = 1.0
+ * (control._rel_sup_change). */
+static double rel_change(double diff, double size)
+{
+    return diff / (size > 1.0 ? size : 1.0);
+}
+
+/* One sweep iteration: the forward pass under u into states, the
+ * adjoint pass into adjoints, then at every node the relaxed update
+ * u_new = mix * u_char + (1 - mix) * u, and change = (relative sup-norm
+ * change of u_new against u, of states against prev_states).  With
+ * prev_states NULL the state change is infinite.  Returns as the passes
+ * do. */
+long sweep_step(const double *par, const double *cpar, const double *wts,
+                const double *mask, double mix, const double *x0,
+                const double *u, const double *prev_states, long n_steps,
+                double dt, double *states, double *adjoints, double *u_new,
+                double *change)
+{
+    long bad = rk4_controlled(par, cpar, x0, u, n_steps, dt, states);
+    if (bad == FINITE)
+        bad = rk4_adjoint(par, cpar, wts, states, u, n_steps, dt, adjoints);
+    if (bad != FINITE)
+        return bad;
+    double u_char[NU], du = 0.0, u_size = 0.0, dx = 0.0, x_size = 0.0;
+    for (long i = 0; i <= n_steps; i++) {
+        const double *x = states + i * NX, *u_old = u + i * NU;
+        double *u_i = u_new + i * NU;
+        if (characterize(x, adjoints + i * NX, par, cpar, wts + 4, mask, u_char))
+            return NO_HUMANS;
+        for (int j = 0; j < NU; j++) {
+            u_i[j] = mix * u_char[j] + (1.0 - mix) * u_old[j];
+            du = sup_abs(du, u_i[j] - u_old[j]);
+            u_size = sup_abs(u_size, u_i[j]);
+        }
+        if (!prev_states)
+            continue;
+        for (int j = 0; j < NX; j++) {
+            dx = sup_abs(dx, x[j] - prev_states[i * NX + j]);
+            x_size = sup_abs(x_size, x[j]);
+        }
+    }
+    change[0] = rel_change(du, u_size);
+    change[1] = prev_states ? rel_change(dx, x_size) : INFINITY;
     return FINITE;
 }

@@ -51,9 +51,9 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # JSON has no NaN or infinity
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
     return obj
@@ -62,7 +62,7 @@ def _jsonable(obj):
 def _emit_json(report: dict, out_path) -> None:
     report = dict(report)
     report.setdefault("spec_version", SPEC_VERSION)
-    text = json.dumps(_jsonable(report), indent=2) + "\n"
+    text = json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(text)

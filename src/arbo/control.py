@@ -138,7 +138,8 @@ def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
                           w: ObjectiveWeights, mask: StrategyMask) -> np.ndarray:
     """The five stationary-point controls, clamped to [0,1]; masked-off
     controls are exactly zero.  Works on one node (x, adj of shape (10,))
-    or on a whole grid at once (shape (n+1, 10), giving (n+1, 5))."""
+    or on a whole grid at once (shape (n+1, 10), giving (n+1, 5)).
+    `rk4.c`'s `characterize` is a term-for-term copy."""
     x = np.asarray(x, dtype=float)
     adj = np.asarray(adj, dtype=float)
     _, fh, fv = _infection(x, p)
@@ -158,6 +159,8 @@ def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
 
 
 def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
+    """max|new - old| / max(1, max|new|), NaN when either holds a NaN;
+    mirrored by `rk4.c`'s `sweep_step`."""
     return float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(new))))
 
 
@@ -169,6 +172,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     """Iterate forward state / backward adjoint passes, updating the
     controls as a convex combination of the characterization and the
     previous iterate, until the relative control change falls below tol.
+    Each iteration is one `_kernels.sweep_step` call.
 
     Non-convergence is reported (converged=False) with the full log;
     controls-only convergence with drifting states is flagged suspect.
@@ -177,7 +181,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         raise ValueError(f"mix must be in (0, 1], got {mix}")
     par = params_to_array(p)
     cpar = control_params_to_array(c)
-    dwts = w.to_array()[:4]
+    wts = w.to_array()
     x0 = np.asarray(x0, dtype=float)
     n = grid.n_steps
     mask_arr = mask.as_array()
@@ -198,15 +202,8 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     any_active = bool(mask_arr.any())
 
     for iterations in range(1, max_iters + 1):
-        states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-        adjoints = _kernels.rk4_adjoint(par, cpar, dwts, states, u, grid.dt)
-
-        u_char = characterize_controls(states, adjoints, p, c, w, mask)
-        u_new = mix * u_char + (1.0 - mix) * u
-
-        control_change = _rel_sup_change(u_new, u)
-        state_change = (_rel_sup_change(states, prev_states)
-                        if prev_states is not None else float("inf"))
+        states, _, u_new, control_change, state_change = _kernels.sweep_step(
+            par, cpar, wts, mask_arr, mix, x0, u, prev_states, grid.dt)
         j = objective(Trajectory(grid, states), Trajectory(grid, u_new), w)
         log.append({"iteration": iterations, "J": j,
                     "control_change": control_change,
@@ -219,7 +216,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
             break
 
     states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-    adjoints = _kernels.rk4_adjoint(par, cpar, dwts, states, u, grid.dt)
+    adjoints = _kernels.rk4_adjoint(par, cpar, wts[:4], states, u, grid.dt)
     states = Trajectory(grid, states)
     controls = Trajectory(grid, u)
 

@@ -60,12 +60,11 @@ class Trajectory:
 
     def to_csv(self, path, names) -> None:
         """Write t plus one column per component, full round-trip precision."""
-        times = self.grid.times()
+        row = ",".join(["%.17g"] * (1 + self.values.shape[1])) + "\n"
         with open(path, "w", encoding="utf-8") as f:
             f.write("t," + ",".join(names) + "\n")
-            for i, t in enumerate(times):
-                row = [f"{t:.17g}"] + [f"{v:.17g}" for v in self.values[i]]
-                f.write(",".join(row) + "\n")
+            f.writelines(row % (t, *v) for t, v in
+                         zip(self.grid.times().tolist(), self.values.tolist()))
 
 
 def _check_finite(x: np.ndarray, step: int, t: float) -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from arbo import _kernels
-from arbo.cli import EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, main
+from arbo.cli import EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable, main
 from arbo.thresholds import basic_reproduction_number
 from conftest import load_fixture
 
@@ -182,6 +182,41 @@ def test_seed_is_refused_where_no_command_reads_it(config_file, capsys):
         main(["thresholds", "--config", config_file(_table5()), "--seed", "3"])
     assert exc.value.code == EXIT_PARSE
     assert "--seed" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_command_writes_strict_json(config_file, tmp_path):
+    """[TRIVIAL] Each command that writes JSON writes RFC 8259 JSON, with
+    no NaN or Infinity; the sweep log's first state change, which is
+    infinite, is written as null."""
+    sec22 = load_fixture("sec22_backward")
+    control = _table5()
+    control["grid"].update(tf=5.0, n_steps=500)
+    sens = copy.deepcopy(load_fixture("table2_baseline"))
+    sens["sensitivity"]["samples"] = 60
+    configs = {"thresholds": sec22, "equilibria": sec22, "control": control,
+               "icer": _table5(), "sensitivity": sens}
+    reports = {}
+    for command, cfg in configs.items():
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", config_file(cfg, f"{command}-cfg.json"),
+                     "--out", str(out)]) == 0
+        reports[command] = _strict_json(out.read_text())
+    assert reports["control"]["log"][0]["state_change"] is None
+    assert reports["control"]["log"][1]["state_change"] > 0.0
+
+
+def test_non_finite_numbers_become_null():
+    """[TRIVIAL] Python and NumPy NaNs and infinities map to None."""
+    report = {"a": np.float64("nan"), "b": float("inf"), "c": (-np.inf, 1.5),
+              "d": np.array([np.nan, 2.0]), "e": np.float32("inf"), "f": 3}
+    assert _jsonable(report) == {"a": None, "b": None, "c": [None, 1.5],
+                                 "d": [None, 2.0], "e": None, "f": 3}
 
 
 def test_bad_json_config(tmp_path):

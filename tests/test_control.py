@@ -239,3 +239,28 @@ def test_sweep_warm_start_converges_faster(table5, short_grid):
     assert second.converged
     assert second.iterations <= 3
     assert second.objective_j == pytest.approx(first.objective_j, rel=1e-3)
+
+
+def test_sweep_is_the_same_on_the_python_kernels(table5, monkeypatch):
+    """[DERIVED] A whole Z1 sweep from an initial guess outside [0, 1]
+    gives the same bytes with `arbo._kernels` patched to the Python
+    kernels: states, adjoints, controls, J, iterations, flags and log."""
+    p, c, w = table5.params, table5.control_params, table5.weights
+    grid = TimeGrid(0.0, 2.0, 200)
+    guess = np.random.default_rng(27).uniform(-0.5, 1.5, (201, 5))
+
+    def sweep():
+        return forward_backward_sweep(p, c, w, table5.x0, grid,
+                                      StrategyMask.named("Z1"),
+                                      initial_guess=guess)
+
+    active = sweep()
+    for name in ("rk4_controlled", "rk4_adjoint", "sweep_step"):
+        monkeypatch.setattr(_kernels, name, getattr(_kernels.PYTHON, name))
+    python = sweep()
+    for traj in ("states", "adjoints", "controls"):
+        assert (getattr(active, traj).values.tobytes()
+                == getattr(python, traj).values.tobytes()), traj
+    assert repr(active) == repr(python)
+    assert repr(active.log) == repr(python.log)
+    assert active.converged and active.iterations > 2

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from arbo import _kernels
-from arbo.control import adjoint_field
+from arbo.control import StrategyMask, adjoint_field
 from arbo.model import (
-    ZeroPopulationError, basic_field, control_params_to_array,
+    R_H, S_H, ZeroPopulationError, basic_field, control_params_to_array,
     controlled_field, params_to_array,
 )
 from arbo.ode import NonFiniteError, TimeGrid, rk4_backward, rk4_forward
@@ -100,6 +100,52 @@ def test_adjoint_kernels_agree(table5):
     assert adj_a.tobytes() == adj_b.tobytes()
 
 
+def _strategy_mask(name):
+    mask = StrategyMask.none() if name == "none" else StrategyMask.named(name)
+    return mask.as_array()
+
+
+@pytest.mark.parametrize("name", ["none", "Z1", "Z2", "Z3", "Z4", "Z"])
+def test_sweep_step_agrees_bitwise(name, table5):
+    """[DERIVED] One sweep iteration gives the same bytes on both
+    backends: states, adjoints, relaxed controls and both changes, from
+    the zero start, from controls inside [0, 1] against earlier states
+    (one of them NaN, which the state change carries), and from controls
+    outside [0, 1] holding -0.0.  The last start has R_h > S_h / omega,
+    so the characterization meets a -0.0 that the clamp keeps, and the
+    relaxed controls hold -0.0 where the start did."""
+    par = params_to_array(table5.params)
+    cpar = control_params_to_array(table5.control_params)
+    wts = table5.weights.to_array()
+    mask = _strategy_mask(name)
+    n, dt = 200, 0.01
+    rng = np.random.default_rng(26)
+    inside = _random_controls(rng, n)
+    outside = rng.uniform(-0.5, 1.5, (n + 1, 5))
+    outside[-1] = -0.0
+    recovered = table5.x0.copy()
+    recovered[R_H] = 30.0 * recovered[S_H]
+    prev = _kernels.rk4_controlled(par, cpar, table5.x0, inside[::-1], dt)
+    with_nan = prev.copy()
+    with_nan[n // 4, 3] = np.nan
+    starts = [(table5.x0, np.zeros((n + 1, 5)), None),
+              (table5.x0, inside, prev),
+              (table5.x0, inside, with_nan),
+              (recovered, outside, prev)]
+    results = []
+    for x0, u, prev_states in starts:
+        got = _kernels.sweep_step(par, cpar, wts, mask, 0.5, x0, u,
+                                  prev_states, dt)
+        want = PYTHON.sweep_step(par, cpar, wts, mask, 0.5, x0, u,
+                                 prev_states, dt)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        results.append(got)
+    assert [r[4] == np.inf for r in results] == [True, False, False, False]
+    assert np.isnan(results[2][4])
+    assert np.signbit(results[3][2][-1, 0]) and results[3][2][-1, 0] == 0.0
+
+
 def _first_bad_step(call):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError) as err:
@@ -135,6 +181,39 @@ def test_kernels_report_first_nonfinite_step(table5):
         assert 1 < got[0] < n, name
 
 
+def _separate_passes(kernels, par, cpar, wts, x0, u, dt):
+    states = kernels.rk4_controlled(par, cpar, x0, u, dt)
+    kernels.rk4_adjoint(par, cpar, wts[:4], states, u, dt)
+
+
+def test_sweep_step_stops_where_its_passes_stop(table5):
+    """[DERIVED] sweep_step raises at the node where the forward and the
+    adjoint kernels called one after the other stop, on both backends:
+    the forward overflow above, and an adjoint overflow under state
+    penalties of 1e307 while the forward pass stays finite."""
+    p = dataclasses.replace(table5.params, beta_hv=0.0, beta_vh=0.0,
+                            delta=0.0, mu_b=1e4, Gamma_E=1e300, Gamma_L=1e300)
+    cpar = control_params_to_array(table5.control_params)
+    wts = table5.weights.to_array()
+    huge = wts.copy()
+    huge[:4] = 1e307
+    mask = _strategy_mask("Z")
+    n = 100
+    u = _random_controls(np.random.default_rng(25), n)
+    cases = [(params_to_array(p), wts, 5.0),
+             (params_to_array(table5.params), huge, 0.5)]
+    for par, w, dt in cases:
+        want = _first_bad_step(
+            lambda: _separate_passes(PYTHON, par, cpar, w, table5.x0, u, dt))
+        assert want == _first_bad_step(
+            lambda: _separate_passes(_kernels, par, cpar, w, table5.x0, u, dt))
+        for kernels in (_kernels, PYTHON):
+            got = _first_bad_step(lambda: kernels.sweep_step(
+                par, cpar, w, mask, 0.5, table5.x0, u, None, dt))
+            assert got == want, kernels
+        assert 1 < want[0] < n
+
+
 @pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
 def test_zero_human_total_raises(kernels, table5):
     """[TRIVIAL] Table 5 at dt = 1 drives the human total through zero
@@ -147,6 +226,9 @@ def test_zero_human_total_raises(kernels, table5):
         kernels.rk4_basic(par, table5.x0, 50, 1.0)
     with pytest.raises(ZeroPopulationError):
         kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((51, 5)), 1.0)
+    with pytest.raises(ZeroPopulationError):
+        kernels.sweep_step(par, cpar, np.ones(9), np.ones(5), 0.5, table5.x0,
+                           np.zeros((51, 5)), None, 1.0)
     with pytest.raises(ZeroPopulationError):
         kernels.rk4_adjoint(par, cpar, np.ones(4), np.zeros((11, 10)),
                             np.zeros((11, 5)), 0.1)
@@ -167,6 +249,13 @@ def test_kernels_check_shapes(kernels, table5):
                                     np.zeros((10, 5)), 0.1),
         lambda: kernels.rk4_adjoint(par, cpar, np.ones(4), np.ones((0, 10)),
                                     np.zeros((0, 5)), 0.1),
+        lambda: kernels.sweep_step(par, cpar, np.ones(4), np.ones(5), 0.5,
+                                   table5.x0, np.zeros((11, 5)), None, 0.1),
+        lambda: kernels.sweep_step(par, cpar, np.ones(9), np.full(5, 0.5), 0.5,
+                                   table5.x0, np.zeros((11, 5)), None, 0.1),
+        lambda: kernels.sweep_step(par, cpar, np.ones(9), np.ones(5), 0.5,
+                                   table5.x0, np.zeros((11, 5)),
+                                   np.ones((10, 10)), 0.1),
     ]
     for call in bad_calls:
         with pytest.raises(ValueError):

@@ -43,6 +43,29 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.all(data[:, 1:] == values)
 
 
+def _per_value_csv(traj, path, names):
+    """The writer `Trajectory.to_csv` replaced: one f-string per value."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("t," + ",".join(names) + "\n")
+        for i, t in enumerate(traj.grid.times()):
+            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in traj.values[i]]
+            f.write(",".join(row) + "\n")
+
+
+def test_trajectory_csv_matches_per_value_writer(tmp_path):
+    """[TRIVIAL] The row-format writer gives the same bytes as formatting
+    each value on its own, including -0, NaN, infinities and subnormals."""
+    rng = np.random.default_rng(9)
+    grid = TimeGrid(0.1, 20.3, 300)
+    values = rng.standard_normal((301, 4)) * 10.0 ** rng.integers(-300, 300, (301, 4))
+    values[:6, 0] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0]
+    traj = Trajectory(grid, values)
+    names = ["a", "b", "c", "d"]
+    traj.to_csv(tmp_path / "fast.csv", names)
+    _per_value_csv(traj, tmp_path / "slow.csv", names)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
 def test_rk4_forward_exponential_accuracy():
     """[DERIVED] Exact solution of x' = -x is matched to O(dt^4)."""
     grid = TimeGrid(0.0, 2.0, 100)
