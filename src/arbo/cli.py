@@ -229,7 +229,8 @@ def cmd_sensitivity(args) -> int:
     else:
         dist = sensitivity.ParamDistribution(
             {k: tuple(v) for k, v in ranges_cfg.items()})
-    n = args.samples or int(sens_cfg.get("samples", 5000))
+    n = (args.samples if args.samples is not None
+         else int(sens_cfg.get("samples", 5000)))
     seed = _seed(cfg, args)
     t0 = time.perf_counter()
     samples = sensitivity.lhs_sample(dist, n, seed)

@@ -291,7 +291,8 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
             raise SingularSampleError(
                 f"parameter {PARAM_ORDER[j]} is constant over the sample")
 
-    ranks = np.empty((n, len(active) + 1))
+    # One contiguous row of ranks per active parameter, the output's last.
+    ranks = np.empty((len(active) + 1, n))
     sorted_columns = []
     for k, j in enumerate(active):
         name = PARAM_ORDER[j]
@@ -302,9 +303,18 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
                          "sorting it", name)
             sorted_columns.append(name)
             column_ranks = average_ranks(col)
-        ranks[:, k] = column_ranks
-    ranks[:, -1] = average_ranks(outputs)
-    inv = np.linalg.inv(np.corrcoef(ranks, rowvar=False))
+        ranks[k] = column_ranks
+    ranks[-1] = average_ranks(outputs)
+    # np.corrcoef's steps, done in place on the buffer rather than on the
+    # centred copy corrcoef makes; the result is bitwise the same.
+    ranks -= ranks.mean(axis=1)[:, None]
+    corr = ranks @ ranks.T
+    corr *= 1.0 / (n - 1)
+    stddev = np.sqrt(np.diag(corr))
+    corr /= stddev[:, None]
+    corr /= stddev[None, :]
+    np.clip(corr, -1.0, 1.0, out=corr)
+    inv = np.linalg.inv(corr)
     coeffs = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
     excluded = tuple(name for name in PARAM_ORDER
                      if samples.distribution.degenerate(name))

@@ -175,6 +175,18 @@ def test_sensitivity_reports_stage_times(config_file, tmp_path):
     assert diagnostics["sorted_columns"] == []
 
 
+def test_sensitivity_refuses_zero_samples(config_file, tmp_path, capsys):
+    """[TRIVIAL] `--samples 0` reaches the design's n >= 2 check rather
+    than falling back to the config's sample count."""
+    out = tmp_path / "sens.json"
+    code = main(["sensitivity", "--config",
+                 config_file(load_fixture("table2_baseline")),
+                 "--samples", "0", "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert "need n >= 2, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_is_refused_where_no_command_reads_it(config_file, capsys):
     """[TRIVIAL] Only `sensitivity` draws random numbers, so only it takes
     `--seed`; elsewhere the option is a usage error."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import pytest
 import arbo.sensitivity
 from arbo.model import ModelParams, ParamError
 from arbo.sensitivity import (
-    PARAM_ORDER, ParamDistribution, RangeError, SampleSet, _stratum_ranks,
-    average_ranks, baseline_ranges, condition_probabilities, histogram_to_csv,
-    lhs_sample, prcc, prcc_to_csv, r0_distribution, r0_of, r0_values,
+    PARAM_ORDER, ParamDistribution, RangeError, SampleSet, SingularSampleError,
+    _stratum_ranks, average_ranks, baseline_ranges, condition_probabilities,
+    histogram_to_csv, lhs_sample, prcc, prcc_to_csv, r0_distribution, r0_of,
+    r0_values,
 )
 from arbo.thresholds import (
     bifurcation_thresholds, net_reproductive_number, threshold_arrays,
@@ -322,9 +324,60 @@ def test_prcc_sorts_a_column_whose_strata_tie(caplog):
     (record,) = [r for r in caplog.records if r.name == "arbo"]
     assert record.levelno == logging.WARNING and "mu_v" in record.getMessage()
 
+    assert list(report.coefficients.values()) == _corrcoef_prcc(matrix, outputs)
+
+
+def _corrcoef_prcc(matrix, outputs):
+    """PRCC of every column of `matrix` built the direct way: sorted
+    ranks stacked column by column, then `np.corrcoef` and its inverse."""
     ranks = np.column_stack([average_ranks(matrix[:, k])
-                             for k in range(len(PARAM_ORDER))]
+                             for k in range(matrix.shape[1])]
                             + [average_ranks(outputs)])
     inv = np.linalg.inv(np.corrcoef(ranks, rowvar=False))
-    want = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
-    assert list(report.coefficients.values()) == want.tolist()
+    return (-inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])).tolist()
+
+
+@pytest.mark.parametrize("n, seed", [(5000, 20260823), (20000, 1)])
+def test_prcc_equals_corrcoef_bitwise(n, seed):
+    """[DERIVED] On the criterion-6 and benchmark designs, PRCC's
+    in-place correlation of its one rank buffer gives, bitwise, the
+    coefficients of `np.corrcoef` on a separately built rank matrix.
+    Equality rests on numpy's `cov` steps and the BLAS summation order;
+    CI prints both, so a failure here names the library that moved."""
+    samples = lhs_sample(baseline_ranges(), n, seed)
+    outputs = r0_values(samples)
+    report = prcc(samples, outputs)
+    assert list(report.coefficients.values()) == _corrcoef_prcc(
+        samples.matrix, outputs)
+
+
+def test_prcc_holds_one_rank_matrix():
+    """[DERIVED] PRCC's traced peak is one (k+1, n) rank buffer plus
+    O(n) temporaries: no second copy of the ranks, as `np.corrcoef`
+    would make to centre them."""
+    n = 50_000
+    samples = lhs_sample(baseline_ranges(), n, seed=2)
+    outputs = r0_values(samples)
+    k = len(PARAM_ORDER)
+    tracemalloc.start()
+    try:
+        prcc(samples, outputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k + 1 + 12) * n * 8, peak / (n * 8)
+
+
+def test_prcc_refuses_a_constant_column(caplog):
+    """[TRIVIAL] A constant column under a non-degenerate range makes the
+    regression singular: PRCC raises `SingularSampleError` naming it,
+    before any column is ranked (so no WARNING about its strata)."""
+    samples = lhs_sample(baseline_ranges(), 100, seed=4)
+    matrix = np.array(samples.matrix)
+    j = PARAM_ORDER.index("gamma_v")
+    matrix[:, j] = 0.25
+    constant = SampleSet(matrix=matrix, seed=4, distribution=samples.distribution)
+    with caplog.at_level(logging.WARNING, logger="arbo"):
+        with pytest.raises(SingularSampleError, match="gamma_v"):
+            prcc(constant, r0_values(samples))
+    assert not [r for r in caplog.records if r.name == "arbo"]
