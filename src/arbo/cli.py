@@ -207,6 +207,8 @@ def cmd_bifurcation(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     p = _build_params(cfg)
+    if args.out is None:
+        raise ConfigError("simulate requires --out CSV path")
     grid = _build_grid(cfg, args)
     x0 = _initial_state(cfg)
     try:
@@ -214,8 +216,6 @@ def cmd_simulate(args) -> int:
     except NonFiniteError as exc:  # the kernel counts time from 0
         raise NonFiniteError(exc.step, grid.t0 + exc.step * grid.dt) from None
     traj = Trajectory(grid, values)
-    if args.out is None:
-        raise ConfigError("simulate requires --out CSV path")
     traj.to_csv(args.out, STATE_NAMES)
     return 0
 

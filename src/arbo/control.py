@@ -4,7 +4,7 @@ forward-backward sweep iteration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,15 +32,13 @@ class ObjectiveWeights:
     B5: float
 
     def __post_init__(self):
-        bad = [n for n in ("D1", "D2", "D3", "D4", "B1", "B2", "B3", "B4", "B5")
-               if not getattr(self, n) > 0]
+        bad = [f"{f.name} must be > 0, got {getattr(self, f.name)!r}"
+               for f in fields(self) if not getattr(self, f.name) > 0]
         if bad:
-            raise ParamError([f"{n} must be > 0, got {getattr(self, n)!r}"
-                              for n in bad])
+            raise ParamError(bad)
 
     def to_array(self) -> np.ndarray:
-        return np.array([self.D1, self.D2, self.D3, self.D4,
-                         self.B1, self.B2, self.B3, self.B4, self.B5])
+        return params_to_array(self)
 
 
 _STRATEGY_SETS = {
@@ -172,7 +170,8 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     """Iterate forward state / backward adjoint passes, updating the
     controls as a convex combination of the characterization and the
     previous iterate, until the relative control change falls below tol.
-    Each iteration is one `_kernels.sweep_step` call.
+    Each iteration is one `_kernels.sweep_step` call; its log entry holds
+    J of the controls it started from and of their states.
 
     Non-convergence is reported (converged=False) with the full log;
     controls-only convergence with drifting states is flagged suspect.
@@ -204,7 +203,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     for iterations in range(1, max_iters + 1):
         states, _, u_new, control_change, state_change = _kernels.sweep_step(
             par, cpar, wts, mask_arr, mix, x0, u, prev_states, grid.dt)
-        j = objective(Trajectory(grid, states), Trajectory(grid, u_new), w)
+        j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
         log.append({"iteration": iterations, "J": j,
                     "control_change": control_change,
                     "state_change": state_change})

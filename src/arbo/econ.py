@@ -12,6 +12,8 @@ import numpy as np
 from .model import I_H
 from .ode import Trajectory
 
+_EQUIVALENT_RTOL = 1e-12  # equal effect and cost: equivalent strategies
+
 
 @dataclass(frozen=True)
 class StrategyReport:
@@ -61,8 +63,7 @@ def _pair_icer(d_cost: float, d_averted: float) -> float | None:
     return d_cost / d_averted
 
 
-def icer_analysis(reports: list[StrategyReport],
-                  rtol: float = 1e-12) -> IcerTable:
+def icer_analysis(reports: list[StrategyReport]) -> IcerTable:
     """Strong-dominance elimination over incremental ICERs.
 
     Strategies are ordered by ascending infections averted (i.e.
@@ -86,7 +87,7 @@ def icer_analysis(reports: list[StrategyReport],
     round_no = 0
 
     def close(a: float, b: float) -> bool:
-        return math.isclose(a, b, rel_tol=rtol, abs_tol=0.0)
+        return math.isclose(a, b, rel_tol=_EQUIVALENT_RTOL, abs_tol=0.0)
 
     while len(remaining) >= 2:
         first, second = remaining[0], remaining[1]

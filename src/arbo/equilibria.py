@@ -21,7 +21,7 @@ from .stability import eigen_verdicts
 # calls made through this module's name for it.
 from .thresholds import (  # noqa: F401
     ThresholdReport, _established, bifurcation_thresholds, dfe_components,
-    net_reproductive_number, threshold_arrays,
+    net_reproductive_number, threshold_arrays, two_endemic_windows,
 )
 
 # A discriminant this close to zero (relative to the coefficient scale
@@ -30,8 +30,9 @@ from .thresholds import (  # noqa: F401
 # wider band would take -d1 / (2 d2) for a root where there is none.
 _DOUBLE_ROOT_RTOL = 64 * np.finfo(float).eps
 
-# Positive roots smaller than this are spurious zeros (R0 crossing 1).
-_LAMBDA_POSITIVE_TOL = 1e-14
+# R0 this close to 1 is R0 = 1: case ii of the classification, and d0 = 0
+# in the quadratic, whose roots are then 0 and -d1 / d2.
+_R0_ONE_TOL = 1e-12
 
 _RESIDUAL_RTOL = 1e-8
 
@@ -49,7 +50,8 @@ class Classification(enum.Enum):
 @dataclass(frozen=True)
 class EndemicQuadratic:
     """Coefficients of d2*x^2 + d1*x + d0 = 0 in the human force of
-    infection at equilibrium, plus the discriminant."""
+    infection at equilibrium, plus the discriminant.  d0 is 0 when
+    |R0 - 1| <= 1e-12 (`_R0_ONE_TOL`)."""
 
     d2: float
     d1: float
@@ -88,12 +90,14 @@ def endemic_quadratic(p: ModelParams) -> EndemicQuadratic:
 
 def _quadratic(p, r0, r_c) -> EndemicQuadratic:
     """Coefficients for one parameter set, or per row when `p`, `r0` and
-    `r_c` hold arrays."""
+    `r_c` hold arrays.  d0 is 0 where |R0 - 1| <= 1e-12 (`_R0_ONE_TOL`)."""
     k = derive_constants(p)
     pref = k.k3 * k.k3 * k.k4 * k.k4 * k.k8 * p.mu_h
     d2 = -k.k2 * (k.k10 * p.a * p.mu_h * p.beta_vh + k.k2 * k.k8)
     d1 = pref * (r0 * r0 - r_c * r_c)
-    d0 = pref * p.mu_h * (r0 * r0 - 1.0)
+    # [()]: a scalar, not a 0-d array, for one parameter set.
+    d0 = np.where(np.abs(r0 - 1.0) <= _R0_ONE_TOL, 0.0,
+                  pref * p.mu_h * (r0 * r0 - 1.0))[()]
     return EndemicQuadratic(d2=d2, d1=d1, d0=d0,
                             discriminant=d1 * d1 - 4.0 * d2 * d0)
 
@@ -101,25 +105,24 @@ def _quadratic(p, r0, r_c) -> EndemicQuadratic:
 def _quadratic_roots(q: EndemicQuadratic) -> np.ndarray:
     """Real roots in ascending order, shape (..., 2) with NaN for an
     absent root, via the numerically stable form (coefficients span many
-    orders of magnitude, so the naive formula cancels)."""
-    disc = q.discriminant
-    scale = np.maximum(q.d1 * q.d1, np.abs(4.0 * q.d2 * q.d0))
-    real = ~((disc < 0.0) & (np.abs(disc) > _DOUBLE_ROOT_RTOL * scale))
+    orders of magnitude, so the naive formula cancels).  A double root
+    (`is_double_root`) is the one root -d1 / (2 d2)."""
+    double = is_double_root(q)
+    split = ~double & (q.discriminant > 0.0)
     sgn = np.where(q.d1 >= 0.0, 1.0, -1.0)
-    qq = -0.5 * (q.d1 + sgn * np.sqrt(np.maximum(disc, 0.0)))
-    split = real & (qq != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    qq = -0.5 * (q.d1 + sgn * np.sqrt(np.maximum(q.discriminant, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # qq = 0 when double
         r1, r2 = qq / q.d2, q.d0 / qq
-    # qq == 0 leaves the single root 0 (when d2 != 0).
-    lo = np.where(split, np.minimum(r1, r2),
-                  np.where(real & (q.d2 != 0.0), 0.0, np.nan))
+    lo = np.select([double, split], [-q.d1 / (2.0 * q.d2), np.minimum(r1, r2)],
+                   np.nan)
     hi = np.where(split, np.maximum(r1, r2), np.nan)
     return np.stack([lo, hi], axis=-1)
 
 
-def is_double_root(q: EndemicQuadratic) -> bool:
-    scale = max(q.d1 * q.d1, abs(4.0 * q.d2 * q.d0))
-    return scale == 0.0 or abs(q.discriminant) <= _DOUBLE_ROOT_RTOL * scale
+def is_double_root(q: EndemicQuadratic):
+    """Per row: is the discriminant zero up to its rounding level?"""
+    scale = np.maximum(q.d1 * q.d1, np.abs(4.0 * q.d2 * q.d0))
+    return (scale == 0.0) | (np.abs(q.discriminant) <= _DOUBLE_ROOT_RTOL * scale)
 
 
 def back_substitute(p, lambda_h) -> np.ndarray:
@@ -155,14 +158,12 @@ def _endemic_points(p, q: EndemicQuadratic):
     Returns (lam, reason, row, root, x): the ascending roots (m, 2); the
     reason each rejected root was dropped, else None (m, 2); and the kept
     points in (row, root) order, as indices into `lam` (K,) and states
-    (K, 10).  A double root is kept once and not listed as rejected.
+    (K, 10).
     """
     lam = _quadratic_roots(q).reshape(-1, 2)
-    positive = lam > _LAMBDA_POSITIVE_TOL  # False for an absent root
+    positive = lam > 0.0  # False for an absent root
     reason = np.full(lam.shape, None, dtype=object)
     reason[~np.isnan(lam) & ~positive] = "non-positive force of infection"
-    positive[:, 1] &= ~(positive[:, 0] & (np.abs(lam[:, 1] - lam[:, 0])
-                                          <= 1e-9 * np.abs(lam[:, 0])))
     row, root = np.nonzero(positive)
     x = back_substitute(param_rows(p, row), lam[row, root])
     kept = np.all(x > 0.0, axis=1)
@@ -183,21 +184,18 @@ def _residual_errors(lam, x, residual) -> list:
 
 def _classify(rep: ThresholdReport,
               q: EndemicQuadratic) -> tuple[Classification, str]:
-    """Root-count classification from the threshold quantities alone."""
+    """Root-count classification, each boundary by the roots' own rule."""
     r0, r_c = rep.r0, rep.r_c
-    if r0 > 1.0:
-        return Classification.UNIQUE, "i"
-    if abs(r0 - 1.0) <= 1e-12:
+    if abs(r0 - 1.0) <= _R0_ONE_TOL:
         if r_c < 1.0:
             return Classification.UNIQUE, "ii"
         return Classification.NO_ENDEMIC, "ii"
-    # R0 < 1
-    if rep.r_1b is not None:
-        r_1b, r_2b = rep.r_1b, rep.r_2b
-        if r_c < r0 and is_double_root(q):
-            return Classification.UNIQUE, "iii-b"
-        if (r_c < r0 < min(1.0, r_1b)) or (max(r_c, r_2b) < r0 < 1.0):
-            return Classification.TWO, "iii-a"
+    if r0 > 1.0:
+        return Classification.UNIQUE, "i"
+    if r_c < r0 and is_double_root(q):
+        return Classification.UNIQUE, "iii-b"
+    if any(two_endemic_windows(rep)):
+        return Classification.TWO, "iii-a"
     return Classification.NO_ENDEMIC, "iii-c"
 
 

@@ -120,13 +120,11 @@ class ControlParams:
     eta2: float    # chemical larva mortality increment
 
     def __post_init__(self):
-        violations = []
-        for name in ("omega", "alpha1", "alpha2", "c_m", "eta1", "eta2"):
-            if not getattr(self, name) >= 0:
-                violations.append(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("alpha1", "alpha2"):
-            if getattr(self, name) > 1:
-                violations.append(f"{name} must be <= 1, got {getattr(self, name)!r}")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        violations = [f"{name} must be >= 0, got {v!r}"
+                      for name, v in values.items() if not v >= 0]
+        violations += [f"{name} must be <= 1, got {values[name]!r}"
+                       for name in ("alpha1", "alpha2") if values[name] > 1]
         if violations:
             raise ParamError(violations)
 
@@ -284,14 +282,11 @@ def basic_field(x, p: ModelParams) -> np.ndarray:
     return controlled_field(x, _NO_CONTROL, p, _NO_EFFECT)
 
 
-def params_to_array(p: ModelParams) -> np.ndarray:
-    """Flatten params into the fixed order used by the compiled kernels."""
-    return np.array([
-        p.lambda_h_in, p.mu_h, p.a, p.beta_hv, p.beta_vh, p.gamma_h,
-        p.delta, p.sigma, p.eta_h, p.eta_v, p.mu_v, p.gamma_v, p.theta,
-        p.mu_b, p.Gamma_E, p.Gamma_L, p.mu_E, p.mu_L, p.mu_P, p.s, p.l,
-    ])
+def params_to_array(p) -> np.ndarray:
+    """Flatten a parameter record (`ModelParams`, `ControlParams`,
+    `control.ObjectiveWeights`) in its field order, the order the
+    compiled kernels read."""
+    return np.array([getattr(p, f.name) for f in fields(p)])
 
 
-def control_params_to_array(c: ControlParams) -> np.ndarray:
-    return np.array([c.omega, c.alpha1, c.alpha2, c.c_m, c.eta1, c.eta2])
+control_params_to_array = params_to_array

@@ -16,14 +16,10 @@ from .model import ModelParams
 # calls made through this module's name for it.
 from .thresholds import (  # noqa: F401
     ThresholdReport, bifurcation_thresholds, net_reproductive_number,
-    threshold_arrays,
+    threshold_arrays, two_endemic_windows,
 )
 
-PARAM_ORDER = (
-    "lambda_h_in", "mu_h", "a", "beta_hv", "beta_vh", "gamma_h", "delta",
-    "sigma", "eta_h", "eta_v", "mu_v", "gamma_v", "theta", "mu_b",
-    "Gamma_E", "Gamma_L", "mu_E", "mu_L", "mu_P", "s", "l",
-)
+PARAM_ORDER = tuple(f.name for f in fields(ModelParams))
 
 _MU_H = 1.0 / (67.0 * 365.0)
 
@@ -206,9 +202,9 @@ def condition_probabilities(samples: SampleSet) -> dict:
     vectors = rep.r0_defined
     supercritical = vectors & (rep.r0 >= 1.0)
     subcritical = vectors & ~supercritical
-    # NaN bounds (no saddle-node window) compare False.
-    low = subcritical & (rep.r_c < rep.r0) & (rep.r0 < np.minimum(1.0, rep.r_1b))
-    high = subcritical & ~low & (np.maximum(rep.r_c, rep.r_2b) < rep.r0)
+    low, high = two_endemic_windows(rep)
+    low &= subcritical
+    high &= subcritical & ~low
     trivial, sub, sup, two_low, two_high = (
         int(np.count_nonzero(m))
         for m in (~vectors, subcritical, supercritical, low, high))

@@ -141,6 +141,16 @@ def threshold_arrays(p) -> ThresholdReport:
         beta_minus=beta_star * r_1b * r_1b, beta_plus=beta_star * r_2b * r_2b)
 
 
+def two_endemic_windows(rep: ThresholdReport):
+    """(low, high): is R0 in the low window R_c < R0 < min(1, R_1b) or the
+    high window max(R_c, R_2b) < R0 < 1 of the two-endemic case iii-a?
+    Elementwise; an absent bound (None or NaN) compares False."""
+    r0, r_c = rep.r0, rep.r_c
+    r_1b, r_2b = (np.asarray(b, dtype=float) for b in (rep.r_1b, rep.r_2b))
+    return ((r_c < r0) & (r0 < np.minimum(1.0, r_1b)),
+            (np.maximum(r_c, r_2b) < r0) & (r0 < 1.0))
+
+
 _OPTIONAL = ("r_1b", "r_2b", "beta_minus", "beta_plus")
 
 

@@ -63,7 +63,12 @@ def test_simulate_command(config_file, tmp_path):
     assert header == "t,S_h,E_h,I_h,R_h,S_v,E_v,I_v,E,L,P"
 
 
-def test_simulate_requires_out(config_file):
+def test_simulate_requires_out(config_file, monkeypatch):
+    """[TRIVIAL] Without --out, simulate exits before integrating."""
+    def integrate(*args):
+        raise AssertionError("rk4_basic called without --out")
+
+    monkeypatch.setattr("arbo.cli.rk4_basic", integrate)
     assert main(["simulate", "--config", config_file(_table5())]) == EXIT_PARSE
 
 

@@ -264,3 +264,22 @@ def test_sweep_is_the_same_on_the_python_kernels(table5, monkeypatch):
     assert repr(active) == repr(python)
     assert repr(active.log) == repr(python.log)
     assert active.converged and active.iterations > 2
+
+
+def test_sweep_log_records_the_objective_of_each_iterations_controls(table5):
+    """[DERIVED] Iteration k+1 logs J(x(u_k), u_k), the objective of the
+    controls it started from: from a zero guess, the first entry is the
+    no-control sweep's J, and entry k is the J that a run stopped after
+    k iterations returns, bit for bit."""
+    p, c, w = table5.params, table5.control_params, table5.weights
+
+    def sweep(mask, **kw):
+        return forward_backward_sweep(p, c, w, table5.x0, table5.grid, mask,
+                                      **kw)
+
+    log = sweep(StrategyMask.named("Z")).log
+    assert len(log) > 5
+    assert log[0]["J"] == sweep(StrategyMask.none()).objective_j
+    for k in (1, 5):
+        assert log[k]["J"] == sweep(StrategyMask.named("Z"),
+                                    max_iters=k).objective_j

@@ -346,3 +346,40 @@ def test_double_root_at_the_fold(sec22):
     eq = solve_endemic(dataclasses.replace(sec22.params, beta_hv=beta))
     assert (eq.classification, eq.case) == (Classification.UNIQUE, "iii-b")
     assert len(eq.endemic) == 1
+
+
+def _endemic_cases(p, betas):
+    """The classification cases met over `betas`, checking at each that
+    the number of endemic points is the classified count."""
+    count = {Classification.NO_ENDEMIC: 0, Classification.UNIQUE: 1,
+             Classification.TWO: 2}
+    cases = set()
+    for beta in betas.tolist():
+        eq = solve_endemic(dataclasses.replace(p, beta_hv=beta))
+        assert len(eq.endemic) == count[eq.classification], (beta, eq.case)
+        cases.add(eq.case)
+    return cases
+
+
+def _either_side(x, n):
+    offsets = np.logspace(-13, -9, n)
+    return x * np.concatenate([1.0 - offsets, 1.0 + offsets])
+
+
+def test_endemic_count_matches_classification_at_the_boundaries(sec22, table5):
+    """[DERIVED] The classification and the roots decide each boundary of
+    the endemic count by the same rule, so len(endemic) is the classified
+    count: on sec. 2.2 at each of the 401 floats from 200 ulps below the
+    fold beta_plus to 200 above, and at relative offsets 1e-13 ... 1e-9
+    either side of beta_star (R0 = 1); on Table 5, where R_c > 1 leaves
+    no endemic point at R0 = 1, either side of its beta_star."""
+    rep = bifurcation_thresholds(sec22.params)
+    # Adjacent positive floats have adjacent bit patterns.
+    fold = (np.float64(rep.beta_plus).view(np.int64)
+            + np.arange(-200, 201)).view(np.float64)
+    betas = np.concatenate([fold, _either_side(rep.beta_star, 100)])
+    assert _endemic_cases(sec22.params, betas) == {
+        "i", "ii", "iii-a", "iii-b", "iii-c"}
+    beta_star = bifurcation_thresholds(table5.params).beta_star
+    assert _endemic_cases(table5.params, _either_side(beta_star, 10)) == {
+        "i", "ii", "iii-c"}

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from arbo import _kernels
 from arbo.model import (
     E_H, E_V, I_H, I_V, S_H, S_V,
     ControlParams, ModelParams, ParamError, ZeroPopulationError,
@@ -214,3 +215,11 @@ def test_params_to_array_order(table5):
                              table5.control_params.c_m,
                              table5.control_params.eta1,
                              table5.control_params.eta2]
+
+
+def test_params_to_array_round_trips_through_the_kernels(table5):
+    """[TRIVIAL] The kernels' unpacking reads back the record packed in
+    field order."""
+    p, c = table5.params, table5.control_params
+    assert _kernels._model_params(params_to_array(p)) == p
+    assert _kernels._control_params(control_params_to_array(c)) == c
