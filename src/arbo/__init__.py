@@ -6,7 +6,6 @@ control of five interventions, and cost-effectiveness ranking, for a
 ten-compartment human-vector-aquatic dengue-type model.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .model import (
     ControlParams, ModelParams, ParamError, ZeroPopulationError,
     basic_field, controlled_field, derive_constants,
@@ -27,6 +26,6 @@ __all__ = [
     "ThresholdError", "ThresholdReport", "TimeGrid", "Trajectory",
     "ZeroPopulationError", "basic_field", "basic_reproduction_number",
     "bifurcation_thresholds", "controlled_field", "derive_constants",
-    "dfe_components", "kernel_backend", "net_reproductive_number",
-    "rk4_backward", "rk4_forward", "threshold_arrays",
+    "dfe_components", "net_reproductive_number", "rk4_backward",
+    "rk4_forward", "threshold_arrays",
 ]

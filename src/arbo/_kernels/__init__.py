@@ -5,9 +5,11 @@
 side built from that derivative (as `control.adjoint_field`) and the
 control characterization (as `control.characterize_controls`), over
 flat double arrays with the parameters in the order of
-`model.params_to_array` / `model.control_params_to_array`.  Its three
-entry points are `rk4_controlled` (forward states), `rk4_adjoint`
-(backward adjoints) and `sweep_step`, one whole sweep iteration: both
+`model.params_to_array` / `model.control_params_to_array` and the nine
+objective weights `wts` = (D1..D4, B1..B5) in that of
+`control.ObjectiveWeights`.  Its three entry points are `rk4_controlled`
+(forward states), `rk4_adjoint` (backward adjoints, which read only
+D1..D4 of `wts`) and `sweep_step`, one whole sweep iteration: both
 passes, the relaxed control update and the two relative changes.  On
 first import it is compiled with the system C compiler and loaded with
 ctypes.  The library is cached under a hash of the source and the
@@ -123,12 +125,11 @@ def _py_controlled(par, cpar, x0, u, dt):
                              _array(x0, (10,)), u.shape[0] - 1, float(dt), u)
 
 
-def _py_adjoint(par, cpar, dwts, states, u, dt):
+def _py_adjoint(par, cpar, wts, states, u, dt):
     from ..control import ObjectiveWeights, adjoint_field  # control imports us
 
     p, c = _model_params(par), _control_params(cpar)
-    # The control costs B1..B5 do not enter the adjoint equations.
-    w = ObjectiveWeights(*_array(dwts, (4,)).tolist(), 1.0, 1.0, 1.0, 1.0, 1.0)
+    w = ObjectiveWeights(*_array(wts, (9,)).tolist())
     states = _array(states, (None, 10))
     u = _array(u, (states.shape[0], 5))
     return ode.backward_steps(
@@ -147,7 +148,7 @@ def _py_sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
     if prev_states is not None:
         prev_states = _array(prev_states, (u.shape[0], 10))
     states = _py_controlled(par, cpar, x0, u, dt)
-    adjoints = _py_adjoint(par, cpar, w.to_array()[:4], states, u, dt)
+    adjoints = _py_adjoint(par, cpar, wts, states, u, dt)
     u_char = characterize_controls(states, adjoints, _model_params(par),
                                    _control_params(cpar), w, active)
     mix = float(mix)
@@ -182,11 +183,11 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
                                   out.ctypes.data), dt)
         return out
 
-    def rk4_adjoint(par, cpar, dwts, states, u, dt):
+    def rk4_adjoint(par, cpar, wts, states, u, dt):
         """Backward RK4 for the adjoint system with zero terminal value;
         intermediate stages average the adjacent nodes."""
         states = _array(states, (None, 10))
-        args = [_array(par, (21,)), _array(cpar, (6,)), _array(dwts, (4,)),
+        args = [_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
                 states, _array(u, (states.shape[0], 5))]
         out = np.empty(states.shape)
         _check(lib.rk4_adjoint(*_addresses(args), states.shape[0] - 1, dt,

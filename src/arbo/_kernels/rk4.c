@@ -17,7 +17,7 @@
  *
  * Arrays are C-contiguous doubles: par in the order of
  * model.params_to_array, cpar in that of model.control_params_to_array,
- * dwts = (D1, D2, D3, D4), wts = (D1, D2, D3, D4, B1, ..., B5), states
+ * wts = (D1, D2, D3, D4, B1, ..., B5) as control.ObjectiveWeights, states
  * and out as (n_steps + 1) x 10 and the controls u as (n_steps + 1) x 5.
  * Every loop stops at the first node holding a NaN or an infinity and
  * returns its index.  It returns NO_HUMANS when a right-hand side met a
@@ -112,13 +112,13 @@ static int field_vjp(const double *x, const double *u, const double *l,
 }
 
 /* -dH/dx (control.adjoint_field): minus the running cost's state
- * gradient and J^T l; dw = (D1, D2, D3, D4). */
+ * gradient and J^T l; only the state penalties w[0..3] = D1..D4 enter. */
 static int adjoint_rhs(const double *l, const double *x, const double *u,
-                       const double *p, const double *c, const double *dw,
+                       const double *p, const double *c, const double *w,
                        double *d)
 {
-    const double cost[NX] = {0.0, 0.0, dw[0], 0.0, dw[1], dw[1], dw[1],
-                             dw[2], dw[3], 0.0};
+    const double cost[NX] = {0.0, 0.0, w[0], 0.0, w[1], w[1], w[1],
+                             w[2], w[3], 0.0};
     double vjp[NX];
     int empty = field_vjp(x, u, l, p, c, vjp);
     for (int j = 0; j < NX; j++)
@@ -168,7 +168,7 @@ long rk4_controlled(const double *par, const double *cpar, const double *x0,
 
 /* Backward from the zero terminal value; the intermediate stages use the
  * average of the two adjacent nodes' states and controls. */
-long rk4_adjoint(const double *par, const double *cpar, const double *dwts,
+long rk4_adjoint(const double *par, const double *cpar, const double *wts,
                  const double *states, const double *u, long n_steps,
                  double dt, double *out)
 {
@@ -183,16 +183,16 @@ long rk4_adjoint(const double *par, const double *cpar, const double *dwts,
             x_mid[j] = 0.5 * (x_lo[j] + x_hi[j]);
         for (int j = 0; j < NU; j++)
             u_mid[j] = 0.5 * (u_lo[j] + u_hi[j]);
-        int empty = adjoint_rhs(lam, x_hi, u_hi, par, cpar, dwts, k1);
+        int empty = adjoint_rhs(lam, x_hi, u_hi, par, cpar, wts, k1);
         for (int j = 0; j < NX; j++)
             ls[j] = lam[j] - 0.5 * dt * k1[j];
-        empty |= adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k2);
+        empty |= adjoint_rhs(ls, x_mid, u_mid, par, cpar, wts, k2);
         for (int j = 0; j < NX; j++)
             ls[j] = lam[j] - 0.5 * dt * k2[j];
-        empty |= adjoint_rhs(ls, x_mid, u_mid, par, cpar, dwts, k3);
+        empty |= adjoint_rhs(ls, x_mid, u_mid, par, cpar, wts, k3);
         for (int j = 0; j < NX; j++)
             ls[j] = lam[j] - dt * k3[j];
-        empty |= adjoint_rhs(ls, x_lo, u_lo, par, cpar, dwts, k4);
+        empty |= adjoint_rhs(ls, x_lo, u_lo, par, cpar, wts, k4);
         if (empty)
             return NO_HUMANS;
         for (int j = 0; j < NX; j++)

@@ -23,9 +23,8 @@ from ._kernels import BACKEND, FALLBACK_REASON, rk4_basic
 from .control import (
     ObjectiveWeights, StrategyMask, forward_backward_sweep,
 )
-from .equilibria import ResidualError
 from .model import (
-    STATE_NAMES, ControlParams, ModelParams, ParamError, ZeroPopulationError,
+    STATE_NAMES, ControlParams, ModelParams, ZeroPopulationError,
     params_to_array,
 )
 from .ode import NonFiniteError, TimeGrid, Trajectory
@@ -73,13 +72,14 @@ def _emit_json(report: dict, out_path) -> None:
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            cfg = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}") from exc
+    return _object(cfg, f"config {path}")
 
 
 def _require(cfg: dict, key: str, where: str = "config"):
@@ -88,36 +88,56 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _build_params(cfg: dict) -> ModelParams:
-    section = _require(cfg, "params")
-    field_names = {f.name for f in dataclasses.fields(ModelParams)}
-    missing = field_names - set(section)
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, where: str):
+    """`value`, which must be a JSON number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _field(section: dict, key: str, where: str, default=None):
+    """The number section[key]; `default` when it is absent, which is an
+    error when there is no default."""
+    value = (_require(section, key, where) if default is None
+             else section.get(key, default))
+    return _number(value, f"{where}.{key}")
+
+
+def _range(value, where: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where} must be a [lo, hi] pair, got {value!r}")
+    return tuple(_number(v, where) for v in value)
+
+
+def _record(cfg: dict, cls, key: str):
+    """The dataclass `cls` from the object cfg[key], which must name
+    exactly its fields, each a number."""
+    section = _object(_require(cfg, key), key)
+    names = {f.name for f in dataclasses.fields(cls)}
+    missing = names - set(section)
     if missing:
-        raise ConfigError(f"params section missing fields: {sorted(missing)}")
-    unknown = set(section) - field_names
+        raise ConfigError(f"{key} section missing fields: {sorted(missing)}")
+    unknown = set(section) - names
     if unknown:
-        raise ConfigError(f"params section has unknown fields: {sorted(unknown)}")
-    return ModelParams(**section)
-
-
-def _build_control_params(cfg: dict) -> ControlParams:
-    section = _require(cfg, "control_params")
-    return ControlParams(**section)
-
-
-def _build_weights(cfg: dict) -> ObjectiveWeights:
-    section = _require(cfg, "weights")
-    return ObjectiveWeights(**section)
+        raise ConfigError(f"{key} section has unknown fields: {sorted(unknown)}")
+    return cls(**{name: _field(section, name, key) for name in section})
 
 
 def _build_grid(cfg: dict, args) -> TimeGrid:
-    section = dict(_require(cfg, "grid"))
+    section = dict(_object(_require(cfg, "grid"), "grid"))
     if getattr(args, "tf", None) is not None:
         section["tf"] = args.tf
     if getattr(args, "steps", None) is not None:
         section["n_steps"] = args.steps
-    return TimeGrid(t0=section.get("t0", 0.0), tf=_require(section, "tf", "grid"),
-                    n_steps=int(_require(section, "n_steps", "grid")))
+    return TimeGrid(t0=_field(section, "t0", "grid", 0.0),
+                    tf=_field(section, "tf", "grid"),
+                    n_steps=int(_field(section, "n_steps", "grid")))
 
 
 def _initial_state(cfg: dict) -> np.ndarray:
@@ -136,12 +156,12 @@ def _seed(cfg: dict, args) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"ARBO_SEED is not an integer: {env!r}") from exc
-    return int(cfg.get("seed", 0))
+    return int(_field(cfg, "seed", "config", 0))
 
 
 def cmd_thresholds(args) -> int:
     cfg = load_config(args.config)
-    p = _build_params(cfg)
+    p = _record(cfg, ModelParams, "params")
     rep = bifurcation_thresholds(p)
     k = derive_constants(p)
     _emit_json({
@@ -165,7 +185,7 @@ def cmd_thresholds(args) -> int:
 
 def cmd_equilibria(args) -> int:
     cfg = load_config(args.config)
-    p = _build_params(cfg)
+    p = _record(cfg, ModelParams, "params")
     eq = equilibria.solve_endemic(p, stability_checker=lambda x: eigen_verdict(x, p).stable)
     report = {
         "classification": eq.classification.value,
@@ -187,7 +207,7 @@ def cmd_equilibria(args) -> int:
 
 def cmd_bifurcation(args) -> int:
     cfg = load_config(args.config)
-    p = _build_params(cfg)
+    p = _record(cfg, ModelParams, "params")
     if args.out is None:
         raise ConfigError("bifurcation requires --out CSV path")
     t0 = time.perf_counter()
@@ -206,7 +226,7 @@ def cmd_bifurcation(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    p = _build_params(cfg)
+    p = _record(cfg, ModelParams, "params")
     if args.out is None:
         raise ConfigError("simulate requires --out CSV path")
     grid = _build_grid(cfg, args)
@@ -222,15 +242,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     cfg = load_config(args.config)
-    sens_cfg = cfg.get("sensitivity", {})
-    ranges_cfg = sens_cfg.get("ranges")
-    if ranges_cfg is None:
+    sens_cfg = _object(cfg.get("sensitivity", {}), "sensitivity")
+    if sens_cfg.get("ranges") is None:
         dist = sensitivity.baseline_ranges()
     else:
+        where = "sensitivity.ranges"
         dist = sensitivity.ParamDistribution(
-            {k: tuple(v) for k, v in ranges_cfg.items()})
+            {k: _range(v, f"{where}.{k}")
+             for k, v in _object(sens_cfg["ranges"], where).items()})
     n = (args.samples if args.samples is not None
-         else int(sens_cfg.get("samples", 5000)))
+         else int(_field(sens_cfg, "samples", "sensitivity", 5000)))
     seed = _seed(cfg, args)
     t0 = time.perf_counter()
     samples = sensitivity.lhs_sample(dist, n, seed)
@@ -264,19 +285,19 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_control(args) -> int:
     cfg = load_config(args.config)
-    p = _build_params(cfg)
-    c = _build_control_params(cfg)
-    w = _build_weights(cfg)
+    p = _record(cfg, ModelParams, "params")
+    c = _record(cfg, ControlParams, "control_params")
+    w = _record(cfg, ObjectiveWeights, "weights")
     grid = _build_grid(cfg, args)
     x0 = _initial_state(cfg)
-    sweep_cfg = cfg.get("sweep", {})
+    sweep_cfg = _object(cfg.get("sweep", {}), "sweep")
     strategy = args.strategy or cfg.get("strategy", "Z")
     mask = StrategyMask.named(strategy)
     result = forward_backward_sweep(
         p, c, w, x0, grid, mask,
-        mix=float(sweep_cfg.get("mix", 0.5)),
-        tol=float(sweep_cfg.get("tol", 1e-3)),
-        max_iters=int(sweep_cfg.get("max_iters", 200)))
+        mix=float(_field(sweep_cfg, "mix", "sweep", 0.5)),
+        tol=float(_field(sweep_cfg, "tol", "sweep", 1e-3)),
+        max_iters=int(_field(sweep_cfg, "max_iters", "sweep", 200)))
     if args.controls_csv:
         result.controls.to_csv(args.controls_csv,
                                ["u1", "u2", "u3", "u4", "u5"])
@@ -303,18 +324,21 @@ def cmd_control(args) -> int:
 
 def cmd_icer(args) -> int:
     cfg = load_config(args.config)
-    section = cfg.get("icer", {})
-    strategies = section.get("strategies")
+    strategies = _object(cfg.get("icer", {}), "icer").get("strategies")
     if not strategies:
         raise ConfigError("missing required field 'icer.strategies' in config")
+    if not isinstance(strategies, list):
+        raise ConfigError(f"icer.strategies must be a list, got {strategies!r}")
+    where = "icer.strategies"
     reports = []
     for row in strategies:
+        row = _object(row, f"{where} entry")
         reports.append(econ.StrategyReport(
-            name=_require(row, "name", "icer.strategies"),
-            cumulated_ih=float(row.get("cumulated_ih", 0.0)),
-            efficiency_percent=float(row.get("efficiency", 0.0)),
-            total_cost=float(_require(row, "cost", "icer.strategies")),
-            infections_averted=float(_require(row, "averted", "icer.strategies"))))
+            name=_require(row, "name", where),
+            cumulated_ih=float(_field(row, "cumulated_ih", where, 0.0)),
+            efficiency_percent=float(_field(row, "efficiency", where, 0.0)),
+            total_cost=float(_field(row, "cost", where)),
+            infections_averted=float(_field(row, "averted", where))))
     table = econ.icer_analysis(reports)
     _emit_json({
         "rows": table.rows,
@@ -397,11 +421,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ThresholdError, ResidualError, NonFiniteError,
-            ZeroPopulationError, ArithmeticError) as exc:
+    except (ThresholdError, ZeroPopulationError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ParamError, sensitivity.RangeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -215,7 +215,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
             break
 
     states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-    adjoints = _kernels.rk4_adjoint(par, cpar, wts[:4], states, u, grid.dt)
+    adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
     states = Trajectory(grid, states)
     controls = Trajectory(grid, u)
 

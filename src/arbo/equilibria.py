@@ -239,7 +239,9 @@ def delta_zero_check(p: ModelParams) -> dict:
 
     With delta = 0 the equilibrium condition is linear in the force of
     infection; there is no endemic point unless R0 > 1, in which case
-    the unique root is -p0/p1.
+    the unique root is -p0/p1.  R0 = 1 is the band of `solve_endemic`
+    (`_R0_ONE_TOL`), where the root is lambda = 0; with delta = 0,
+    R_c^2 >= 2, so that band is its case ii with no endemic point.
     """
     if p.delta != 0.0:
         raise ValueError(f"delta_zero_check requires delta = 0, got {p.delta!r}")
@@ -249,10 +251,9 @@ def delta_zero_check(p: ModelParams) -> dict:
     common = p.mu_b * p.lambda_h_in * k.k9
     p1 = common * (k.k10 * p.a * p.mu_h * p.beta_vh + k.k2 * k.k8)
     p0 = -p.mu_h * k.k3 * k.k4 * k.k8 * common * (rep.r0 ** 2 - 1.0)
-    if rep.r0 <= 1.0:
-        root = 0.0 if rep.r0 == 1.0 else None
-        return {"no_endemic": rep.r0 < 1.0, "lambda_root": root,
-                "p1": p1, "p0": p0}
+    if rep.r0 - 1.0 <= _R0_ONE_TOL:
+        root = 0.0 if abs(rep.r0 - 1.0) <= _R0_ONE_TOL else None
+        return {"no_endemic": True, "lambda_root": root, "p1": p1, "p0": p0}
     return {"no_endemic": False, "lambda_root": -p0 / p1, "p1": p1, "p0": p0}
 
 

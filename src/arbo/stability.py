@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,13 +134,6 @@ def routh_hurwitz_trivial(p: ModelParams) -> StabilityVerdict:
         method=Method.ROUTH_HURWITZ)
 
 
-def _null_vector(m: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Unit kernel vector of an (approximately singular) matrix via SVD,
-    plus the two smallest singular values for a dimension check."""
-    _, s, vt = np.linalg.svd(m)
-    return vt[-1], s[-1], s[-2]
-
-
 def bifurcation_coefficients(p: ModelParams) -> BifurcationCoefficients:
     """Center-manifold constants at beta_hv = beta* (set internally).
 
@@ -157,18 +149,16 @@ def bifurcation_coefficients(p: ModelParams) -> BifurcationCoefficients:
     jac = jacobian(e1, ps)
 
     scale = np.max(np.abs(jac))
-    w, s_min, s_next = _null_vector(jac)
+    # J = U S V^T: the last right singular vector spans ker J and the
+    # last left one ker J^T, which has the same singular values.
+    u, s, vt = np.linalg.svd(jac)
+    w, v = vt[-1], u[:, -1]
     # One-dimensional: sigma_min vanishes on the scale of J and against
     # the next singular value, which can itself be as small as mu_h.
-    if s_min > 1e-6 * scale or s_min > 1e-6 * s_next:
+    if s[-1] > 1e-6 * scale or s[-1] > 1e-6 * s[-2]:
         raise KernelError(
-            f"Jacobian kernel is not one-dimensional: sigma_min={s_min:.3g}, "
-            f"next={s_next:.3g} (scale {scale:.3g})")
-    v, sv_min, sv_next = _null_vector(jac.T)
-    if sv_min > 1e-6 * scale or sv_min > 1e-6 * sv_next:
-        raise KernelError(
-            f"transposed-Jacobian kernel is not one-dimensional: "
-            f"sigma_min={sv_min:.3g}, next={sv_next:.3g}")
+            f"Jacobian kernel is not one-dimensional: sigma_min={s[-1]:.3g}, "
+            f"next={s[-2]:.3g} (scale {scale:.3g})")
 
     if w[I_V] == 0.0:
         raise KernelError("right null vector has zero infectious-vector component")

@@ -123,7 +123,7 @@ def test_control_command_masks_excluded_control(config_file, tmp_path):
     assert np.all(data[:, 5] == 0.0)  # u5 masked off under Z1
 
 
-def test_control_nonconvergence_exit_code(config_file, tmp_path):
+def test_control_nonconvergence_exit_code(config_file, tmp_path, capsys):
     cfg = _table5()
     cfg["grid"]["tf"] = 5.0
     cfg["grid"]["n_steps"] = 500
@@ -132,6 +132,8 @@ def test_control_nonconvergence_exit_code(config_file, tmp_path):
     code = main(["control", "--config", config_file(cfg), "--out", str(out)])
     assert code == EXIT_NO_CONVERGENCE
     assert json.loads(out.read_text())["converged"] is False
+    assert capsys.readouterr().err == (
+        "sweep did not converge within the iteration budget\n")
 
 
 def test_icer_command(config_file, tmp_path):
@@ -247,22 +249,104 @@ def test_missing_config_file(tmp_path):
                  str(tmp_path / "nope.json")]) == EXIT_PARSE
 
 
-def test_missing_param_field(config_file):
+def test_missing_param_field(config_file, capsys):
     cfg = _table5()
     del cfg["params"]["mu_v"]
     assert main(["thresholds", "--config", config_file(cfg)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: params section missing fields: ['mu_v']\n")
 
 
-def test_unknown_param_field(config_file):
+def test_unknown_param_field(config_file, capsys):
     cfg = _table5()
     cfg["params"]["mu_x"] = 1.0
     assert main(["thresholds", "--config", config_file(cfg)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: params section has unknown fields: ['mu_x']\n")
 
 
-def test_invalid_param_value(config_file):
+def test_invalid_param_value(config_file, capsys):
     cfg = _table5()
     cfg["params"]["mu_v"] = -1.0
     assert main(["thresholds", "--config", config_file(cfg)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(
+        "error: invalid parameters: mu_v must be")
+
+
+_DELETE = object()
+
+# (command, fixture, path into the config, new value, message fragment)
+_MALFORMED = [
+    ("sensitivity", "table2_baseline", (), [1, 2], "must be a JSON object"),
+    ("simulate", "table5_control", ("grid",), [1, 2],
+     "grid must be a JSON object"),
+    ("control", "table5_control", ("sweep",), [], "sweep must be a JSON object"),
+    ("control", "table5_control", ("sweep", "max_iters"), None,
+     "sweep.max_iters must be a number, got None"),
+    ("simulate", "table5_control", ("grid", "n_steps"), None,
+     "grid.n_steps must be a number, got None"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "samples"), None,
+     "sensitivity.samples must be a number, got None"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "ranges"), [1, 2],
+     "sensitivity.ranges must be a JSON object"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "ranges", "mu_h"), 5,
+     "sensitivity.ranges.mu_h must be a [lo, hi] pair, got 5"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "ranges", "mu_h"),
+     ["a", 1], "sensitivity.ranges.mu_h must be a number, got 'a'"),
+    ("sensitivity", "table2_baseline", ("seed",), None,
+     "config.seed must be a number, got None"),
+    ("icer", "table5_control", ("icer", "strategies"), 5,
+     "icer.strategies must be a list, got 5"),
+    ("icer", "table5_control", ("icer", "strategies", 0), 1,
+     "icer.strategies entry must be a JSON object, got 1"),
+    ("icer", "table5_control", ("icer", "strategies", 0, "cost"), None,
+     "icer.strategies.cost must be a number, got None"),
+    ("control", "table5_control", ("control_params", "omega"), _DELETE,
+     "control_params section missing fields: ['omega']"),
+    ("control", "table5_control", ("weights", "B6"), 1.0,
+     "weights section has unknown fields: ['B6']"),
+    ("thresholds", "table5_control", ("params", "mu_h"), "0.1",
+     "params.mu_h must be a number, got '0.1'"),
+    ("thresholds", "table5_control", ("params", "mu_h"), None,
+     "params.mu_h must be a number, got None"),
+    ("thresholds", "table5_control", ("params", "mu_h"), True,
+     "params.mu_h must be a number, got True"),
+]
+
+
+def _case_id(case):
+    command, _, path, value, _ = case
+    where = ".".join(map(str, path)) or "config"
+    return f"{command}:{where}={'del' if value is _DELETE else repr(value)}"
+
+
+@pytest.mark.parametrize("command, fixture, path, value, message", _MALFORMED,
+                         ids=map(_case_id, _MALFORMED))
+def test_malformed_config_exits_2(command, fixture, path, value, message,
+                                  config_file, tmp_path, capsys):
+    """[TRIVIAL] A section that is not an object, a field that is not a
+    number (booleans and null included), a range that is not a pair and
+    a record with a missing or unknown field are configuration errors:
+    exit 2 with one `error:` line naming the field."""
+    cfg = copy.deepcopy(load_fixture(fixture))
+    if not path:
+        cfg = value
+    else:
+        *parents, key = path
+        section = cfg
+        for k in parents:
+            section = section[k]
+        if value is _DELETE:
+            del section[key]
+        else:
+            section[key] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", config_file(cfg),
+                 "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_numeric_error_exit_code(config_file, tmp_path):

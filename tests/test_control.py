@@ -104,7 +104,7 @@ def _reduced_gradient_gaps(kernels, scen, n_steps):
         return objective(Trajectory(grid, states), Trajectory(grid, controls), w)
 
     states = kernels.rk4_controlled(par, cpar, scen.x0, u, grid.dt)
-    adj = kernels.rk4_adjoint(par, cpar, w.to_array()[:4], states, u, grid.dt)
+    adj = kernels.rk4_adjoint(par, cpar, w.to_array(), states, u, grid.dt)
 
     def hamiltonians(controls):
         return running_cost(states, controls, w) + np.sum(

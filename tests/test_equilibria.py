@@ -145,6 +145,18 @@ def test_delta_zero_subcritical_has_no_endemic(sec22):
     assert res["no_endemic"] is True
 
 
+@pytest.mark.parametrize("factor", [1 - 1e-13, 1.0, 1 + 1e-13, 1 + 1e-9])
+def test_delta_zero_agrees_with_solve_endemic_at_r0_one(table5, factor):
+    """[DERIVED] At and next to beta* the linear check reads R0 = 1 by the
+    band of `solve_endemic`: inside it (case ii, R_c > 1 when delta = 0)
+    neither has an endemic point, just above it both have one."""
+    p = dataclasses.replace(table5.params, delta=0.0)
+    p = dataclasses.replace(
+        p, beta_hv=bifurcation_thresholds(p).beta_star * factor)
+    res = delta_zero_check(p)
+    assert res["no_endemic"] == (len(solve_endemic(p).endemic) == 0)
+
+
 def test_scan_dfe_only_at_zero_transmission(sec22):
     """[TRIVIAL] beta_hv = 0 rows carry only the DFE branch."""
     rows = bifurcation_scan(sec22.params, "beta_hv", 0.0, 0.0, 0)

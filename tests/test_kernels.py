@@ -4,7 +4,11 @@ machinery around them."""
 
 import dataclasses
 import logging
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +46,22 @@ def test_missing_compiler_falls_back_with_reason(tmp_path, caplog):
     warnings = [r for r in caplog.records if r.name == "arbo"]
     assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
     assert missing in warnings[0].getMessage()
+
+
+def test_only_control_and_cli_load_the_kernels():
+    """[TRIVIAL] The analysis modules import without `arbo._kernels`, so
+    they neither build nor load the C library; `arbo.control` loads it."""
+    code = (
+        "import sys, arbo, arbo.thresholds, arbo.equilibria, "
+        "arbo.sensitivity, arbo.stability, arbo.econ\n"
+        "before = 'arbo._kernels' in sys.modules\n"
+        "import arbo.control\n"
+        "print(before, 'arbo._kernels' in sys.modules)\n")
+    src = pathlib.Path(_kernels.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False True\n"
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -94,9 +114,9 @@ def test_adjoint_kernels_agree(table5):
     cpar = control_params_to_array(table5.control_params)
     u = _random_controls(rng, 200)
     states = _kernels.rk4_controlled(par, cpar, table5.x0, u, 0.05)
-    dwts = table5.weights.to_array()[:4]
-    adj_a = _kernels.rk4_adjoint(par, cpar, dwts, states, u, 0.05)
-    adj_b = PYTHON.rk4_adjoint(par, cpar, dwts, states, u, 0.05)
+    wts = table5.weights.to_array()
+    adj_a = _kernels.rk4_adjoint(par, cpar, wts, states, u, 0.05)
+    adj_b = PYTHON.rk4_adjoint(par, cpar, wts, states, u, 0.05)
     assert adj_a.tobytes() == adj_b.tobytes()
 
 
@@ -164,7 +184,7 @@ def test_kernels_report_first_nonfinite_step(table5):
                             delta=0.0, mu_b=1e4, Gamma_E=1e300, Gamma_L=1e300)
     par = params_to_array(p)
     cpar = control_params_to_array(table5.control_params)
-    dwts = table5.weights.to_array()[:4]
+    wts = table5.weights.to_array()
     n = 100
     u = _random_controls(np.random.default_rng(25), n)
     states = np.tile(table5.x0, (n + 1, 1))
@@ -172,7 +192,7 @@ def test_kernels_report_first_nonfinite_step(table5):
     cases = [
         ("rk4_basic", (par, table5.x0, n, 5.0)),
         ("rk4_controlled", (par, cpar, table5.x0, u, 5.0)),
-        ("rk4_adjoint", (base, cpar, dwts, states, u, 100.0)),
+        ("rk4_adjoint", (base, cpar, wts, states, u, 100.0)),
     ]
     for name, args in cases:
         got = _first_bad_step(lambda: getattr(_kernels, name)(*args))
@@ -183,7 +203,7 @@ def test_kernels_report_first_nonfinite_step(table5):
 
 def _separate_passes(kernels, par, cpar, wts, x0, u, dt):
     states = kernels.rk4_controlled(par, cpar, x0, u, dt)
-    kernels.rk4_adjoint(par, cpar, wts[:4], states, u, dt)
+    kernels.rk4_adjoint(par, cpar, wts, states, u, dt)
 
 
 def test_sweep_step_stops_where_its_passes_stop(table5):
@@ -230,7 +250,7 @@ def test_zero_human_total_raises(kernels, table5):
         kernels.sweep_step(par, cpar, np.ones(9), np.ones(5), 0.5, table5.x0,
                            np.zeros((51, 5)), None, 1.0)
     with pytest.raises(ZeroPopulationError):
-        kernels.rk4_adjoint(par, cpar, np.ones(4), np.zeros((11, 10)),
+        kernels.rk4_adjoint(par, cpar, np.ones(9), np.zeros((11, 10)),
                             np.zeros((11, 5)), 0.1)
 
 
@@ -246,8 +266,10 @@ def test_kernels_check_shapes(kernels, table5):
         lambda: kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((11, 4)), 0.1),
         lambda: kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((0, 5)), 0.1),
         lambda: kernels.rk4_adjoint(par, cpar, np.ones(4), np.ones((11, 10)),
+                                    np.zeros((11, 5)), 0.1),
+        lambda: kernels.rk4_adjoint(par, cpar, np.ones(9), np.ones((11, 10)),
                                     np.zeros((10, 5)), 0.1),
-        lambda: kernels.rk4_adjoint(par, cpar, np.ones(4), np.ones((0, 10)),
+        lambda: kernels.rk4_adjoint(par, cpar, np.ones(9), np.ones((0, 10)),
                                     np.zeros((0, 5)), 0.1),
         lambda: kernels.sweep_step(par, cpar, np.ones(4), np.ones(5), 0.5,
                                    table5.x0, np.zeros((11, 5)), None, 0.1),
@@ -298,7 +320,7 @@ def test_adjoint_kernel_matches_reference_integrator(table5):
     par = params_to_array(p)
     cpar = control_params_to_array(c)
     states = _kernels.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
-    ker = _kernels.rk4_adjoint(par, cpar, w.to_array()[:4], states, u, grid.dt)
+    ker = _kernels.rk4_adjoint(par, cpar, w.to_array(), states, u, grid.dt)
     ref = rk4_backward(
         lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
         np.zeros(10), grid, states, control_traj=u)
