@@ -18,7 +18,7 @@ cache directory when that is not writable.
 
 If the build or the load fails, the same kernels run the Python
 right-hand sides (`model.controlled_field`, `control.adjoint_field`)
-through `ode.forward_steps` / `ode.backward_steps`, and `sweep_step`
+through `ode.rk4_nodes`, forward and backward, and `sweep_step`
 composes those with `control.characterize_controls`; built without fused
 multiply-add, the C kernels give the same values to the last bit.  Each
 backend's `rk4_basic` is its own `rk4_controlled` with zero controls and
@@ -121,8 +121,9 @@ def _zero_control(rk4_controlled):
 def _py_controlled(par, cpar, x0, u, dt):
     p, c = _model_params(par), _control_params(cpar)
     u = _array(u, (None, 5))
-    return ode.forward_steps(lambda t, x, uu: model.controlled_field(x, uu, p, c),
-                             _array(x0, (10,)), u.shape[0] - 1, float(dt), u)
+    return ode.rk4_nodes(lambda t, x, uu: model.controlled_field(x, uu, p, c),
+                         _array(x0, (10,)), (u,), dt,
+                         dt * np.arange(len(u), dtype=float))
 
 
 def _py_adjoint(par, cpar, wts, states, u, dt):
@@ -132,9 +133,9 @@ def _py_adjoint(par, cpar, wts, states, u, dt):
     w = ObjectiveWeights(*_array(wts, (9,)).tolist())
     states = _array(states, (None, 10))
     u = _array(u, (states.shape[0], 5))
-    return ode.backward_steps(
-        lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
-        np.zeros(10), states, float(dt), u)
+    return ode.rk4_nodes(lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
+                         np.zeros(10), (states, u), dt,
+                         dt * np.arange(len(u), dtype=float), backward=True)
 
 
 def _py_sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):

@@ -9,7 +9,7 @@
  * operation order as their Python counterparts (model.controlled_field,
  * model.field_vjp), the adjoint right-hand side is built from the
  * derivative as control.adjoint_field is, each loop runs in the same
- * order as ode.forward_steps / ode.backward_steps, and the control
+ * order as ode.rk4_nodes does forward and backward, and the control
  * update follows control.characterize_controls term for term, so that
  * without fused multiply-add the two routes agree to the last bit.  The
  * uncontrolled system is the controlled one with zero controls and zero

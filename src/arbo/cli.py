@@ -21,13 +21,13 @@ import numpy as np
 from . import SPEC_VERSION, econ, equilibria, sensitivity
 from ._kernels import BACKEND, FALLBACK_REASON, rk4_basic
 from .control import (
-    ObjectiveWeights, StrategyMask, forward_backward_sweep,
+    STRATEGY_SETS, ObjectiveWeights, StrategyMask, forward_backward_sweep,
 )
 from .model import (
     STATE_NAMES, ControlParams, ModelParams, ZeroPopulationError,
     params_to_array,
 )
-from .ode import NonFiniteError, TimeGrid, Trajectory
+from .ode import TimeGrid, Trajectory
 from .stability import eigen_verdict
 from .thresholds import ThresholdError, bifurcation_thresholds, derive_constants
 
@@ -109,6 +109,15 @@ def _field(section: dict, key: str, where: str, default=None):
     return _number(value, f"{where}.{key}")
 
 
+def _count(section: dict, key: str, where: str, default=None) -> int:
+    """The integer section[key], which may be written as a whole float
+    such as 100.0; `default` as in `_field`."""
+    value = _field(section, key, where, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _range(value, where: str) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{where} must be a [lo, hi] pair, got {value!r}")
@@ -137,14 +146,16 @@ def _build_grid(cfg: dict, args) -> TimeGrid:
         section["n_steps"] = args.steps
     return TimeGrid(t0=_field(section, "t0", "grid", 0.0),
                     tf=_field(section, "tf", "grid"),
-                    n_steps=int(_field(section, "n_steps", "grid")))
+                    n_steps=_count(section, "n_steps", "grid"))
 
 
 def _initial_state(cfg: dict) -> np.ndarray:
-    x0 = np.asarray(_require(cfg, "initial_state"), dtype=float)
-    if x0.shape != (10,):
-        raise ConfigError(f"initial_state must have 10 entries, got {x0.shape}")
-    return x0
+    x0 = _require(cfg, "initial_state")
+    if not isinstance(x0, list) or len(x0) != 10:
+        raise ConfigError(f"initial_state must be a list of 10 numbers, "
+                          f"got {x0!r}")
+    return np.array([_number(v, f"initial_state[{i}]")
+                     for i, v in enumerate(x0)], dtype=float)
 
 
 def _seed(cfg: dict, args) -> int:
@@ -156,7 +167,7 @@ def _seed(cfg: dict, args) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"ARBO_SEED is not an integer: {env!r}") from exc
-    return int(_field(cfg, "seed", "config", 0))
+    return _count(cfg, "seed", "config", 0)
 
 
 def cmd_thresholds(args) -> int:
@@ -231,10 +242,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate requires --out CSV path")
     grid = _build_grid(cfg, args)
     x0 = _initial_state(cfg)
-    try:
+    with grid.kernel_clock():
         values = rk4_basic(params_to_array(p), x0, grid.n_steps, grid.dt)
-    except NonFiniteError as exc:  # the kernel counts time from 0
-        raise NonFiniteError(exc.step, grid.t0 + exc.step * grid.dt) from None
     traj = Trajectory(grid, values)
     traj.to_csv(args.out, STATE_NAMES)
     return 0
@@ -251,7 +260,7 @@ def cmd_sensitivity(args) -> int:
             {k: _range(v, f"{where}.{k}")
              for k, v in _object(sens_cfg["ranges"], where).items()})
     n = (args.samples if args.samples is not None
-         else int(_field(sens_cfg, "samples", "sensitivity", 5000)))
+         else _count(sens_cfg, "samples", "sensitivity", 5000))
     seed = _seed(cfg, args)
     t0 = time.perf_counter()
     samples = sensitivity.lhs_sample(dist, n, seed)
@@ -292,12 +301,15 @@ def cmd_control(args) -> int:
     x0 = _initial_state(cfg)
     sweep_cfg = _object(cfg.get("sweep", {}), "sweep")
     strategy = args.strategy or cfg.get("strategy", "Z")
+    if not isinstance(strategy, str):
+        raise ConfigError(f"config.strategy must be a strategy name, "
+                          f"got {strategy!r}")
     mask = StrategyMask.named(strategy)
     result = forward_backward_sweep(
         p, c, w, x0, grid, mask,
         mix=float(_field(sweep_cfg, "mix", "sweep", 0.5)),
         tol=float(_field(sweep_cfg, "tol", "sweep", 1e-3)),
-        max_iters=int(_field(sweep_cfg, "max_iters", "sweep", 200)))
+        max_iters=_count(sweep_cfg, "max_iters", "sweep", 200))
     if args.controls_csv:
         result.controls.to_csv(args.controls_csv,
                                ["u1", "u2", "u3", "u4", "u5"])
@@ -402,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("control", help="forward-backward sweep")
     common(sp)
     sp.add_argument("--strategy", default=None,
-                    choices=["Z1", "Z2", "Z3", "Z4", "Z"])
+                    choices=list(STRATEGY_SETS))
     sp.add_argument("--tf", type=float, default=None)
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--controls-csv", default=None)

@@ -41,7 +41,7 @@ class ObjectiveWeights:
         return params_to_array(self)
 
 
-_STRATEGY_SETS = {
+STRATEGY_SETS = {
     "Z1": (True, True, True, True, False),
     "Z2": (True, True, True, False, True),
     "Z3": (True, False, True, True, True),
@@ -60,16 +60,16 @@ class StrategyMask:
     def __post_init__(self):
         if len(self.active) != N_CONTROLS:
             raise ValueError(f"need {N_CONTROLS} flags, got {len(self.active)}")
-        if self.name in _STRATEGY_SETS and tuple(self.active) != _STRATEGY_SETS[self.name]:
+        if self.name in STRATEGY_SETS and tuple(self.active) != STRATEGY_SETS[self.name]:
             raise ValueError(
                 f"mask {self.active} does not match the definition of {self.name}")
 
     @classmethod
     def named(cls, name: str) -> "StrategyMask":
-        if name not in _STRATEGY_SETS:
+        if name not in STRATEGY_SETS:
             raise ValueError(f"unknown strategy {name!r}; "
-                             f"choose from {sorted(_STRATEGY_SETS)}")
-        return cls(name=name, active=_STRATEGY_SETS[name])
+                             f"choose from {sorted(STRATEGY_SETS)}")
+        return cls(name=name, active=STRATEGY_SETS[name])
 
     @classmethod
     def none(cls) -> "StrategyMask":
@@ -175,6 +175,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
 
     Non-convergence is reported (converged=False) with the full log;
     controls-only convergence with drifting states is flagged suspect.
+    A `NonFiniteError` carries its node's time on `grid`.
     """
     if not 0.0 < mix <= 1.0:
         raise ValueError(f"mix must be in (0, 1], got {mix}")
@@ -200,22 +201,24 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     iterations = 0
     any_active = bool(mask_arr.any())
 
-    for iterations in range(1, max_iters + 1):
-        states, _, u_new, control_change, state_change = _kernels.sweep_step(
-            par, cpar, wts, mask_arr, mix, x0, u, prev_states, grid.dt)
-        j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
-        log.append({"iteration": iterations, "J": j,
-                    "control_change": control_change,
-                    "state_change": state_change})
-        u = u_new
-        prev_states = states
-        if control_change < tol or not any_active:
-            converged = True
-            suspect = any_active and state_change >= tol and iterations > 1
-            break
+    with grid.kernel_clock():
+        for iterations in range(1, max_iters + 1):
+            states, _, u_new, control_change, state_change = \
+                _kernels.sweep_step(par, cpar, wts, mask_arr, mix, x0, u,
+                                    prev_states, grid.dt)
+            j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
+            log.append({"iteration": iterations, "J": j,
+                        "control_change": control_change,
+                        "state_change": state_change})
+            u = u_new
+            prev_states = states
+            if control_change < tol or not any_active:
+                converged = True
+                suspect = any_active and state_change >= tol and iterations > 1
+                break
 
-    states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-    adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
+        states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
+        adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
     states = Trajectory(grid, states)
     controls = Trajectory(grid, u)
 

@@ -1,14 +1,15 @@
 """Fixed-step RK4 integration: forward for states, backward for adjoints.
 
-The forward integrator accepts an optional control trajectory; control
-values at RK4 half-steps are linearly interpolated between grid nodes.
-The backward integrator uses the standard sweep discretization in which
-intermediate-stage state/control values are the average of the two
-adjacent grid nodes.
+Both directions run one loop, `rk4_nodes`, with step dt or -dt.  Inputs
+given per node (controls going forward, states and controls going
+backward) enter the two middle stages as the average of the two adjacent
+nodes, the standard sweep discretization (linear interpolation at the
+midpoint).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,15 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
+    @contextmanager
+    def kernel_clock(self):
+        """Re-raise a kernel's `NonFiniteError`, whose time counts from 0,
+        with its node's time on this grid."""
+        try:
+            yield
+        except NonFiniteError as exc:
+            raise NonFiniteError(exc.step, self.t0 + exc.step * self.dt) from None
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -67,11 +77,6 @@ class Trajectory:
                          zip(self.grid.times().tolist(), self.values.tolist()))
 
 
-def _check_finite(x: np.ndarray, step: int, t: float) -> None:
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(step, t)
-
-
 def _node_values(traj, grid: TimeGrid, what: str) -> np.ndarray:
     values = traj.values if isinstance(traj, Trajectory) \
         else np.asarray(traj, dtype=float)
@@ -90,40 +95,9 @@ def rk4_forward(field, x0, grid: TimeGrid, control_lookup=None) -> Trajectory:
     half-step control is the average of the adjacent nodes (linear
     interpolation at the midpoint).
     """
-    u = None if control_lookup is None \
-        else _node_values(control_lookup, grid, "control")
-    return Trajectory(grid, forward_steps(field, x0, grid.n_steps, grid.dt,
-                                          u, grid.t0))
-
-
-def forward_steps(field, x0, n_steps: int, dt: float, u=None,
-                  t0: float = 0.0) -> np.ndarray:
-    """The loop of `rk4_forward` on a bare step count and size: returns
-    the (n_steps+1, dim) node values, `u` holds one control row per node
-    or is None."""
-    rhs = field
-    if u is None:
-        u = np.zeros((n_steps + 1, 0))
-
-        def rhs(t, x, _):
-            return field(t, x)
-    x = np.array(x0, dtype=float)
-    out = np.empty((n_steps + 1, x.shape[0]))
-    out[0] = x
-    times = t0 + dt * np.arange(n_steps + 1)
-    for i in range(n_steps):
-        t = times[i]
-        u_lo = u[i]
-        u_hi = u[i + 1]
-        u_mid = 0.5 * (u_lo + u_hi)
-        k1 = rhs(t, x, u_lo)
-        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1, u_mid)
-        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2, u_mid)
-        k4 = rhs(t + dt, x + dt * k3, u_hi)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(x, i + 1, times[i + 1])
-        out[i + 1] = x
-    return out
+    inputs = () if control_lookup is None \
+        else (_node_values(control_lookup, grid, "control"),)
+    return Trajectory(grid, rk4_nodes(field, x0, inputs, grid.dt, grid.times()))
 
 
 def rk4_backward(adjoint_field, terminal_value, grid: TimeGrid,
@@ -135,41 +109,43 @@ def rk4_backward(adjoint_field, terminal_value, grid: TimeGrid,
     adjacent grid nodes; the terminal node is set to `terminal_value`
     exactly.
     """
-    xs = _node_values(state_traj, grid, "state")
-    us = None if control_traj is None \
-        else _node_values(control_traj, grid, "control")
-    return Trajectory(grid, backward_steps(adjoint_field, terminal_value, xs,
-                                           grid.dt, us, grid.t0))
+    inputs = (_node_values(state_traj, grid, "state"),)
+    if control_traj is not None:
+        inputs += (_node_values(control_traj, grid, "control"),)
+    return Trajectory(grid, rk4_nodes(adjoint_field, terminal_value, inputs,
+                                      grid.dt, grid.times(), backward=True))
 
 
-def backward_steps(adjoint_field, terminal_value, xs, dt: float, us=None,
-                   t0: float = 0.0) -> np.ndarray:
-    """The loop of `rk4_backward` over the node states `xs` (and controls
-    `us`, or None) with step size `dt`; returns the node values."""
-    n = xs.shape[0] - 1
-    rhs = adjoint_field
-    if us is None:
-        us = np.zeros((n + 1, 0))
+def rk4_nodes(rhs, y0, inputs, dt: float, times, backward: bool = False
+              ) -> np.ndarray:
+    """Classic RK4 over the nodes of `times` with step `dt`, or from the
+    last node down to the first with step `-dt` when `backward`; returns
+    the (len(times), dim) node values, `y0` at the starting node.
 
-        def rhs(t, lam, x, _):
-            return adjoint_field(t, lam, x)
-    lam = np.array(terminal_value, dtype=float)
-    out = np.empty((n + 1, lam.shape[0]))
-    out[n] = lam
-    times = t0 + dt * np.arange(n + 1)
-    for i in range(n - 1, -1, -1):
-        t_hi = times[i + 1]
-        x_hi = xs[i + 1]
-        x_lo = xs[i]
-        x_mid = 0.5 * (x_lo + x_hi)
-        u_hi = us[i + 1]
-        u_lo = us[i]
-        u_mid = 0.5 * (u_lo + u_hi)
-        k1 = rhs(t_hi, lam, x_hi, u_hi)
-        k2 = rhs(t_hi - 0.5 * dt, lam - 0.5 * dt * k1, x_mid, u_mid)
-        k3 = rhs(t_hi - 0.5 * dt, lam - 0.5 * dt * k2, x_mid, u_mid)
-        k4 = rhs(t_hi - dt, lam - dt * k3, x_lo, u_lo)
-        lam = lam - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(lam, i, times[i])
-        out[i] = lam
+    `rhs(t, y, *rows)` takes one row of each array in `inputs` (each
+    with a row per node): the rows of the node a step starts from, their
+    average with the next node's in the two middle stages, and the next
+    node's in the last.  Raises `NonFiniteError` at the first node that
+    holds a NaN or an infinity.
+    """
+    n = len(times) - 1
+    first, last, step = (n, 0, -1) if backward else (0, n, 1)
+    h = -dt if backward else dt
+    y = np.array(y0, dtype=float)
+    out = np.empty((n + 1, y.shape[0]))
+    out[first] = y
+    for i in range(first, last, step):
+        j = i + step
+        here = [a[i] for a in inputs]
+        there = [a[j] for a in inputs]
+        mid = [0.5 * (a + b) for a, b in zip(here, there)]
+        t = times[i]
+        k1 = rhs(t, y, *here)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, *mid)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, *mid)
+        k4 = rhs(t + h, y + h * k3, *there)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteError(j, times[j])
+        out[j] = y
     return out

@@ -7,8 +7,11 @@ import logging
 import numpy as np
 import pytest
 
-from arbo import _kernels
+from arbo import _kernels, sensitivity
 from arbo.cli import EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable, main
+from arbo.control import ObjectiveWeights, StrategyMask, forward_backward_sweep
+from arbo.model import STATE_NAMES, ControlParams, ModelParams
+from arbo.ode import TimeGrid
 from arbo.thresholds import basic_reproduction_number
 from conftest import load_fixture
 
@@ -311,6 +314,18 @@ _MALFORMED = [
      "params.mu_h must be a number, got None"),
     ("thresholds", "table5_control", ("params", "mu_h"), True,
      "params.mu_h must be a number, got True"),
+    ("control", "table5_control", ("strategy",), [],
+     "config.strategy must be a strategy name, got []"),
+    ("simulate", "table5_control", ("initial_state",), [None] * 10,
+     "initial_state[0] must be a number, got None"),
+    ("simulate", "table5_control", ("grid", "n_steps"), 100.7,
+     "grid.n_steps must be an integer, got 100.7"),
+    ("control", "table5_control", ("sweep", "max_iters"), 1.9,
+     "sweep.max_iters must be an integer, got 1.9"),
+    ("sensitivity", "table2_baseline", ("seed",), 2.5,
+     "config.seed must be an integer, got 2.5"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "samples"), 50.5,
+     "sensitivity.samples must be an integer, got 50.5"),
 ]
 
 
@@ -325,8 +340,9 @@ def _case_id(case):
 def test_malformed_config_exits_2(command, fixture, path, value, message,
                                   config_file, tmp_path, capsys):
     """[TRIVIAL] A section that is not an object, a field that is not a
-    number (booleans and null included), a range that is not a pair and
-    a record with a missing or unknown field are configuration errors:
+    number (booleans and null included), a count that is not an integer,
+    a strategy that is not a name, a range that is not a pair and a
+    record with a missing or unknown field are configuration errors:
     exit 2 with one `error:` line naming the field."""
     cfg = copy.deepcopy(load_fixture(fixture))
     if not path:
@@ -360,17 +376,74 @@ def test_numeric_error_exit_code(config_file, tmp_path):
 
 
 def test_numeric_error_reports_grid_time(config_file, tmp_path, capsys):
-    # No infection and no carrying capacity: the vector population grows
-    # until it overflows, and the first non-finite node is reported at
-    # its time on the config's grid.
+    """No infection and no carrying capacity: the vector population grows
+    until it overflows.  `simulate` and the sweep of `control` both report
+    the first non-finite node at its time on the config's grid, although
+    the kernels count time from 0."""
     cfg = _table5()
     cfg["params"].update(beta_hv=0.0, beta_vh=0.0, delta=0.0, mu_b=1e4,
                          Gamma_E=1e300, Gamma_L=1e300)
-    cfg["grid"].update(t0=100.0, tf=600.0, n_steps=100)
-    out = tmp_path / "traj.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["simulate", "--config", config_file(cfg), "--out", str(out)])
-    assert code == EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "non-finite value at step 74 (t = 470)" in err
-    assert not out.exists()
+    cfg["grid"].update(t0=1000.0, tf=1500.0, n_steps=100)
+    path = config_file(cfg)
+    for command in ("simulate", "control"):
+        out = tmp_path / f"{command}.out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--config", path, "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric error: non-finite value at step 74 (t = 1370)\n")
+        assert not out.exists()
+
+
+def _csv(path):
+    """Header and rows of a CSV file, each row split into its fields."""
+    header, *lines = path.read_text().splitlines()
+    return header, [line.split(",") for line in lines]
+
+
+def test_csv_outputs_round_trip(config_file, tmp_path):
+    """`sensitivity --prcc-csv/--hist-csv` and `control --states-csv` write
+    one row per coefficient, bin and node, and every value reads back as
+    the in-process result, bit for bit."""
+    sens = copy.deepcopy(load_fixture("table2_baseline"))
+    sens["sensitivity"]["samples"] = 60
+    prcc_csv, hist_csv = tmp_path / "prcc.csv", tmp_path / "hist.csv"
+    assert main(["sensitivity", "--config", config_file(sens, "sens.json"),
+                 "--out", str(tmp_path / "sens-out.json"),
+                 "--prcc-csv", str(prcc_csv), "--hist-csv", str(hist_csv)]) == 0
+    dist = sensitivity.ParamDistribution(
+        {k: tuple(v) for k, v in sens["sensitivity"]["ranges"].items()})
+    samples = sensitivity.lhs_sample(dist, 60, sens["seed"])
+    report = sensitivity.prcc(samples, sensitivity.r0_values(samples))
+    hist = sensitivity.r0_distribution(samples)["histogram"]
+    header, rows = _csv(prcc_csv)
+    assert header == "parameter,prcc"
+    assert len(rows) == len(report.coefficients) == 21
+    assert [(name, float(v)) for name, v in rows] == list(
+        report.coefficients.items())
+    header, rows = _csv(hist_csv)
+    assert header == "bin_lo,bin_hi,count"
+    assert len(rows) == len(hist["counts"])
+    assert [[float(lo), float(hi), int(n)] for lo, hi, n in rows] == [
+        list(row) for row in zip(hist["edges"][:-1].tolist(),
+                                 hist["edges"][1:].tolist(),
+                                 hist["counts"].tolist())]
+
+    control = _table5()
+    control["grid"].update(tf=5.0, n_steps=500)
+    states_csv = tmp_path / "states.csv"
+    assert main(["control", "--config", config_file(control, "ctl.json"),
+                 "--out", str(tmp_path / "ctl-out.json"),
+                 "--states-csv", str(states_csv)]) == 0
+    result = forward_backward_sweep(
+        ModelParams(**control["params"]),
+        ControlParams(**control["control_params"]),
+        ObjectiveWeights(**control["weights"]),
+        np.array(control["initial_state"], dtype=float),
+        TimeGrid(0.0, 5.0, 500), StrategyMask.named(control["strategy"]),
+        **control["sweep"])
+    header, rows = _csv(states_csv)
+    assert header == "t," + ",".join(STATE_NAMES)
+    assert len(rows) == 501
+    assert np.array_equal(np.array(rows, dtype=float), np.column_stack(
+        [result.states.grid.times(), result.states.values]))

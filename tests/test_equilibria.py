@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import arbo.equilibria
 from arbo.equilibria import (
-    Classification, ScanRow, bifurcation_scan, delta_zero_check,
-    endemic_quadratic, scan_to_csv, solve_endemic,
+    Classification, ResidualError, ScanRow, bifurcation_scan,
+    delta_zero_check, endemic_quadratic, scan_to_csv, solve_endemic,
 )
 from arbo.model import (
     E_H, I_H, I_V, PUP, S_H, S_V, ParamError, basic_field, derive_constants,
@@ -54,6 +55,22 @@ def test_d1_sign_tracks_r0_vs_rc():
         rep = bifurcation_thresholds(p)
         q = endemic_quadratic(p)
         assert (q.d1 > 0) == (rep.r0 > rep.r_c)
+
+
+def test_residual_failure_is_reported_alike(sec22, monkeypatch):
+    """[TRIVIAL] With a zero residual tolerance, `solve_endemic` raises
+    `ResidualError` and the scan writes an error row, with one message."""
+    monkeypatch.setattr(arbo.equilibria, "_RESIDUAL_RTOL", 0.0)
+    p = dataclasses.replace(sec22.params, beta_hv=0.08)
+    with pytest.raises(ResidualError) as exc:
+        solve_endemic(p)
+    message = str(exc.value)
+    assert message.startswith("endemic point at lambda_h=0.000307189 has "
+                              "field residual ")
+    assert message.endswith(" > 0")
+    (row,) = bifurcation_scan(p, "beta_hv", 0.08, 0.08, 0)
+    assert row.error == message
+    assert row.branch_id == -1
 
 
 def test_no_endemic_without_transmission(table5):

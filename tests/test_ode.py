@@ -1,4 +1,4 @@
-"""Time grids, trajectories, and the two RK4 integrators."""
+"""Time grids, trajectories, and the RK4 loop run forward and backward."""
 
 import math
 
@@ -124,6 +124,31 @@ def test_rk4_backward_exponential():
     traj = rk4_backward(lambda t, lam, x: lam, np.array([1.0]), grid, states)
     assert traj.values[0, 0] == pytest.approx(math.exp(-2.0), abs=1e-9)
     assert traj.values[-1, 0] == 1.0
+
+
+def test_rk4_backward_nonautonomous():
+    """[DERIVED] lam' = t backward from lam(tf) = 0 gives (t^2 - tf^2)/2
+    at every node to rounding (polynomial order), which it does only if
+    the stage times step down from each node."""
+    grid = TimeGrid(2.0, 12.0, 100)
+    traj = rk4_backward(lambda t, lam, x: np.array([t]), np.array([0.0]),
+                        grid, np.zeros((101, 1)))
+    t = grid.times()
+    exact = (t * t - 144.0) / 2.0
+    # Two units in the last place of the largest value, 70.
+    assert np.max(np.abs(traj.values[:, 0] - exact)) <= 2 * np.spacing(70.0)
+
+
+def test_rk4_backward_nonfinite_detection():
+    """[TRIVIAL] A backward blow-up is reported at the node the failing
+    step lands on, one below the terminal node, with that node's time."""
+    grid = TimeGrid(2.0, 12.0, 100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as err:
+            rk4_backward(lambda t, lam, x: -1e100 * lam * lam,
+                         np.array([10.0]), grid, np.zeros((101, 1)))
+    assert (err.value.step, err.value.t) == (99, grid.times()[99])
+    assert str(err.value) == "non-finite value at step 99 (t = 11.9)"
 
 
 def test_rk4_backward_adjoint_invariant():

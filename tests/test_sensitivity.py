@@ -307,6 +307,13 @@ def test_stratum_ranks_equal_average_ranks(n, seed):
     assert prcc(samples, r0_values(samples)).sorted_columns == ()
 
 
+def test_stratum_ranks_refuse_a_nan_draw():
+    """[TRIVIAL] A NaN draw falls in stratum 0 after clipping, so the
+    strata of [nan, .3, .5, .7, .9] on [0, 1] form a permutation; the
+    order check still refuses them."""
+    assert _stratum_ranks(np.array([np.nan, 0.3, 0.5, 0.7, 0.9]), 0.0, 1.0) is None
+
+
 def test_prcc_sorts_a_column_whose_strata_tie(caplog):
     """[DERIVED] A hand-built design with one duplicated value: that
     column's strata are not a permutation, so PRCC sorts it, logs one
