@@ -20,9 +20,11 @@ If the build or the load fails, the same kernels run the Python
 right-hand sides (`model.controlled_field`, `control.adjoint_field`)
 through `ode.rk4_nodes`, forward and backward, and `sweep_step`
 composes those with `control.characterize_controls`; built without fused
-multiply-add, the C kernels give the same values to the last bit.  Each
-backend's `rk4_basic` is its own `rk4_controlled` with zero controls and
-zero control efficacies.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
+multiply-add, the C kernels give the same values to the last bit.
+`_checked` builds both backends' four entry points: each checks and
+converts its arguments once, in front of the backend, whose loops take
+only checked arrays; `rk4_basic` is `rk4_controlled` with zero controls
+and zero control efficacies.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
 is None or the error that forced the fallback.  Every kernel raises
 `model.ZeroPopulationError` in the step whose right-hand side meets a
 zero or negative human total, and `ode.NonFiniteError` at the first
@@ -84,55 +86,70 @@ def _array(a, shape) -> np.ndarray:
     return a
 
 
-def _mask(mask) -> np.ndarray:
-    """A strategy mask: five entries, each 0 or 1."""
-    mask = _array(mask, (5,))
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError(f"mask entries must be 0 or 1, got {mask}")
-    return mask
-
-
-def _steps(n_steps) -> int:
-    n = int(n_steps)
-    if n < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n}")
-    return n
-
-
-def _model_params(par) -> model.ModelParams:
-    return model.ModelParams(*_array(par, (21,)).tolist())
-
-
-def _control_params(cpar) -> model.ControlParams:
-    return model.ControlParams(*_array(cpar, (6,)).tolist())
-
-
-def _zero_control(rk4_controlled):
-    """`rk4_basic` of the backend whose controlled kernel is given."""
+def _checked(backend: str, controlled, adjoint, sweep) -> Kernels:
+    """The four entry points of a backend whose loops are given: each checks
+    its arguments once and hands the loop C-contiguous doubles."""
     no_effect = np.zeros(6)
+
+    def rk4_controlled(par, cpar, x0, u, dt):
+        """Controlled forward RK4 with node controls u of shape (n+1, 5);
+        half-step controls are the average of the adjacent nodes."""
+        return controlled(_array(par, (21,)), _array(cpar, (6,)),
+                          _array(x0, (10,)), _array(u, (None, 5)), dt)
 
     def rk4_basic(par, x0, n_steps, dt):
         """Uncontrolled forward RK4; returns the (n_steps+1, 10) trajectory."""
-        return rk4_controlled(par, no_effect, x0,
-                              np.zeros((_steps(n_steps) + 1, 5)), dt)
-    return rk4_basic
+        n = int(n_steps)
+        if n < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n}")
+        return rk4_controlled(par, no_effect, x0, np.zeros((n + 1, 5)), dt)
+
+    def rk4_adjoint(par, cpar, wts, states, u, dt):
+        """Backward RK4 for the adjoint system with zero terminal value;
+        intermediate stages average the adjacent nodes."""
+        states = _array(states, (None, 10))
+        return adjoint(_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
+                       states, _array(u, (len(states), 5)), dt)
+
+    def sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
+        """One sweep iteration under the node controls u (n+1, 5): returns
+        (states, adjoints, u_new, control_change, state_change), where
+        u_new = mix * u_char + (1 - mix) * u for the masked, clamped
+        characterization u_char, and each change is the relative
+        sup-norm change (`control._rel_sup_change`); the state change
+        against prev_states is infinite when prev_states is None."""
+        mask = _array(mask, (5,))
+        if not np.all((mask == 0.0) | (mask == 1.0)):
+            raise ValueError(f"mask entries must be 0 or 1, got {mask}")
+        u = _array(u, (None, 5))
+        if prev_states is not None:
+            prev_states = _array(prev_states, (len(u), 10))
+        return sweep(_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
+                     mask, float(mix), _array(x0, (10,)), u, prev_states, dt)
+
+    return Kernels(backend, None, rk4_basic, rk4_controlled, rk4_adjoint,
+                   sweep_step)
+
+
+def _model_params(par) -> model.ModelParams:
+    return model.ModelParams(*par.tolist())
+
+
+def _control_params(cpar) -> model.ControlParams:
+    return model.ControlParams(*cpar.tolist())
 
 
 def _py_controlled(par, cpar, x0, u, dt):
     p, c = _model_params(par), _control_params(cpar)
-    u = _array(u, (None, 5))
     return ode.rk4_nodes(lambda t, x, uu: model.controlled_field(x, uu, p, c),
-                         _array(x0, (10,)), (u,), dt,
-                         dt * np.arange(len(u), dtype=float))
+                         x0, (u,), dt, dt * np.arange(len(u), dtype=float))
 
 
 def _py_adjoint(par, cpar, wts, states, u, dt):
     from ..control import ObjectiveWeights, adjoint_field  # control imports us
 
     p, c = _model_params(par), _control_params(cpar)
-    w = ObjectiveWeights(*_array(wts, (9,)).tolist())
-    states = _array(states, (None, 10))
-    u = _array(u, (states.shape[0], 5))
+    w = ObjectiveWeights(*wts.tolist())
     return ode.rk4_nodes(lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
                          np.zeros(10), (states, u), dt,
                          dt * np.arange(len(u), dtype=float), backward=True)
@@ -143,29 +160,24 @@ def _py_sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
         ObjectiveWeights, StrategyMask, _rel_sup_change, characterize_controls,
     )
 
-    w = ObjectiveWeights(*_array(wts, (9,)).tolist())
-    active = StrategyMask("sweep", tuple((_mask(mask) == 1.0).tolist()))
-    u = _array(u, (None, 5))
-    if prev_states is not None:
-        prev_states = _array(prev_states, (u.shape[0], 10))
+    w = ObjectiveWeights(*wts.tolist())
+    active = StrategyMask("sweep", tuple((mask == 1.0).tolist()))
     states = _py_controlled(par, cpar, x0, u, dt)
     adjoints = _py_adjoint(par, cpar, wts, states, u, dt)
     u_char = characterize_controls(states, adjoints, _model_params(par),
                                    _control_params(cpar), w, active)
-    mix = float(mix)
     u_new = mix * u_char + (1.0 - mix) * u
     state_change = (float("inf") if prev_states is None
                     else _rel_sup_change(states, prev_states))
     return states, adjoints, u_new, _rel_sup_change(u_new, u), state_change
 
 
-PYTHON = Kernels("python", None, _zero_control(_py_controlled), _py_controlled,
-                 _py_adjoint, _py_sweep_step)
+PYTHON = _checked("python", _py_controlled, _py_adjoint, _py_sweep_step)
 
 
 def _c_kernels(lib: ctypes.CDLL) -> Kernels:
-    # Every array is validated by `_array` (or made by np.empty) before
-    # its address is passed, so the arguments are bare pointers.
+    # `_checked` hands these loops C-contiguous doubles of the right shapes
+    # and the outputs come from np.empty, so the arguments are bare pointers.
     arr, n, step = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.rk4_controlled.argtypes = [arr, arr, arr, arr, n, step, arr]
     lib.rk4_adjoint.argtypes = [arr, arr, arr, arr, arr, n, step, arr]
@@ -174,51 +186,29 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
     for fn in (lib.rk4_controlled, lib.rk4_adjoint, lib.sweep_step):
         fn.restype = ctypes.c_long
 
-    def rk4_controlled(par, cpar, x0, u, dt):
-        """Controlled forward RK4 with node controls u of shape (n+1, 5);
-        half-step controls are the average of the adjacent nodes."""
-        u = _array(u, (None, 5))
-        args = [_array(par, (21,)), _array(cpar, (6,)), _array(x0, (10,)), u]
-        out = np.empty((u.shape[0], 10))
-        _check(lib.rk4_controlled(*_addresses(args), u.shape[0] - 1, dt,
-                                  out.ctypes.data), dt)
+    def controlled(par, cpar, x0, u, dt):
+        out = np.empty((len(u), 10))
+        _check(lib.rk4_controlled(*_addresses([par, cpar, x0, u]), len(u) - 1,
+                                  dt, out.ctypes.data), dt)
         return out
 
-    def rk4_adjoint(par, cpar, wts, states, u, dt):
-        """Backward RK4 for the adjoint system with zero terminal value;
-        intermediate stages average the adjacent nodes."""
-        states = _array(states, (None, 10))
-        args = [_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
-                states, _array(u, (states.shape[0], 5))]
+    def adjoint(par, cpar, wts, states, u, dt):
         out = np.empty(states.shape)
-        _check(lib.rk4_adjoint(*_addresses(args), states.shape[0] - 1, dt,
-                               out.ctypes.data), dt)
+        _check(lib.rk4_adjoint(*_addresses([par, cpar, wts, states, u]),
+                               len(u) - 1, dt, out.ctypes.data), dt)
         return out
 
-    def sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
-        """One sweep iteration under the node controls u (n+1, 5): returns
-        (states, adjoints, u_new, control_change, state_change), where
-        u_new = mix * u_char + (1 - mix) * u for the masked, clamped
-        characterization u_char, and each change is the relative
-        sup-norm change (`control._rel_sup_change`); the state change
-        against prev_states is infinite when prev_states is None."""
-        u = _array(u, (None, 5))
-        rows = u.shape[0]
-        head = [_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
-                _mask(mask)]
-        x0 = _array(x0, (10,))
-        if prev_states is not None:
-            prev_states = _array(prev_states, (rows, 10))
+    def sweep(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
+        rows = len(u)
         states, adjoints = np.empty((rows, 10)), np.empty((rows, 10))
         u_new, change = np.empty((rows, 5)), np.empty(2)
         _check(lib.sweep_step(
-            *_addresses(head), mix, x0.ctypes.data, u.ctypes.data,
+            *_addresses([par, cpar, wts, mask]), mix, x0.ctypes.data, u.ctypes.data,
             None if prev_states is None else prev_states.ctypes.data,
             rows - 1, dt, *_addresses([states, adjoints, u_new, change])), dt)
         return states, adjoints, u_new, float(change[0]), float(change[1])
 
-    return Kernels("c", None, _zero_control(rk4_controlled), rk4_controlled,
-                   rk4_adjoint, sweep_step)
+    return _checked("c", controlled, adjoint, sweep)
 
 
 def _addresses(arrays) -> list:

@@ -439,6 +439,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}; the counts that size the "
+              f"arrays are grid.n_steps / --steps and sensitivity.samples / "
+              f"--samples", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

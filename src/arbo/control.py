@@ -179,6 +179,8 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     """
     if not 0.0 < mix <= 1.0:
         raise ValueError(f"mix must be in (0, 1], got {mix}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     par = params_to_array(p)
     cpar = control_params_to_array(c)
     wts = w.to_array()

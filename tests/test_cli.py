@@ -278,6 +278,10 @@ def test_invalid_param_value(config_file, capsys):
 
 _DELETE = object()
 
+_TOO_BIG = ("shape (1000000000000001, 5) and data type float64; the counts "
+            "that size the arrays are grid.n_steps / --steps and "
+            "sensitivity.samples / --samples")
+
 # (command, fixture, path into the config, new value, message fragment)
 _MALFORMED = [
     ("sensitivity", "table2_baseline", (), [1, 2], "must be a JSON object"),
@@ -326,6 +330,14 @@ _MALFORMED = [
      "config.seed must be an integer, got 2.5"),
     ("sensitivity", "table2_baseline", ("sensitivity", "samples"), 50.5,
      "sensitivity.samples must be an integer, got 50.5"),
+    ("control", "table5_control", ("sweep", "max_iters"), 0,
+     "max_iters must be >= 1, got 0"),
+    ("control", "table5_control", ("sweep", "max_iters"), -3,
+     "max_iters must be >= 1, got -3"),
+    # 1e15 steps need 35.5 PiB, beyond any address space, so the
+    # allocation fails at once whatever the overcommit policy.
+    ("simulate", "table5_control", ("grid", "n_steps"), 1e15, _TOO_BIG),
+    ("control", "table5_control", ("grid", "n_steps"), 1e15, _TOO_BIG),
 ]
 
 
@@ -341,7 +353,8 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
                                   config_file, tmp_path, capsys):
     """[TRIVIAL] A section that is not an object, a field that is not a
     number (booleans and null included), a count that is not an integer,
-    a strategy that is not a name, a range that is not a pair and a
+    an iteration budget below 1, a count too large to allocate, a
+    strategy that is not a name, a range that is not a pair and a
     record with a missing or unknown field are configuration errors:
     exit 2 with one `error:` line naming the field."""
     cfg = copy.deepcopy(load_fixture(fixture))

@@ -256,32 +256,79 @@ def test_zero_human_total_raises(kernels, table5):
 
 @pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
 def test_kernels_check_shapes(kernels, table5):
-    """[TRIVIAL] Arrays of the wrong shape and negative step counts are
-    refused, not read or written past."""
+    """[TRIVIAL] Arrays of the wrong shape, masks other than 0/1 and
+    negative step counts are refused, not read or written past, and both
+    backends refuse each with the same message."""
     par = params_to_array(table5.params)
     cpar = control_params_to_array(table5.control_params)
+    x0, wts, mask, u = table5.x0, np.ones(9), np.ones(5), np.zeros((11, 5))
+    states = np.ones((11, 10))
     bad_calls = [
-        lambda: kernels.rk4_basic(par[:20], table5.x0, 10, 0.1),
-        lambda: kernels.rk4_basic(par, table5.x0, -1, 0.1),
-        lambda: kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((11, 4)), 0.1),
-        lambda: kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((0, 5)), 0.1),
-        lambda: kernels.rk4_adjoint(par, cpar, np.ones(4), np.ones((11, 10)),
-                                    np.zeros((11, 5)), 0.1),
-        lambda: kernels.rk4_adjoint(par, cpar, np.ones(9), np.ones((11, 10)),
-                                    np.zeros((10, 5)), 0.1),
-        lambda: kernels.rk4_adjoint(par, cpar, np.ones(9), np.ones((0, 10)),
-                                    np.zeros((0, 5)), 0.1),
-        lambda: kernels.sweep_step(par, cpar, np.ones(4), np.ones(5), 0.5,
-                                   table5.x0, np.zeros((11, 5)), None, 0.1),
-        lambda: kernels.sweep_step(par, cpar, np.ones(9), np.full(5, 0.5), 0.5,
-                                   table5.x0, np.zeros((11, 5)), None, 0.1),
-        lambda: kernels.sweep_step(par, cpar, np.ones(9), np.ones(5), 0.5,
-                                   table5.x0, np.zeros((11, 5)),
-                                   np.ones((10, 10)), 0.1),
+        ("rk4_basic", (par[:20], x0, 10, 0.1)),
+        ("rk4_basic", (par, x0[:9], 10, 0.1)),
+        ("rk4_basic", (par, x0, -1, 0.1)),
+        ("rk4_controlled", (par[:20], cpar, x0, u, 0.1)),
+        ("rk4_controlled", (par, cpar[:5], x0, u, 0.1)),
+        ("rk4_controlled", (par, cpar, x0[:9], u, 0.1)),
+        ("rk4_controlled", (par, cpar, x0, np.zeros((11, 4)), 0.1)),
+        ("rk4_controlled", (par, cpar, x0, np.zeros((0, 5)), 0.1)),
+        ("rk4_adjoint", (par[:20], cpar, wts, states, u, 0.1)),
+        ("rk4_adjoint", (par, cpar[:5], wts, states, u, 0.1)),
+        ("rk4_adjoint", (par, cpar, np.ones(4), states, u, 0.1)),
+        ("rk4_adjoint", (par, cpar, wts, states, np.zeros((10, 5)), 0.1)),
+        ("rk4_adjoint", (par, cpar, wts, np.ones((0, 10)), np.zeros((0, 5)),
+                         0.1)),
+        ("sweep_step", (par[:20], cpar, wts, mask, 0.5, x0, u, None, 0.1)),
+        ("sweep_step", (par, cpar[:5], wts, mask, 0.5, x0, u, None, 0.1)),
+        ("sweep_step", (par, cpar, np.ones(4), mask, 0.5, x0, u, None, 0.1)),
+        ("sweep_step", (par, cpar, wts, np.full(5, 0.5), 0.5, x0, u, None,
+                        0.1)),
+        ("sweep_step", (par, cpar, wts, mask, 0.5, x0[:9], u, None, 0.1)),
+        ("sweep_step", (par, cpar, wts, mask, 0.5, x0, u, np.ones((10, 10)),
+                        0.1)),
     ]
-    for call in bad_calls:
-        with pytest.raises(ValueError):
-            call()
+    other = PYTHON if kernels is _kernels else _kernels
+    for name, args in bad_calls:
+        messages = []
+        for k in (kernels, other):
+            with pytest.raises(ValueError) as err:
+                getattr(k, name)(*args)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], name
+
+
+@pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
+def test_kernels_convert_their_arguments(kernels, table5):
+    """[TRIVIAL] Lists, a strided control array and Fortran-order states
+    give the bytes of the same call on C-contiguous arrays, for all four
+    entry points."""
+    par = params_to_array(table5.params)
+    cpar = control_params_to_array(table5.control_params)
+    wts = table5.weights.to_array()
+    x0, mask = np.array(table5.x0), _strategy_mask("Z")
+    big = _random_controls(np.random.default_rng(27), 100).repeat(2, axis=1)
+    u = np.ascontiguousarray(big[:, ::2])
+    states = kernels.rk4_controlled(par, cpar, x0, u, 0.05)
+    fortran = np.asfortranarray(states)
+    assert not big[:, ::2].flags.c_contiguous
+    assert not fortran.flags.c_contiguous
+    calls = [
+        ("rk4_basic", (par, x0, 100, 0.05), (list(par), list(x0), 100, 0.05)),
+        ("rk4_controlled", (par, cpar, x0, u, 0.05),
+         (list(par), list(cpar), list(x0), big[:, ::2], 0.05)),
+        ("rk4_adjoint", (par, cpar, wts, states, u, 0.05),
+         (list(par), list(cpar), list(wts), fortran, big[:, ::2], 0.05)),
+        ("sweep_step", (par, cpar, wts, mask, 0.5, x0, u, states, 0.05),
+         (list(par), list(cpar), list(wts), list(mask), 0.5, list(x0),
+          big[:, ::2], fortran, 0.05)),
+    ]
+    for name, plain, converted in calls:
+        want = getattr(kernels, name)(*plain)
+        got = getattr(kernels, name)(*converted)
+        if name != "sweep_step":
+            want, got = (want,), (got,)
+        for a, b in zip(got, want, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 def test_basic_kernel_matches_reference_integrator(table5):
