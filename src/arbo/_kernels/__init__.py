@@ -4,9 +4,9 @@
 `field_vjp` (J^T lambda, as `model.field_vjp`), the adjoint right-hand
 side built from that derivative (as `control.adjoint_field`) and the
 control characterization (as `control.characterize_controls`), over
-flat double arrays with the parameters in the order of
-`model.params_to_array` / `model.control_params_to_array` and the nine
-objective weights `wts` = (D1..D4, B1..B5) in that of
+flat double arrays with the model and control parameters and the nine
+objective weights `wts` = (D1..D4, B1..B5) each in the order
+`model.params_to_array` gives `ModelParams`, `ControlParams` and
 `control.ObjectiveWeights`.  Its three entry points are `rk4_controlled`
 (forward states), `rk4_adjoint` (backward adjoints, which read only
 D1..D4 of `wts`) and `sweep_step`, one whole sweep iteration: both

@@ -15,9 +15,9 @@
  * uncontrolled system is the controlled one with zero controls and zero
  * control efficacies.
  *
- * Arrays are C-contiguous doubles: par in the order of
- * model.params_to_array, cpar in that of model.control_params_to_array,
- * wts = (D1, D2, D3, D4, B1, ..., B5) as control.ObjectiveWeights, states
+ * Arrays are C-contiguous doubles: par, cpar and wts = (D1, D2, D3, D4,
+ * B1, ..., B5) in the order model.params_to_array gives ModelParams,
+ * ControlParams and control.ObjectiveWeights, states
  * and out as (n_steps + 1) x 10 and the controls u as (n_steps + 1) x 5.
  * Every loop stops at the first node holding a NaN or an infinity and
  * returns its index.  It returns NO_HUMANS when a right-hand side met a

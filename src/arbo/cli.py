@@ -95,9 +95,12 @@ def _object(value, where: str) -> dict:
 
 
 def _number(value, where: str):
-    """`value`, which must be a JSON number; a boolean is not one."""
+    """`value`, which must be a finite JSON number; a boolean is not one,
+    nor are the NaN, Infinity and overflowing literals `json` reads."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return value
 
 
@@ -170,8 +173,7 @@ def _seed(cfg: dict, args) -> int:
     return _count(cfg, "seed", "config", 0)
 
 
-def cmd_thresholds(args) -> int:
-    cfg = load_config(args.config)
+def cmd_thresholds(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     rep = bifurcation_thresholds(p)
     k = derive_constants(p)
@@ -194,8 +196,7 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def cmd_equilibria(args) -> int:
-    cfg = load_config(args.config)
+def cmd_equilibria(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     eq = equilibria.solve_endemic(p, stability_checker=lambda x: eigen_verdict(x, p).stable)
     report = {
@@ -216,8 +217,7 @@ def cmd_equilibria(args) -> int:
     return 0
 
 
-def cmd_bifurcation(args) -> int:
-    cfg = load_config(args.config)
+def cmd_bifurcation(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     if args.out is None:
         raise ConfigError("bifurcation requires --out CSV path")
@@ -235,8 +235,7 @@ def cmd_bifurcation(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_simulate(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     if args.out is None:
         raise ConfigError("simulate requires --out CSV path")
@@ -249,8 +248,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sensitivity(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sensitivity(args, cfg: dict) -> int:
     sens_cfg = _object(cfg.get("sensitivity", {}), "sensitivity")
     if sens_cfg.get("ranges") is None:
         dist = sensitivity.baseline_ranges()
@@ -292,8 +290,7 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
-def cmd_control(args) -> int:
-    cfg = load_config(args.config)
+def cmd_control(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     c = _record(cfg, ControlParams, "control_params")
     w = _record(cfg, ObjectiveWeights, "weights")
@@ -334,8 +331,7 @@ def cmd_control(args) -> int:
     return 0
 
 
-def cmd_icer(args) -> int:
-    cfg = load_config(args.config)
+def cmd_icer(args, cfg: dict) -> int:
     strategies = _object(cfg.get("icer", {}), "icer").get("strategies")
     if not strategies:
         raise ConfigError("missing required field 'icer.strategies' in config")
@@ -345,8 +341,14 @@ def cmd_icer(args) -> int:
     reports = []
     for row in strategies:
         row = _object(row, f"{where} entry")
+        name = _require(row, "name", where)
+        if not isinstance(name, str):
+            raise ConfigError(f"{where}.name must be a string, got {name!r}")
+        if any(r.name == name for r in reports):
+            raise ConfigError(f"{where} names must be distinct, got {name!r} "
+                              f"twice")
         reports.append(econ.StrategyReport(
-            name=_require(row, "name", where),
+            name=name,
             cumulated_ih=float(_field(row, "cumulated_ih", where, 0.0)),
             efficiency_percent=float(_field(row, "efficiency", where, 0.0)),
             total_cost=float(_field(row, "cost", where)),
@@ -432,7 +434,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except (ThresholdError, ZeroPopulationError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -11,8 +11,8 @@ import numpy as np
 from . import _kernels
 from .model import (
     E_V, EGG, I_H, I_V, LAR, N_CONTROLS, R_H, S_H, S_V,
-    ControlParams, ModelParams, ParamError, _infection,
-    control_params_to_array, controlled_field, field_vjp, params_to_array,
+    ControlParams, ModelParams, ParamError, _infection, controlled_field,
+    field_vjp, params_to_array,
 )
 from .ode import TimeGrid, Trajectory
 
@@ -36,9 +36,6 @@ class ObjectiveWeights:
                for f in fields(self) if not getattr(self, f.name) > 0]
         if bad:
             raise ParamError(bad)
-
-    def to_array(self) -> np.ndarray:
-        return params_to_array(self)
 
 
 STRATEGY_SETS = {
@@ -179,12 +176,11 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     """
     if not 0.0 < mix <= 1.0:
         raise ValueError(f"mix must be in (0, 1], got {mix}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    par = params_to_array(p)
-    cpar = control_params_to_array(c)
-    wts = w.to_array()
-    x0 = np.asarray(x0, dtype=float)
+    par, cpar, wts = params_to_array(p), params_to_array(c), params_to_array(w)
     n = grid.n_steps
     mask_arr = mask.as_array()
 
@@ -200,7 +196,6 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     converged = False
     suspect = False
     prev_states = None
-    iterations = 0
     any_active = bool(mask_arr.any())
 
     with grid.kernel_clock():

@@ -68,10 +68,11 @@ def icer_analysis(reports: list[StrategyReport]) -> IcerTable:
 
     Strategies are ordered by ascending infections averted (i.e.
     descending total infections).  Each round compares the two
-    least-effective remaining strategies: a negative incremental ICER
-    eliminates the cheaper-but-less-effective one; an incremental ICER
-    above the first strategy's own ratio eliminates the second.  Ties in
-    both cost and effect are reported as equivalent, never divided.
+    least-effective remaining strategies: equal effect eliminates the
+    dearer one; a negative incremental ICER (the more effective second is
+    also cheaper) eliminates the first; an incremental ICER above the
+    first strategy's own ratio eliminates the second.  Ties in both cost
+    and effect are reported as equivalent, never divided.
     """
     if len(reports) < 2:
         raise ValueError("need at least 2 strategies")
@@ -108,29 +109,21 @@ def icer_analysis(reports: list[StrategyReport]) -> IcerTable:
         if icer_pair is None:
             # Same effect, different cost: the dearer one is dominated.
             loser = first if first.total_cost > second.total_cost else second
-            eliminations.append((round_no, loser.name,
-                                 "same effect at higher cost"))
-            rows.append(IcerRow(loser.name, loser.infections_averted,
-                                loser.total_cost, None, "dominated"))
-            remaining.remove(loser)
-            continue
-        if icer_pair < 0.0:
-            eliminations.append(
-                (round_no, first.name,
-                 f"negative incremental ICER {icer_pair:.6g} vs {second.name}"))
-            rows.append(IcerRow(first.name, first.infections_averted,
-                                first.total_cost, icer_first, "dominated"))
-            remaining.pop(0)
+            icer, reason = None, "same effect at higher cost"
+        elif icer_pair < 0.0:
+            loser, icer = first, icer_first
+            reason = (f"negative incremental ICER {icer_pair:.6g} "
+                      f"vs {second.name}")
         elif icer_pair > icer_first:
-            eliminations.append(
-                (round_no, second.name,
-                 f"incremental ICER {icer_pair:.6g} exceeds "
-                 f"{first.name}'s ratio {icer_first:.6g}"))
-            rows.append(IcerRow(second.name, second.infections_averted,
-                                second.total_cost, icer_pair, "dominated"))
-            remaining.pop(1)
+            loser, icer = second, icer_pair
+            reason = (f"incremental ICER {icer_pair:.6g} exceeds "
+                      f"{first.name}'s ratio {icer_first:.6g}")
         else:
             break
+        eliminations.append((round_no, loser.name, reason))
+        rows.append(IcerRow(loser.name, loser.infections_averted,
+                            loser.total_cost, icer, "dominated"))
+        remaining.remove(loser)
 
     for i, rep in enumerate(remaining):
         if i == 0:

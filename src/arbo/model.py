@@ -287,6 +287,3 @@ def params_to_array(p) -> np.ndarray:
     `control.ObjectiveWeights`) in its field order, the order the
     compiled kernels read."""
     return np.array([getattr(p, f.name) for f in fields(p)])
-
-
-control_params_to_array = params_to_array

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import ModelParams
-# net_reproductive_number has no caller here; perfbench's tracer counts
-# calls made through this module's name for it.
+# bifurcation_thresholds and net_reproductive_number have no caller here;
+# perfbench's tracer counts calls made through this module's name for both.
 from .thresholds import (  # noqa: F401
     ThresholdReport, bifurcation_thresholds, net_reproductive_number,
     threshold_arrays, two_endemic_windows,
@@ -88,13 +88,6 @@ class ParamDistribution:
             if not lo <= hi:
                 raise RangeError(f"{name}: lo {lo!r} > hi {hi!r}")
 
-    def bounds(self, name: str) -> tuple[float, float]:
-        return self.ranges[name]
-
-    def degenerate(self, name: str) -> bool:
-        lo, hi = self.ranges[name]
-        return lo == hi
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -153,7 +146,7 @@ def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
     rng = np.random.default_rng(seed)
     design = np.empty((len(PARAM_ORDER), n))  # one contiguous row per column
     for j, name in enumerate(PARAM_ORDER):
-        lo, hi = dist.bounds(name)
+        lo, hi = dist.ranges[name]
         perm = rng.permutation(n)
         quantiles = (perm + rng.random(n)) / n
         design[j] = lo + (hi - lo) * quantiles
@@ -163,15 +156,10 @@ def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
     return SampleSet(matrix=design.T, seed=seed, distribution=dist)
 
 
-def r0_of(p: ModelParams) -> float:
-    """R0 for one draw; 0 by convention when the vector population does
-    not establish."""
-    return bifurcation_thresholds(p).r0
-
-
 def r0_values(samples: SampleSet) -> np.ndarray:
-    """R0 of every draw, as `r0_of` gives it, in one array pass; the
-    read-only array of the design's `thresholds`."""
+    """R0 of every draw, as `bifurcation_thresholds(p).r0` gives it (0
+    when the vector population does not establish), in one array pass;
+    the read-only array of the design's `thresholds`."""
     return samples.thresholds.r0
 
 
@@ -277,8 +265,10 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     n = samples.n
     if outputs.shape != (n,):
         raise ValueError(f"outputs shape {outputs.shape} != ({n},)")
-    active = [j for j, name in enumerate(PARAM_ORDER)
-              if not samples.distribution.degenerate(name)]
+    ranges = samples.distribution.ranges
+    excluded = tuple(name for name in PARAM_ORDER
+                     if ranges[name][0] == ranges[name][1])
+    active = [j for j, name in enumerate(PARAM_ORDER) if name not in excluded]
     if n <= len(active) + 2:
         raise ValueError(f"need n > {len(active) + 2} samples, got {n}")
     for j in active:
@@ -293,7 +283,7 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     for k, j in enumerate(active):
         name = PARAM_ORDER[j]
         col = samples.matrix[:, j]
-        column_ranks = _stratum_ranks(col, *samples.distribution.bounds(name))
+        column_ranks = _stratum_ranks(col, *ranges[name])
         if column_ranks is None:
             _log.warning("PRCC: %s is not ranked by its LHS strata; "
                          "sorting it", name)
@@ -312,8 +302,6 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     np.clip(corr, -1.0, 1.0, out=corr)
     inv = np.linalg.inv(corr)
     coeffs = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
-    excluded = tuple(name for name in PARAM_ORDER
-                     if samples.distribution.degenerate(name))
     return PRCCReport(
         coefficients={PARAM_ORDER[j]: float(c) for j, c in zip(active, coeffs)},
         excluded=excluded, n=n, seed=samples.seed,

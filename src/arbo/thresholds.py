@@ -165,14 +165,6 @@ def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     return ThresholdReport(**values)
 
 
-def infection_generation_factors(p: ModelParams) -> tuple[float, float]:
-    """(K_vh, K_hv): vectors infected per human and humans infected per vector
-    near the biological DFE.  R0 is their geometric mean."""
-    _established(p, "infection generation factors require")
-    rep = threshold_arrays(p)
-    return float(rep.k_vh), float(rep.k_hv)
-
-
 def basic_reproduction_number(p: ModelParams) -> float:
     """Closed-form R0; requires an established vector population (N > 1)."""
     _established(p, "R0 requires")

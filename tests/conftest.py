@@ -58,7 +58,7 @@ def random_params(rng: np.random.Generator, **overrides) -> ModelParams:
     dist = baseline_ranges()
     values = {}
     for name in PARAM_ORDER:
-        lo, hi = dist.bounds(name)
+        lo, hi = dist.ranges[name]
         values[name] = rng.uniform(lo, hi)
     values.update(overrides)
     return ModelParams(**values)

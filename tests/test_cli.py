@@ -334,6 +334,24 @@ _MALFORMED = [
      "max_iters must be >= 1, got 0"),
     ("control", "table5_control", ("sweep", "max_iters"), -3,
      "max_iters must be >= 1, got -3"),
+    ("control", "table5_control", ("sweep", "tol"), 0,
+     "tol must be > 0, got 0.0"),
+    ("control", "table5_control", ("sweep", "tol"), -1.0,
+     "tol must be > 0, got -1.0"),
+    # `json` reads NaN, Infinity and 1e999 as floats that are not finite.
+    ("simulate", "table5_control", ("initial_state", 2), float("nan"),
+     "initial_state[2] must be a finite number, got nan"),
+    ("simulate", "table5_control", ("grid", "tf"), float("inf"),
+     "grid.tf must be a finite number, got inf"),
+    ("icer", "table5_control", ("icer", "strategies", 0, "cost"), float("nan"),
+     "icer.strategies.cost must be a finite number, got nan"),
+    ("icer", "table5_control", ("icer", "strategies", 0, "name"), 3,
+     "icer.strategies.name must be a string, got 3"),
+    ("icer", "table5_control", ("icer", "strategies"),
+     [{"name": "A", "averted": 100.0, "cost": 1000.0},
+      {"name": "A", "averted": 200.0, "cost": 900.0},
+      {"name": "B", "averted": 300.0, "cost": 1200.0}],
+     "icer.strategies names must be distinct, got 'A' twice"),
     # 1e15 steps need 35.5 PiB, beyond any address space, so the
     # allocation fails at once whatever the overcommit policy.
     ("simulate", "table5_control", ("grid", "n_steps"), 1e15, _TOO_BIG),
@@ -352,11 +370,13 @@ def _case_id(case):
 def test_malformed_config_exits_2(command, fixture, path, value, message,
                                   config_file, tmp_path, capsys):
     """[TRIVIAL] A section that is not an object, a field that is not a
-    number (booleans and null included), a count that is not an integer,
-    an iteration budget below 1, a count too large to allocate, a
-    strategy that is not a name, a range that is not a pair and a
-    record with a missing or unknown field are configuration errors:
-    exit 2 with one `error:` line naming the field."""
+    finite number (booleans, null, NaN and infinity included), a count
+    that is not an integer, an iteration budget below 1, a tolerance
+    that is not positive, a count too large to allocate, a strategy that
+    is not a name, ICER strategy names that are not distinct strings, a
+    range that is not a pair and a record with a missing or unknown
+    field are configuration errors: exit 2 with one `error:` line naming
+    the field."""
     cfg = copy.deepcopy(load_fixture(fixture))
     if not path:
         cfg = value

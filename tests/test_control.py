@@ -9,9 +9,7 @@ from arbo.control import (
     adjoint_field, characterize_controls, forward_backward_sweep, hamiltonian,
     objective, running_cost,
 )
-from arbo.model import (
-    ParamError, control_params_to_array, controlled_field, params_to_array,
-)
+from arbo.model import ParamError, controlled_field, params_to_array
 from arbo.ode import TimeGrid, Trajectory
 
 
@@ -93,7 +91,7 @@ def _reduced_gradient_gaps(kernels, scen, n_steps):
     pass) and the central difference of the objective along d (forward
     passes only), on [0, 2] with u_k = 0.3 + 0.1 sin(k t)."""
     p, c, w = scen.params, scen.control_params, scen.weights
-    par, cpar = params_to_array(p), control_params_to_array(c)
+    par, cpar = params_to_array(p), params_to_array(c)
     grid = TimeGrid(0.0, 2.0, n_steps)
     t = grid.times()[:, None]
     k = np.arange(1, 6)
@@ -104,7 +102,8 @@ def _reduced_gradient_gaps(kernels, scen, n_steps):
         return objective(Trajectory(grid, states), Trajectory(grid, controls), w)
 
     states = kernels.rk4_controlled(par, cpar, scen.x0, u, grid.dt)
-    adj = kernels.rk4_adjoint(par, cpar, w.to_array(), states, u, grid.dt)
+    adj = kernels.rk4_adjoint(par, cpar, params_to_array(w), states, u,
+                              grid.dt)
 
     def hamiltonians(controls):
         return running_cost(states, controls, w) + np.sum(

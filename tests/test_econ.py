@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from arbo.econ import (
-    StrategyReport, cumulated_infectious, efficiency_index, icer_analysis,
+    IcerRow, IcerTable, StrategyReport, cumulated_infectious, efficiency_index,
+    icer_analysis,
 )
 from arbo.model import I_H
 from arbo.ode import TimeGrid, Trajectory
@@ -100,3 +101,42 @@ def test_icer_documented_cost_table(table5):
     assert [name for _, name, _ in table.eliminations] == ["Z4", "Z2", "Z3"]
     assert table.kept == ["Z1"]
     assert table.equivalent == [["Z1", "Z"]]
+
+
+def test_icer_whole_table_pinned(table5):
+    """[DERIVED] Every field of the table, for cases that reach each
+    branch: the bundled cost table (negative increment, increment above
+    the first ratio, equivalent pair, kept) and a same-effect pair."""
+    rows = table5.config["icer"]["strategies"]
+    chain = icer_analysis([_report(r["name"], r["averted"], r["cost"])
+                           for r in rows])
+    assert chain == IcerTable(
+        rows=[
+            IcerRow("Z4", 87538.0, 762180000.0, 8706.847312024493, "dominated"),
+            IcerRow("Z2", 88848.0, 1645200000.0, 17005192.307692308,
+                    "dominated"),
+            IcerRow("Z3", 88796.0, 760930000.0, 8569.417541330691, "dominated"),
+            IcerRow("Z", 88886.0, 760810000.0, None, "equivalent"),
+            IcerRow("Z1", 88886.0, 760810000.0, 8559.390680197106, "kept"),
+        ],
+        eliminations=[
+            (1, "Z4", "negative incremental ICER -993.641 vs Z3"),
+            (2, "Z2", "incremental ICER 1.70052e+07 exceeds Z3's ratio 8569.42"),
+            (3, "Z3", "negative incremental ICER -1333.33 vs Z1"),
+        ],
+        kept=["Z1"],
+        equivalent=[["Z1", "Z"]],
+        comparisons=[
+            (1, "Z4", "Z3", 8706.847312024493, -993.6406995230525),
+            (2, "Z3", "Z2", 8569.417541330691, 17005192.307692308),
+            (3, "Z3", "Z1", 8569.417541330691, -1333.3333333333333),
+        ])
+    same_effect = icer_analysis([_report("A", 100.0, 1000.0),
+                                 _report("B", 100.0, 1500.0)])
+    assert same_effect == IcerTable(
+        rows=[IcerRow("B", 100.0, 1500.0, None, "dominated"),
+              IcerRow("A", 100.0, 1000.0, 10.0, "kept")],
+        eliminations=[(1, "B", "same effect at higher cost")],
+        kept=["A"],
+        equivalent=[],
+        comparisons=[(1, "A", "B", 10.0, None)])

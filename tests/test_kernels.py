@@ -16,8 +16,8 @@ import pytest
 from arbo import _kernels
 from arbo.control import StrategyMask, adjoint_field
 from arbo.model import (
-    R_H, S_H, ZeroPopulationError, basic_field, control_params_to_array,
-    controlled_field, params_to_array,
+    R_H, S_H, ZeroPopulationError, basic_field, controlled_field,
+    params_to_array,
 )
 from arbo.ode import NonFiniteError, TimeGrid, rk4_backward, rk4_forward
 
@@ -98,7 +98,7 @@ def test_controlled_kernels_agree(table5):
     """[DERIVED] Same for the controlled system with random controls."""
     rng = np.random.default_rng(21)
     par = params_to_array(table5.params)
-    cpar = control_params_to_array(table5.control_params)
+    cpar = params_to_array(table5.control_params)
     u = _random_controls(rng, 200)
     traj_a = _kernels.rk4_controlled(par, cpar, table5.x0, u, 0.05)
     traj_b = PYTHON.rk4_controlled(par, cpar, table5.x0, u, 0.05)
@@ -111,10 +111,10 @@ def test_adjoint_kernels_agree(table5):
     operation order of `model.field_vjp` and `control.adjoint_field`."""
     rng = np.random.default_rng(22)
     par = params_to_array(table5.params)
-    cpar = control_params_to_array(table5.control_params)
+    cpar = params_to_array(table5.control_params)
     u = _random_controls(rng, 200)
     states = _kernels.rk4_controlled(par, cpar, table5.x0, u, 0.05)
-    wts = table5.weights.to_array()
+    wts = params_to_array(table5.weights)
     adj_a = _kernels.rk4_adjoint(par, cpar, wts, states, u, 0.05)
     adj_b = PYTHON.rk4_adjoint(par, cpar, wts, states, u, 0.05)
     assert adj_a.tobytes() == adj_b.tobytes()
@@ -135,8 +135,8 @@ def test_sweep_step_agrees_bitwise(name, table5):
     so the characterization meets a -0.0 that the clamp keeps, and the
     relaxed controls hold -0.0 where the start did."""
     par = params_to_array(table5.params)
-    cpar = control_params_to_array(table5.control_params)
-    wts = table5.weights.to_array()
+    cpar = params_to_array(table5.control_params)
+    wts = params_to_array(table5.weights)
     mask = _strategy_mask(name)
     n, dt = 200, 0.01
     rng = np.random.default_rng(26)
@@ -183,8 +183,8 @@ def test_kernels_report_first_nonfinite_step(table5):
     p = dataclasses.replace(table5.params, beta_hv=0.0, beta_vh=0.0,
                             delta=0.0, mu_b=1e4, Gamma_E=1e300, Gamma_L=1e300)
     par = params_to_array(p)
-    cpar = control_params_to_array(table5.control_params)
-    wts = table5.weights.to_array()
+    cpar = params_to_array(table5.control_params)
+    wts = params_to_array(table5.weights)
     n = 100
     u = _random_controls(np.random.default_rng(25), n)
     states = np.tile(table5.x0, (n + 1, 1))
@@ -213,8 +213,8 @@ def test_sweep_step_stops_where_its_passes_stop(table5):
     penalties of 1e307 while the forward pass stays finite."""
     p = dataclasses.replace(table5.params, beta_hv=0.0, beta_vh=0.0,
                             delta=0.0, mu_b=1e4, Gamma_E=1e300, Gamma_L=1e300)
-    cpar = control_params_to_array(table5.control_params)
-    wts = table5.weights.to_array()
+    cpar = params_to_array(table5.control_params)
+    wts = params_to_array(table5.weights)
     huge = wts.copy()
     huge[:4] = 1e307
     mask = _strategy_mask("Z")
@@ -241,7 +241,7 @@ def test_zero_human_total_raises(kernels, table5):
     rather than integrating on to a non-finite value.  The adjoint
     kernel raises it for forward states without humans."""
     par = params_to_array(table5.params)
-    cpar = control_params_to_array(table5.control_params)
+    cpar = params_to_array(table5.control_params)
     with pytest.raises(ZeroPopulationError):
         kernels.rk4_basic(par, table5.x0, 50, 1.0)
     with pytest.raises(ZeroPopulationError):
@@ -260,7 +260,7 @@ def test_kernels_check_shapes(kernels, table5):
     negative step counts are refused, not read or written past, and both
     backends refuse each with the same message."""
     par = params_to_array(table5.params)
-    cpar = control_params_to_array(table5.control_params)
+    cpar = params_to_array(table5.control_params)
     x0, wts, mask, u = table5.x0, np.ones(9), np.ones(5), np.zeros((11, 5))
     states = np.ones((11, 10))
     bad_calls = [
@@ -303,8 +303,8 @@ def test_kernels_convert_their_arguments(kernels, table5):
     give the bytes of the same call on C-contiguous arrays, for all four
     entry points."""
     par = params_to_array(table5.params)
-    cpar = control_params_to_array(table5.control_params)
-    wts = table5.weights.to_array()
+    cpar = params_to_array(table5.control_params)
+    wts = params_to_array(table5.weights)
     x0, mask = np.array(table5.x0), _strategy_mask("Z")
     big = _random_controls(np.random.default_rng(27), 100).repeat(2, axis=1)
     u = np.ascontiguousarray(big[:, ::2])
@@ -351,8 +351,7 @@ def test_controlled_kernel_matches_reference_integrator(table5):
     u = _random_controls(rng, grid.n_steps)
     ref = rk4_forward(lambda t, x, uu: controlled_field(x, uu, p, c),
                       table5.x0, grid, control_lookup=u)
-    ker = _kernels.rk4_controlled(params_to_array(p),
-                                  control_params_to_array(c),
+    ker = _kernels.rk4_controlled(params_to_array(p), params_to_array(c),
                                   table5.x0, u, grid.dt)
     assert np.allclose(ker, ref.values, rtol=1e-10, atol=1e-8)
 
@@ -365,9 +364,10 @@ def test_adjoint_kernel_matches_reference_integrator(table5):
     grid = TimeGrid(0.0, 10.0, 200)
     u = _random_controls(rng, grid.n_steps)
     par = params_to_array(p)
-    cpar = control_params_to_array(c)
+    cpar = params_to_array(c)
     states = _kernels.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
-    ker = _kernels.rk4_adjoint(par, cpar, w.to_array(), states, u, grid.dt)
+    ker = _kernels.rk4_adjoint(par, cpar, params_to_array(w), states, u,
+                               grid.dt)
     ref = rk4_backward(
         lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
         np.zeros(10), grid, states, control_traj=u)

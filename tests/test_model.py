@@ -10,8 +10,8 @@ from arbo import _kernels
 from arbo.model import (
     E_H, E_V, I_H, I_V, S_H, S_V,
     ControlParams, ModelParams, ParamError, ZeroPopulationError,
-    _infection, basic_field, control_params_to_array, controlled_field,
-    derive_constants, field_vjp, in_bounds, param_rows, params_to_array,
+    _infection, basic_field, controlled_field, derive_constants, field_vjp,
+    in_bounds, param_rows, params_to_array,
 )
 from arbo.sensitivity import PARAM_ORDER
 from arbo.thresholds import dfe_components
@@ -208,7 +208,7 @@ def test_params_to_array_order(table5):
     arr = params_to_array(table5.params)
     for i, name in enumerate(PARAM_ORDER):
         assert arr[i] == getattr(table5.params, name)
-    carr = control_params_to_array(table5.control_params)
+    carr = params_to_array(table5.control_params)
     assert carr.tolist() == [table5.control_params.omega,
                              table5.control_params.alpha1,
                              table5.control_params.alpha2,
@@ -222,4 +222,4 @@ def test_params_to_array_round_trips_through_the_kernels(table5):
     field order."""
     p, c = table5.params, table5.control_params
     assert _kernels._model_params(params_to_array(p)) == p
-    assert _kernels._control_params(control_params_to_array(c)) == c
+    assert _kernels._control_params(params_to_array(c)) == c

@@ -12,7 +12,7 @@ from arbo.model import ModelParams, ParamError
 from arbo.sensitivity import (
     PARAM_ORDER, ParamDistribution, RangeError, SampleSet, SingularSampleError,
     _stratum_ranks, average_ranks, baseline_ranges, condition_probabilities,
-    histogram_to_csv, lhs_sample, prcc, prcc_to_csv, r0_distribution, r0_of,
+    histogram_to_csv, lhs_sample, prcc, prcc_to_csv, r0_distribution,
     r0_values,
 )
 from arbo.thresholds import (
@@ -44,7 +44,7 @@ def test_lhs_stratification():
     n = 40
     samples = lhs_sample(baseline_ranges(), n, seed=1)
     for j, name in enumerate(PARAM_ORDER):
-        lo, hi = baseline_ranges().bounds(name)
+        lo, hi = baseline_ranges().ranges[name]
         strata = np.floor((samples.matrix[:, j] - lo) / (hi - lo) * n)
         assert sorted(strata.astype(int)) == list(range(n))
 
@@ -72,13 +72,13 @@ def test_degenerate_range_is_constant():
     assert np.all(samples.matrix[:, j] == 1e-3)
 
 
-def test_r0_of_zero_when_no_vectors():
+def test_r0_zero_when_no_vectors():
     """[TRIVIAL] N <= 1 maps to R0 = 0 by convention."""
     rng = np.random.default_rng(25)
     p = random_params(rng, mu_b=5.2, theta=0.02, s=0.4, l=0.2,
                       mu_v=1.0 / 14.0, mu_E=0.4, mu_L=0.4, mu_P=0.55)
     assert net_reproductive_number(p) <= 1.0
-    assert r0_of(p) == 0.0
+    assert bifurcation_thresholds(p).r0 == 0.0
 
 
 def test_distribution_summary_consistency():
@@ -178,10 +178,12 @@ def _draws(samples):
 
 def test_r0_values_equal_per_draw_r0():
     """[DERIVED] The array pass gives, bit for bit, the R0 of each draw
-    as `r0_of` computes it, including the R0 = 0 of N <= 1 draws."""
+    as `bifurcation_thresholds` computes it, including the R0 = 0 of
+    N <= 1 draws."""
     for seed in (1, 7):
         samples = lhs_sample(mixed_regime_ranges(), 500, seed=seed)
-        want = np.array([r0_of(p) for p in _draws(samples)])
+        want = np.array([bifurcation_thresholds(p).r0
+                         for p in _draws(samples)])
         got = r0_values(samples)
         assert np.count_nonzero(want == 0.0) > 0
         assert got.tobytes() == want.tobytes()
@@ -256,7 +258,7 @@ def test_lhs_matrix_is_read_only_and_equals_row_major_loop():
     rng = np.random.default_rng(seed)
     want = np.empty((n, len(PARAM_ORDER)))
     for j, name in enumerate(PARAM_ORDER):
-        lo, hi = dist.bounds(name)
+        lo, hi = dist.ranges[name]
         perm = rng.permutation(n)
         quantiles = (perm + rng.random(n)) / n
         want[:, j] = lo + (hi - lo) * quantiles
@@ -301,7 +303,7 @@ def test_stratum_ranks_equal_average_ranks(n, seed):
     samples = lhs_sample(baseline_ranges(), n, seed)
     for j, name in enumerate(PARAM_ORDER):
         col = samples.matrix[:, j]
-        ranks = _stratum_ranks(col, *samples.distribution.bounds(name))
+        ranks = _stratum_ranks(col, *samples.distribution.ranges[name])
         assert ranks is not None, name
         assert ranks.tobytes() == average_ranks(col).tobytes(), name
     assert prcc(samples, r0_values(samples)).sorted_columns == ()

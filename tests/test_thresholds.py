@@ -12,8 +12,8 @@ from arbo.model import ModelParams
 from arbo.sensitivity import PARAM_ORDER, baseline_ranges, lhs_sample
 from arbo.thresholds import (
     ThresholdError, ThresholdReport, basic_reproduction_number,
-    bifurcation_thresholds, dfe_components, infection_generation_factors,
-    net_reproductive_number, next_generation_matrices, threshold_arrays,
+    bifurcation_thresholds, dfe_components, net_reproductive_number,
+    next_generation_matrices, threshold_arrays,
 )
 from conftest import mixed_regime_ranges, random_established_params, random_params
 
@@ -39,8 +39,6 @@ def test_biological_dfe_requires_establishment(table5):
     assert net_reproductive_number(p) < 1.0
     with pytest.raises(ThresholdError):
         dfe_components(p)
-    with pytest.raises(ThresholdError):
-        infection_generation_factors(p)
 
 
 def test_r0_requires_establishment(table5):
