@@ -69,7 +69,16 @@ def _emit_json(report: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def load_config(path) -> dict:
+# Each command reads only the sections it uses; the top level only names them.
+_SECTIONS = dict.fromkeys(
+    ("spec_version", "params", "control_params", "weights", "initial_state",
+     "grid", "strategy", "sweep", "seed", "sensitivity", "icer"),
+    lambda value, where: value)
+
+
+def load_config(path, required=()) -> dict:
+    """The top-level object of the JSON file at `path`, which must hold
+    each section named in `required` and no unknown one."""
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
@@ -79,13 +88,22 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}") from exc
-    return _object(cfg, f"config {path}")
+    return _fields(_object(cfg, f"config {path}"), "config", _SECTIONS, required)
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"missing required field {key!r} in {where}")
-    return cfg[key]
+def _fields(value, where: str, readers: dict, required=()) -> dict:
+    """The fields of the JSON object `value` that are present, field `key`
+    read by `readers[key](value[key], f"{where}.{key}")`; a field with no
+    reader, or an absent one named in `required`, is an error."""
+    section = _object(value, where)
+    label = where if where == "config" else f"{where} section"
+    missing = set(required) - set(section)
+    if missing:
+        raise ConfigError(f"{label} missing fields: {sorted(missing)}")
+    unknown = set(section) - set(readers)
+    if unknown:
+        raise ConfigError(f"{label} has unknown fields: {sorted(unknown)}")
+    return {key: readers[key](v, f"{where}.{key}") for key, v in section.items()}
 
 
 def _object(value, where: str) -> dict:
@@ -104,20 +122,16 @@ def _number(value, where: str):
     return value
 
 
-def _field(section: dict, key: str, where: str, default=None):
-    """The number section[key]; `default` when it is absent, which is an
-    error when there is no default."""
-    value = (_require(section, key, where) if default is None
-             else section.get(key, default))
-    return _number(value, f"{where}.{key}")
+def _float(value, where: str) -> float:
+    return float(_number(value, where))
 
 
-def _count(section: dict, key: str, where: str, default=None) -> int:
-    """The integer section[key], which may be written as a whole float
-    such as 100.0; `default` as in `_field`."""
-    value = _field(section, key, where, default)
+def _count(value, where: str) -> int:
+    """The integer `value`, which may be written as a whole float such as
+    100.0."""
+    value = _number(value, where)
     if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -127,38 +141,60 @@ def _range(value, where: str) -> tuple:
     return tuple(_number(v, where) for v in value)
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _record(cfg: dict, cls, key: str):
     """The dataclass `cls` from the object cfg[key], which must name
     exactly its fields, each a number."""
-    section = _object(_require(cfg, key), key)
-    names = {f.name for f in dataclasses.fields(cls)}
-    missing = names - set(section)
-    if missing:
-        raise ConfigError(f"{key} section missing fields: {sorted(missing)}")
-    unknown = set(section) - names
-    if unknown:
-        raise ConfigError(f"{key} section has unknown fields: {sorted(unknown)}")
-    return cls(**{name: _field(section, name, key) for name in section})
+    names = [f.name for f in dataclasses.fields(cls)]
+    return cls(**_fields(cfg[key], key, dict.fromkeys(names, _number), names))
 
 
 def _build_grid(cfg: dict, args) -> TimeGrid:
-    section = dict(_object(_require(cfg, "grid"), "grid"))
-    if getattr(args, "tf", None) is not None:
+    section = dict(_object(cfg["grid"], "grid"))
+    if args.tf is not None:
         section["tf"] = args.tf
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         section["n_steps"] = args.steps
-    return TimeGrid(t0=_field(section, "t0", "grid", 0.0),
-                    tf=_field(section, "tf", "grid"),
-                    n_steps=_count(section, "n_steps", "grid"))
+    return TimeGrid(**{"t0": 0.0, **_fields(
+        section, "grid", {"t0": _number, "tf": _number, "n_steps": _count},
+        ("tf", "n_steps"))})
 
 
 def _initial_state(cfg: dict) -> np.ndarray:
-    x0 = _require(cfg, "initial_state")
+    x0 = cfg["initial_state"]
     if not isinstance(x0, list) or len(x0) != 10:
         raise ConfigError(f"initial_state must be a list of 10 numbers, "
                           f"got {x0!r}")
     return np.array([_number(v, f"initial_state[{i}]")
                      for i, v in enumerate(x0)], dtype=float)
+
+
+def _distribution(value, where: str) -> sensitivity.ParamDistribution:
+    return sensitivity.ParamDistribution(
+        _fields(value, where, dict.fromkeys(sensitivity.PARAM_ORDER, _range)))
+
+
+def _strategies(value, where: str) -> list:
+    """The ICER strategy reports listed in `value`, under distinct names."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    readers = {"name": _string, "cost": _float, "averted": _float}
+    reports = []
+    for row in value:
+        row = _fields(_object(row, f"{where} entry"), where, readers,
+                      required=readers)
+        if any(r.name == row["name"] for r in reports):
+            raise ConfigError(f"{where} names must be distinct, got "
+                              f"{row['name']!r} twice")
+        reports.append(econ.StrategyReport(
+            name=row["name"], cumulated_ih=0.0, efficiency_percent=0.0,
+            total_cost=row["cost"], infections_averted=row["averted"]))
+    return reports
 
 
 def _seed(cfg: dict, args) -> int:
@@ -170,7 +206,7 @@ def _seed(cfg: dict, args) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"ARBO_SEED is not an integer: {env!r}") from exc
-    return _count(cfg, "seed", "config", 0)
+    return _count(cfg.get("seed", 0), "config.seed")
 
 
 def cmd_thresholds(args, cfg: dict) -> int:
@@ -249,16 +285,11 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_sensitivity(args, cfg: dict) -> int:
-    sens_cfg = _object(cfg.get("sensitivity", {}), "sensitivity")
-    if sens_cfg.get("ranges") is None:
-        dist = sensitivity.baseline_ranges()
-    else:
-        where = "sensitivity.ranges"
-        dist = sensitivity.ParamDistribution(
-            {k: _range(v, f"{where}.{k}")
-             for k, v in _object(sens_cfg["ranges"], where).items()})
+    sens_cfg = _fields(cfg.get("sensitivity", {}), "sensitivity",
+                       {"samples": _count, "ranges": _distribution})
+    dist = sens_cfg.get("ranges") or sensitivity.baseline_ranges()
     n = (args.samples if args.samples is not None
-         else _count(sens_cfg, "samples", "sensitivity", 5000))
+         else sens_cfg.get("samples", 5000))
     seed = _seed(cfg, args)
     t0 = time.perf_counter()
     samples = sensitivity.lhs_sample(dist, n, seed)
@@ -296,17 +327,14 @@ def cmd_control(args, cfg: dict) -> int:
     w = _record(cfg, ObjectiveWeights, "weights")
     grid = _build_grid(cfg, args)
     x0 = _initial_state(cfg)
-    sweep_cfg = _object(cfg.get("sweep", {}), "sweep")
+    sweep = _fields(cfg.get("sweep", {}), "sweep",
+                    {"mix": _float, "tol": _float, "max_iters": _count})
     strategy = args.strategy or cfg.get("strategy", "Z")
     if not isinstance(strategy, str):
         raise ConfigError(f"config.strategy must be a strategy name, "
                           f"got {strategy!r}")
     mask = StrategyMask.named(strategy)
-    result = forward_backward_sweep(
-        p, c, w, x0, grid, mask,
-        mix=float(_field(sweep_cfg, "mix", "sweep", 0.5)),
-        tol=float(_field(sweep_cfg, "tol", "sweep", 1e-3)),
-        max_iters=_count(sweep_cfg, "max_iters", "sweep", 200))
+    result = forward_backward_sweep(p, c, w, x0, grid, mask, **sweep)
     if args.controls_csv:
         result.controls.to_csv(args.controls_csv,
                                ["u1", "u2", "u3", "u4", "u5"])
@@ -332,28 +360,9 @@ def cmd_control(args, cfg: dict) -> int:
 
 
 def cmd_icer(args, cfg: dict) -> int:
-    strategies = _object(cfg.get("icer", {}), "icer").get("strategies")
-    if not strategies:
-        raise ConfigError("missing required field 'icer.strategies' in config")
-    if not isinstance(strategies, list):
-        raise ConfigError(f"icer.strategies must be a list, got {strategies!r}")
-    where = "icer.strategies"
-    reports = []
-    for row in strategies:
-        row = _object(row, f"{where} entry")
-        name = _require(row, "name", where)
-        if not isinstance(name, str):
-            raise ConfigError(f"{where}.name must be a string, got {name!r}")
-        if any(r.name == name for r in reports):
-            raise ConfigError(f"{where} names must be distinct, got {name!r} "
-                              f"twice")
-        reports.append(econ.StrategyReport(
-            name=name,
-            cumulated_ih=float(_field(row, "cumulated_ih", where, 0.0)),
-            efficiency_percent=float(_field(row, "efficiency", where, 0.0)),
-            total_cost=float(_field(row, "cost", where)),
-            infections_averted=float(_field(row, "averted", where))))
-    table = econ.icer_analysis(reports)
+    icer = _fields(cfg["icer"], "icer", {"strategies": _strategies},
+                   required=("strategies",))
+    table = econ.icer_analysis(icer["strategies"])
     _emit_json({
         "rows": table.rows,
         "eliminations": [
@@ -384,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("thresholds", help="threshold report JSON")
     common(sp)
-    sp.set_defaults(func=cmd_thresholds)
+    sp.set_defaults(func=cmd_thresholds, sections=("params",))
 
     sp = sub.add_parser("equilibria", help="equilibrium set JSON")
     common(sp)
-    sp.set_defaults(func=cmd_equilibria)
+    sp.set_defaults(func=cmd_equilibria, sections=("params",))
 
     sp = sub.add_parser("bifurcation", help="branch-scan CSV")
     common(sp)
@@ -396,13 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lo", type=float, required=True)
     sp.add_argument("--hi", type=float, required=True)
     sp.add_argument("--steps", type=int, default=500)
-    sp.set_defaults(func=cmd_bifurcation)
+    sp.set_defaults(func=cmd_bifurcation, sections=("params",))
 
     sp = sub.add_parser("simulate", help="uncontrolled trajectory CSV")
     common(sp)
     sp.add_argument("--tf", type=float, default=None)
     sp.add_argument("--steps", type=int, default=None)
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_simulate,
+                    sections=("params", "grid", "initial_state"))
 
     sp = sub.add_parser("sensitivity", help="LHS/PRCC report")
     common(sp)
@@ -411,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="RNG seed (overrides ARBO_SEED and config)")
     sp.add_argument("--prcc-csv", default=None)
     sp.add_argument("--hist-csv", default=None)
-    sp.set_defaults(func=cmd_sensitivity)
+    sp.set_defaults(func=cmd_sensitivity, sections=())
 
     sp = sub.add_parser("control", help="forward-backward sweep")
     common(sp)
@@ -421,11 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--controls-csv", default=None)
     sp.add_argument("--states-csv", default=None)
-    sp.set_defaults(func=cmd_control)
+    sp.set_defaults(func=cmd_control, sections=(
+        "params", "control_params", "weights", "grid", "initial_state"))
 
     sp = sub.add_parser("icer", help="ICER dominance analysis")
     common(sp)
-    sp.set_defaults(func=cmd_icer)
+    sp.set_defaults(func=cmd_icer, sections=("icer",))
 
     return parser
 
@@ -434,7 +445,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, load_config(args.config))
+        return args.func(args, load_config(args.config, args.sections))
     except (ThresholdError, ZeroPopulationError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -226,23 +226,24 @@ def _stratum_ranks(col: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
     """1-based ranks of an LHS column read off its strata, or None when
     they cannot be certified equal to `average_ranks`.
 
-    A draw's stratum index is its rank when the indices form a
-    permutation and the draws, put in stratum order, strictly increase;
-    both are checked, so rounding that puts two draws in one stratum, or
-    a hand-built column, gets None."""
+    A draw x falls in stratum floor((x - lo) n / (hi - lo)), clipped to
+    [0, n - 1].  Subtraction, multiplication, division by a positive
+    number, the clip and floor are each monotone non-decreasing in IEEE
+    arithmetic, so for finite values a lower stratum means a smaller
+    draw.  When the strata of a finite column form a permutation, the
+    draws therefore strictly increase in stratum order, and each draw's
+    stratum is its rank.  Rounding that puts two draws in one stratum, a
+    non-finite draw or a hand-built column gets None.  The clip comes
+    before the integer cast, so a huge finite draw cannot wrap around."""
     n = col.size
     scaled = np.subtract(col, lo, dtype=float)
     scaled *= n
     scaled /= hi - lo
-    with np.errstate(invalid="ignore"):  # NaN draws fail the checks below
-        idx = np.floor(scaled, out=scaled).astype(np.intp)
-    np.clip(idx, 0, n - 1, out=idx)
-    inv = np.full(n, -1)
-    inv[idx] = np.arange(n)
-    if inv.min() < 0:
+    if not np.isfinite(scaled).all():
         return None
-    ordered = col[inv]
-    if not np.all(ordered[1:] > ordered[:-1]):
+    np.clip(scaled, 0, n - 1, out=scaled)
+    idx = np.floor(scaled, out=scaled).astype(np.intp)
+    if np.bincount(idx, minlength=n).max() != 1:
         return None
     return idx + 1.0
 

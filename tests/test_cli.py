@@ -356,6 +356,22 @@ _MALFORMED = [
     # allocation fails at once whatever the overcommit policy.
     ("simulate", "table5_control", ("grid", "n_steps"), 1e15, _TOO_BIG),
     ("control", "table5_control", ("grid", "n_steps"), 1e15, _TOO_BIG),
+    # Misspelt fields, each ignored in favour of a default before every
+    # object refused fields it has no reader for.
+    ("control", "table5_control", ("sweep", "max_iter"), 3,
+     "sweep section has unknown fields: ['max_iter']"),
+    ("simulate", "table5_control", ("grid", "t_0"), 0.0,
+     "grid section has unknown fields: ['t_0']"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "sample"), 60,
+     "sensitivity section has unknown fields: ['sample']"),
+    ("icer", "table5_control", ("icer", "strategies", 0, "costs"), 1.0,
+     "icer.strategies section has unknown fields: ['costs']"),
+    ("icer", "table5_control", ("icer", "strategies", 0, "efficiency"), 50.0,
+     "icer.strategies section has unknown fields: ['efficiency']"),
+    ("sensitivity", "table2_baseline", ("sensitivty",), {"samples": 60},
+     "config has unknown fields: ['sensitivty']"),
+    ("simulate", "table5_control", ("grid",), _DELETE,
+     "config missing fields: ['grid']"),
 ]
 
 
@@ -374,9 +390,9 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
     that is not an integer, an iteration budget below 1, a tolerance
     that is not positive, a count too large to allocate, a strategy that
     is not a name, ICER strategy names that are not distinct strings, a
-    range that is not a pair and a record with a missing or unknown
-    field are configuration errors: exit 2 with one `error:` line naming
-    the field."""
+    range that is not a pair, an object at any level with a missing or
+    unknown field and an absent required section are configuration
+    errors: exit 2 with one `error:` line naming the field."""
     cfg = copy.deepcopy(load_fixture(fixture))
     if not path:
         cfg = value

@@ -316,6 +316,14 @@ def test_stratum_ranks_refuse_a_nan_draw():
     assert _stratum_ranks(np.array([np.nan, 0.3, 0.5, 0.7, 0.9]), 0.0, 1.0) is None
 
 
+def test_stratum_ranks_refuse_a_huge_finite_draw():
+    """[TRIVIAL] 1e300 on [0, 1] scales to a finite value beyond every
+    integer.  Clipped before the integer cast, it shares the top stratum
+    with 0.7, so the column is refused; cast first, it would wrap to the
+    bottom stratum and be ranked [1, 2]."""
+    assert _stratum_ranks(np.array([1e300, 0.7]), 0.0, 1.0) is None
+
+
 def test_prcc_sorts_a_column_whose_strata_tie(caplog):
     """[DERIVED] A hand-built design with one duplicated value: that
     column's strata are not a permutation, so PRCC sorts it, logs one
