@@ -10,7 +10,7 @@ from .model import (
     ControlParams, ModelParams, ParamError, ZeroPopulationError,
     basic_field, controlled_field, derive_constants,
 )
-from .ode import TimeGrid, Trajectory, rk4_backward, rk4_forward
+from .ode import TimeGrid, Trajectory, rk4_forward
 from .thresholds import (
     ThresholdError, ThresholdReport, basic_reproduction_number,
     bifurcation_thresholds, dfe_components, net_reproductive_number,
@@ -26,6 +26,6 @@ __all__ = [
     "ThresholdError", "ThresholdReport", "TimeGrid", "Trajectory",
     "ZeroPopulationError", "basic_field", "basic_reproduction_number",
     "bifurcation_thresholds", "controlled_field", "derive_constants",
-    "dfe_components", "net_reproductive_number", "rk4_backward",
-    "rk4_forward", "threshold_arrays",
+    "dfe_components", "net_reproductive_number", "rk4_forward",
+    "threshold_arrays",
 ]

@@ -257,16 +257,20 @@ def cmd_bifurcation(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     if args.out is None:
         raise ConfigError("bifurcation requires --out CSV path")
+    lo, hi = _number(args.lo, "--lo"), _number(args.hi, "--hi")
+    steps = _count(args.steps, "--steps")
+    if steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {steps}")
     t0 = time.perf_counter()
-    rows = equilibria.bifurcation_scan(
-        p, args.param, args.lo, args.hi, args.steps, stability=True)
+    rows = equilibria.bifurcation_scan(p, args.param, lo, hi, steps,
+                                       stability=True)
     seconds = time.perf_counter() - t0
     equilibria.scan_to_csv(rows, args.out)
     errors = sum(r.error is not None for r in rows)
     unknown = sum(r.error is None and r.stable is None for r in rows)
     _log.info(
         "bifurcation scan of %s: %d grid points, %d rows, %d error rows, "
-        "%d unknown verdicts, %.3f s", args.param, args.steps + 1, len(rows),
+        "%d unknown verdicts, %.3f s", args.param, steps + 1, len(rows),
         errors, unknown, seconds)
     return 0
 

@@ -162,10 +162,10 @@ def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
 def forward_backward_sweep(p: ModelParams, c: ControlParams,
                            w: ObjectiveWeights, x0, grid: TimeGrid,
                            mask: StrategyMask, mix: float = 0.5,
-                           tol: float = 1e-3, max_iters: int = 200,
-                           initial_guess=None) -> SweepResult:
-    """Iterate forward state / backward adjoint passes, updating the
-    controls as a convex combination of the characterization and the
+                           tol: float = 1e-3, max_iters: int = 200
+                           ) -> SweepResult:
+    """Iterate forward state / backward adjoint passes from u = 0, updating
+    the controls as a convex combination of the characterization and the
     previous iterate, until the relative control change falls below tol.
     Each iteration is one `_kernels.sweep_step` call; its log entry holds
     J of the controls it started from and of their states.
@@ -181,17 +181,8 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     par, cpar, wts = params_to_array(p), params_to_array(c), params_to_array(w)
-    n = grid.n_steps
     mask_arr = mask.as_array()
-
-    if initial_guess is None:
-        u = np.zeros((n + 1, N_CONTROLS))
-    else:
-        u = np.array(initial_guess, dtype=float)
-        if u.shape != (n + 1, N_CONTROLS):
-            raise ValueError(f"initial guess shape {u.shape} != {(n + 1, N_CONTROLS)}")
-        u = np.clip(u, 0.0, 1.0) * mask_arr
-
+    u = np.zeros((grid.n_steps + 1, N_CONTROLS))
     log = []
     converged = False
     suspect = False

@@ -321,8 +321,7 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
         if error is not None:
             errors.setdefault(grid[est[i]].item(), error)
     if stability:
-        flags = [None if v.marginal else v.stable
-                 for v in eigen_verdicts(states, owner)]
+        flags = [v.stable for v in eigen_verdicts(states, owner)]
     else:
         flags = [None] * len(states)
 

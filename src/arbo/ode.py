@@ -77,43 +77,22 @@ class Trajectory:
                          zip(self.grid.times().tolist(), self.values.tolist()))
 
 
-def _node_values(traj, grid: TimeGrid, what: str) -> np.ndarray:
-    values = traj.values if isinstance(traj, Trajectory) \
-        else np.asarray(traj, dtype=float)
-    if values.shape[0] != grid.n_steps + 1:
-        raise ValueError(f"{what} trajectory has {values.shape[0]} rows, "
-                         f"need {grid.n_steps + 1}")
-    return values
-
-
 def rk4_forward(field, x0, grid: TimeGrid, control_lookup=None) -> Trajectory:
     """Classic RK4 from t0 to tf.
 
     Without controls, `field(t, x)` is the right-hand side.  With a
-    control trajectory (array of shape (n_steps+1, n_controls) or a
-    Trajectory), the right-hand side is `field(t, x, u)` and the
-    half-step control is the average of the adjacent nodes (linear
-    interpolation at the midpoint).
+    control array of shape (n_steps+1, n_controls), the right-hand side
+    is `field(t, x, u)` and the half-step control is the average of the
+    adjacent nodes (linear interpolation at the midpoint).
     """
-    inputs = () if control_lookup is None \
-        else (_node_values(control_lookup, grid, "control"),)
+    inputs = ()
+    if control_lookup is not None:
+        u = np.asarray(control_lookup, dtype=float)
+        if u.shape[0] != grid.n_steps + 1:
+            raise ValueError(f"control trajectory has {u.shape[0]} rows, "
+                             f"need {grid.n_steps + 1}")
+        inputs = (u,)
     return Trajectory(grid, rk4_nodes(field, x0, inputs, grid.dt, grid.times()))
-
-
-def rk4_backward(adjoint_field, terminal_value, grid: TimeGrid,
-                 state_traj, control_traj=None) -> Trajectory:
-    """RK4 from tf down to t0 for the adjoint system.
-
-    `adjoint_field(t, adj, x, u)` (or `(t, adj, x)` when no controls).
-    Intermediate-stage state/control values use the average of the two
-    adjacent grid nodes; the terminal node is set to `terminal_value`
-    exactly.
-    """
-    inputs = (_node_values(state_traj, grid, "state"),)
-    if control_traj is not None:
-        inputs += (_node_values(control_traj, grid, "control"),)
-    return Trajectory(grid, rk4_nodes(adjoint_field, terminal_value, inputs,
-                                      grid.dt, grid.times(), backward=True))
 
 
 def rk4_nodes(rhs, y0, inputs, dt: float, times, backward: bool = False

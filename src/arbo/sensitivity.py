@@ -96,7 +96,6 @@ class SampleSet:
     which keeps `thresholds` valid for the life of the set."""
 
     matrix: np.ndarray = field(repr=False)
-    seed: int
     distribution: ParamDistribution
 
     @property
@@ -128,8 +127,6 @@ class PRCCReport:
 
     coefficients: dict
     excluded: tuple
-    n: int
-    seed: int
     sorted_columns: tuple
 
 
@@ -153,7 +150,7 @@ def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
     for extreme in (design.min(axis=1), design.max(axis=1)):
         ModelParams(**dict(zip(PARAM_ORDER, extreme.tolist())))
     design.flags.writeable = False
-    return SampleSet(matrix=design.T, seed=seed, distribution=dist)
+    return SampleSet(matrix=design.T, distribution=dist)
 
 
 def r0_values(samples: SampleSet) -> np.ndarray:
@@ -163,11 +160,12 @@ def r0_values(samples: SampleSet) -> np.ndarray:
     return samples.thresholds.r0
 
 
-def r0_distribution(samples: SampleSet, n_bins: int = 50) -> dict:
-    """Summary statistics and a fixed-bin histogram of R0 over the draws."""
+def r0_distribution(samples: SampleSet) -> dict:
+    """Summary statistics and a histogram of R0 over the draws, in 50
+    equal bins from 0 to the largest draw."""
     values = r0_values(samples)
     top = float(values.max())
-    edges = np.linspace(0.0, top if top > 0 else 1.0, n_bins + 1)
+    edges = np.linspace(0.0, top if top > 0 else 1.0, 51)
     counts, _ = np.histogram(values, bins=edges)
     return {
         "mean": float(values.mean()),
@@ -305,8 +303,7 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     coeffs = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
     return PRCCReport(
         coefficients={PARAM_ORDER[j]: float(c) for j, c in zip(active, coeffs)},
-        excluded=excluded, n=n, seed=samples.seed,
-        sorted_columns=tuple(sorted_columns))
+        excluded=excluded, sorted_columns=tuple(sorted_columns))
 
 
 def prcc_to_csv(report: PRCCReport, path) -> None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +21,12 @@ from .thresholds import (
     net_reproductive_number,
 )
 
-# Eigenvalue verdicts: stable iff max real part < -_STABLE_TOL; real
-# parts inside (-_STABLE_TOL, _STABLE_TOL) are marginal.
+# A max real part within this of zero gives a marginal verdict (None).
 _STABLE_TOL = 1e-9
 
 # Equilibria per field call in `eigen_verdicts`: larger blocks make a
 # 500-step scan no faster but raise the process's peak RSS.
 _BLOCK = 64
-
-
-class Method(enum.Enum):
-    EIGEN = "Eigen"
-    ROUTH_HURWITZ = "RouthHurwitz"
 
 
 class Direction(enum.Enum):
@@ -46,10 +40,11 @@ class KernelError(ArithmeticError):
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """`stable` is True or False, or None when the max real part is
+    within `_STABLE_TOL` of zero."""
+
     eigen_max_real: float
-    stable: bool
-    method: Method
-    marginal: bool = False
+    stable: bool | None
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,13 @@ class BifurcationCoefficients:
     bif_a1: float
     bif_a2: float
     bif_a1_generic: float
-    left_vec: np.ndarray = field(repr=False)
-    right_vec: np.ndarray = field(repr=False)
     direction: Direction = Direction.FORWARD
+
+
+def _verdict(max_real: float, stable: bool) -> StabilityVerdict:
+    """`stable`, or None when `max_real` is within `_STABLE_TOL` of zero."""
+    return StabilityVerdict(max_real,
+                            None if abs(max_real) <= _STABLE_TOL else stable)
 
 
 def jacobians(x, p) -> np.ndarray:
@@ -98,9 +97,7 @@ def eigen_verdicts(x, p) -> list[StabilityVerdict]:
         rows = np.arange(start, min(start + _BLOCK, len(x)))
         jac = jacobians(x[rows], param_rows(p, rows))
         max_real[rows] = np.linalg.eigvals(jac).real.max(axis=1)
-    return [StabilityVerdict(eigen_max_real=v, stable=v < -_STABLE_TOL,
-                             method=Method.EIGEN, marginal=abs(v) <= _STABLE_TOL)
-            for v in max_real.tolist()]
+    return [_verdict(v, v < -_STABLE_TOL) for v in max_real.tolist()]
 
 
 def eigen_verdict(x, p: ModelParams) -> StabilityVerdict:
@@ -113,7 +110,7 @@ def routh_hurwitz_trivial(p: ModelParams) -> StabilityVerdict:
 
     The linearization block-decouples; the nontrivial part is the
     aquatic-adult quartic whose constant coefficient is proportional to
-    (1 - N), so the verdict flips exactly at the persistence threshold.
+    (1 - N), so the verdict flips at the persistence threshold (marginal).
     """
     k = derive_constants(p)
     n = net_reproductive_number(p)
@@ -126,12 +123,9 @@ def routh_hurwitz_trivial(p: ModelParams) -> StabilityVerdict:
     h2 = c1 * c2 - c3
     h3 = c1 * c2 * c3 - c1 ** 2 * c4 - c3 ** 2
     h4 = c4 * h3
-    stable = h1 > 0 and h2 > 0 and h3 > 0 and h4 > 0
     roots = np.roots([1.0, c1, c2, c3, c4])
-    return StabilityVerdict(
-        eigen_max_real=float(np.max(roots.real)),
-        stable=stable,
-        method=Method.ROUTH_HURWITZ)
+    return _verdict(float(np.max(roots.real)),
+                    h1 > 0 and h2 > 0 and h3 > 0 and h4 > 0)
 
 
 def bifurcation_coefficients(p: ModelParams) -> BifurcationCoefficients:
@@ -197,7 +191,7 @@ def bifurcation_coefficients(p: ModelParams) -> BifurcationCoefficients:
 
     return BifurcationCoefficients(
         zeta1=zeta1, zeta2=zeta2, bif_a1=bif_a1, bif_a2=bif_a2,
-        bif_a1_generic=bif_a1_generic, left_vec=v, right_vec=w,
+        bif_a1_generic=bif_a1_generic,
         direction=Direction.BACKWARD if bif_a1 > 0 else Direction.FORWARD)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, seed precedence, and exit codes."""
 
 import copy
+import dataclasses
 import json
 import logging
 
@@ -10,9 +11,10 @@ import pytest
 from arbo import _kernels, sensitivity
 from arbo.cli import EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable, main
 from arbo.control import ObjectiveWeights, StrategyMask, forward_backward_sweep
+from arbo.equilibria import bifurcation_scan
 from arbo.model import STATE_NAMES, ControlParams, ModelParams
 from arbo.ode import TimeGrid
-from arbo.thresholds import basic_reproduction_number
+from arbo.thresholds import basic_reproduction_number, bifurcation_thresholds
 from conftest import load_fixture
 
 
@@ -86,6 +88,50 @@ def test_bifurcation_command(config_file, tmp_path):
     assert lines[0] == "param_value,R0,branch_id,I_h,I_v,stable,residual"
     branch_ids = {int(line.split(",")[2]) for line in lines[1:]}
     assert {0, 1, 2} <= branch_ids  # window with two endemic branches
+
+
+def test_marginal_endemic_point_is_null_in_equilibria_and_scan(
+        sec22, config_file, tmp_path):
+    """[DERIVED] 17 floats below beta_+ the sec. 2.2 set is in case iii-b
+    with one endemic point whose max Re(lambda) is 2.9e-15, inside the
+    marginal band: `arbo equilibria` prints its verdict as null, and the
+    scan's branch 1 at that beta_hv has none either."""
+    beta = bifurcation_thresholds(sec22.params).beta_plus
+    for _ in range(17):
+        beta = np.nextafter(beta, 0.0)
+    beta = float(beta)
+    cfg = copy.deepcopy(load_fixture("sec22_backward"))
+    cfg["params"]["beta_hv"] = beta
+    out = tmp_path / "eq.json"
+    assert main(["equilibria", "--config", config_file(cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["case"] == "iii-b"
+    (point,) = report["endemic"]
+    assert point["stable"] is None
+    rows = bifurcation_scan(dataclasses.replace(sec22.params, beta_hv=beta),
+                            "beta_hv", beta, beta, 0, stability=True)
+    assert [r.branch_id for r in rows] == [0, 1]
+    assert rows[1].stable is None
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--steps", "-1", "--steps must be >= 0, got -1"),
+    ("--lo", "nan", "--lo must be a finite number, got nan"),
+    ("--hi", "inf", "--hi must be a finite number, got inf"),
+])
+def test_bifurcation_refuses_bad_flags(flag, value, message, config_file,
+                                       tmp_path, capsys):
+    """[TRIVIAL] A negative --steps or a non-finite --lo or --hi exits 2
+    with one `error:` line naming the flag, and writes no CSV."""
+    args = {"--lo": "0.0", "--hi": "0.09", "--steps": "10", flag: value}
+    out = tmp_path / "scan.csv"
+    code = main(["bifurcation", "--config",
+                 config_file(load_fixture("sec22_backward")),
+                 "--out", str(out), *(a for kv in args.items() for a in kv)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_bifurcation_command_logs_one_summary(config_file, tmp_path, caplog,

@@ -179,15 +179,6 @@ def test_sweep_rejects_bad_mix(table5, short_grid):
                                StrategyMask.named("Z"), mix=0.0)
 
 
-def test_sweep_rejects_bad_initial_guess(table5, short_grid):
-    """[TRIVIAL] Initial guess must match the grid shape."""
-    with pytest.raises(ValueError):
-        forward_backward_sweep(table5.params, table5.control_params,
-                               table5.weights, table5.x0, short_grid,
-                               StrategyMask.named("Z"),
-                               initial_guess=np.zeros((3, 5)))
-
-
 def test_sweep_without_controls_is_plain_integration(table5, short_grid):
     """[TRIVIAL] The empty mask reproduces the uncontrolled trajectory."""
     result = forward_backward_sweep(table5.params, table5.control_params,
@@ -227,31 +218,16 @@ def test_sweep_nonconvergence_reported(table5, short_grid):
     assert len(result.log) == 1
 
 
-def test_sweep_warm_start_converges_faster(table5, short_grid):
-    """[DERIVED] Restarting from the converged controls needs one pass."""
-    p, c, w = table5.params, table5.control_params, table5.weights
-    first = forward_backward_sweep(p, c, w, table5.x0, short_grid,
-                                   StrategyMask.named("Z"))
-    second = forward_backward_sweep(p, c, w, table5.x0, short_grid,
-                                    StrategyMask.named("Z"),
-                                    initial_guess=first.controls.values)
-    assert second.converged
-    assert second.iterations <= 3
-    assert second.objective_j == pytest.approx(first.objective_j, rel=1e-3)
-
-
 def test_sweep_is_the_same_on_the_python_kernels(table5, monkeypatch):
-    """[DERIVED] A whole Z1 sweep from an initial guess outside [0, 1]
-    gives the same bytes with `arbo._kernels` patched to the Python
-    kernels: states, adjoints, controls, J, iterations, flags and log."""
+    """[DERIVED] A whole Z1 sweep gives the same bytes with
+    `arbo._kernels` patched to the Python kernels: states, adjoints,
+    controls, J, iterations, flags and log."""
     p, c, w = table5.params, table5.control_params, table5.weights
     grid = TimeGrid(0.0, 2.0, 200)
-    guess = np.random.default_rng(27).uniform(-0.5, 1.5, (201, 5))
 
     def sweep():
         return forward_backward_sweep(p, c, w, table5.x0, grid,
-                                      StrategyMask.named("Z1"),
-                                      initial_guess=guess)
+                                      StrategyMask.named("Z1"))
 
     active = sweep()
     for name in ("rk4_controlled", "rk4_adjoint", "sweep_step"):

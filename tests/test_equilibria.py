@@ -266,8 +266,7 @@ def _per_point_scan(p, param_name, lo, hi, steps, stability=False):
     def flag(x, pv):
         if not stability:
             return None
-        verdict = eigen_verdict(x, pv)
-        return None if verdict.marginal else verdict.stable
+        return eigen_verdict(x, pv).stable
 
     rows = []
     for value in np.linspace(lo, hi, steps + 1):
@@ -324,7 +323,7 @@ def test_scan_at_transcritical_point_is_marginal(sec22, tmp_path):
     assert rows[0].branch_id == 0 and rows[0].stable is None
     pv = dataclasses.replace(sec22.params, beta_hv=beta)
     verdict = eigen_verdict(dfe_components(pv), pv)
-    assert verdict.marginal and abs(verdict.eigen_max_real) < 1e-12
+    assert verdict.stable is None and abs(verdict.eigen_max_real) < 1e-12
     out = tmp_path / "scan.csv"
     scan_to_csv(rows, out)
     assert out.read_text().splitlines()[1].split(",")[5] == "0"

@@ -19,7 +19,7 @@ from arbo.model import (
     R_H, S_H, ZeroPopulationError, basic_field, controlled_field,
     params_to_array,
 )
-from arbo.ode import NonFiniteError, TimeGrid, rk4_backward, rk4_forward
+from arbo.ode import NonFiniteError, TimeGrid, rk4_forward, rk4_nodes
 
 PYTHON = _kernels.PYTHON
 
@@ -62,6 +62,16 @@ def test_only_control_and_cli_load_the_kernels():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False True\n"
+
+
+def test_every_exported_name_resolves():
+    """[TRIVIAL] `import *` of `arbo` and of `arbo._kernels` finds every
+    name in their `__all__`, so no deleted name lingers there."""
+    src = pathlib.Path(_kernels.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", "from arbo import *\n"
+                    "from arbo._kernels import *\n"], env=env, check=True,
+                   capture_output=True)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -368,7 +378,7 @@ def test_adjoint_kernel_matches_reference_integrator(table5):
     states = _kernels.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
     ker = _kernels.rk4_adjoint(par, cpar, params_to_array(w), states, u,
                                grid.dt)
-    ref = rk4_backward(
-        lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
-        np.zeros(10), grid, states, control_traj=u)
-    assert np.allclose(ker, ref.values, rtol=1e-9, atol=1e-6)
+    ref = rk4_nodes(lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
+                    np.zeros(10), (states, u), grid.dt, grid.times(),
+                    backward=True)
+    assert np.allclose(ker, ref, rtol=1e-9, atol=1e-6)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from arbo.ode import NonFiniteError, TimeGrid, Trajectory, rk4_backward, rk4_forward
+from arbo.ode import NonFiniteError, TimeGrid, Trajectory, rk4_forward, rk4_nodes
 
 
 def test_grid_validation():
@@ -120,10 +120,10 @@ def test_rk4_forward_constant_control():
 def test_rk4_backward_exponential():
     """[DERIVED] lam' = lam backward from lam(tf) = 1 gives e^(t - tf)."""
     grid = TimeGrid(0.0, 2.0, 200)
-    states = np.zeros((201, 1))
-    traj = rk4_backward(lambda t, lam, x: lam, np.array([1.0]), grid, states)
-    assert traj.values[0, 0] == pytest.approx(math.exp(-2.0), abs=1e-9)
-    assert traj.values[-1, 0] == 1.0
+    lam = rk4_nodes(lambda t, lam: lam, np.array([1.0]), (), grid.dt,
+                    grid.times(), backward=True)
+    assert lam[0, 0] == pytest.approx(math.exp(-2.0), abs=1e-9)
+    assert lam[-1, 0] == 1.0
 
 
 def test_rk4_backward_nonautonomous():
@@ -131,12 +131,12 @@ def test_rk4_backward_nonautonomous():
     at every node to rounding (polynomial order), which it does only if
     the stage times step down from each node."""
     grid = TimeGrid(2.0, 12.0, 100)
-    traj = rk4_backward(lambda t, lam, x: np.array([t]), np.array([0.0]),
-                        grid, np.zeros((101, 1)))
     t = grid.times()
+    lam = rk4_nodes(lambda t, lam: np.array([t]), np.array([0.0]), (),
+                    grid.dt, t, backward=True)
     exact = (t * t - 144.0) / 2.0
     # Two units in the last place of the largest value, 70.
-    assert np.max(np.abs(traj.values[:, 0] - exact)) <= 2 * np.spacing(70.0)
+    assert np.max(np.abs(lam[:, 0] - exact)) <= 2 * np.spacing(70.0)
 
 
 def test_rk4_backward_nonfinite_detection():
@@ -145,8 +145,8 @@ def test_rk4_backward_nonfinite_detection():
     grid = TimeGrid(2.0, 12.0, 100)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError) as err:
-            rk4_backward(lambda t, lam, x: -1e100 * lam * lam,
-                         np.array([10.0]), grid, np.zeros((101, 1)))
+            rk4_nodes(lambda t, lam: -1e100 * lam * lam, np.array([10.0]),
+                      (), grid.dt, grid.times(), backward=True)
     assert (err.value.step, err.value.t) == (99, grid.times()[99])
     assert str(err.value) == "non-finite value at step 99 (t = 11.9)"
 
@@ -160,14 +160,7 @@ def test_rk4_backward_adjoint_invariant():
     x0 = rng.normal(size=3)
     states = rk4_forward(lambda t, x: a @ x, x0, grid)
     lam_tf = rng.normal(size=3)
-    adj = rk4_backward(lambda t, lam, x: -a.T @ lam, lam_tf, grid, states)
-    inner = np.einsum("ij,ij->i", states.values, adj.values)
+    adj = rk4_nodes(lambda t, lam: -a.T @ lam, lam_tf, (), grid.dt,
+                    grid.times(), backward=True)
+    inner = np.einsum("ij,ij->i", states.values, adj)
     assert np.max(np.abs(inner - inner[-1])) <= 1e-7 * max(1.0, abs(inner[-1]))
-
-
-def test_rk4_backward_state_shape_check():
-    """[TRIVIAL] State trajectory rows must match the grid."""
-    grid = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        rk4_backward(lambda t, lam, x: lam, np.array([1.0]), grid,
-                     np.zeros((4, 1)))

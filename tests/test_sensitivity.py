@@ -82,11 +82,12 @@ def test_r0_zero_when_no_vectors():
 
 
 def test_distribution_summary_consistency():
-    """[DERIVED] Histogram counts and the tail probability agree with
-    the raw values."""
+    """[DERIVED] The 50 histogram counts and the tail probability agree
+    with the raw values."""
     samples = lhs_sample(baseline_ranges(), 300, seed=3)
-    stats = r0_distribution(samples, n_bins=20)
+    stats = r0_distribution(samples)
     values = stats["values"]
+    assert len(stats["histogram"]["counts"]) == 50
     assert stats["histogram"]["counts"].sum() == len(values)
     assert stats["p_ge_1"] == pytest.approx(np.mean(values >= 1.0))
     assert stats["mean"] == pytest.approx(values.mean())
@@ -145,7 +146,7 @@ def test_csv_emission(tmp_path):
     samples = lhs_sample(baseline_ranges(), 60, seed=10)
     outputs = r0_values(samples)
     report = prcc(samples, outputs)
-    stats = r0_distribution(samples, n_bins=10)
+    stats = r0_distribution(samples)
 
     prcc_path = tmp_path / "prcc.csv"
     prcc_to_csv(report, prcc_path)
@@ -310,9 +311,9 @@ def test_stratum_ranks_equal_average_ranks(n, seed):
 
 
 def test_stratum_ranks_refuse_a_nan_draw():
-    """[TRIVIAL] A NaN draw falls in stratum 0 after clipping, so the
-    strata of [nan, .3, .5, .7, .9] on [0, 1] form a permutation; the
-    order check still refuses them."""
+    """[TRIVIAL] Clipped, a NaN draw would fall in stratum 0, so the
+    strata of [nan, .3, .5, .7, .9] on [0, 1] would form a permutation;
+    the finite check refuses the column before the clip."""
     assert _stratum_ranks(np.array([np.nan, 0.3, 0.5, 0.7, 0.9]), 0.0, 1.0) is None
 
 
@@ -333,7 +334,7 @@ def test_prcc_sorts_a_column_whose_strata_tie(caplog):
     matrix = np.array(samples.matrix)
     j = PARAM_ORDER.index("mu_v")
     matrix[1, j] = matrix[0, j]
-    tied = SampleSet(matrix=matrix, seed=18, distribution=samples.distribution)
+    tied = SampleSet(matrix=matrix, distribution=samples.distribution)
     outputs = r0_values(tied)
     with caplog.at_level(logging.WARNING, logger="arbo"):
         report = prcc(tied, outputs)
@@ -393,7 +394,7 @@ def test_prcc_refuses_a_constant_column(caplog):
     matrix = np.array(samples.matrix)
     j = PARAM_ORDER.index("gamma_v")
     matrix[:, j] = 0.25
-    constant = SampleSet(matrix=matrix, seed=4, distribution=samples.distribution)
+    constant = SampleSet(matrix=matrix, distribution=samples.distribution)
     with caplog.at_level(logging.WARNING, logger="arbo"):
         with pytest.raises(SingularSampleError, match="gamma_v"):
             prcc(constant, r0_values(samples))

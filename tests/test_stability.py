@@ -119,7 +119,7 @@ def test_batched_jacobians_and_verdicts_equal_one_point_calls(sec22):
     assert np.all(_relative_gap(jac, fd) < 1e-6)
     verdicts = eigen_verdicts(xs, rows)
     assert verdicts == [eigen_verdict(x, p) for x, p in zip(xs, ps)]
-    assert verdicts[0].stable and verdicts[1].marginal
+    assert verdicts[0].stable and verdicts[1].stable is None
 
 
 def test_routh_hurwitz_flips_at_persistence_threshold(table5):
