@@ -12,7 +12,6 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import sys
 import time
 
@@ -155,14 +154,24 @@ def _record(cfg: dict, cls, key: str):
 
 
 def _build_grid(cfg: dict, args) -> TimeGrid:
+    """The config's grid with `--tf` and `--steps` in place of its tf and
+    n_steps; an error names the flag or the field that set the value."""
     section = dict(_object(cfg["grid"], "grid"))
+    where = {"tf": "grid.tf", "n_steps": "grid.n_steps"}
     if args.tf is not None:
-        section["tf"] = args.tf
+        section["tf"], where["tf"] = _number(args.tf, "--tf"), "--tf"
     if args.steps is not None:
-        section["n_steps"] = args.steps
-    return TimeGrid(**{"t0": 0.0, **_fields(
+        section["n_steps"], where["n_steps"] = args.steps, "--steps"
+    grid = {"t0": 0.0, **_fields(
         section, "grid", {"t0": _number, "tf": _number, "n_steps": _count},
-        ("tf", "n_steps"))})
+        ("tf", "n_steps"))}
+    if grid["n_steps"] < 1:
+        raise ConfigError(
+            f"{where['n_steps']} must be >= 1, got {grid['n_steps']}")
+    if not grid["tf"] > grid["t0"]:
+        raise ConfigError(f"{where['tf']} must be > t0 = {grid['t0']}, "
+                          f"got {grid['tf']}")
+    return TimeGrid(**grid)
 
 
 def _initial_state(cfg: dict) -> np.ndarray:
@@ -195,18 +204,6 @@ def _strategies(value, where: str) -> list:
             name=row["name"], cumulated_ih=0.0, efficiency_percent=0.0,
             total_cost=row["cost"], infections_averted=row["averted"]))
     return reports
-
-
-def _seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ARBO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ARBO_SEED is not an integer: {env!r}") from exc
-    return _count(cfg.get("seed", 0), "config.seed")
 
 
 def cmd_thresholds(args, cfg: dict) -> int:
@@ -294,7 +291,8 @@ def cmd_sensitivity(args, cfg: dict) -> int:
     dist = sens_cfg.get("ranges") or sensitivity.baseline_ranges()
     n = (args.samples if args.samples is not None
          else sens_cfg.get("samples", 5000))
-    seed = _seed(cfg, args)
+    seed = (args.seed if args.seed is not None
+            else _count(cfg.get("seed", 0), "config.seed"))
     t0 = time.perf_counter()
     samples = sensitivity.lhs_sample(dist, n, seed)
     t1 = time.perf_counter()
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (overrides ARBO_SEED and config)")
+                    help="RNG seed (overrides the config's seed)")
     sp.add_argument("--prcc-csv", default=None)
     sp.add_argument("--hist-csv", default=None)
     sp.set_defaults(func=cmd_sensitivity, sections=())

@@ -184,10 +184,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     mask_arr = mask.as_array()
     u = np.zeros((grid.n_steps + 1, N_CONTROLS))
     log = []
-    converged = False
-    suspect = False
     prev_states = None
-    any_active = bool(mask_arr.any())
 
     with grid.kernel_clock():
         for iterations in range(1, max_iters + 1):
@@ -200,10 +197,10 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
                         "state_change": state_change})
             u = u_new
             prev_states = states
-            if control_change < tol or not any_active:
-                converged = True
-                suspect = any_active and state_change >= tol and iterations > 1
+            if control_change < tol:
                 break
+        converged = control_change < tol
+        suspect = converged and state_change >= tol and iterations > 1
 
         states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
         adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)

@@ -67,7 +67,7 @@ class EquilibriumSet:
     `residuals` holds max|f(x)| for each of those points in the same
     order; `rejected` logs quadratic roots dropped by the positivity
     filter.  `case` is the governing clause of the root-count
-    classification, and `thresholds` the report it was read from.
+    classification.
     """
 
     dfe_trivial: np.ndarray
@@ -77,7 +77,6 @@ class EquilibriumSet:
     case: str
     quadratic: EndemicQuadratic | None
     rejected: list
-    thresholds: ThresholdReport
     residuals: list
 
 
@@ -213,7 +212,7 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
         return EquilibriumSet(
             dfe_trivial=dfe0, dfe_biological=None, endemic=[],
             classification=Classification.NO_ENDEMIC, case="N<=1",
-            quadratic=None, rejected=[], thresholds=rep, residuals=[])
+            quadratic=None, rejected=[], residuals=[])
 
     dfe1 = dfe_components(p)
     quad = _quadratic(p, rep.r0, rep.r_c)
@@ -231,7 +230,7 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
     return EquilibriumSet(
         dfe_trivial=dfe0, dfe_biological=dfe1, endemic=endemic,
         classification=classification, case=case, quadratic=quad,
-        rejected=rejected, thresholds=rep, residuals=residuals.tolist())
+        rejected=rejected, residuals=residuals.tolist())
 
 
 def delta_zero_check(p: ModelParams) -> dict:

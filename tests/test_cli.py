@@ -134,6 +134,26 @@ def test_bifurcation_refuses_bad_flags(flag, value, message, config_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "control"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--steps", "-1", "--steps must be >= 1, got -1"),
+    ("--steps", "0", "--steps must be >= 1, got 0"),
+    ("--tf", "-1", "--tf must be > t0 = 0.0, got -1.0"),
+    ("--tf", "nan", "--tf must be a finite number, got nan"),
+])
+def test_grid_flags_are_named_in_errors(command, flag, value, message,
+                                        config_file, tmp_path, capsys):
+    """[TRIVIAL] A grid value set by `--steps` or `--tf` that is not a
+    count of at least 1 or a finite end time after t0 exits 2 with one
+    `error:` line naming the flag, not the config field it replaced."""
+    out = tmp_path / "out"
+    code = main([command, "--config", config_file(_table5()),
+                 "--out", str(out), flag, value])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_bifurcation_command_logs_one_summary(config_file, tmp_path, caplog,
                                              capsys):
     """The scan's counters go to one INFO record on the "arbo" logger;
@@ -203,13 +223,11 @@ def test_sensitivity_command_and_seed_precedence(config_file, tmp_path,
     path = config_file(cfg)
     out = tmp_path / "sens.json"
 
-    monkeypatch.delenv("ARBO_SEED", raising=False)
-    assert main(["sensitivity", "--config", path, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 1
-
+    # The seed is --seed, then the config's, then 0; the environment
+    # plays no part.
     monkeypatch.setenv("ARBO_SEED", "2")
     assert main(["sensitivity", "--config", path, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 2
+    assert json.loads(out.read_text())["seed"] == 1
 
     assert main(["sensitivity", "--config", path, "--out", str(out),
                  "--seed", "3"]) == 0
@@ -217,6 +235,11 @@ def test_sensitivity_command_and_seed_precedence(config_file, tmp_path,
     assert report["seed"] == 3
     assert report["n"] == 60
     assert report["prcc"]  # non-empty coefficient table
+
+    del cfg["seed"]
+    assert main(["sensitivity", "--config", config_file(cfg),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 0
 
 
 def test_sensitivity_reports_stage_times(config_file, tmp_path):
@@ -370,6 +393,14 @@ _MALFORMED = [
      "initial_state[0] must be a number, got None"),
     ("simulate", "table5_control", ("grid", "n_steps"), 100.7,
      "grid.n_steps must be an integer, got 100.7"),
+    ("simulate", "table5_control", ("grid", "n_steps"), 0,
+     "grid.n_steps must be >= 1, got 0"),
+    ("control", "table5_control", ("grid", "n_steps"), -5,
+     "grid.n_steps must be >= 1, got -5"),
+    ("simulate", "table5_control", ("grid", "tf"), -1.0,
+     "grid.tf must be > t0 = 0.0, got -1.0"),
+    ("control", "table5_control", ("grid", "t0"), 40.0,
+     "grid.tf must be > t0 = 40.0, got 20.0"),
     ("control", "table5_control", ("sweep", "max_iters"), 1.9,
      "sweep.max_iters must be an integer, got 1.9"),
     ("sensitivity", "table2_baseline", ("seed",), 2.5,
@@ -433,9 +464,10 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
                                   config_file, tmp_path, capsys):
     """[TRIVIAL] A section that is not an object, a field that is not a
     finite number (booleans, null, NaN and infinity included), a count
-    that is not an integer, an iteration budget below 1, a tolerance
-    that is not positive, a count too large to allocate, a strategy that
-    is not a name, ICER strategy names that are not distinct strings, a
+    that is not an integer, a grid of no steps or not ending after
+    it starts, an iteration budget below 1, a tolerance that is not
+    positive, a count too large to allocate, a strategy that is not a
+    name, ICER strategy names that are not distinct strings, a
     range that is not a pair, an object at any level with a missing or
     unknown field and an absent required section are configuration
     errors: exit 2 with one `error:` line naming the field."""

@@ -9,6 +9,7 @@ from arbo.control import (
     adjoint_field, characterize_controls, forward_backward_sweep, hamiltonian,
     objective, running_cost,
 )
+from arbo.econ import cumulated_infectious, efficiency_index
 from arbo.model import ParamError, controlled_field, params_to_array
 from arbo.ode import TimeGrid, Trajectory
 
@@ -179,16 +180,41 @@ def test_sweep_rejects_bad_mix(table5, short_grid):
                                StrategyMask.named("Z"), mix=0.0)
 
 
-def test_sweep_without_controls_is_plain_integration(table5, short_grid):
-    """[TRIVIAL] The empty mask reproduces the uncontrolled trajectory."""
-    result = forward_backward_sweep(table5.params, table5.control_params,
-                                    table5.weights, table5.x0, short_grid,
-                                    StrategyMask.none())
-    assert result.converged
+def _assert_same_on_python_kernels(result, sweep, monkeypatch):
+    """`sweep()` run again with `arbo._kernels` patched to the Python
+    kernels gives `result`'s bytes: states, adjoints, controls, J,
+    iterations, flags and log."""
+    for name in ("rk4_controlled", "rk4_adjoint", "sweep_step"):
+        monkeypatch.setattr(_kernels, name, getattr(_kernels.PYTHON, name))
+    python = sweep()
+    for traj in ("states", "adjoints", "controls"):
+        assert (getattr(result, traj).values.tobytes()
+                == getattr(python, traj).values.tobytes()), traj
+    assert repr(result) == repr(python)
+    assert repr(result.log) == repr(python.log)
+
+
+def test_sweep_without_controls_is_plain_integration(table5, short_grid,
+                                                    monkeypatch):
+    """[TRIVIAL] The empty mask reproduces the uncontrolled trajectory and
+    stops after one iteration by the control-change rule alone: the
+    masked characterization is exactly zero, so the controls do not
+    move.  The Python kernels give the same bytes."""
+    def sweep():
+        return forward_backward_sweep(table5.params, table5.control_params,
+                                      table5.weights, table5.x0, short_grid,
+                                      StrategyMask.none())
+
+    result = sweep()
+    assert result.converged and not result.suspect
+    assert result.iterations == 1 and len(result.log) == 1
+    assert result.log[0]["control_change"] == 0.0
     assert np.all(result.controls.values == 0.0)
     plain = _kernels.rk4_basic(params_to_array(table5.params), table5.x0,
                                short_grid.n_steps, short_grid.dt)
     assert np.allclose(result.states.values, plain, rtol=1e-12, atol=0.0)
+
+    _assert_same_on_python_kernels(result, sweep, monkeypatch)
 
 
 def test_sweep_improves_objective_and_is_optimal_shaped(table5, short_grid):
@@ -230,15 +256,8 @@ def test_sweep_is_the_same_on_the_python_kernels(table5, monkeypatch):
                                       StrategyMask.named("Z1"))
 
     active = sweep()
-    for name in ("rk4_controlled", "rk4_adjoint", "sweep_step"):
-        monkeypatch.setattr(_kernels, name, getattr(_kernels.PYTHON, name))
-    python = sweep()
-    for traj in ("states", "adjoints", "controls"):
-        assert (getattr(active, traj).values.tobytes()
-                == getattr(python, traj).values.tobytes()), traj
-    assert repr(active) == repr(python)
-    assert repr(active.log) == repr(python.log)
     assert active.converged and active.iterations > 2
+    _assert_same_on_python_kernels(active, sweep, monkeypatch)
 
 
 def test_sweep_log_records_the_objective_of_each_iterations_controls(table5):
@@ -258,3 +277,34 @@ def test_sweep_log_records_the_objective_of_each_iterations_controls(table5):
     for k in (1, 5):
         assert log[k]["J"] == sweep(StrategyMask.named("Z"),
                                     max_iters=k).objective_j
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="eight sweeps of up to "
+                    "4,000 steps take minutes on the Python kernels, which "
+                    "test_sweep_is_the_same_on_the_python_kernels pins to C")
+def test_criterion_7_is_converged_in_dt(table5):
+    """[DERIVED] Criterion 7's numbers do not rest on its step size.  At
+    4,000 steps on [0, 20] (dt = 0.005, half the paper's) the efficiency
+    ordering F(Z1) >= F(Z2) >= F(Z3) >= F(Z4) and the 0.5-point Z1/Z gap
+    still hold, and Z's J converges at second order: each halving of dt
+    shrinks its change by a factor of 4 (trapezoid objective, controls
+    linear between nodes)."""
+    p, c, w, x0 = table5.params, table5.control_params, table5.weights, table5.x0
+
+    def sweep(name, n_steps):
+        mask = StrategyMask.none() if name is None else StrategyMask.named(name)
+        result = forward_backward_sweep(p, c, w, x0,
+                                        TimeGrid(0.0, 20.0, n_steps), mask)
+        assert result.converged and not result.suspect, (name, n_steps)
+        return result
+
+    a0 = cumulated_infectious(sweep(None, 4000).states)
+    fine = {name: sweep(name, 4000) for name in ("Z1", "Z2", "Z3", "Z4", "Z")}
+    eff = {name: efficiency_index(cumulated_infectious(r.states), a0)
+           for name, r in fine.items()}
+    assert eff["Z1"] >= eff["Z2"] >= eff["Z3"] >= eff["Z4"], eff
+    assert abs(eff["Z1"] - eff["Z"]) <= 0.5, eff
+
+    j1000, j2000 = (sweep("Z", n).objective_j for n in (1000, 2000))
+    ratio = (j1000 - j2000) / (j2000 - fine["Z"].objective_j)
+    assert 3.8 <= ratio <= 4.2, ratio

@@ -282,7 +282,7 @@ def _per_point_scan(p, param_name, lo, hi, steps, stability=False):
         if dfe is None:  # N <= 1
             rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, None, 0.0))
             continue
-        r0 = eq.thresholds.r0
+        r0 = bifurcation_thresholds(pv).r0
         dfe_res = float(np.max(np.abs(basic_field(dfe, pv))))
         rows.append(ScanRow(value, r0, 0, 0.0, 0.0, flag(dfe, pv), dfe_res))
         for branch, ((x, _, stable), res) in enumerate(
