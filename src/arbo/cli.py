@@ -3,6 +3,9 @@ deterministic CSV/JSON emission for every analysis in the package.
 
 Exit codes: 0 success, 2 configuration/parse errors, 3 numeric errors,
 4 solver non-convergence.
+
+A command imports `econ`, `equilibria` and `sensitivity` only when it
+runs them, so that start-up does not pay for modules it leaves unused.
 """
 
 from __future__ import annotations
@@ -17,18 +20,23 @@ import time
 
 import numpy as np
 
-from . import SPEC_VERSION, econ, equilibria, sensitivity
-from ._kernels import BACKEND, FALLBACK_REASON, rk4_basic
-from .control import (
-    STRATEGY_SETS, ObjectiveWeights, StrategyMask, forward_backward_sweep,
+from . import SPEC_VERSION
+from ._kernels import (  # perfbench traces cli.rk4_basic
+    BACKEND, FALLBACK_REASON, rk4_basic,
+)
+from .control import (  # perfbench traces cli.forward_backward_sweep
+    STRATEGY_SETS, ObjectiveWeights, StrategyMask, check_sweep_setting,
+    forward_backward_sweep,
 )
 from .model import (
     STATE_NAMES, ControlParams, ModelParams, ZeroPopulationError,
     params_to_array,
 )
 from .ode import TimeGrid, Trajectory
-from .stability import eigen_verdict
-from .thresholds import ThresholdError, bifurcation_thresholds, derive_constants
+from .stability import eigen_verdict  # perfbench traces cli.eigen_verdict
+from .thresholds import (  # perfbench traces cli.bifurcation_thresholds
+    ThresholdError, bifurcation_thresholds, derive_constants,
+)
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -183,13 +191,15 @@ def _initial_state(cfg: dict) -> np.ndarray:
                      for i, v in enumerate(x0)], dtype=float)
 
 
-def _distribution(value, where: str) -> sensitivity.ParamDistribution:
+def _distribution(value, where: str):
+    from . import sensitivity
     return sensitivity.ParamDistribution(
         _fields(value, where, dict.fromkeys(sensitivity.PARAM_ORDER, _range)))
 
 
 def _strategies(value, where: str) -> list:
     """The ICER strategy reports listed in `value`, under distinct names."""
+    from . import econ
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
     readers = {"name": _string, "cost": _float, "averted": _float}
@@ -230,6 +240,7 @@ def cmd_thresholds(args, cfg: dict) -> int:
 
 
 def cmd_equilibria(args, cfg: dict) -> int:
+    from . import equilibria
     p = _record(cfg, ModelParams, "params")
     eq = equilibria.solve_endemic(p, stability_checker=lambda x: eigen_verdict(x, p).stable)
     report = {
@@ -251,6 +262,7 @@ def cmd_equilibria(args, cfg: dict) -> int:
 
 
 def cmd_bifurcation(args, cfg: dict) -> int:
+    from . import equilibria
     p = _record(cfg, ModelParams, "params")
     if args.out is None:
         raise ConfigError("bifurcation requires --out CSV path")
@@ -286,13 +298,18 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_sensitivity(args, cfg: dict) -> int:
+    from . import sensitivity
     sens_cfg = _fields(cfg.get("sensitivity", {}), "sensitivity",
                        {"samples": _count, "ranges": _distribution})
     dist = sens_cfg.get("ranges") or sensitivity.baseline_ranges()
     n = (args.samples if args.samples is not None
          else sens_cfg.get("samples", 5000))
-    seed = (args.seed if args.seed is not None
-            else _count(cfg.get("seed", 0), "config.seed"))
+    if args.seed is not None:
+        seed, where = args.seed, "--seed"
+    else:
+        seed, where = _count(cfg.get("seed", 0), "config.seed"), "config.seed"
+    if seed < 0:
+        raise ConfigError(f"{where} must be >= 0, got {seed}")
     t0 = time.perf_counter()
     samples = sensitivity.lhs_sample(dist, n, seed)
     t1 = time.perf_counter()
@@ -324,6 +341,7 @@ def cmd_sensitivity(args, cfg: dict) -> int:
 
 
 def cmd_control(args, cfg: dict) -> int:
+    from . import econ
     p = _record(cfg, ModelParams, "params")
     c = _record(cfg, ControlParams, "control_params")
     w = _record(cfg, ObjectiveWeights, "weights")
@@ -331,6 +349,8 @@ def cmd_control(args, cfg: dict) -> int:
     x0 = _initial_state(cfg)
     sweep = _fields(cfg.get("sweep", {}), "sweep",
                     {"mix": _float, "tol": _float, "max_iters": _count})
+    for name, value in sweep.items():
+        check_sweep_setting(name, value, f"sweep.{name}")
     strategy = args.strategy or cfg.get("strategy", "Z")
     if not isinstance(strategy, str):
         raise ConfigError(f"config.strategy must be a strategy name, "
@@ -362,6 +382,7 @@ def cmd_control(args, cfg: dict) -> int:
 
 
 def cmd_icer(args, cfg: dict) -> int:
+    from . import econ
     icer = _fields(cfg["icer"], "icer", {"strategies": _strategies},
                    required=("strategies",))
     table = econ.icer_analysis(icer["strategies"])

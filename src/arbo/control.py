@@ -159,6 +159,22 @@ def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(new))))
 
 
+# The range of each setting of `forward_backward_sweep`: (test, rule).
+_SWEEP_RANGES = {
+    "mix": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "tol": (lambda v: v > 0.0, "> 0"),
+    "max_iters": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def check_sweep_setting(name: str, value, where: str | None = None) -> None:
+    """Raise `ValueError`, naming `where` (default `name`), unless `value`
+    lies in the range of the sweep setting `name`."""
+    test, rule = _SWEEP_RANGES[name]
+    if not test(value):
+        raise ValueError(f"{where or name} must be {rule}, got {value}")
+
+
 def forward_backward_sweep(p: ModelParams, c: ControlParams,
                            w: ObjectiveWeights, x0, grid: TimeGrid,
                            mask: StrategyMask, mix: float = 0.5,
@@ -174,12 +190,8 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     controls-only convergence with drifting states is flagged suspect.
     A `NonFiniteError` carries its node's time on `grid`.
     """
-    if not 0.0 < mix <= 1.0:
-        raise ValueError(f"mix must be in (0, 1], got {mix}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    for name, value in (("mix", mix), ("tol", tol), ("max_iters", max_iters)):
+        check_sweep_setting(name, value)
     par, cpar, wts = params_to_array(p), params_to_array(c), params_to_array(w)
     mask_arr = mask.as_array()
     u = np.zeros((grid.n_steps + 1, N_CONTROLS))

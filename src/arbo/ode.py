@@ -9,6 +9,7 @@ midpoint).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -33,6 +34,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
+            raise ValueError(f"need finite t0 and tf, got "
+                             f"[{self.t0}, {self.tf}]")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.tf > self.t0:

@@ -4,6 +4,9 @@ import copy
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from arbo.equilibria import bifurcation_scan
 from arbo.model import STATE_NAMES, ControlParams, ModelParams
 from arbo.ode import TimeGrid
 from arbo.thresholds import basic_reproduction_number, bifurcation_thresholds
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 
 
 @pytest.fixture()
@@ -266,6 +269,42 @@ def test_sensitivity_refuses_zero_samples(config_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_flag_is_named(config_file, tmp_path, capsys):
+    """[TRIVIAL] `--seed -1` exits 2 naming the flag, before sampling."""
+    out = tmp_path / "sens.json"
+    code = main(["sensitivity", "--config",
+                 config_file(load_fixture("table2_baseline")),
+                 "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+_DEFERRED = ("arbo.econ", "arbo.equilibria", "arbo.sensitivity")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["thresholds", "--config", str(FIXTURES / "sec22_backward.json")], []),
+    (["icer", "--config", str(FIXTURES / "table5_control.json")],
+     ["arbo.econ"]),
+], ids=["import", "thresholds", "icer"])
+def test_commands_import_only_the_modules_they_run(argv, loaded, tmp_path):
+    """A fresh interpreter that imports `arbo.cli`, and runs `argv` if
+    given, loads of econ, equilibria and sensitivity only the ones that
+    command runs: start-up pays for no module it leaves unused."""
+    run = f"assert arbo.cli.main({argv!r}) == 0\n" if argv else ""
+    code = (f"import sys, arbo.cli\n{run}"
+            f"print(sorted(m for m in {_DEFERRED!r} if m in sys.modules))\n")
+    src = str(FIXTURES.parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
 def test_seed_is_refused_where_no_command_reads_it(config_file, capsys):
     """[TRIVIAL] Only `sensitivity` draws random numbers, so only it takes
     `--seed`; elsewhere the option is a usage error."""
@@ -408,13 +447,19 @@ _MALFORMED = [
     ("sensitivity", "table2_baseline", ("sensitivity", "samples"), 50.5,
      "sensitivity.samples must be an integer, got 50.5"),
     ("control", "table5_control", ("sweep", "max_iters"), 0,
-     "max_iters must be >= 1, got 0"),
+     "error: sweep.max_iters must be >= 1, got 0"),
     ("control", "table5_control", ("sweep", "max_iters"), -3,
-     "max_iters must be >= 1, got -3"),
+     "error: sweep.max_iters must be >= 1, got -3"),
     ("control", "table5_control", ("sweep", "tol"), 0,
-     "tol must be > 0, got 0.0"),
+     "error: sweep.tol must be > 0, got 0.0"),
     ("control", "table5_control", ("sweep", "tol"), -1.0,
-     "tol must be > 0, got -1.0"),
+     "error: sweep.tol must be > 0, got -1.0"),
+    ("control", "table5_control", ("sweep", "mix"), 0,
+     "error: sweep.mix must be in (0, 1], got 0.0"),
+    ("control", "table5_control", ("sweep", "mix"), 1.5,
+     "error: sweep.mix must be in (0, 1], got 1.5"),
+    ("sensitivity", "table2_baseline", ("seed",), -1,
+     "error: config.seed must be >= 0, got -1"),
     # `json` reads NaN, Infinity and 1e999 as floats that are not finite.
     ("simulate", "table5_control", ("initial_state", 2), float("nan"),
      "initial_state[2] must be a finite number, got nan"),
@@ -466,8 +511,9 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
     finite number (booleans, null, NaN and infinity included), a count
     that is not an integer, a grid of no steps or not ending after
     it starts, an iteration budget below 1, a tolerance that is not
-    positive, a count too large to allocate, a strategy that is not a
-    name, ICER strategy names that are not distinct strings, a
+    positive, a relaxation weight outside (0, 1], a negative seed, a
+    count too large to allocate, a strategy that is not a name, ICER
+    strategy names that are not distinct strings, a
     range that is not a pair, an object at any level with a missing or
     unknown field and an absent required section are configuration
     errors: exit 2 with one `error:` line naming the field."""

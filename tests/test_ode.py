@@ -16,6 +16,16 @@ def test_grid_validation():
         TimeGrid(1.0, 1.0, 10)
 
 
+@pytest.mark.parametrize("t0, tf", [
+    (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0),
+])
+def test_grid_refuses_non_finite_ends(t0, tf):
+    """[TRIVIAL] An end that is not finite would give dt = inf and node
+    times of NaN and infinity; the grid refuses it when built."""
+    with pytest.raises(ValueError, match="need finite t0 and tf"):
+        TimeGrid(t0, tf, 10)
+
+
 def test_grid_times():
     """[TRIVIAL] Node times are uniform and inclusive of both ends."""
     grid = TimeGrid(1.0, 3.0, 4)
