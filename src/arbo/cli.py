@@ -302,8 +302,12 @@ def cmd_sensitivity(args, cfg: dict) -> int:
     sens_cfg = _fields(cfg.get("sensitivity", {}), "sensitivity",
                        {"samples": _count, "ranges": _distribution})
     dist = sens_cfg.get("ranges") or sensitivity.baseline_ranges()
-    n = (args.samples if args.samples is not None
-         else sens_cfg.get("samples", 5000))
+    if args.samples is not None:
+        n, where = args.samples, "--samples"
+    else:
+        n, where = sens_cfg.get("samples", 5000), "sensitivity.samples"
+    if n < 2:
+        raise ConfigError(f"{where} must be >= 2, got {n}")
     if args.seed is not None:
         seed, where = args.seed, "--seed"
     else:
@@ -355,6 +359,9 @@ def cmd_control(args, cfg: dict) -> int:
     if not isinstance(strategy, str):
         raise ConfigError(f"config.strategy must be a strategy name, "
                           f"got {strategy!r}")
+    if strategy not in STRATEGY_SETS:
+        raise ConfigError(f"config.strategy must be one of "
+                          f"{sorted(STRATEGY_SETS)}, got {strategy!r}")
     mask = StrategyMask.named(strategy)
     result = forward_backward_sweep(p, c, w, x0, grid, mask, **sweep)
     if args.controls_csv:
@@ -403,64 +410,46 @@ def cmd_icer(args, cfg: dict) -> int:
     return 0
 
 
+_GRID_FLAGS = {"--tf": {"type": float}, "--steps": {"type": int}}
+
+# One row per command: handler, help line, required config sections and the
+# flags it takes besides --config and --out.
+COMMANDS = {
+    "thresholds": (cmd_thresholds, "threshold report JSON", ("params",), {}),
+    "equilibria": (cmd_equilibria, "equilibrium set JSON", ("params",), {}),
+    "bifurcation": (cmd_bifurcation, "branch-scan CSV", ("params",), {
+        "--param": {"default": "beta_hv"},
+        "--lo": {"type": float, "required": True},
+        "--hi": {"type": float, "required": True},
+        "--steps": {"type": int, "default": 500}}),
+    "simulate": (cmd_simulate, "uncontrolled trajectory CSV",
+                 ("params", "grid", "initial_state"), _GRID_FLAGS),
+    "sensitivity": (cmd_sensitivity, "LHS/PRCC report", (), {
+        "--samples": {"type": int},
+        "--seed": {"type": int,
+                   "help": "RNG seed (overrides the config's seed)"},
+        "--prcc-csv": {}, "--hist-csv": {}}),
+    "control": (cmd_control, "forward-backward sweep", (
+        "params", "control_params", "weights", "grid", "initial_state"), {
+        "--strategy": {"choices": list(STRATEGY_SETS)}, **_GRID_FLAGS,
+        "--controls-csv": {}, "--states-csv": {}}),
+    "icer": (cmd_icer, "ICER dominance analysis", ("icer",), {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arbo",
         description="Arboviral transmission model: thresholds, equilibria, "
                     "sensitivity, optimal control, and cost-effectiveness.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (func, help_line, sections, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", required=True, help="JSON run configuration")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-
-    sp = sub.add_parser("thresholds", help="threshold report JSON")
-    common(sp)
-    sp.set_defaults(func=cmd_thresholds, sections=("params",))
-
-    sp = sub.add_parser("equilibria", help="equilibrium set JSON")
-    common(sp)
-    sp.set_defaults(func=cmd_equilibria, sections=("params",))
-
-    sp = sub.add_parser("bifurcation", help="branch-scan CSV")
-    common(sp)
-    sp.add_argument("--param", default="beta_hv")
-    sp.add_argument("--lo", type=float, required=True)
-    sp.add_argument("--hi", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=500)
-    sp.set_defaults(func=cmd_bifurcation, sections=("params",))
-
-    sp = sub.add_parser("simulate", help="uncontrolled trajectory CSV")
-    common(sp)
-    sp.add_argument("--tf", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.set_defaults(func=cmd_simulate,
-                    sections=("params", "grid", "initial_state"))
-
-    sp = sub.add_parser("sensitivity", help="LHS/PRCC report")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (overrides the config's seed)")
-    sp.add_argument("--prcc-csv", default=None)
-    sp.add_argument("--hist-csv", default=None)
-    sp.set_defaults(func=cmd_sensitivity, sections=())
-
-    sp = sub.add_parser("control", help="forward-backward sweep")
-    common(sp)
-    sp.add_argument("--strategy", default=None,
-                    choices=list(STRATEGY_SETS))
-    sp.add_argument("--tf", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--controls-csv", default=None)
-    sp.add_argument("--states-csv", default=None)
-    sp.set_defaults(func=cmd_control, sections=(
-        "params", "control_params", "weights", "grid", "initial_state"))
-
-    sp = sub.add_parser("icer", help="ICER dominance analysis")
-    common(sp)
-    sp.set_defaults(func=cmd_icer, sections=("icer",))
-
+        sp.add_argument("--out", help="output path (default stdout)")
+        for flag, options in flags.items():
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=func, sections=sections)
     return parser
 
 

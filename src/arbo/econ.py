@@ -67,12 +67,18 @@ def icer_analysis(reports: list[StrategyReport]) -> IcerTable:
     """Strong-dominance elimination over incremental ICERs.
 
     Strategies are ordered by ascending infections averted (i.e.
-    descending total infections).  Each round compares the two
-    least-effective remaining strategies: equal effect eliminates the
-    dearer one; a negative incremental ICER (the more effective second is
-    also cheaper) eliminates the first; an incremental ICER above the
-    first strategy's own ratio eliminates the second.  Ties in both cost
-    and effect are reported as equivalent, never divided.
+    descending total infections).  Each round compares one pair of
+    neighbours among the remaining strategies, starting with the two
+    least effective.  The first strategy's own ratio is the ICER its kept
+    row reports: cost per infection averted for the least effective, else
+    the incremental ratio against its remaining predecessor.  Equal effect
+    eliminates the dearer one; a negative incremental ICER (the more
+    effective second is also cheaper) eliminates the first, and the next
+    round steps back one pair; an incremental ICER above the first
+    strategy's own ratio eliminates the second, and the first meets its
+    new neighbour.  A pair that eliminates nothing passes on to the next
+    pair.  Ties in both cost and effect are reported as equivalent, never
+    divided.
     """
     if len(reports) < 2:
         raise ValueError("need at least 2 strategies")
@@ -90,17 +96,26 @@ def icer_analysis(reports: list[StrategyReport]) -> IcerTable:
     def close(a: float, b: float) -> bool:
         return math.isclose(a, b, rel_tol=_EQUIVALENT_RTOL, abs_tol=0.0)
 
-    while len(remaining) >= 2:
-        first, second = remaining[0], remaining[1]
+    def own_ratio(i: int) -> float | None:
+        rep = remaining[i]
+        if i == 0:
+            return rep.total_cost / rep.infections_averted
+        prev = remaining[i - 1]
+        return _pair_icer(rep.total_cost - prev.total_cost,
+                          rep.infections_averted - prev.infections_averted)
+
+    i = 0
+    while i + 1 < len(remaining):
+        first, second = remaining[i], remaining[i + 1]
         if (close(first.infections_averted, second.infections_averted)
                 and close(first.total_cost, second.total_cost)):
             equivalent_groups.append([first.name, second.name])
             rows.append(IcerRow(second.name, second.infections_averted,
                                 second.total_cost, None, "equivalent"))
-            remaining.pop(1)
+            remaining.pop(i + 1)
             continue
         round_no += 1
-        icer_first = first.total_cost / first.infections_averted
+        icer_first = own_ratio(i)
         d_averted = second.infections_averted - first.infections_averted
         d_cost = second.total_cost - first.total_cost
         icer_pair = _pair_icer(d_cost, d_averted)
@@ -119,22 +134,18 @@ def icer_analysis(reports: list[StrategyReport]) -> IcerTable:
             reason = (f"incremental ICER {icer_pair:.6g} exceeds "
                       f"{first.name}'s ratio {icer_first:.6g}")
         else:
-            break
+            i += 1
+            continue
         eliminations.append((round_no, loser.name, reason))
         rows.append(IcerRow(loser.name, loser.infections_averted,
                             loser.total_cost, icer, "dominated"))
         remaining.remove(loser)
+        if loser is first:
+            i = max(i - 1, 0)
 
-    for i, rep in enumerate(remaining):
-        if i == 0:
-            icer = rep.total_cost / rep.infections_averted
-        else:
-            prev = remaining[i - 1]
-            icer = _pair_icer(rep.total_cost - prev.total_cost,
-                              rep.infections_averted - prev.infections_averted)
-        rows.append(IcerRow(rep.name, rep.infections_averted,
-                            rep.total_cost, icer, "kept"))
-
+    rows.extend(IcerRow(rep.name, rep.infections_averted, rep.total_cost,
+                        own_ratio(i), "kept")
+                for i, rep in enumerate(remaining))
     return IcerTable(rows=rows, eliminations=eliminations,
                      kept=[r.name for r in remaining],
                      equivalent=equivalent_groups,

@@ -172,12 +172,13 @@ def _endemic_points(p, q: EndemicQuadratic):
 
 
 def _residual_errors(lam, x, residual) -> list:
-    """Per point: the `ResidualError` message when max|f(x)| exceeds the
-    tolerance, else None."""
+    """Per point: the `ResidualError` message when the point is not
+    finite or max|f(x)| exceeds the tolerance, else None."""
     tol = _RESIDUAL_RTOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))
-    return [None if r <= t else
-            f"endemic point at lambda_h={lm:.6g} has field residual "
-            f"{r:.3g} > {t:.3g}"
+    return [None if r <= t < math.inf else
+            f"endemic point at lambda_h={lm:.6g} " + (
+                f"has field residual {r:.3g} > {t:.3g}" if t < math.inf
+                else "is not finite")
             for lm, r, t in zip(lam.tolist(), residual.tolist(), tol.tolist())]
 
 

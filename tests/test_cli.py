@@ -80,6 +80,18 @@ def test_simulate_requires_out(config_file, monkeypatch):
     assert main(["simulate", "--config", config_file(_table5())]) == EXIT_PARSE
 
 
+def test_bifurcation_requires_out(config_file, monkeypatch, capsys):
+    """[TRIVIAL] Without --out, bifurcation exits 2 before scanning."""
+    def scan(*args, **kwargs):
+        raise AssertionError("bifurcation_scan called without --out")
+
+    monkeypatch.setattr("arbo.equilibria.bifurcation_scan", scan)
+    assert main(["bifurcation", "--config", config_file(_table5()),
+                 "--lo", "0", "--hi", "0.09"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: bifurcation requires --out CSV path\n")
+
+
 def test_bifurcation_command(config_file, tmp_path):
     cfg = copy.deepcopy(load_fixture("sec22_backward"))
     out = tmp_path / "scan.csv"
@@ -258,14 +270,14 @@ def test_sensitivity_reports_stage_times(config_file, tmp_path):
 
 
 def test_sensitivity_refuses_zero_samples(config_file, tmp_path, capsys):
-    """[TRIVIAL] `--samples 0` reaches the design's n >= 2 check rather
-    than falling back to the config's sample count."""
+    """[TRIVIAL] `--samples 0` is refused naming the flag, rather than
+    falling back to the config's sample count."""
     out = tmp_path / "sens.json"
     code = main(["sensitivity", "--config",
                  config_file(load_fixture("table2_baseline")),
                  "--samples", "0", "--out", str(out)])
     assert code == EXIT_PARSE
-    assert "need n >= 2, got 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --samples must be >= 2, got 0\n"
     assert not out.exists()
 
 
@@ -460,6 +472,13 @@ _MALFORMED = [
      "error: sweep.mix must be in (0, 1], got 1.5"),
     ("sensitivity", "table2_baseline", ("seed",), -1,
      "error: config.seed must be >= 0, got -1"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "samples"), 1,
+     "error: sensitivity.samples must be >= 2, got 1"),
+    ("control", "table5_control", ("strategy",), "Q",
+     "error: config.strategy must be one of ['Z', 'Z1', 'Z2', 'Z3', 'Z4'], "
+     "got 'Q'"),
+    ("simulate", "table5_control", ("initial_state",), [1.0] * 9,
+     "error: initial_state must be a list of 10 numbers, got [1.0, "),
     # `json` reads NaN, Infinity and 1e999 as floats that are not finite.
     ("simulate", "table5_control", ("initial_state", 2), float("nan"),
      "initial_state[2] must be a finite number, got nan"),
@@ -512,7 +531,8 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
     that is not an integer, a grid of no steps or not ending after
     it starts, an iteration budget below 1, a tolerance that is not
     positive, a relaxation weight outside (0, 1], a negative seed, a
-    count too large to allocate, a strategy that is not a name, ICER
+    sample count below 2, a count too large to allocate, a strategy that
+    is not a known name, an initial state that is not 10 numbers, ICER
     strategy names that are not distinct strings, a
     range that is not a pair, an object at any level with a missing or
     unknown field and an absent required section are configuration
@@ -546,6 +566,24 @@ def test_numeric_error_exit_code(config_file, tmp_path):
     out = tmp_path / "traj.csv"
     code = main(["simulate", "--config", config_file(cfg), "--out", str(out)])
     assert code == EXIT_NUMERIC
+
+
+def test_non_finite_endemic_point_is_a_numeric_error(config_file, tmp_path,
+                                                     capsys):
+    """[TRIVIAL] A gamma_v of 1e308 makes the endemic I_v infinite:
+    `equilibria` exits 3 naming the point, and writes nothing, rather than
+    handing the point to the eigenvalue check.  numpy warns of the
+    overflow on the way."""
+    cfg = _table5()
+    cfg["params"]["gamma_v"] = 1e308
+    out = tmp_path / "eq.json"
+    with pytest.warns(RuntimeWarning):
+        code = main(["equilibria", "--config", config_file(cfg),
+                     "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric error: endemic point at lambda_h=0.000900606 is not finite\n")
+    assert not out.exists()
 
 
 def test_numeric_error_reports_grid_time(config_file, tmp_path, capsys):

@@ -39,6 +39,13 @@ def test_strategy_masks():
         StrategyMask(name="Z1", active=(True,) * 5)
 
 
+def test_strategy_mask_needs_five_flags():
+    """[TRIVIAL] A mask of other than five flags, one per control, is
+    refused at construction."""
+    with pytest.raises(ValueError, match=r"^need 5 flags, got 4$"):
+        StrategyMask(name="four", active=(True,) * 4)
+
+
 def test_objective_grid_mismatch(table5):
     """[TRIVIAL] State and control trajectories must share a grid."""
     g1 = TimeGrid(0.0, 1.0, 10)

@@ -140,3 +140,43 @@ def test_icer_whole_table_pinned(table5):
         kept=["A"],
         equivalent=[],
         comparisons=[(1, "A", "B", 10.0, None)])
+
+
+def test_icer_compares_past_a_pair_that_eliminates_nothing():
+    """[DERIVED] A pair that eliminates nothing passes on to the next
+    pair, whose first strategy's own ratio is its incremental ratio
+    against its predecessor: after B goes (same effect), A against C
+    eliminates nothing, C and D are grouped as equivalent, and E's
+    increment over C (987.99) exceeds C's ratio 2."""
+    table = icer_analysis([_report("A", 100.0, 1000.0),
+                           _report("B", 100.0, 1500.0),
+                           _report("C", 200.0, 1200.0),
+                           _report("D", 200.0, 1200.0),
+                           _report("E", 300.0, 99999.0)])
+    assert table == IcerTable(
+        rows=[IcerRow("B", 100.0, 1500.0, None, "dominated"),
+              IcerRow("D", 200.0, 1200.0, None, "equivalent"),
+              IcerRow("E", 300.0, 99999.0, 987.99, "dominated"),
+              IcerRow("A", 100.0, 1000.0, 10.0, "kept"),
+              IcerRow("C", 200.0, 1200.0, 2.0, "kept")],
+        eliminations=[(1, "B", "same effect at higher cost"),
+                      (3, "E", "incremental ICER 987.99 exceeds C's ratio 2")],
+        kept=["A", "C"],
+        equivalent=[["C", "D"]],
+        comparisons=[(1, "A", "B", 10.0, None),
+                     (2, "A", "C", 10.0, 2.0),
+                     (3, "C", "E", 2.0, 987.99)])
+
+
+def test_icer_steps_back_after_eliminating_a_later_first():
+    """[DERIVED] When the first strategy of a later pair goes, the next
+    round compares its predecessor with the second: B passes against A,
+    C then eliminates B (negative increment), and A meets C."""
+    table = icer_analysis([_report("A", 100.0, 1000.0),
+                           _report("B", 200.0, 1500.0),
+                           _report("C", 300.0, 1400.0)])
+    assert table.comparisons == [(1, "A", "B", 10.0, 5.0),
+                                 (2, "B", "C", 5.0, -1.0),
+                                 (3, "A", "C", 10.0, 2.0)]
+    assert [name for _, name, _ in table.eliminations] == ["B"]
+    assert table.kept == ["A", "C"]

@@ -73,6 +73,22 @@ def test_residual_failure_is_reported_alike(sec22, monkeypatch):
     assert row.branch_id == -1
 
 
+def test_non_finite_endemic_point_is_refused_alike(table5):
+    """[TRIVIAL] A gamma_v of 1e308 overflows the endemic I_v to infinity,
+    whose residual (infinite) no longer passes its tolerance (infinite
+    too): `solve_endemic` raises `ResidualError` and the scan writes an
+    error row, with one message.  numpy warns of the overflow on the way."""
+    p = dataclasses.replace(table5.params, gamma_v=1e308)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ResidualError) as exc:
+            solve_endemic(p)
+        (row,) = bifurcation_scan(p, "gamma_v", 1e308, 1e308, 0)
+    message = str(exc.value)
+    assert message == "endemic point at lambda_h=0.000900606 is not finite"
+    assert row.error == message
+    assert row.branch_id == -1
+
+
 def test_no_endemic_without_transmission(table5):
     """[TRIVIAL] beta_hv = 0 leaves only the disease-free points."""
     p = dataclasses.replace(table5.params, beta_hv=0.0)

@@ -97,11 +97,11 @@ def _random_controls(rng, n):
 
 
 def test_basic_kernels_agree(table5):
-    """[DERIVED] C and Python-route forward integrations match."""
+    """[DERIVED] C and Python-route forward integrations agree bitwise."""
     par = params_to_array(table5.params)
     traj_a = _kernels.rk4_basic(par, table5.x0, 200, 0.05)
     traj_b = PYTHON.rk4_basic(par, table5.x0, 200, 0.05)
-    assert np.allclose(traj_a, traj_b, rtol=1e-12, atol=1e-9)
+    assert traj_a.tobytes() == traj_b.tobytes()
 
 
 def test_controlled_kernels_agree(table5):
@@ -112,7 +112,7 @@ def test_controlled_kernels_agree(table5):
     u = _random_controls(rng, 200)
     traj_a = _kernels.rk4_controlled(par, cpar, table5.x0, u, 0.05)
     traj_b = PYTHON.rk4_controlled(par, cpar, table5.x0, u, 0.05)
-    assert np.allclose(traj_a, traj_b, rtol=1e-12, atol=1e-9)
+    assert traj_a.tobytes() == traj_b.tobytes()
 
 
 def test_adjoint_kernels_agree(table5):
@@ -128,6 +128,61 @@ def test_adjoint_kernels_agree(table5):
     adj_a = _kernels.rk4_adjoint(par, cpar, wts, states, u, 0.05)
     adj_b = PYTHON.rk4_adjoint(par, cpar, wts, states, u, 0.05)
     assert adj_a.tobytes() == adj_b.tobytes()
+
+
+def _scaled(rng, record, capped=()):
+    """`record` as an array, each field times 10**U(-1, 1), with the
+    fields named in `capped` kept below 1."""
+    values = {f.name: getattr(record, f.name) * 10.0 ** rng.uniform(-1.0, 1.0)
+              for f in dataclasses.fields(record)}
+    values.update({name: min(values[name], 0.99) for name in capped})
+    return params_to_array(dataclasses.replace(record, **values))
+
+
+def _outcome(kernel, args):
+    """The bytes of each array the kernel call returns, or its error."""
+    try:
+        out = kernel(*args)
+    except (NonFiniteError, ZeroPopulationError) as exc:
+        return type(exc), str(exc)
+    return [np.asarray(a).tobytes() for a in
+            (out if isinstance(out, tuple) else (out,))]
+
+
+def test_kernels_agree_bitwise_over_the_domain(table5):
+    """[DERIVED] On random model and control parameters and weights, each
+    field 0.1-10x its Table 5 value (fractions bounded by 1 capped at
+    0.99), random states, controls in and outside [0, 1] and masks, on
+    short grids, all four entry points give the same bytes on both
+    backends, or stop with the same error.  Table 5 has eta_h = eta_v,
+    beta_hv = beta_vh, a = 1 and B1 = ... = B5, so a term of `rk4.c` that
+    reads the wrong one of a pair agrees with Python there, but not here."""
+    rng = np.random.default_rng(41)
+    finished = {}
+    with np.errstate(all="ignore"):
+        for draw in range(40):
+            par = _scaled(rng, table5.params, ("eta_h", "eta_v"))
+            cpar = _scaled(rng, table5.control_params, ("alpha1", "alpha2"))
+            wts = _scaled(rng, table5.weights)
+            n, dt = int(rng.integers(2, 17)), rng.uniform(0.005, 0.1)
+            x0 = table5.x0 * 10.0 ** rng.uniform(-1.0, 1.0, 10)
+            states = x0 * 10.0 ** rng.uniform(-0.5, 0.5, (n + 1, 10))
+            u = rng.uniform(-0.25, 1.25, (n + 1, 5))
+            mask = rng.integers(0, 2, 5).astype(float)
+            prev = states if draw % 2 else None
+            calls = {
+                "rk4_basic": (par, x0, n, dt),
+                "rk4_controlled": (par, cpar, x0, u, dt),
+                "rk4_adjoint": (par, cpar, wts, states, u, dt),
+                "sweep_step": (par, cpar, wts, mask, rng.uniform(0.1, 1.0),
+                               x0, u, prev, dt),
+            }
+            for name, args in calls.items():
+                got = _outcome(getattr(_kernels, name), args)
+                want = _outcome(getattr(PYTHON, name), args)
+                assert got == want, (name, draw)
+                finished[name] = finished.get(name, 0) + isinstance(got, list)
+    assert min(finished.values()) >= 30, finished
 
 
 def _strategy_mask(name):
