@@ -46,7 +46,7 @@ import numpy as np
 from .. import model, ode
 
 SOURCE = Path(__file__).with_name("rk4.c")
-FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 _log = logging.getLogger("arbo")

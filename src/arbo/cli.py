@@ -161,6 +161,11 @@ def _record(cfg: dict, cls, key: str):
     return cls(**_fields(cfg[key], key, dict.fromkeys(names, _number), names))
 
 
+# The largest step count whose (n_steps + 1, 10) array of doubles numpy can
+# size; beyond it numpy refuses the shape with a message that names no field.
+_MAX_STEPS = sys.maxsize // 80 - 1
+
+
 def _build_grid(cfg: dict, args) -> TimeGrid:
     """The config's grid with `--tf` and `--steps` in place of its tf and
     n_steps; an error names the flag or the field that set the value."""
@@ -176,6 +181,9 @@ def _build_grid(cfg: dict, args) -> TimeGrid:
     if grid["n_steps"] < 1:
         raise ConfigError(
             f"{where['n_steps']} must be >= 1, got {grid['n_steps']}")
+    if grid["n_steps"] > _MAX_STEPS:
+        raise ConfigError(f"{where['n_steps']} must be <= {_MAX_STEPS}, "
+                          f"got {section['n_steps']}")
     if not grid["tf"] > grid["t0"]:
         raise ConfigError(f"{where['tf']} must be > t0 = {grid['t0']}, "
                           f"got {grid['tf']}")
@@ -308,6 +316,10 @@ def cmd_sensitivity(args, cfg: dict) -> int:
         n, where = sens_cfg.get("samples", 5000), "sensitivity.samples"
     if n < 2:
         raise ConfigError(f"{where} must be >= 2, got {n}")
+    # PRCC's floor: more draws than the non-degenerate parameters plus two.
+    floor = sum(lo != hi for lo, hi in dist.ranges.values()) + 2
+    if n <= floor:
+        raise ConfigError(f"{where} must be > {floor}, got {n}")
     if args.seed is not None:
         seed, where = args.seed, "--seed"
     else:

@@ -184,7 +184,11 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     the controls as a convex combination of the characterization and the
     previous iterate, until the relative control change falls below tol.
     Each iteration is one `_kernels.sweep_step` call; its log entry holds
-    J of the controls it started from and of their states.
+    J of the controls it started from and of their states.  The returned
+    states and adjoints are those of the final controls: one more forward
+    and adjoint pass computes them, unless the last update left the
+    controls bitwise unchanged (as under `StrategyMask.none()`); then the
+    last iteration's passes already are those.
 
     Non-convergence is reported (converged=False) with the full log;
     controls-only convergence with drifting states is flagged suspect.
@@ -200,22 +204,27 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
 
     with grid.kernel_clock():
         for iterations in range(1, max_iters + 1):
-            states, _, u_new, control_change, state_change = \
+            states, adjoints, u_new, control_change, state_change = \
                 _kernels.sweep_step(par, cpar, wts, mask_arr, mix, x0, u,
                                     prev_states, grid.dt)
             j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
             log.append({"iteration": iterations, "J": j,
                         "control_change": control_change,
                         "state_change": state_change})
-            u = u_new
+            u, u_start = u_new, u
             prev_states = states
             if control_change < tol:
                 break
         converged = control_change < tol
         suspect = converged and state_change >= tol and iterations > 1
 
-        states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-        adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
+        # The kernels are deterministic, so when the last update left every
+        # control's bytes as they were (bytes, so that -0.0 against 0.0 counts
+        # as a move), the final passes would give that iteration's states and
+        # adjoints again, bit for bit.
+        if u.tobytes() != u_start.tobytes():
+            states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
+            adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
     states = Trajectory(grid, states)
     controls = Trajectory(grid, u)
 

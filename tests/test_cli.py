@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from arbo import _kernels, sensitivity
-from arbo.cli import EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable, main
+from arbo.cli import (
+    _MAX_STEPS, EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable, main,
+)
 from arbo.control import ObjectiveWeights, StrategyMask, forward_backward_sweep
 from arbo.equilibria import bifurcation_scan
 from arbo.model import STATE_NAMES, ControlParams, ModelParams
@@ -153,14 +155,17 @@ def test_bifurcation_refuses_bad_flags(flag, value, message, config_file,
 @pytest.mark.parametrize("flag, value, message", [
     ("--steps", "-1", "--steps must be >= 1, got -1"),
     ("--steps", "0", "--steps must be >= 1, got 0"),
+    ("--steps", "100000000000000000000",
+     f"--steps must be <= {_MAX_STEPS}, got 100000000000000000000"),
     ("--tf", "-1", "--tf must be > t0 = 0.0, got -1.0"),
     ("--tf", "nan", "--tf must be a finite number, got nan"),
 ])
 def test_grid_flags_are_named_in_errors(command, flag, value, message,
                                         config_file, tmp_path, capsys):
     """[TRIVIAL] A grid value set by `--steps` or `--tf` that is not a
-    count of at least 1 or a finite end time after t0 exits 2 with one
-    `error:` line naming the flag, not the config field it replaced."""
+    count of at least 1 (nor one too large for numpy to size its arrays)
+    or a finite end time after t0 exits 2 with one `error:` line naming
+    the flag, not the config field it replaced."""
     out = tmp_path / "out"
     code = main([command, "--config", config_file(_table5()),
                  "--out", str(out), flag, value])
@@ -279,6 +284,43 @@ def test_sensitivity_refuses_zero_samples(config_file, tmp_path, capsys):
     assert code == EXIT_PARSE
     assert capsys.readouterr().err == "error: --samples must be >= 2, got 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["3", "23"])
+def test_sensitivity_refuses_samples_at_the_prcc_floor(
+        samples, config_file, tmp_path, capsys, monkeypatch):
+    """[TRIVIAL] A `--samples` count at or below PRCC's floor, the 21
+    parameters with a non-degenerate range plus two, exits 2 naming the
+    flag, before anything is sampled."""
+    def not_reached(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(sensitivity, "lhs_sample", not_reached)
+    out = tmp_path / "sens.json"
+    code = main(["sensitivity", "--config",
+                 config_file(load_fixture("table2_baseline")),
+                 "--samples", samples, "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: --samples must be > 23, got {samples}\n")
+    assert not out.exists()
+
+
+def test_prcc_floor_counts_only_non_degenerate_ranges(config_file, tmp_path,
+                                                     capsys):
+    """[TRIVIAL] With all but three ranges pinned to a point the floor is
+    five: five samples are refused, six run PRCC on the three."""
+    ranges = {name: [lo, hi if name in ("beta_hv", "beta_vh", "eta_h") else lo]
+              for name, (lo, hi) in sensitivity.baseline_ranges().ranges.items()}
+    cfg = load_fixture("table2_baseline")
+    cfg["sensitivity"]["ranges"] = ranges
+    out = tmp_path / "sens.json"
+    argv = ["sensitivity", "--config", config_file(cfg), "--out", str(out)]
+    assert main([*argv, "--samples", "5"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: --samples must be > 5, got 5\n"
+    assert main([*argv, "--samples", "6"]) == 0
+    assert sorted(json.loads(out.read_text())["prcc"]) == ["beta_hv", "beta_vh",
+                                                          "eta_h"]
 
 
 def test_negative_seed_flag_is_named(config_file, tmp_path, capsys):
@@ -474,6 +516,8 @@ _MALFORMED = [
      "error: config.seed must be >= 0, got -1"),
     ("sensitivity", "table2_baseline", ("sensitivity", "samples"), 1,
      "error: sensitivity.samples must be >= 2, got 1"),
+    ("sensitivity", "table2_baseline", ("sensitivity", "samples"), 23,
+     "error: sensitivity.samples must be > 23, got 23"),
     ("control", "table5_control", ("strategy",), "Q",
      "error: config.strategy must be one of ['Z', 'Z1', 'Z2', 'Z3', 'Z4'], "
      "got 'Q'"),
@@ -497,6 +541,11 @@ _MALFORMED = [
     # allocation fails at once whatever the overcommit policy.
     ("simulate", "table5_control", ("grid", "n_steps"), 1e15, _TOO_BIG),
     ("control", "table5_control", ("grid", "n_steps"), 1e15, _TOO_BIG),
+    # Beyond any shape numpy can size, refused before numpy sees it.
+    ("simulate", "table5_control", ("grid", "n_steps"), 1e308,
+     f"error: grid.n_steps must be <= {_MAX_STEPS}, got 1e+308"),
+    ("control", "table5_control", ("grid", "n_steps"), 1e308,
+     f"error: grid.n_steps must be <= {_MAX_STEPS}, got 1e+308"),
     # Misspelt fields, each ignored in favour of a default before every
     # object refused fields it has no reader for.
     ("control", "table5_control", ("sweep", "max_iter"), 3,
@@ -531,7 +580,8 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
     that is not an integer, a grid of no steps or not ending after
     it starts, an iteration budget below 1, a tolerance that is not
     positive, a relaxation weight outside (0, 1], a negative seed, a
-    sample count below 2, a count too large to allocate, a strategy that
+    sample count below 2 or at PRCC's floor, a count too large to
+    allocate or to size, a strategy that
     is not a known name, an initial state that is not 10 numbers, ICER
     strategy names that are not distinct strings, a
     range that is not a pair, an object at any level with a missing or

@@ -251,20 +251,47 @@ def test_sweep_nonconvergence_reported(table5, short_grid):
     assert len(result.log) == 1
 
 
-def test_sweep_is_the_same_on_the_python_kernels(table5, monkeypatch):
-    """[DERIVED] A whole Z1 sweep gives the same bytes with
-    `arbo._kernels` patched to the Python kernels: states, adjoints,
-    controls, J, iterations, flags and log."""
+@pytest.mark.parametrize("name, final_passes", [("none", 0), ("Z1", 1)])
+def test_final_pass_runs_only_when_the_controls_moved(name, final_passes,
+                                                      table5, monkeypatch):
+    """[DERIVED] After its iterations the sweep runs one more forward and
+    adjoint pass under the final controls only if the last update moved
+    them: the no-control sweep, whose controls stay exactly zero, makes
+    no such call and Z1 makes one of each.  Either way its states and
+    adjoints are the bytes of an explicit pass under its returned
+    controls, and with `arbo._kernels` patched to the Python kernels the
+    whole sweep, Z1's over several iterations, gives the same bytes."""
     p, c, w = table5.params, table5.control_params, table5.weights
     grid = TimeGrid(0.0, 2.0, 200)
+    mask = StrategyMask.none() if name == "none" else StrategyMask.named(name)
 
     def sweep():
-        return forward_backward_sweep(p, c, w, table5.x0, grid,
-                                      StrategyMask.named("Z1"))
+        return forward_backward_sweep(p, c, w, table5.x0, grid, mask)
 
-    active = sweep()
-    assert active.converged and active.iterations > 2
-    _assert_same_on_python_kernels(active, sweep, monkeypatch)
+    calls = dict.fromkeys(("rk4_controlled", "rk4_adjoint"), 0)
+
+    def counted(kernel):
+        run = getattr(_kernels, kernel)
+
+        def call(*args):
+            calls[kernel] += 1
+            return run(*args)
+        return call
+
+    with monkeypatch.context() as m:
+        for kernel in calls:
+            m.setattr(_kernels, kernel, counted(kernel))
+        result = sweep()
+    assert calls == dict.fromkeys(calls, final_passes)
+    assert result.converged and (name == "none" or result.iterations > 2)
+
+    par, cpar, wts = (params_to_array(r) for r in (p, c, w))
+    u = result.controls.values
+    states = _kernels.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
+    adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
+    assert result.states.values.tobytes() == states.tobytes()
+    assert result.adjoints.values.tobytes() == adjoints.tobytes()
+    _assert_same_on_python_kernels(result, sweep, monkeypatch)
 
 
 def test_sweep_log_records_the_objective_of_each_iterations_controls(table5):
@@ -288,7 +315,8 @@ def test_sweep_log_records_the_objective_of_each_iterations_controls(table5):
 
 @pytest.mark.skipif(_kernels.BACKEND != "c", reason="eight sweeps of up to "
                     "4,000 steps take minutes on the Python kernels, which "
-                    "test_sweep_is_the_same_on_the_python_kernels pins to C")
+                    "test_final_pass_runs_only_when_the_controls_moved pins "
+                    "to C")
 def test_criterion_7_is_converged_in_dt(table5):
     """[DERIVED] Criterion 7's numbers do not rest on its step size.  At
     4,000 steps on [0, 20] (dt = 0.005, half the paper's) the efficiency

@@ -149,40 +149,64 @@ def _outcome(kernel, args):
             (out if isinstance(out, tuple) else (out,))]
 
 
-def test_kernels_agree_bitwise_over_the_domain(table5):
-    """[DERIVED] On random model and control parameters and weights, each
-    field 0.1-10x its Table 5 value (fractions bounded by 1 capped at
-    0.99), random states, controls in and outside [0, 1] and masks, on
-    short grids, all four entry points give the same bytes on both
-    backends, or stop with the same error.  Table 5 has eta_h = eta_v,
-    beta_hv = beta_vh, a = 1 and B1 = ... = B5, so a term of `rk4.c` that
-    reads the wrong one of a pair agrees with Python there, but not here."""
+def _domain_draws(table5):
+    """40 random draws, each the arguments of the four entry points: model
+    and control parameters and weights, each field 0.1-10x its Table 5
+    value (fractions bounded by 1 capped at 0.99), random states,
+    controls in and outside [0, 1] and masks, on short grids."""
     rng = np.random.default_rng(41)
+    for draw in range(40):
+        par = _scaled(rng, table5.params, ("eta_h", "eta_v"))
+        cpar = _scaled(rng, table5.control_params, ("alpha1", "alpha2"))
+        wts = _scaled(rng, table5.weights)
+        n, dt = int(rng.integers(2, 17)), rng.uniform(0.005, 0.1)
+        x0 = table5.x0 * 10.0 ** rng.uniform(-1.0, 1.0, 10)
+        states = x0 * 10.0 ** rng.uniform(-0.5, 0.5, (n + 1, 10))
+        u = rng.uniform(-0.25, 1.25, (n + 1, 5))
+        mask = rng.integers(0, 2, 5).astype(float)
+        prev = states if draw % 2 else None
+        yield draw, {
+            "rk4_basic": (par, x0, n, dt),
+            "rk4_controlled": (par, cpar, x0, u, dt),
+            "rk4_adjoint": (par, cpar, wts, states, u, dt),
+            "sweep_step": (par, cpar, wts, mask, rng.uniform(0.1, 1.0),
+                           x0, u, prev, dt),
+        }
+
+
+def test_kernels_agree_bitwise_over_the_domain(table5):
+    """[DERIVED] On the random draws of `_domain_draws` all four entry
+    points give the same bytes on both backends, or stop with the same
+    error.  Table 5 has eta_h = eta_v, beta_hv = beta_vh, a = 1 and
+    B1 = ... = B5, so a term of `rk4.c` that reads the wrong one of a
+    pair agrees with Python there, but not here."""
     finished = {}
     with np.errstate(all="ignore"):
-        for draw in range(40):
-            par = _scaled(rng, table5.params, ("eta_h", "eta_v"))
-            cpar = _scaled(rng, table5.control_params, ("alpha1", "alpha2"))
-            wts = _scaled(rng, table5.weights)
-            n, dt = int(rng.integers(2, 17)), rng.uniform(0.005, 0.1)
-            x0 = table5.x0 * 10.0 ** rng.uniform(-1.0, 1.0, 10)
-            states = x0 * 10.0 ** rng.uniform(-0.5, 0.5, (n + 1, 10))
-            u = rng.uniform(-0.25, 1.25, (n + 1, 5))
-            mask = rng.integers(0, 2, 5).astype(float)
-            prev = states if draw % 2 else None
-            calls = {
-                "rk4_basic": (par, x0, n, dt),
-                "rk4_controlled": (par, cpar, x0, u, dt),
-                "rk4_adjoint": (par, cpar, wts, states, u, dt),
-                "sweep_step": (par, cpar, wts, mask, rng.uniform(0.1, 1.0),
-                               x0, u, prev, dt),
-            }
+        for draw, calls in _domain_draws(table5):
             for name, args in calls.items():
                 got = _outcome(getattr(_kernels, name), args)
                 want = _outcome(getattr(PYTHON, name), args)
                 assert got == want, (name, draw)
                 finished[name] = finished.get(name, 0) + isinstance(got, list)
     assert min(finished.values()) >= 30, finished
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_optimisation_level_moves_no_bit(tmp_path, table5):
+    """[DERIVED] `rk4.c` built at -O0, through a compiler that appends
+    the flag to the loader's, gives the active build's bytes or error on
+    every draw of `_domain_draws`, for all four entry points: without
+    contraction into fused multiply-adds no level may change a value."""
+    wrapper = tmp_path / "cc-O0"
+    wrapper.write_text('#!/bin/sh\nexec cc "$@" -O0\n')
+    wrapper.chmod(0o755)
+    unoptimised = _kernels.load(compiler=str(wrapper), cache_dir=tmp_path)
+    assert unoptimised.backend == "c", unoptimised.reason
+    with np.errstate(all="ignore"):
+        for draw, calls in _domain_draws(table5):
+            for name, args in calls.items():
+                assert (_outcome(getattr(unoptimised, name), args)
+                        == _outcome(getattr(_kernels, name), args)), (name, draw)
 
 
 def _strategy_mask(name):
