@@ -116,7 +116,7 @@ def _checked(backend: str, controlled, adjoint, sweep) -> Kernels:
         (states, adjoints, u_new, control_change, state_change), where
         u_new = mix * u_char + (1 - mix) * u for the masked, clamped
         characterization u_char, and each change is the relative
-        sup-norm change (`control._rel_sup_change`); the state change
+        sup-norm change (`_rel_sup_change`); the state change
         against prev_states is infinite when prev_states is None."""
         mask = _array(mask, (5,))
         if not np.all((mask == 0.0) | (mask == 1.0)):
@@ -155,13 +155,19 @@ def _py_adjoint(par, cpar, wts, states, u, dt):
                          dt * np.arange(len(u), dtype=float), backward=True)
 
 
+def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
+    """max|new - old| / max(1, max|new|), NaN when either holds a NaN;
+    mirrored by `rk4.c`'s `sweep_step`."""
+    return float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(new))))
+
+
 def _py_sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
     from ..control import (  # control imports us
-        ObjectiveWeights, StrategyMask, _rel_sup_change, characterize_controls,
+        ObjectiveWeights, StrategyMask, characterize_controls,
     )
 
     w = ObjectiveWeights(*wts.tolist())
-    active = StrategyMask("sweep", tuple((mask == 1.0).tolist()))
+    active = StrategyMask(tuple((mask == 1.0).tolist()))
     states = _py_controlled(par, cpar, x0, u, dt)
     adjoints = _py_adjoint(par, cpar, wts, states, u, dt)
     u_char = characterize_controls(states, adjoints, _model_params(par),

@@ -235,7 +235,7 @@ static double sup_abs(double m, double v)
 }
 
 /* max|new - old| / max(1, max|new|), with Python's max(1.0, NaN) = 1.0
- * (control._rel_sup_change). */
+ * (_kernels._rel_sup_change). */
 static double rel_change(double diff, double size)
 {
     return diff / (size > 1.0 ? size : 1.0);

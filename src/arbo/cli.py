@@ -25,8 +25,7 @@ from ._kernels import (  # perfbench traces cli.rk4_basic
     BACKEND, FALLBACK_REASON, rk4_basic,
 )
 from .control import (  # perfbench traces cli.forward_backward_sweep
-    STRATEGY_SETS, ObjectiveWeights, StrategyMask, check_sweep_setting,
-    forward_backward_sweep,
+    STRATEGY_SETS, ObjectiveWeights, StrategyMask, forward_backward_sweep,
 )
 from .model import (
     STATE_NAMES, ControlParams, ModelParams, ZeroPopulationError,
@@ -365,8 +364,6 @@ def cmd_control(args, cfg: dict) -> int:
     x0 = _initial_state(cfg)
     sweep = _fields(cfg.get("sweep", {}), "sweep",
                     {"mix": _float, "tol": _float, "max_iters": _count})
-    for name, value in sweep.items():
-        check_sweep_setting(name, value, f"sweep.{name}")
     strategy = args.strategy or cfg.get("strategy", "Z")
     if not isinstance(strategy, str):
         raise ConfigError(f"config.strategy must be a strategy name, "

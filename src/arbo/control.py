@@ -51,26 +51,22 @@ STRATEGY_SETS = {
 class StrategyMask:
     """Which of the five controls a strategy may use."""
 
-    name: str
     active: tuple
 
     def __post_init__(self):
         if len(self.active) != N_CONTROLS:
             raise ValueError(f"need {N_CONTROLS} flags, got {len(self.active)}")
-        if self.name in STRATEGY_SETS and tuple(self.active) != STRATEGY_SETS[self.name]:
-            raise ValueError(
-                f"mask {self.active} does not match the definition of {self.name}")
 
     @classmethod
     def named(cls, name: str) -> "StrategyMask":
         if name not in STRATEGY_SETS:
             raise ValueError(f"unknown strategy {name!r}; "
                              f"choose from {sorted(STRATEGY_SETS)}")
-        return cls(name=name, active=STRATEGY_SETS[name])
+        return cls(STRATEGY_SETS[name])
 
     @classmethod
     def none(cls) -> "StrategyMask":
-        return cls(name="none", active=(False,) * N_CONTROLS)
+        return cls((False,) * N_CONTROLS)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.active, dtype=float)
@@ -153,36 +149,18 @@ def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
     return u * mask.as_array()
 
 
-def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
-    """max|new - old| / max(1, max|new|), NaN when either holds a NaN;
-    mirrored by `rk4.c`'s `sweep_step`."""
-    return float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(new))))
-
-
-# The range of each setting of `forward_backward_sweep`: (test, rule).
-_SWEEP_RANGES = {
-    "mix": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "tol": (lambda v: v > 0.0, "> 0"),
-    "max_iters": (lambda v: v >= 1, ">= 1"),
-}
-
-
-def check_sweep_setting(name: str, value, where: str | None = None) -> None:
-    """Raise `ValueError`, naming `where` (default `name`), unless `value`
-    lies in the range of the sweep setting `name`."""
-    test, rule = _SWEEP_RANGES[name]
-    if not test(value):
-        raise ValueError(f"{where or name} must be {rule}, got {value}")
-
-
 def forward_backward_sweep(p: ModelParams, c: ControlParams,
                            w: ObjectiveWeights, x0, grid: TimeGrid,
                            mask: StrategyMask, mix: float = 0.5,
                            tol: float = 1e-3, max_iters: int = 200
                            ) -> SweepResult:
     """Iterate forward state / backward adjoint passes from u = 0, updating
-    the controls as a convex combination of the characterization and the
-    previous iterate, until the relative control change falls below tol.
+    the controls to `mix` times the characterization plus 1 - `mix` times
+    the previous iterate, until the relative control change falls below
+    `tol` or `max_iters` iterations have run.  These three settings are
+    the config's `sweep` section, and a `ValueError` names each as
+    `sweep.mix` (in (0, 1]), `sweep.tol` (> 0) or `sweep.max_iters`
+    (>= 1); it is raised before any kernel runs.
     Each iteration is one `_kernels.sweep_step` call; its log entry holds
     J of the controls it started from and of their states.  The returned
     states and adjoints are those of the final controls: one more forward
@@ -194,8 +172,12 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     controls-only convergence with drifting states is flagged suspect.
     A `NonFiniteError` carries its node's time on `grid`.
     """
-    for name, value in (("mix", mix), ("tol", tol), ("max_iters", max_iters)):
-        check_sweep_setting(name, value)
+    if not 0.0 < mix <= 1.0:
+        raise ValueError(f"sweep.mix must be in (0, 1], got {mix}")
+    if not tol > 0.0:
+        raise ValueError(f"sweep.tol must be > 0, got {tol}")
+    if not max_iters >= 1:
+        raise ValueError(f"sweep.max_iters must be >= 1, got {max_iters}")
     par, cpar, wts = params_to_array(p), params_to_array(c), params_to_array(w)
     mask_arr = mask.as_array()
     u = np.zeros((grid.n_steps + 1, N_CONTROLS))

@@ -66,8 +66,9 @@ class RangeError(ValueError):
 
 
 class SingularSampleError(ValueError):
-    """A non-degenerate parameter column is constant; regression would
-    be singular."""
+    """A non-degenerate parameter column is constant, or the rank
+    correlation matrix of the parameters and the output is singular; either
+    way the regression behind PRCC has no solution."""
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,12 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     corr /= stddev[:, None]
     corr /= stddev[None, :]
     np.clip(corr, -1.0, 1.0, out=corr)
-    inv = np.linalg.inv(corr)
+    try:
+        inv = np.linalg.inv(corr)
+    except np.linalg.LinAlgError:
+        raise SingularSampleError(
+            f"the rank correlation matrix of the {len(active)} active "
+            f"parameters and the output is singular over {n} draws") from None
     coeffs = -inv[:-1, -1] / np.sqrt(np.diag(inv)[:-1] * inv[-1, -1])
     return PRCCReport(
         coefficients={PARAM_ORDER[j]: float(c) for j, c in zip(active, coeffs)},

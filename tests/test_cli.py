@@ -225,6 +225,25 @@ def test_control_nonconvergence_exit_code(config_file, tmp_path, capsys):
         "sweep did not converge within the iteration budget\n")
 
 
+def test_bad_sweep_setting_runs_no_kernel(config_file, tmp_path, capsys,
+                                          monkeypatch):
+    """[TRIVIAL] A sweep setting out of its range is refused before any
+    kernel runs: exit 2, the config's name for the setting, no output."""
+    calls = []
+    for name in ("rk4_controlled", "rk4_adjoint", "sweep_step"):
+        monkeypatch.setattr(_kernels, name,
+                            lambda *args, name=name: calls.append(name))
+    cfg = _table5()
+    cfg["sweep"]["mix"] = 0
+    out = tmp_path / "ctl.json"
+    code = main(["control", "--config", config_file(cfg), "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: sweep.mix must be in (0, 1], got 0.0\n")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_icer_command(config_file, tmp_path):
     out = tmp_path / "icer.json"
     code = main(["icer", "--config", config_file(_table5()),
@@ -321,6 +340,25 @@ def test_prcc_floor_counts_only_non_degenerate_ranges(config_file, tmp_path,
     assert main([*argv, "--samples", "6"]) == 0
     assert sorted(json.loads(out.read_text())["prcc"]) == ["beta_hv", "beta_vh",
                                                           "eta_h"]
+
+
+def test_singular_prcc_is_a_configuration_error(config_file, tmp_path,
+                                                capsys):
+    """[TRIVIAL] A design whose rank correlation matrix is singular (all
+    but three ranges pinned, six draws, seed 1) exits 2 with one `error:`
+    line that says so, and writes no report."""
+    ranges = {name: [lo, hi if name in ("mu_h", "a", "mu_b") else lo]
+              for name, (lo, hi) in sensitivity.baseline_ranges().ranges.items()}
+    cfg = load_fixture("table2_baseline")
+    cfg["sensitivity"]["ranges"] = ranges
+    out = tmp_path / "sens.json"
+    code = main(["sensitivity", "--config", config_file(cfg), "--samples", "6",
+                 "--seed", "1", "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: the rank correlation matrix of the 3 active parameters and "
+        "the output is singular over 6 draws\n")
+    assert not out.exists()
 
 
 def test_negative_seed_flag_is_named(config_file, tmp_path, capsys):

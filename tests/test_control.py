@@ -35,15 +35,13 @@ def test_strategy_masks():
     assert not any(StrategyMask.none().active)
     with pytest.raises(ValueError):
         StrategyMask.named("Z9")
-    with pytest.raises(ValueError):
-        StrategyMask(name="Z1", active=(True,) * 5)
 
 
 def test_strategy_mask_needs_five_flags():
     """[TRIVIAL] A mask of other than five flags, one per control, is
     refused at construction."""
     with pytest.raises(ValueError, match=r"^need 5 flags, got 4$"):
-        StrategyMask(name="four", active=(True,) * 4)
+        StrategyMask((True,) * 4)
 
 
 def test_objective_grid_mismatch(table5):
@@ -180,8 +178,10 @@ def test_characterization_stationarity(table5):
 
 
 def test_sweep_rejects_bad_mix(table5, short_grid):
-    """[TRIVIAL] Relaxation weight outside (0, 1] is invalid."""
-    with pytest.raises(ValueError):
+    """[TRIVIAL] Relaxation weight outside (0, 1] is invalid, and the
+    error names the setting as the config does."""
+    with pytest.raises(ValueError,
+                       match=r"^sweep\.mix must be in \(0, 1\], got 0\.0$"):
         forward_backward_sweep(table5.params, table5.control_params,
                                table5.weights, table5.x0, short_grid,
                                StrategyMask.named("Z"), mix=0.0)

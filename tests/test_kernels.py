@@ -48,6 +48,33 @@ def test_missing_compiler_falls_back_with_reason(tmp_path, caplog):
     assert missing in warnings[0].getMessage()
 
 
+def test_failing_compiler_falls_back_with_its_status(tmp_path, caplog):
+    """[TRIVIAL] A compiler that writes to stderr and exits 3 gives the
+    Python kernels, a reason holding the status and the stderr, one
+    warning, and no temporary file left in the cache."""
+    failing = tmp_path / "cc-fails"
+    failing.write_text('#!/bin/sh\necho "rk4.c: cannot build" >&2\nexit 3\n')
+    failing.chmod(0o755)
+    cache = tmp_path / "cache"
+    with caplog.at_level(logging.WARNING, logger="arbo"):
+        kernels = _kernels.load(compiler=str(failing), cache_dir=cache)
+    assert kernels.backend == "python"
+    assert "exited with status 3: rk4.c: cannot build" in kernels.reason
+    warnings = [r for r in caplog.records if r.name == "arbo"]
+    assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+    assert list(cache.iterdir()) == []
+
+
+def test_unwritable_cache_falls_back_with_reason(tmp_path):
+    """[TRIVIAL] A cache directory that cannot be made (its parent is a
+    regular file) gives the Python kernels and says why."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    kernels = _kernels.load(cache_dir=blocker / "cache")
+    assert kernels.backend == "python"
+    assert "no writable cache directory" in kernels.reason
+
+
 def test_only_control_and_cli_load_the_kernels():
     """[TRIVIAL] The analysis modules import without `arbo._kernels`, so
     they neither build nor load the C library; `arbo.control` loads it."""

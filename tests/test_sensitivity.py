@@ -399,3 +399,22 @@ def test_prcc_refuses_a_constant_column(caplog):
         with pytest.raises(SingularSampleError, match="gamma_v"):
             prcc(constant, r0_values(samples))
     assert not [r for r in caplog.records if r.name == "arbo"]
+
+
+def _pinned_but(*names) -> ParamDistribution:
+    """The baseline ranges with every parameter but `names` pinned to the
+    lower end of its range."""
+    return ParamDistribution({
+        name: (lo, hi if name in names else lo)
+        for name, (lo, hi) in baseline_ranges().ranges.items()})
+
+
+def test_prcc_refuses_a_singular_rank_correlation_matrix():
+    """[TRIVIAL] Six draws of three free parameters whose rank correlation
+    matrix with the output is singular: PRCC raises `SingularSampleError`
+    saying so, not numpy's bare `LinAlgError`."""
+    samples = lhs_sample(_pinned_but("mu_h", "a", "mu_b"), 6, seed=1)
+    with pytest.raises(SingularSampleError, match=(
+            r"^the rank correlation matrix of the 3 active parameters and "
+            r"the output is singular over 6 draws$")):
+        prcc(samples, r0_values(samples))

@@ -22,8 +22,11 @@ from arbo.thresholds import (
     net_reproductive_number,
 )
 from arbo import _kernels
-from arbo.model import params_to_array
-from conftest import random_established_params, random_params
+from arbo.model import ModelParams, params_to_array
+from arbo.sensitivity import lhs_sample
+from conftest import (
+    mixed_regime_ranges, random_established_params, random_params,
+)
 
 
 def _trivial_dfe_jacobian_closed_form(p):
@@ -151,6 +154,56 @@ def test_supercritical_endemic_is_stable(table5):
     eq = solve_endemic(p)
     (x, _, _), = eq.endemic
     assert eigen_verdict(x, p).stable is True
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="eight runs of up to "
+                    "100,000 steps take minutes on the Python kernels")
+@pytest.mark.parametrize("beta_hv", [0.05, 0.08])
+def test_bistability_inside_the_two_endemic_window(beta_hv, sec22):
+    """[DERIVED] For beta_+ < beta_hv < beta* the DFE and the upper of the
+    two endemic points both attract, and the lower one separates them.
+    Runs at dt = 0.1 day: one infected human added to the biological DFE
+    dies out; a start 0.1 % above the upper point stays within 1 % of it
+    over 10^4 days; starts 0.1 % below and above the lower point end at
+    the upper point and at the DFE."""
+    p = dataclasses.replace(sec22.params, beta_hv=beta_hv)
+    rep = bifurcation_thresholds(p)
+    assert rep.beta_plus < beta_hv < rep.beta_star
+    eq = solve_endemic(p, stability_checker=lambda x: eigen_verdict(x, p).stable)
+    (lower, _, lower_stable), (upper, _, upper_stable) = sorted(
+        eq.endemic, key=lambda e: e[0][I_H])
+    assert (lower_stable, upper_stable) == (False, True)
+
+    def final(x0, n_steps):
+        return _kernels.rk4_basic(params_to_array(p), x0, n_steps, 0.1)[-1]
+
+    infected = dfe_components(p)
+    infected[I_H] += 1.0
+    assert final(infected, 20_000)[I_H] < 1e-20
+    assert np.max(np.abs(final(upper * 1.001, 100_000) / upper - 1.0)) < 1e-2
+    assert abs(final(lower * 0.999, 100_000)[I_H] / upper[I_H] - 1.0) < 1e-6
+    assert final(lower * 1.001, 100_000)[I_H] < 1e-20 * lower[I_H]
+
+
+def test_stability_verdicts_agree_with_the_thresholds_over_the_domain():
+    """[DERIVED] Over 2,000 LHS draws of every regime, the eigen verdict of
+    the biological DFE is R0 < 1 wherever vectors establish (N > 1), and
+    the Routh-Hurwitz verdict of the vector-free point is its eigen
+    verdict; no verdict is marginal."""
+    samples = lhs_sample(mixed_regime_ranges(), 2000, seed=7)
+    draws = samples.columns()
+    established = samples.thresholds.net_repro > 1.0
+    assert 0 < established.sum() < samples.n
+    est = SimpleNamespace(**{name: column[established]
+                             for name, column in vars(draws).items()})
+    biological = eigen_verdicts(dfe_components(est), est)
+    assert ([v.stable for v in biological]
+            == (samples.thresholds.r0[established] < 1.0).tolist())
+    trivial = eigen_verdicts(dfe_components(draws, trivial=True), draws)
+    assert None not in [v.stable for v in trivial]
+    assert [v.stable for v in trivial] == [
+        routh_hurwitz_trivial(ModelParams(*row)).stable
+        for row in samples.matrix.tolist()]
 
 
 def test_bifurcation_requires_vectors(table5):
