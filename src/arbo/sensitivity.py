@@ -15,8 +15,8 @@ from .model import ModelParams
 # bifurcation_thresholds and net_reproductive_number have no caller here;
 # perfbench's tracer counts calls made through this module's name for both.
 from .thresholds import (  # noqa: F401
-    ThresholdReport, bifurcation_thresholds, net_reproductive_number,
-    threshold_arrays, two_endemic_windows,
+    ThresholdError, ThresholdReport, bifurcation_thresholds,
+    net_reproductive_number, threshold_arrays, two_endemic_windows,
 )
 
 PARAM_ORDER = tuple(f.name for f in fields(ModelParams))
@@ -113,8 +113,16 @@ class SampleSet:
     def thresholds(self) -> ThresholdReport:
         """`threshold_arrays` over every draw, computed on first use and
         shared by `r0_values` and `condition_probabilities`; its arrays
-        are read-only."""
+        are read-only.  Raises `ThresholdError` at the first draw whose
+        R0 is not finite, which would otherwise drop out of the
+        histogram and turn the mean and spread into NaN."""
         rep = threshold_arrays(self.columns())
+        bad = np.flatnonzero(~np.isfinite(rep.r0))
+        if bad.size:
+            i = int(bad[0])
+            raise ThresholdError(
+                f"R0 is {rep.r0[i]} at draw {i} of the design; it is not "
+                f"finite at {bad.size} of {self.n} draws")
         for f in fields(rep):
             np.asarray(getattr(rep, f.name)).flags.writeable = False
         return rep
@@ -143,11 +151,15 @@ def lhs_sample(dist: ParamDistribution, n: int, seed: int) -> SampleSet:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     design = np.empty((len(PARAM_ORDER), n))  # one contiguous row per column
-    for j, name in enumerate(PARAM_ORDER):
+    for row, name in zip(design, PARAM_ORDER):
         lo, hi = dist.ranges[name]
+        # lo + (hi - lo) * ((perm + u) / n), step by step in the row.
         perm = rng.permutation(n)
-        quantiles = (perm + rng.random(n)) / n
-        design[j] = lo + (hi - lo) * quantiles
+        rng.random(out=row)
+        np.add(perm, row, out=row)
+        row /= n
+        row *= hi - lo
+        row += lo
     for extreme in (design.min(axis=1), design.max(axis=1)):
         ModelParams(**dict(zip(PARAM_ORDER, extreme.tolist())))
     design.flags.writeable = False
@@ -222,8 +234,8 @@ def average_ranks(values) -> np.ndarray:
 
 
 def _stratum_ranks(col: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
-    """1-based ranks of an LHS column read off its strata, or None when
-    they cannot be certified equal to `average_ranks`.
+    """The strata 0..n-1 of an LHS column, as floats, or None when they
+    cannot be certified equal to its `average_ranks` less one.
 
     A draw x falls in stratum floor((x - lo) n / (hi - lo)), clipped to
     [0, n - 1].  Subtraction, multiplication, division by a positive
@@ -241,10 +253,12 @@ def _stratum_ranks(col: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
     if not np.isfinite(scaled).all():
         return None
     np.clip(scaled, 0, n - 1, out=scaled)
-    idx = np.floor(scaled, out=scaled).astype(np.intp)
-    if np.bincount(idx, minlength=n).max() != 1:
+    strata = np.floor(scaled, out=scaled)
+    seen = np.zeros(n, dtype=bool)
+    seen[strata.astype(np.intp)] = True
+    if not seen.all():
         return None
-    return idx + 1.0
+    return strata
 
 
 def prcc(samples: SampleSet, outputs) -> PRCCReport:
@@ -271,29 +285,37 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     active = [j for j, name in enumerate(PARAM_ORDER) if name not in excluded]
     if n <= len(active) + 2:
         raise ValueError(f"need n > {len(active) + 2} samples, got {n}")
-    for j in active:
+
+    # One contiguous row of centred ranks per active parameter, the
+    # output's last: np.corrcoef's centring, done in place on the buffer
+    # rather than on the copy corrcoef makes; the result is bitwise the
+    # same.  Certified strata 0..n-1 are the ranks 1..n, whose mean
+    # (n + 1) / 2 is exact, so they are centred by subtracting (n - 1) / 2.
+    ranks = np.empty((len(active) + 1, n))
+    unranked = []
+    for row, j in zip(ranks, active):
+        strata = _stratum_ranks(samples.matrix[:, j], *ranges[PARAM_ORDER[j]])
+        if strata is None:
+            unranked.append((row, j))
+        else:
+            np.subtract(strata, (n - 1) / 2, out=row)
+    # A certified column is a permutation of its strata, so only an
+    # unranked one can be constant.
+    for _, j in unranked:
         col = samples.matrix[:, j]
         if np.all(col == col[0]):
             raise SingularSampleError(
                 f"parameter {PARAM_ORDER[j]} is constant over the sample")
-
-    # One contiguous row of ranks per active parameter, the output's last.
-    ranks = np.empty((len(active) + 1, n))
     sorted_columns = []
-    for k, j in enumerate(active):
+    for row, j in unranked:
         name = PARAM_ORDER[j]
-        col = samples.matrix[:, j]
-        column_ranks = _stratum_ranks(col, *ranges[name])
-        if column_ranks is None:
-            _log.warning("PRCC: %s is not ranked by its LHS strata; "
-                         "sorting it", name)
-            sorted_columns.append(name)
-            column_ranks = average_ranks(col)
-        ranks[k] = column_ranks
+        _log.warning("PRCC: %s is not ranked by its LHS strata; "
+                     "sorting it", name)
+        sorted_columns.append(name)
+        row[:] = average_ranks(samples.matrix[:, j])
+        row -= row.mean()
     ranks[-1] = average_ranks(outputs)
-    # np.corrcoef's steps, done in place on the buffer rather than on the
-    # centred copy corrcoef makes; the result is bitwise the same.
-    ranks -= ranks.mean(axis=1)[:, None]
+    ranks[-1] -= ranks[-1].mean()
     corr = ranks @ ranks.T
     corr *= 1.0 / (n - 1)
     stddev = np.sqrt(np.diag(corr))

@@ -361,6 +361,27 @@ def test_singular_prcc_is_a_configuration_error(config_file, tmp_path,
     assert not out.exists()
 
 
+def test_non_finite_r0_is_a_numeric_error(config_file, tmp_path, capsys):
+    """[TRIVIAL] Egg and larval capacities drawn from [1e300, 1e308]
+    overflow the disease-free vector population, so no draw has a finite
+    R0: `sensitivity` exits 3 naming the first draw and writes nothing,
+    rather than a report with a null mean and a histogram without those
+    draws.  numpy warns of the overflow on the way."""
+    cfg = load_fixture("table2_baseline")
+    cfg["sensitivity"]["ranges"].update(Gamma_E=[1e300, 1e308],
+                                        Gamma_L=[1e300, 1e308])
+    out, hist = tmp_path / "sens.json", tmp_path / "hist.csv"
+    with pytest.warns(RuntimeWarning):
+        code = main(["sensitivity", "--config", config_file(cfg),
+                     "--samples", "200", "--seed", "1", "--out", str(out),
+                     "--hist-csv", str(hist)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric error: R0 is nan at draw 0 of the design; it is not finite "
+        "at 200 of 200 draws\n")
+    assert not out.exists() and not hist.exists()
+
+
 def test_negative_seed_flag_is_named(config_file, tmp_path, capsys):
     """[TRIVIAL] `--seed -1` exits 2 naming the flag, before sampling."""
     out = tmp_path / "sens.json"

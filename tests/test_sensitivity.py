@@ -16,7 +16,8 @@ from arbo.sensitivity import (
     r0_values,
 )
 from arbo.thresholds import (
-    bifurcation_thresholds, net_reproductive_number, threshold_arrays,
+    ThresholdError, bifurcation_thresholds, net_reproductive_number,
+    threshold_arrays,
 )
 from conftest import mixed_regime_ranges, random_params
 
@@ -299,14 +300,14 @@ def test_thresholds_are_computed_once_per_design(monkeypatch):
 @pytest.mark.parametrize("n, seed", [(5000, 20260823), (20000, 1)])
 def test_stratum_ranks_equal_average_ranks(n, seed):
     """[DERIVED] On the criterion-6 and benchmark designs every parameter
-    column's strata give, bitwise, the ranks sorting gives, so PRCC
-    sorts none of them."""
+    column's strata, plus one, give bitwise the ranks sorting gives, so
+    PRCC sorts none of them."""
     samples = lhs_sample(baseline_ranges(), n, seed)
     for j, name in enumerate(PARAM_ORDER):
         col = samples.matrix[:, j]
-        ranks = _stratum_ranks(col, *samples.distribution.ranges[name])
-        assert ranks is not None, name
-        assert ranks.tobytes() == average_ranks(col).tobytes(), name
+        strata = _stratum_ranks(col, *samples.distribution.ranges[name])
+        assert strata is not None, name
+        assert (strata + 1).tobytes() == average_ranks(col).tobytes(), name
     assert prcc(samples, r0_values(samples)).sorted_columns == ()
 
 
@@ -321,7 +322,7 @@ def test_stratum_ranks_refuse_a_huge_finite_draw():
     """[TRIVIAL] 1e300 on [0, 1] scales to a finite value beyond every
     integer.  Clipped before the integer cast, it shares the top stratum
     with 0.7, so the column is refused; cast first, it would wrap to the
-    bottom stratum and be ranked [1, 2]."""
+    bottom stratum and be ranked [1, 2] (strata [0, 1])."""
     assert _stratum_ranks(np.array([1e300, 0.7]), 0.0, 1.0) is None
 
 
@@ -399,6 +400,59 @@ def test_prcc_refuses_a_constant_column(caplog):
         with pytest.raises(SingularSampleError, match="gamma_v"):
             prcc(constant, r0_values(samples))
     assert not [r for r in caplog.records if r.name == "arbo"]
+
+
+def test_prcc_refuses_a_constant_column_after_a_tied_one(caplog):
+    """[TRIVIAL] A tied column (mu_v, sorted when ranked) comes before a
+    constant one (gamma_v) in PARAM_ORDER: PRCC still raises
+    `SingularSampleError` naming the constant column, and logs no
+    WARNING about the tied one, since it checks every column before it
+    sorts any."""
+    samples = lhs_sample(baseline_ranges(), 100, seed=4)
+    matrix = np.array(samples.matrix)
+    tied, constant = PARAM_ORDER.index("mu_v"), PARAM_ORDER.index("gamma_v")
+    assert tied < constant
+    matrix[1, tied] = matrix[0, tied]
+    matrix[:, constant] = 0.25
+    design = SampleSet(matrix=matrix, distribution=samples.distribution)
+    with caplog.at_level(logging.WARNING, logger="arbo"):
+        with pytest.raises(SingularSampleError, match="gamma_v"):
+            prcc(design, r0_values(samples))
+    assert not [r for r in caplog.records if r.name == "arbo"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 16, 20260823])
+def test_lhs_equals_the_out_of_place_formula(seed):
+    """[DERIVED] The design rows, filled in place, equal bitwise
+    lo + (hi - lo) * ((perm + u) / n) computed out of place from the same
+    RNG stream, with integer bounds, a negative lower bound and a
+    degenerate range among the baseline ones."""
+    dist = _ranges(lambda_h_in=(2, 7), a=(-0, 3), mu_b=(6, 6),
+                   delta=(1e-3, 1e-3), eta_h=(0, 0.999))
+    n = 313
+    samples = lhs_sample(dist, n, seed)
+    rng = np.random.default_rng(seed)
+    for j, name in enumerate(PARAM_ORDER):
+        lo, hi = dist.ranges[name]
+        perm = rng.permutation(n)
+        want = lo + (hi - lo) * ((perm + rng.random(n)) / n)
+        assert samples.matrix[:, j].tobytes() == want.tobytes(), name
+
+
+def test_a_non_finite_r0_is_refused():
+    """[TRIVIAL] One draw with an egg capacity of 1e308 overflows the
+    disease-free vector population, so its R0 is NaN: the design's
+    threshold pass raises `ThresholdError` naming that draw, rather than
+    letting it fall out of the histogram and turn the mean into NaN."""
+    samples = lhs_sample(baseline_ranges(), 100, seed=3)
+    matrix = np.array(samples.matrix)
+    matrix[3, PARAM_ORDER.index("Gamma_E")] = 1e308
+    design = SampleSet(matrix=matrix, distribution=samples.distribution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ThresholdError, match=(
+                r"^R0 is nan at draw 3 of the design; it is not finite at "
+                r"1 of 100 draws$")):
+            r0_values(design)
 
 
 def _pinned_but(*names) -> ParamDistribution:
