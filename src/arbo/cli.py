@@ -205,18 +205,25 @@ def _distribution(value, where: str):
 
 
 def _strategies(value, where: str) -> list:
-    """The ICER strategy reports listed in `value`, under distinct names."""
+    """The ICER strategy reports listed in `value`: at least two, under
+    distinct names, each averting a positive number of infections."""
     from . import econ
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
+    if len(value) < 2:
+        raise ConfigError(f"{where} must list at least 2 strategies, "
+                          f"got {len(value)}")
     readers = {"name": _string, "cost": _float, "averted": _float}
     reports = []
-    for row in value:
+    for i, row in enumerate(value):
         row = _fields(_object(row, f"{where} entry"), where, readers,
                       required=readers)
         if any(r.name == row["name"] for r in reports):
             raise ConfigError(f"{where} names must be distinct, got "
                               f"{row['name']!r} twice")
+        if not row["averted"] > 0:
+            raise ConfigError(f"{where}[{i}].averted must be > 0, "
+                              f"got {row['averted']!r}")
         reports.append(econ.StrategyReport(
             name=row["name"], cumulated_ih=0.0, efficiency_percent=0.0,
             total_cost=row["cost"], infections_averted=row["averted"]))

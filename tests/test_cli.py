@@ -254,6 +254,32 @@ def test_icer_command(config_file, tmp_path):
     assert [e["strategy"] for e in report["eliminations"]] == ["Z4", "Z2", "Z3"]
 
 
+_TWO = [{"name": "A", "averted": 100.0, "cost": 1000.0},
+        {"name": "B", "averted": 200.0, "cost": 1500.0}]
+
+
+@pytest.mark.parametrize("strategies, message", [
+    ([_TWO[0], {**_TWO[1], "averted": -5}],
+     "icer.strategies[1].averted must be > 0, got -5.0"),
+    ([{**_TWO[0], "averted": 0}, _TWO[1]],
+     "icer.strategies[0].averted must be > 0, got 0.0"),
+    (_TWO[:1], "icer.strategies must list at least 2 strategies, got 1"),
+    ([], "icer.strategies must list at least 2 strategies, got 0"),
+], ids=["negative", "zero", "one", "none"])
+def test_icer_refusals_name_their_field(strategies, message, config_file,
+                                        tmp_path, capsys):
+    """[TRIVIAL] A strategy that averts no infections, or fewer than two
+    strategies, exits 2 with one `error:` line naming the entry's field or
+    the list, and writes no report."""
+    cfg = _table5()
+    cfg["icer"]["strategies"] = strategies
+    out = tmp_path / "icer.json"
+    assert main(["icer", "--config", config_file(cfg),
+                 "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sensitivity_command_and_seed_precedence(config_file, tmp_path,
                                                  monkeypatch):
     cfg = copy.deepcopy(load_fixture("table2_baseline"))
