@@ -119,10 +119,9 @@ class SampleSet:
         rep = threshold_arrays(self.columns())
         bad = np.flatnonzero(~np.isfinite(rep.r0))
         if bad.size:
-            i = int(bad[0])
             raise ThresholdError(
-                f"R0 is {rep.r0[i]} at draw {i} of the design; it is not "
-                f"finite at {bad.size} of {self.n} draws")
+                f"R0 is {rep.r0[bad[0]]} at draw {bad[0]} of the design; it "
+                f"is not finite at {bad.size} of {self.n} draws")
         for f in fields(rep):
             np.asarray(getattr(rep, f.name)).flags.writeable = False
         return rep
@@ -243,9 +242,10 @@ def _stratum_ranks(col: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
     arithmetic, so for finite values a lower stratum means a smaller
     draw.  When the strata of a finite column form a permutation, the
     draws therefore strictly increase in stratum order, and each draw's
-    stratum is its rank.  Rounding that puts two draws in one stratum, a
-    non-finite draw or a hand-built column gets None.  The clip comes
-    before the integer cast, so a huge finite draw cannot wrap around."""
+    stratum is its rank less one.  Rounding that puts two draws in one
+    stratum, a non-finite draw or a hand-built column gets None.  The
+    clip comes before the integer cast, so a huge finite draw cannot
+    wrap around."""
     n = col.size
     scaled = np.subtract(col, lo, dtype=float)
     scaled *= n
@@ -265,7 +265,7 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     """Partial rank correlation of each parameter against the output.
 
     All columns are rank-transformed (average ranks on ties).  A
-    parameter column's ranks are its LHS stratum indices where
+    parameter column's ranks are its LHS stratum indices plus one where
     `_stratum_ranks` certifies them; any other column is sorted
     (`average_ranks`), logged and listed in `sorted_columns`.  The
     coefficient for parameter j is the Pearson correlation of the
