@@ -425,9 +425,9 @@ def test_prcc_refuses_a_constant_column_after_a_tied_one(caplog):
 def test_lhs_equals_the_out_of_place_formula(seed):
     """[DERIVED] The design rows, filled in place, equal bitwise
     lo + (hi - lo) * ((perm + u) / n) computed out of place from the same
-    RNG stream, with integer bounds, a negative lower bound and a
-    degenerate range among the baseline ones."""
-    dist = _ranges(lambda_h_in=(2, 7), a=(-0, 3), mu_b=(6, 6),
+    RNG stream, with integer bounds, zero lower bounds and degenerate
+    float and integer ranges among the baseline ones."""
+    dist = _ranges(lambda_h_in=(2, 7), a=(0, 3), mu_b=(6, 6),
                    delta=(1e-3, 1e-3), eta_h=(0, 0.999))
     n = 313
     samples = lhs_sample(dist, n, seed)
