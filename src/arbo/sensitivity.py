@@ -247,9 +247,10 @@ def _stratum_ranks(col: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
     clip comes before the integer cast, so a huge finite draw cannot
     wrap around."""
     n = col.size
-    scaled = np.subtract(col, lo, dtype=float)
-    scaled *= n
-    scaled /= hi - lo
+    with np.errstate(over="ignore"):  # the finite check refuses overflow
+        scaled = np.subtract(col, lo, dtype=float)
+        scaled *= n
+        scaled /= hi - lo
     if not np.isfinite(scaled).all():
         return None
     np.clip(scaled, 0, n - 1, out=scaled)

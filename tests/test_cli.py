@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import logging
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -435,13 +437,60 @@ def test_commands_import_only_the_modules_they_run(argv, loaded, tmp_path):
     run = f"assert arbo.cli.main({argv!r}) == 0\n" if argv else ""
     code = (f"import sys, arbo.cli\n{run}"
             f"print(sorted(m for m in {_DEFERRED!r} if m in sys.modules))\n")
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == repr(loaded)
+
+
+def _fresh_python(args, cwd):
+    """A new interpreter, with `args` and this tree's `src` on its path."""
     src = str(FIXTURES.parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == repr(loaded)
+                          capture_output=True, timeout=120)
+
+
+def _table5_with(**sections):
+    cfg = _table5()
+    for section, values in sections.items():
+        cfg[section].update(values)
+    return cfg
+
+
+@pytest.mark.parametrize("argv, cfg, code", [
+    (["thresholds"], load_fixture("sec22_backward"), 0),
+    (["control", "--steps", "0"], _table5(), EXIT_PARSE),
+    (["simulate", "--out", "traj.csv"],
+     _table5_with(grid={"tf": 1e5, "n_steps": 2}), EXIT_NUMERIC),
+    (["control"], _table5_with(grid={"tf": 5.0, "n_steps": 500},
+                               sweep={"max_iters": 1}), EXIT_NO_CONVERGENCE),
+], ids=["ok", "parse", "numeric", "no-convergence"])
+def test_process_entry_writes_what_main_writes(argv, cfg, code, config_file,
+                                               tmp_path, monkeypatch, capsys):
+    """`python -m arbo.cli` exits through `run`, which freezes the collector
+    first.  Its stdout, stderr and exit code are those of `main` run
+    in-process, for success and for each error exit."""
+    monkeypatch.chdir(tmp_path)
+    argv = [argv[0], "--config", config_file(cfg), *argv[1:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    proc = _fresh_python(["-m", "arbo.cli", *argv], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+    if code == 0:
+        golden = pathlib.Path(__file__).with_name("golden")
+        assert proc.stdout == (
+            golden / "thresholds_sec22_backward.json").read_bytes()
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    """[TRIVIAL] Only the process entry freezes the collector; a caller of
+    `main` gets it back as it was."""
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert main(["thresholds", "--config",
+                 str(FIXTURES / "sec22_backward.json")]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_seed_is_refused_where_no_command_reads_it(config_file, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,21 @@ def test_prcc_sorts_a_column_whose_strata_tie(caplog):
     assert record.levelno == logging.WARNING and "mu_v" in record.getMessage()
 
     assert list(report.coefficients.values()) == _corrcoef_prcc(matrix, outputs)
+
+
+def test_prcc_sorts_an_overflowing_column_without_a_warning():
+    """[TRIVIAL] Gamma_E drawn from [1e300, 1e308] overflows when scaled to
+    its strata.  The finite check refuses the column, which is sorted, and
+    numpy's overflow warning stays silent, so a caller that turns warnings
+    into errors still gets the coefficients."""
+    samples = lhs_sample(_ranges(Gamma_E=(1e300, 1e308)), 500, seed=1)
+    outputs = np.random.default_rng(0).random(500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = prcc(samples, outputs)
+    assert report.sorted_columns == ("Gamma_E",)
+    assert list(report.coefficients.values()) == _corrcoef_prcc(
+        samples.matrix, outputs)
 
 
 def _corrcoef_prcc(matrix, outputs):
