@@ -476,8 +476,16 @@ def test_process_entry_writes_what_main_writes(argv, cfg, code, config_file,
     assert main(argv) == code
     captured = capsys.readouterr()
     proc = _fresh_python(["-m", "arbo.cli", *argv], tmp_path)
+    err = captured.err.encode()
+    if _kernels.BACKEND != "c":
+        # Without the C kernels the fresh import logs the fallback to stderr
+        # before the command runs; this process logged it at collection,
+        # into pytest's log capture.
+        assert proc.stderr.startswith(b"compiled RK4 kernels unavailable")
+        assert proc.stderr.endswith(err)
+        err = proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        code, captured.out.encode(), captured.err.encode())
+        code, captured.out.encode(), err)
     if code == 0:
         golden = pathlib.Path(__file__).with_name("golden")
         assert proc.stdout == (
