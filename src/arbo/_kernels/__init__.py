@@ -18,13 +18,17 @@ cache directory when that is not writable.
 
 If the build or the load fails, the same kernels run the Python
 right-hand sides (`model.controlled_field`, `control.adjoint_field`)
-through `ode.rk4_nodes`, forward and backward, and `sweep_step`
+through `ode.rk4_nodes`, forward and backward, and the sweep iteration
 composes those with `control.characterize_controls`; built without fused
 multiply-add, the C kernels give the same values to the last bit.
-`_checked` builds both backends' four entry points: each checks and
-converts its arguments once, in front of the backend, whose loops take
-only checked arrays; `rk4_basic` is `rk4_controlled` with zero controls
-and zero control efficacies.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
+`_checked` builds both backends' entry points: each checks and converts
+its arguments once, in front of the backend, whose loops take only
+checked arrays; `rk4_basic` is `rk4_controlled` with zero controls and
+zero control efficacies.  A sweep pays for its fixed arguments once:
+`sweep_plan` checks them and allocates the iterations' output buffers
+(`SweepPlan`), and `sweep_step`, one function for both backends, runs
+one iteration on a plan, checking only the controls and earlier states
+it is handed.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
 is None or the error that forced the fallback.  Every kernel raises
 `model.ZeroPopulationError` in the step whose right-hand side meets a
 zero or negative human total, and `ode.NonFiniteError` at the first
@@ -39,7 +43,7 @@ import hashlib
 import logging
 import os
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,7 +66,34 @@ class Kernels:
     rk4_basic: Callable
     rk4_controlled: Callable
     rk4_adjoint: Callable
-    sweep_step: Callable
+    sweep_plan: Callable
+
+
+class SweepPlan(NamedTuple):  # a NamedTuple builds faster than a dataclass
+    """One sweep on a grid of `rows` nodes: its fixed arguments, checked
+    and converted once, the buffers its iterations write, and `run`, the
+    backend's iteration loop bound to both.
+
+    `sweep_step` writes an iteration's states into the one of `states`
+    that its `prev_states` argument does not occupy, its relaxed controls
+    into the one of `controls` that its `u` does not occupy, and its
+    adjoints into `adjoints`.  So the states and controls a step returns
+    keep their values through the next step, and the adjoints until it.
+    The C loop holds the addresses of these arrays, which the plan keeps
+    alive."""
+
+    rows: int
+    par: np.ndarray
+    cpar: np.ndarray
+    wts: np.ndarray
+    mask: np.ndarray
+    mix: float
+    x0: np.ndarray
+    dt: float
+    states: tuple
+    adjoints: np.ndarray
+    controls: tuple
+    run: Callable
 
 
 _NO_HUMANS = -2  # NO_HUMANS in rk4.c
@@ -86,8 +117,8 @@ def _array(a, shape) -> np.ndarray:
     return a
 
 
-def _checked(backend: str, controlled, adjoint, sweep) -> Kernels:
-    """The four entry points of a backend whose loops are given: each checks
+def _checked(backend: str, controlled, adjoint, bind_sweep) -> Kernels:
+    """The entry points of a backend whose loops are given: each checks
     its arguments once and hands the loop C-contiguous doubles."""
     no_effect = np.zeros(6)
 
@@ -111,24 +142,55 @@ def _checked(backend: str, controlled, adjoint, sweep) -> Kernels:
         return adjoint(_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
                        states, _array(u, (len(states), 5)), dt)
 
-    def sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
-        """One sweep iteration under the node controls u (n+1, 5): returns
-        (states, adjoints, u_new, control_change, state_change), where
-        u_new = mix * u_char + (1 - mix) * u for the masked, clamped
-        characterization u_char, and each change is the relative
-        sup-norm change (`_rel_sup_change`); the state change
-        against prev_states is infinite when prev_states is None."""
+    def sweep_plan(par, cpar, wts, mask, mix, x0, rows, dt) -> SweepPlan:
+        """The plan of one sweep on `rows` grid nodes with step dt and
+        relaxation weight mix, under the 0/1 strategy mask, for
+        `sweep_step` to run."""
         mask = _array(mask, (5,))
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError(f"mask entries must be 0 or 1, got {mask}")
-        u = _array(u, (None, 5))
-        if prev_states is not None:
-            prev_states = _array(prev_states, (len(u), 10))
-        return sweep(_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
-                     mask, float(mix), _array(x0, (10,)), u, prev_states, dt)
+        rows = int(rows)
+        if rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
+        fixed = {"par": _array(par, (21,)), "cpar": _array(cpar, (6,)),
+                 "wts": _array(wts, (9,)), "mask": mask, "mix": float(mix),
+                 "x0": _array(x0, (10,)), "dt": float(dt)}
+        buffers = {"states": (np.empty((rows, 10)), np.empty((rows, 10))),
+                   "adjoints": np.empty((rows, 10)),
+                   "controls": (np.empty((rows, 5)), np.empty((rows, 5)))}
+        return SweepPlan(rows, **fixed, **buffers,
+                         run=bind_sweep(**fixed, **buffers))
 
     return Kernels(backend, None, rk4_basic, rk4_controlled, rk4_adjoint,
-                   sweep_step)
+                   sweep_plan)
+
+
+def sweep_step(plan: SweepPlan, u, prev_states):
+    """One sweep iteration of `plan` under the node controls u (rows, 5):
+    returns (states, adjoints, u_new, control_change, state_change), where
+    u_new = mix * u_char + (1 - mix) * u for the masked, clamped
+    characterization u_char, and each change is the relative sup-norm
+    change (`_rel_sup_change`); the state change against prev_states is
+    infinite when prev_states is None.  The three arrays are the plan's
+    buffers (see `SweepPlan`); u and prev_states are checked here on every
+    call, since the C loop reads them through bare addresses, and
+    prev_states may not be the plan's adjoints, which the step overwrites."""
+    u = _array(u, (plan.rows, 5))
+    if prev_states is not None:
+        prev_states = _array(prev_states, (plan.rows, 10))
+        if np.may_share_memory(prev_states, plan.adjoints):
+            raise ValueError("prev_states shares memory with the plan's "
+                             "adjoints, which the step overwrites")
+    s = _vacant(plan.states, prev_states)
+    c = _vacant(plan.controls, u)
+    control_change, state_change = plan.run(u, prev_states, s, c)
+    return (plan.states[s], plan.adjoints, plan.controls[c], control_change,
+            state_change)
+
+
+def _vacant(pair: tuple, arg) -> int:
+    """The index of the buffer of `pair` that `arg` does not occupy."""
+    return int(arg is not None and np.may_share_memory(arg, pair[0]))
 
 
 def _model_params(par) -> model.ModelParams:
@@ -161,24 +223,28 @@ def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(new))))
 
 
-def _py_sweep_step(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
+def _py_sweep(par, cpar, wts, mask, mix, x0, dt, states, adjoints, controls):
     from ..control import (  # control imports us
         ObjectiveWeights, StrategyMask, characterize_controls,
     )
 
+    p, c = _model_params(par), _control_params(cpar)
     w = ObjectiveWeights(*wts.tolist())
     active = StrategyMask(tuple((mask == 1.0).tolist()))
-    states = _py_controlled(par, cpar, x0, u, dt)
-    adjoints = _py_adjoint(par, cpar, wts, states, u, dt)
-    u_char = characterize_controls(states, adjoints, _model_params(par),
-                                   _control_params(cpar), w, active)
-    u_new = mix * u_char + (1.0 - mix) * u
-    state_change = (float("inf") if prev_states is None
-                    else _rel_sup_change(states, prev_states))
-    return states, adjoints, u_new, _rel_sup_change(u_new, u), state_change
+
+    def run(u, prev_states, s, k):
+        x, u_new = states[s], controls[k]
+        x[...] = _py_controlled(par, cpar, x0, u, dt)
+        adjoints[...] = _py_adjoint(par, cpar, wts, x, u, dt)
+        u_char = characterize_controls(x, adjoints, p, c, w, active)
+        u_new[...] = mix * u_char + (1.0 - mix) * u
+        state_change = (float("inf") if prev_states is None
+                        else _rel_sup_change(x, prev_states))
+        return _rel_sup_change(u_new, u), state_change
+    return run
 
 
-PYTHON = _checked("python", _py_controlled, _py_adjoint, _py_sweep_step)
+PYTHON = _checked("python", _py_controlled, _py_adjoint, _py_sweep)
 
 
 def _c_kernels(lib: ctypes.CDLL) -> Kernels:
@@ -204,15 +270,21 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
                                len(u) - 1, dt, out.ctypes.data), dt)
         return out
 
-    def sweep(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
-        rows = len(u)
-        states, adjoints = np.empty((rows, 10)), np.empty((rows, 10))
-        u_new, change = np.empty((rows, 5)), np.empty(2)
-        _check(lib.sweep_step(
-            *_addresses([par, cpar, wts, mask]), mix, x0.ctypes.data, u.ctypes.data,
-            None if prev_states is None else prev_states.ctypes.data,
-            rows - 1, dt, *_addresses([states, adjoints, u_new, change])), dt)
-        return states, adjoints, u_new, float(change[0]), float(change[1])
+    def sweep(par, cpar, wts, mask, mix, x0, dt, states, adjoints, controls):
+        change = np.empty(2)
+        head = (*_addresses([par, cpar, wts, mask]), mix, x0.ctypes.data)
+        states_at, controls_at = _addresses(states), _addresses(controls)
+        n_steps, adjoints_at = len(adjoints) - 1, adjoints.ctypes.data
+        change_at = change.ctypes.data
+
+        def run(u, prev_states, s, k):
+            _check(lib.sweep_step(
+                *head, u.ctypes.data,
+                None if prev_states is None else prev_states.ctypes.data,
+                n_steps, dt, states_at[s], adjoints_at, controls_at[k],
+                change_at), dt)
+            return float(change[0]), float(change[1])
+        return run
 
     return _checked("c", controlled, adjoint, sweep)
 
@@ -284,7 +356,8 @@ FALLBACK_REASON = _active.reason
 rk4_basic = _active.rk4_basic
 rk4_controlled = _active.rk4_controlled
 rk4_adjoint = _active.rk4_adjoint
-sweep_step = _active.sweep_step
+sweep_plan = _active.sweep_plan
 
-__all__ = ["BACKEND", "FALLBACK_REASON", "PYTHON", "Kernels", "load",
-           "rk4_adjoint", "rk4_basic", "rk4_controlled", "sweep_step"]
+__all__ = ["BACKEND", "FALLBACK_REASON", "PYTHON", "Kernels", "SweepPlan",
+           "load", "rk4_adjoint", "rk4_basic", "rk4_controlled", "sweep_plan",
+           "sweep_step"]

@@ -2,8 +2,10 @@
  *
  * Three entry points: rk4_controlled (the forward state pass),
  * rk4_adjoint (the backward adjoint pass) and sweep_step, one whole
- * sweep iteration: both passes, then the control update and the two
- * change norms in one pass over the nodes.
+ * sweep iteration: both passes, the control update in one pass over the
+ * nodes, then the two change norms, each in one branch-free pass over
+ * its finished arrays.  The outputs are written into arrays the caller
+ * owns (_kernels.SweepPlan keeps them from one iteration to the next).
  *
  * The right-hand side and its state derivative are written in the same
  * operation order as their Python counterparts (model.controlled_field,
@@ -36,23 +38,25 @@ enum { SH, EH, IH, RH, SV, EV, IV, EGG, LAR, PUP, NX };
 enum { NU = 5 };
 enum { FINITE = -1, NO_HUMANS = -2 };
 
-/* The human total and the two forces of infection (model._infection);
- * returns nonzero when the human total is <= 0, as does each
- * right-hand side. */
-static int infection(const double *x, const double *p, double *n_h,
-                     double *foi_h, double *foi_v)
+/* The human total and the two forces of infection (model._infection),
+ * given the biting rates bite = (a * beta_hv, a * beta_vh), which the
+ * node loop of the control update computes once; returns nonzero when
+ * the human total is <= 0, as does each right-hand side. */
+static int infection(const double *x, const double *p, const double *bite,
+                     double *n_h, double *foi_h, double *foi_v)
 {
     *n_h = x[SH] + x[EH] + x[IH] + x[RH];
-    *foi_h = p[A] * p[BHV] * (p[ETAV] * x[EV] + x[IV]) / *n_h;
-    *foi_v = p[A] * p[BVH] * (p[ETAH] * x[EH] + x[IH]) / *n_h;
+    *foi_h = bite[0] * (p[ETAV] * x[EV] + x[IV]) / *n_h;
+    *foi_v = bite[1] * (p[ETAH] * x[EH] + x[IH]) / *n_h;
     return *n_h <= 0.0;
 }
 
 static int controlled_rhs(const double *x, const double *u, const double *p,
                           const double *c, double *dx)
 {
+    const double bite[2] = {p[A] * p[BHV], p[A] * p[BVH]};
     double n_h, foi_h, foi_v;
-    int empty = infection(x, p, &n_h, &foi_h, &foi_v);
+    int empty = infection(x, p, bite, &n_h, &foi_h, &foi_v);
     double n_v = x[SV] + x[EV] + x[IV];
     double protect = 1.0 - c[ALPHA1] * u[1];
     double foi_h_c = protect * foi_h;
@@ -80,8 +84,9 @@ static int controlled_rhs(const double *x, const double *u, const double *p,
 static int field_vjp(const double *x, const double *u, const double *l,
                      const double *p, const double *c, double *g)
 {
+    const double bite[2] = {p[A] * p[BHV], p[A] * p[BVH]};
     double n_h, foi_h, foi_v;
-    int empty = infection(x, p, &n_h, &foi_h, &foi_v);
+    int empty = infection(x, p, bite, &n_h, &foi_h, &foi_v);
     double n_v = x[SV] + x[EV] + x[IV];
     double protect = 1.0 - c[ALPHA1] * u[1];
     double mu_v_c = p[MUV] + c[CM] * u[3];
@@ -207,46 +212,57 @@ long rk4_adjoint(const double *par, const double *cpar, const double *wts,
 
 /* The stationary-point controls at one node (control.characterize_controls):
  * the root of dH/du_j, clamped to [0, 1] as np.clip does (NaN and -0.0
- * pass through), times the strategy mask; b = (B1, ..., B5). */
+ * pass through), times the strategy mask; two_b = (2 B1, ..., 2 B5). */
 static int characterize(const double *x, const double *l, const double *p,
-                        const double *c, const double *b, const double *mask,
-                        double *u)
+                        const double *c, const double *bite,
+                        const double *two_b, const double *mask, double *u)
 {
     double n_h, fh, fv;
-    int empty = infection(x, p, &n_h, &fh, &fv);
-    u[0] = (l[SH] - l[RH]) * (x[SH] - c[OMEGA] * x[RH]) / (2.0 * b[0]);
+    int empty = infection(x, p, bite, &n_h, &fh, &fv);
+    u[0] = (l[SH] - l[RH]) * (x[SH] - c[OMEGA] * x[RH]) / two_b[0];
     u[1] = c[ALPHA1] * (fh * x[SH] * (l[EH] - l[SH])
-                        + fv * x[SV] * (l[EV] - l[SV])) / (2.0 * b[1]);
-    u[2] = c[ALPHA2] * ((1.0 - p[DELTA]) * l[IH] - l[RH]) * x[IH] / (2.0 * b[2]);
-    u[3] = c[CM] * (x[SV] * l[SV] + x[EV] * l[EV] + x[IV] * l[IV]) / (2.0 * b[3]);
-    u[4] = (c[ETA1] * x[EGG] * l[EGG] + c[ETA2] * x[LAR] * l[LAR]) / (2.0 * b[4]);
+                        + fv * x[SV] * (l[EV] - l[SV])) / two_b[1];
+    u[2] = c[ALPHA2] * ((1.0 - p[DELTA]) * l[IH] - l[RH]) * x[IH] / two_b[2];
+    u[3] = c[CM] * (x[SV] * l[SV] + x[EV] * l[EV] + x[IV] * l[IV]) / two_b[3];
+    u[4] = (c[ETA1] * x[EGG] * l[EGG] + c[ETA2] * x[LAR] * l[LAR]) / two_b[4];
     for (int j = 0; j < NU; j++)
         u[j] = (u[j] < 0.0 ? 0.0 : u[j] > 1.0 ? 1.0 : u[j]) * mask[j];
     return empty;
 }
 
-/* Running maximum of |v| that sticks at NaN, as np.max(np.abs(.)) does. */
-static double sup_abs(double m, double v)
+/* max|new - old| / max(1, max|new|) over count entries, with Python's
+ * max(1.0, NaN) = 1.0 (_kernels._rel_sup_change): NaN when any
+ * difference is NaN, as np.max gives.  A NaN flag and plain maxima keep
+ * the loop free of branches.  The maximum of values >= +0.0 does not
+ * depend on the order they are taken in, so W interleaved maxima, which
+ * the compiler can hold in vector registers, give the same value. */
+static double rel_change(const double *new, const double *old, long count)
 {
-    if (isnan(m))
-        return m;
-    v = fabs(v);
-    return isnan(v) || v > m ? v : m;
-}
-
-/* max|new - old| / max(1, max|new|), with Python's max(1.0, NaN) = 1.0
- * (_kernels._rel_sup_change). */
-static double rel_change(double diff, double size)
-{
-    return diff / (size > 1.0 ? size : 1.0);
+    enum { W = 4 };
+    double diff[W] = {0.0}, size[W] = {0.0};
+    int nan = 0;
+    for (long k = 0; k < count; k += W)
+        for (int j = 0; j < W && k + j < count; j++) {
+            double d = fabs(new[k + j] - old[k + j]), s = fabs(new[k + j]);
+            nan |= isnan(d);
+            diff[j] = d > diff[j] ? d : diff[j];
+            size[j] = s > size[j] ? s : size[j];
+        }
+    for (int j = 1; j < W; j++) {
+        diff[0] = diff[j] > diff[0] ? diff[j] : diff[0];
+        size[0] = size[j] > size[0] ? size[j] : size[0];
+    }
+    return nan ? NAN : diff[0] / (size[0] > 1.0 ? size[0] : 1.0);
 }
 
 /* One sweep iteration: the forward pass under u into states, the
  * adjoint pass into adjoints, then at every node the relaxed update
  * u_new = mix * u_char + (1 - mix) * u, and change = (relative sup-norm
- * change of u_new against u, of states against prev_states).  With
- * prev_states NULL the state change is infinite.  Returns as the passes
- * do. */
+ * change of u_new against u, of states against prev_states), each over
+ * the finished arrays.  With prev_states NULL the state change is
+ * infinite.  Returns as the passes do.  The node loop's invariants
+ * (the biting rates, 2 B_j, 1 - mix) are computed once; each is the
+ * product the per-node expression would form, so no value moves. */
 long sweep_step(const double *par, const double *cpar, const double *wts,
                 const double *mask, double mix, const double *x0,
                 const double *u, const double *prev_states, long n_steps,
@@ -258,25 +274,22 @@ long sweep_step(const double *par, const double *cpar, const double *wts,
         bad = rk4_adjoint(par, cpar, wts, states, u, n_steps, dt, adjoints);
     if (bad != FINITE)
         return bad;
-    double u_char[NU], du = 0.0, u_size = 0.0, dx = 0.0, x_size = 0.0;
+    const double bite[2] = {par[A] * par[BHV], par[A] * par[BVH]};
+    const double *b = wts + 4;
+    const double two_b[NU] = {2.0 * b[0], 2.0 * b[1], 2.0 * b[2], 2.0 * b[3],
+                              2.0 * b[4]};
+    const double keep = 1.0 - mix;
+    double u_char[NU];
     for (long i = 0; i <= n_steps; i++) {
-        const double *x = states + i * NX, *u_old = u + i * NU;
-        double *u_i = u_new + i * NU;
-        if (characterize(x, adjoints + i * NX, par, cpar, wts + 4, mask, u_char))
+        if (characterize(states + i * NX, adjoints + i * NX, par, cpar, bite,
+                         two_b, mask, u_char))
             return NO_HUMANS;
-        for (int j = 0; j < NU; j++) {
-            u_i[j] = mix * u_char[j] + (1.0 - mix) * u_old[j];
-            du = sup_abs(du, u_i[j] - u_old[j]);
-            u_size = sup_abs(u_size, u_i[j]);
-        }
-        if (!prev_states)
-            continue;
-        for (int j = 0; j < NX; j++) {
-            dx = sup_abs(dx, x[j] - prev_states[i * NX + j]);
-            x_size = sup_abs(x_size, x[j]);
-        }
+        for (int j = 0; j < NU; j++)
+            u_new[i * NU + j] = mix * u_char[j] + keep * u[i * NU + j];
     }
-    change[0] = rel_change(du, u_size);
-    change[1] = prev_states ? rel_change(dx, x_size) : INFINITY;
+    long rows = n_steps + 1;
+    change[0] = rel_change(u_new, u, rows * NU);
+    change[1] = prev_states ? rel_change(states, prev_states, rows * NX)
+                            : INFINITY;
     return FINITE;
 }

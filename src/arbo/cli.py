@@ -29,7 +29,7 @@ from .control import (  # perfbench traces cli.forward_backward_sweep
     STRATEGY_SETS, ObjectiveWeights, StrategyMask, forward_backward_sweep,
 )
 from .model import (
-    STATE_NAMES, ControlParams, ModelParams, ZeroPopulationError,
+    STATE_NAMES, ControlParams, ModelParams, ParamError, ZeroPopulationError,
     params_to_array,
 )
 from .ode import TimeGrid, Trajectory
@@ -145,7 +145,10 @@ def _count(value, where: str) -> int:
 def _range(value, where: str) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{where} must be a [lo, hi] pair, got {value!r}")
-    return tuple(_number(v, where) for v in value)
+    lo, hi = (_number(v, where) for v in value)
+    if not lo <= hi:
+        raise ConfigError(f"{where} must have lo <= hi, got {value!r}")
+    return lo, hi
 
 
 def _string(value, where: str) -> str:
@@ -156,9 +159,20 @@ def _string(value, where: str) -> str:
 
 def _record(cfg: dict, cls, key: str):
     """The dataclass `cls` from the object cfg[key], which must name
-    exactly its fields, each a number."""
+    exactly its fields, each a number within its bounds."""
     names = [f.name for f in dataclasses.fields(cls)]
-    return cls(**_fields(cfg[key], key, dict.fromkeys(names, _number), names))
+    values = _fields(cfg[key], key, dict.fromkeys(names, _number), names)
+    try:
+        return cls(**values)
+    except ParamError as exc:
+        raise _located(exc, key) from None
+
+
+def _located(exc: ParamError, where: str) -> ParamError:
+    """`exc` with each violation followed by the full path of its field
+    under `where`; every violation starts with its field's name."""
+    return ParamError([f"{v} ({where}.{v.split(' ', 1)[0]})"
+                       for v in exc.violations])
 
 
 # The largest step count whose (n_steps + 1, 10) array of doubles numpy can
@@ -201,8 +215,9 @@ def _initial_state(cfg: dict) -> np.ndarray:
 
 def _distribution(value, where: str):
     from . import sensitivity
-    return sensitivity.ParamDistribution(
-        _fields(value, where, dict.fromkeys(sensitivity.PARAM_ORDER, _range)))
+    return sensitivity.ParamDistribution(_fields(
+        value, where, dict.fromkeys(sensitivity.PARAM_ORDER, _range),
+        sensitivity.PARAM_ORDER))
 
 
 def _strategies(value, where: str) -> list:
@@ -323,6 +338,12 @@ def cmd_sensitivity(args, cfg: dict) -> int:
         n, where = sens_cfg.get("samples", 5000), "sensitivity.samples"
     if n < 2:
         raise ConfigError(f"{where} must be >= 2, got {n}")
+    # The largest count whose design, a double per parameter and draw, numpy
+    # can size; beyond it numpy refuses the shape with a message that names
+    # no field.
+    most = sys.maxsize // (8 * len(sensitivity.PARAM_ORDER))
+    if n > most:
+        raise ConfigError(f"{where} must be <= {most}, got {n}")
     # PRCC's floor: more draws than the non-degenerate parameters plus two.
     floor = sum(lo != hi for lo, hi in dist.ranges.values()) + 2
     if n <= floor:
@@ -334,7 +355,10 @@ def cmd_sensitivity(args, cfg: dict) -> int:
     if seed < 0:
         raise ConfigError(f"{where} must be >= 0, got {seed}")
     t0 = time.perf_counter()
-    samples = sensitivity.lhs_sample(dist, n, seed)
+    try:
+        samples = sensitivity.lhs_sample(dist, n, seed)
+    except ParamError as exc:  # a configured range leaves the domain
+        raise _located(exc, "sensitivity.ranges") from None
     t1 = time.perf_counter()
     outputs = sensitivity.r0_values(samples)
     dist_stats = sensitivity.r0_distribution(samples)

@@ -90,11 +90,17 @@ class GridMismatchError(ValueError):
 
 def running_cost(x, u, w: ObjectiveWeights):
     """Integrand of the objective at one node (x (10,), u (5,)) or at
-    every node of a grid (x (n+1, 10), u (n+1, 5))."""
+    every node of a grid (x (n+1, 10), u (n+1, 5)).  The sums run in
+    place, in the order of D1 I_h + D2 N_v + D3 E + D4 L + u^2 . B."""
     x = np.asarray(x).T
-    n_v = x[S_V] + x[E_V] + x[I_V]
-    return (w.D1 * x[I_H] + w.D2 * n_v + w.D3 * x[EGG] + w.D4 * x[LAR]
-            + np.asarray(u) ** 2 @ np.array([w.B1, w.B2, w.B3, w.B4, w.B5]))
+    n_v = x[S_V] + x[E_V]
+    n_v += x[I_V]
+    total = w.D1 * x[I_H]
+    total += w.D2 * n_v
+    total += w.D3 * x[EGG]
+    total += w.D4 * x[LAR]
+    total += np.asarray(u) ** 2 @ np.array([w.B1, w.B2, w.B3, w.B4, w.B5])
+    return total
 
 
 def objective(states: Trajectory, controls: Trajectory,
@@ -161,12 +167,15 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     the config's `sweep` section, and a `ValueError` names each as
     `sweep.mix` (in (0, 1]), `sweep.tol` (> 0) or `sweep.max_iters`
     (>= 1); it is raised before any kernel runs.
-    Each iteration is one `_kernels.sweep_step` call; its log entry holds
-    J of the controls it started from and of their states.  The returned
+    One `_kernels.sweep_plan` checks the fixed arguments and allocates
+    the buffers once; each iteration is then one `_kernels.sweep_step`
+    call, which writes into those buffers, and its log entry holds J of
+    the controls it started from and of their states.  The returned
     states and adjoints are those of the final controls: one more forward
     and adjoint pass computes them, unless the last update left the
     controls bitwise unchanged (as under `StrategyMask.none()`); then the
-    last iteration's passes already are those.
+    last iteration's passes already are those, and so the last logged J
+    is the final J.
 
     Non-convergence is reported (converged=False) with the full log;
     controls-only convergence with drifting states is flagged suspect.
@@ -179,16 +188,16 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     if not max_iters >= 1:
         raise ValueError(f"sweep.max_iters must be >= 1, got {max_iters}")
     par, cpar, wts = params_to_array(p), params_to_array(c), params_to_array(w)
-    mask_arr = mask.as_array()
     u = np.zeros((grid.n_steps + 1, N_CONTROLS))
+    plan = _kernels.sweep_plan(par, cpar, wts, mask.as_array(), mix, x0,
+                               len(u), grid.dt)
     log = []
     prev_states = None
 
     with grid.kernel_clock():
         for iterations in range(1, max_iters + 1):
             states, adjoints, u_new, control_change, state_change = \
-                _kernels.sweep_step(par, cpar, wts, mask_arr, mix, x0, u,
-                                    prev_states, grid.dt)
+                _kernels.sweep_step(plan, u, prev_states)
             j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
             log.append({"iteration": iterations, "J": j,
                         "control_change": control_change,
@@ -203,18 +212,20 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         # The kernels are deterministic, so when the last update left every
         # control's bytes as they were (bytes, so that -0.0 against 0.0 counts
         # as a move), the final passes would give that iteration's states and
-        # adjoints again, bit for bit.
+        # adjoints again, bit for bit, and J of those states and controls.
         if u.tobytes() != u_start.tobytes():
+            # Only u is read from here on: free the plan's other buffers
+            # before the final passes allocate theirs.
+            del plan, states, adjoints, prev_states, u_start
             states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
             adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
-    states = Trajectory(grid, states)
-    controls = Trajectory(grid, u)
+            j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
 
     return SweepResult(
-        states=states,
+        states=Trajectory(grid, states),
         adjoints=Trajectory(grid, adjoints),
-        controls=controls,
-        objective_j=objective(states, controls, w),
+        controls=Trajectory(grid, u),
+        objective_j=j,
         iterations=iterations,
         converged=converged,
         suspect=suspect,

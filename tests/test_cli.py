@@ -7,15 +7,18 @@ import json
 import logging
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from arbo import _kernels, sensitivity
 from arbo.cli import (
-    _MAX_STEPS, EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable, main,
+    _MAX_STEPS, EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable,
+    build_parser, main,
 )
 from arbo.control import ObjectiveWeights, StrategyMask, forward_backward_sweep
 from arbo.equilibria import bifurcation_scan
@@ -232,7 +235,9 @@ def test_bad_sweep_setting_runs_no_kernel(config_file, tmp_path, capsys,
     """[TRIVIAL] A sweep setting out of its range is refused before any
     kernel runs: exit 2, the config's name for the setting, no output."""
     calls = []
-    for name in ("rk4_controlled", "rk4_adjoint", "sweep_step"):
+    entries = [f.name for f in dataclasses.fields(_kernels.Kernels)
+               if callable(getattr(_kernels.PYTHON, f.name))]
+    for name in [*entries, "sweep_step"]:
         monkeypatch.setattr(_kernels, name,
                             lambda *args, name=name: calls.append(name))
     cfg = _table5()
@@ -729,18 +734,7 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
     range that is not a pair, an object at any level with a missing or
     unknown field and an absent required section are configuration
     errors: exit 2 with one `error:` line naming the field."""
-    cfg = copy.deepcopy(load_fixture(fixture))
-    if not path:
-        cfg = value
-    else:
-        *parents, key = path
-        section = cfg
-        for k in parents:
-            section = section[k]
-        if value is _DELETE:
-            del section[key]
-        else:
-            section[key] = value
+    cfg = _mutated(load_fixture(fixture), path, value)
     out = tmp_path / "out"
     assert main([command, "--config", config_file(cfg),
                  "--out", str(out)]) == EXIT_PARSE
@@ -748,6 +742,136 @@ def test_malformed_config_exits_2(command, fixture, path, value, message,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def _mutated(cfg, path: tuple, value):
+    """`cfg` with the field at `path` (keys and list indices) set to
+    `value`, or deleted for `_DELETE`; the empty path replaces the whole
+    config.  Only the objects along the path are copied."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    out = dict(cfg) if isinstance(cfg, dict) else list(cfg)
+    if rest:
+        out[key] = _mutated(cfg[key], rest, value)
+    elif value is _DELETE:
+        del out[key]
+    else:
+        out[key] = value
+    return out
+
+
+# Each leaf of the three fixtures (a number, string or list entry) is set
+# in turn to each of these values, or deleted, and run through the command
+# that `_READER` names for its top-level section; the other commands read
+# a section through the same reader.  `_SHORT` keeps a run small, unless
+# its flag would replace the mutated field.
+_MUTANTS = (0, -1.0, 1e308, "x", None, [], {}, True, _DELETE)
+_READER = {"spec_version": "thresholds", "params": "thresholds",
+           "control_params": "control", "weights": "control",
+           "sweep": "control", "strategy": "control", "grid": "simulate",
+           "initial_state": "simulate", "seed": "sensitivity",
+           "sensitivity": "sensitivity", "icer": "icer"}
+_SHORT = {"simulate": ("--steps", "10", "n_steps"),
+          "control": ("--steps", "10", "n_steps"),
+          "sensitivity": ("--samples", "200", "samples")}
+# How many of the mutations that pass every check and reach a command's
+# compute run in full, and the seed that picks them.
+_FULL_RUNS, _FULL_RUN_SEED = 40, 2028
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of the JSON value `node`."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path
+
+
+def _mutation_argv(path: tuple) -> list:
+    command = _READER[path[0]]
+    if command in _SHORT and path[-1] != _SHORT[command][2]:
+        return [command, *_SHORT[command][:2]]
+    return [command]
+
+
+def _names(path: tuple) -> set:
+    """How a message may name the field at `path` or a section that holds
+    it (and so a field next to it): by the full dotted path, with each
+    list entry as `[i]` or left out."""
+    names = set()
+    for p in (path[:i] for i in range(1, len(path) + 1)):
+        names.add("".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                          for k in p).lstrip("."))
+        names.add(".".join(k for k in p if not isinstance(k, int)))
+    return names
+
+
+class _Computes(Exception):
+    """Raised where a command would start its compute."""
+
+
+def _computes(*args, **kwargs):
+    raise _Computes
+
+
+def test_generated_config_mutations(config_file, tmp_path, capsys,
+                                    monkeypatch):
+    """[TRIVIAL] Every leaf of the three fixtures set in turn to 0, -1.0,
+    1e308, "x", null, [], {} or true, or deleted, and run through the
+    command that reads its section (`_READER`), exits 0, 2, 3 or 4.  A
+    run that fails prints one line: `error:` (exit 2), `numeric error:`
+    (exit 3) or the non-convergence line (exit 4).  An exit-2 line names
+    the field or a section that holds it by its full path (`_names`), or
+    a flag of the run.
+
+    Every mutation runs with the compute of `simulate`, `control` and
+    `sensitivity` (the RK4 run, the sweep, the LHS draws) stubbed out, so
+    that every refusal runs, since a refusal stops before any compute.
+    Of the mutations that reach the compute, `_FULL_RUNS` drawn with
+    `_FULL_RUN_SEED` then run in full.  RuntimeWarnings of overflowing
+    values are ignored: the exit code and message are checked."""
+    fixtures = {name: load_fixture(name) for name in
+                ("table5_control", "table2_baseline", "sec22_backward")}
+
+    def run(fixture, path, value):
+        argv = _mutation_argv(path)
+        cfg = _mutated(fixtures[fixture], path, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([argv[0], "--config", config_file(cfg),
+                         "--out", str(tmp_path / "out"), *argv[1:]])
+        err = capsys.readouterr().err
+        case = (fixture, path, "del" if value is _DELETE else value, err)
+        assert code in (0, 2, 3, 4), case
+        if code:
+            first = {2: "error: ", 3: "numeric error: ",
+                     4: "sweep did not converge"}[code]
+            assert err.startswith(first) and err.count("\n") == 1, case
+        if code == 2:
+            named = _names(path) | {*argv[1::2]}
+            assert any(name in err for name in named), case
+
+    mutations = [(fixture, path, value) for fixture, cfg in fixtures.items()
+                 for path in _leaves(cfg) for value in _MUTANTS]
+    parser = build_parser()
+    monkeypatch.setattr("arbo.cli.build_parser", lambda: parser)
+    with monkeypatch.context() as stubs:
+        for name in ("arbo.cli.rk4_basic", "arbo.cli.forward_backward_sweep",
+                     "arbo.sensitivity.lhs_sample"):
+            stubs.setattr(name, _computes)
+        reached = []
+        for mutation in mutations:
+            try:
+                run(*mutation)
+            except _Computes:
+                capsys.readouterr()
+                reached.append(mutation)
+    assert len(mutations) > 1500 and len(reached) > _FULL_RUNS
+    for mutation in random.Random(_FULL_RUN_SEED).sample(reached, _FULL_RUNS):
+        run(*mutation)
 
 
 def test_numeric_error_exit_code(config_file, tmp_path):

@@ -1,5 +1,6 @@
 """Objective, Hamiltonian, adjoint system, and the sweep iteration."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -191,11 +192,13 @@ def test_sweep_rejects_bad_mix(table5, short_grid):
 
 
 def _assert_same_on_python_kernels(result, sweep, monkeypatch):
-    """`sweep()` run again with `arbo._kernels` patched to the Python
-    kernels gives `result`'s bytes: states, adjoints, controls, J,
-    iterations, flags and log."""
-    for name in ("rk4_controlled", "rk4_adjoint", "sweep_step"):
-        monkeypatch.setattr(_kernels, name, getattr(_kernels.PYTHON, name))
+    """`sweep()` run again with every entry point of `arbo._kernels`
+    patched to the Python kernels' gives `result`'s bytes: states,
+    adjoints, controls, J, iterations, flags and log."""
+    for f in dataclasses.fields(_kernels.PYTHON):
+        entry = getattr(_kernels.PYTHON, f.name)
+        if callable(entry):
+            monkeypatch.setattr(_kernels, f.name, entry)
     python = sweep()
     for traj in ("states", "adjoints", "controls"):
         assert (getattr(result, traj).values.tobytes()
@@ -295,6 +298,29 @@ def test_final_pass_runs_only_when_the_controls_moved(name, final_passes,
     assert result.states.values.tobytes() == states.tobytes()
     assert result.adjoints.values.tobytes() == adjoints.tobytes()
     _assert_same_on_python_kernels(result, sweep, monkeypatch)
+
+
+def test_sweep_results_keep_their_bytes(table5):
+    """[TRIVIAL] Each sweep writes into buffers of its own: a Z1 result,
+    whose final states and adjoints come from the final pass, and a
+    no-control result, whose arrays are the last iteration's buffers,
+    keep their bytes after further sweeps under other masks."""
+    p, c, w = table5.params, table5.control_params, table5.weights
+    grid = TimeGrid(0.0, 2.0, 200)
+
+    def sweep(name):
+        mask = (StrategyMask.none() if name == "none"
+                else StrategyMask.named(name))
+        return forward_backward_sweep(p, c, w, table5.x0, grid, mask)
+
+    firsts = [sweep("Z1"), sweep("none")]
+    kept = [[getattr(r, t).values.tobytes()
+             for t in ("states", "adjoints", "controls")] for r in firsts]
+    for name in ("Z4", "none", "Z"):
+        sweep(name)
+    assert [[getattr(r, t).values.tobytes()
+             for t in ("states", "adjoints", "controls")]
+            for r in firsts] == kept
 
 
 def test_sweep_log_records_the_objective_of_each_iterations_controls(table5):

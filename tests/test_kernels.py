@@ -166,6 +166,19 @@ def _scaled(rng, record, capped=()):
     return params_to_array(dataclasses.replace(record, **values))
 
 
+def _entry(kernels, name):
+    """The entry point `name` of `kernels`, where "sweep" stands for one
+    `sweep_step` on a fresh plan: (par, cpar, wts, mask, mix, x0, u,
+    prev_states, dt) -> the step's five results."""
+    if name != "sweep":
+        return getattr(kernels, name)
+
+    def sweep(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
+        plan = kernels.sweep_plan(par, cpar, wts, mask, mix, x0, len(u), dt)
+        return _kernels.sweep_step(plan, u, prev_states)
+    return sweep
+
+
 def _outcome(kernel, args):
     """The bytes of each array the kernel call returns, or its error."""
     try:
@@ -177,10 +190,11 @@ def _outcome(kernel, args):
 
 
 def _domain_draws(table5):
-    """40 random draws, each the arguments of the four entry points: model
-    and control parameters and weights, each field 0.1-10x its Table 5
-    value (fractions bounded by 1 capped at 0.99), random states,
-    controls in and outside [0, 1] and masks, on short grids."""
+    """40 random draws, each the arguments of the four entry points (the
+    sweep's as `_entry` takes them): model and control parameters and
+    weights, each field 0.1-10x its Table 5 value (fractions bounded by 1
+    capped at 0.99), random states, controls in and outside [0, 1] and
+    masks, on short grids."""
     rng = np.random.default_rng(41)
     for draw in range(40):
         par = _scaled(rng, table5.params, ("eta_h", "eta_v"))
@@ -196,23 +210,24 @@ def _domain_draws(table5):
             "rk4_basic": (par, x0, n, dt),
             "rk4_controlled": (par, cpar, x0, u, dt),
             "rk4_adjoint": (par, cpar, wts, states, u, dt),
-            "sweep_step": (par, cpar, wts, mask, rng.uniform(0.1, 1.0),
-                           x0, u, prev, dt),
+            "sweep": (par, cpar, wts, mask, rng.uniform(0.1, 1.0),
+                      x0, u, prev, dt),
         }
 
 
 def test_kernels_agree_bitwise_over_the_domain(table5):
     """[DERIVED] On the random draws of `_domain_draws` all four entry
-    points give the same bytes on both backends, or stop with the same
-    error.  Table 5 has eta_h = eta_v, beta_hv = beta_vh, a = 1 and
-    B1 = ... = B5, so a term of `rk4.c` that reads the wrong one of a
-    pair agrees with Python there, but not here."""
+    points (the sweep as one step on a plan) give the same bytes on both
+    backends, or stop with the same error.  Table 5 has eta_h = eta_v,
+    beta_hv = beta_vh, a = 1 and B1 = ... = B5, so a term of `rk4.c`
+    that reads the wrong one of a pair agrees with Python there, but not
+    here."""
     finished = {}
     with np.errstate(all="ignore"):
         for draw, calls in _domain_draws(table5):
             for name, args in calls.items():
-                got = _outcome(getattr(_kernels, name), args)
-                want = _outcome(getattr(PYTHON, name), args)
+                got = _outcome(_entry(_kernels, name), args)
+                want = _outcome(_entry(PYTHON, name), args)
                 assert got == want, (name, draw)
                 finished[name] = finished.get(name, 0) + isinstance(got, list)
     assert min(finished.values()) >= 30, finished
@@ -232,8 +247,9 @@ def test_optimisation_level_moves_no_bit(tmp_path, table5):
     with np.errstate(all="ignore"):
         for draw, calls in _domain_draws(table5):
             for name, args in calls.items():
-                assert (_outcome(getattr(unoptimised, name), args)
-                        == _outcome(getattr(_kernels, name), args)), (name, draw)
+                got = _outcome(_entry(unoptimised, name), args)
+                want = _outcome(_entry(_kernels, name), args)
+                assert got == want, (name, draw)
 
 
 def _strategy_mask(name):
@@ -249,7 +265,8 @@ def test_sweep_step_agrees_bitwise(name, table5):
     (one of them NaN, which the state change carries), and from controls
     outside [0, 1] holding -0.0.  The last start has R_h > S_h / omega,
     so the characterization meets a -0.0 that the clamp keeps, and the
-    relaxed controls hold -0.0 where the start did."""
+    relaxed controls hold -0.0 where the start did.  Each start runs one
+    step on a plan of its own per backend."""
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)
     wts = params_to_array(table5.weights)
@@ -270,10 +287,9 @@ def test_sweep_step_agrees_bitwise(name, table5):
               (recovered, outside, prev)]
     results = []
     for x0, u, prev_states in starts:
-        got = _kernels.sweep_step(par, cpar, wts, mask, 0.5, x0, u,
-                                  prev_states, dt)
-        want = PYTHON.sweep_step(par, cpar, wts, mask, 0.5, x0, u,
-                                 prev_states, dt)
+        got, want = (_entry(k, "sweep")(par, cpar, wts, mask, 0.5, x0, u,
+                                        prev_states, dt)
+                     for k in (_kernels, PYTHON))
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         results.append(got)
@@ -323,7 +339,7 @@ def _separate_passes(kernels, par, cpar, wts, x0, u, dt):
 
 
 def test_sweep_step_stops_where_its_passes_stop(table5):
-    """[DERIVED] sweep_step raises at the node where the forward and the
+    """[DERIVED] A sweep step raises at the node where the forward and the
     adjoint kernels called one after the other stop, on both backends:
     the forward overflow above, and an adjoint overflow under state
     penalties of 1e307 while the forward pass stays finite."""
@@ -344,7 +360,7 @@ def test_sweep_step_stops_where_its_passes_stop(table5):
         assert want == _first_bad_step(
             lambda: _separate_passes(_kernels, par, cpar, w, table5.x0, u, dt))
         for kernels in (_kernels, PYTHON):
-            got = _first_bad_step(lambda: kernels.sweep_step(
+            got = _first_bad_step(lambda: _entry(kernels, "sweep")(
                 par, cpar, w, mask, 0.5, table5.x0, u, None, dt))
             assert got == want, kernels
         assert 1 < want[0] < n
@@ -363,8 +379,8 @@ def test_zero_human_total_raises(kernels, table5):
     with pytest.raises(ZeroPopulationError):
         kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((51, 5)), 1.0)
     with pytest.raises(ZeroPopulationError):
-        kernels.sweep_step(par, cpar, np.ones(9), np.ones(5), 0.5, table5.x0,
-                           np.zeros((51, 5)), None, 1.0)
+        _entry(kernels, "sweep")(par, cpar, np.ones(9), np.ones(5), 0.5,
+                                 table5.x0, np.zeros((51, 5)), None, 1.0)
     with pytest.raises(ZeroPopulationError):
         kernels.rk4_adjoint(par, cpar, np.ones(9), np.zeros((11, 10)),
                             np.zeros((11, 5)), 0.1)
@@ -372,9 +388,12 @@ def test_zero_human_total_raises(kernels, table5):
 
 @pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
 def test_kernels_check_shapes(kernels, table5):
-    """[TRIVIAL] Arrays of the wrong shape, masks other than 0/1 and
-    negative step counts are refused, not read or written past, and both
-    backends refuse each with the same message."""
+    """[TRIVIAL] Arrays of the wrong shape, masks other than 0/1, negative
+    step counts and empty grids are refused, not read or written past,
+    and both backends refuse each with the same message.  A sweep plan
+    refuses its fixed arguments when it is built; each step on a plan
+    refuses controls and earlier states of the wrong shape, and earlier
+    states held in the adjoints it overwrites, also after a good step."""
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)
     x0, wts, mask, u = table5.x0, np.ones(9), np.ones(5), np.zeros((11, 5))
@@ -394,14 +413,13 @@ def test_kernels_check_shapes(kernels, table5):
         ("rk4_adjoint", (par, cpar, wts, states, np.zeros((10, 5)), 0.1)),
         ("rk4_adjoint", (par, cpar, wts, np.ones((0, 10)), np.zeros((0, 5)),
                          0.1)),
-        ("sweep_step", (par[:20], cpar, wts, mask, 0.5, x0, u, None, 0.1)),
-        ("sweep_step", (par, cpar[:5], wts, mask, 0.5, x0, u, None, 0.1)),
-        ("sweep_step", (par, cpar, np.ones(4), mask, 0.5, x0, u, None, 0.1)),
-        ("sweep_step", (par, cpar, wts, np.full(5, 0.5), 0.5, x0, u, None,
-                        0.1)),
-        ("sweep_step", (par, cpar, wts, mask, 0.5, x0[:9], u, None, 0.1)),
-        ("sweep_step", (par, cpar, wts, mask, 0.5, x0, u, np.ones((10, 10)),
-                        0.1)),
+        ("sweep_plan", (par[:20], cpar, wts, mask, 0.5, x0, 11, 0.1)),
+        ("sweep_plan", (par, cpar[:5], wts, mask, 0.5, x0, 11, 0.1)),
+        ("sweep_plan", (par, cpar, np.ones(4), mask, 0.5, x0, 11, 0.1)),
+        ("sweep_plan", (par, cpar, wts, np.full(5, 0.5), 0.5, x0, 11, 0.1)),
+        ("sweep_plan", (par, cpar, wts, mask[:4], 0.5, x0, 11, 0.1)),
+        ("sweep_plan", (par, cpar, wts, mask, 0.5, x0[:9], 11, 0.1)),
+        ("sweep_plan", (par, cpar, wts, mask, 0.5, x0, 0, 0.1)),
     ]
     other = PYTHON if kernels is _kernels else _kernels
     for name, args in bad_calls:
@@ -412,12 +430,28 @@ def test_kernels_check_shapes(kernels, table5):
             messages.append(str(err.value))
         assert messages[0] == messages[1], name
 
+    messages = []
+    for k in (kernels, other):
+        plan = k.sweep_plan(par, cpar, wts, mask, 0.5, x0, 11, 0.1)
+        _kernels.sweep_step(plan, u, None)
+        bad_steps = [(np.zeros((10, 5)), None), (np.zeros((11, 4)), None),
+                     (np.zeros((0, 5)), None), (u, np.ones((10, 10))),
+                     (u, np.ones((11, 5))), (u, plan.adjoints),
+                     (u, plan.adjoints[:])]
+        for step in bad_steps:
+            with pytest.raises(ValueError) as err:
+                _kernels.sweep_step(plan, *step)
+            messages.append(str(err.value))
+    half = len(messages) // 2
+    assert messages[:half] == messages[half:]
+
 
 @pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
 def test_kernels_convert_their_arguments(kernels, table5):
     """[TRIVIAL] Lists, a strided control array and Fortran-order states
-    give the bytes of the same call on C-contiguous arrays, for all four
-    entry points."""
+    give the bytes of the same call on C-contiguous arrays, for every
+    entry point: a sweep plan converts its fixed arguments, a step its
+    controls and earlier states."""
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)
     wts = params_to_array(table5.weights)
@@ -434,17 +468,50 @@ def test_kernels_convert_their_arguments(kernels, table5):
          (list(par), list(cpar), list(x0), big[:, ::2], 0.05)),
         ("rk4_adjoint", (par, cpar, wts, states, u, 0.05),
          (list(par), list(cpar), list(wts), fortran, big[:, ::2], 0.05)),
-        ("sweep_step", (par, cpar, wts, mask, 0.5, x0, u, states, 0.05),
+        ("sweep", (par, cpar, wts, mask, 0.5, x0, u, states, 0.05),
          (list(par), list(cpar), list(wts), list(mask), 0.5, list(x0),
           big[:, ::2], fortran, 0.05)),
     ]
     for name, plain, converted in calls:
-        want = getattr(kernels, name)(*plain)
-        got = getattr(kernels, name)(*converted)
-        if name != "sweep_step":
+        want = _entry(kernels, name)(*plain)
+        got = _entry(kernels, name)(*converted)
+        if name != "sweep":
             want, got = (want,), (got,)
         for a, b in zip(got, want, strict=True):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
+def test_sweep_steps_write_only_their_plans_buffers(kernels, table5):
+    """[TRIVIAL] A step writes its states and controls into the buffer of
+    each pair that its arguments do not occupy, and its adjoints into the
+    plan's own: arrays handed in from outside keep their bytes, a step
+    handed the previous step's arrays (or views of them) leaves those
+    as they were, and its results are the bytes of the same step on
+    copies."""
+    par = params_to_array(table5.params)
+    cpar = params_to_array(table5.control_params)
+    wts = params_to_array(table5.weights)
+    rng = np.random.default_rng(28)
+    n, dt = 50, 0.05
+    u = _random_controls(rng, n)
+    prev = kernels.rk4_controlled(par, cpar, table5.x0, u[::-1], dt)
+    args = (par, cpar, wts, _strategy_mask("Z"), 0.5, table5.x0, n + 1, dt)
+    plan = kernels.sweep_plan(*args)
+    kept = (u.copy(), prev.copy())
+    states, adjoints, u_new, *_ = _kernels.sweep_step(plan, u, prev)
+    assert (u.tobytes(), prev.tobytes()) == tuple(a.tobytes() for a in kept)
+    for a in (states, adjoints, u_new):
+        assert not (np.may_share_memory(a, u) or np.may_share_memory(a, prev))
+    for view in (lambda a: a, lambda a: a[:]):
+        handed = (u_new.copy(), states.copy())
+        want = _kernels.sweep_step(kernels.sweep_plan(*args), *handed)
+        got = _kernels.sweep_step(plan, view(u_new), view(states))
+        assert (u_new.tobytes(), states.tobytes()) == tuple(
+            a.tobytes() for a in handed)
+        for a, b in zip(got, want, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        states, u_new = got[0], got[2]
 
 
 def test_basic_kernel_matches_reference_integrator(table5):
