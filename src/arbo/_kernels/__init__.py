@@ -24,15 +24,13 @@ multiply-add, the C kernels give the same values to the last bit.
 `_checked` builds both backends' entry points: each checks and converts
 its arguments once, in front of the backend, whose loops take only
 checked arrays; `rk4_basic` is `rk4_controlled` with zero controls and
-zero control efficacies.  A sweep pays for its fixed arguments once:
-`sweep_plan` checks them and allocates the iterations' output buffers
-(`SweepPlan`), and `sweep_step`, one function for both backends, runs
-one iteration on a plan, checking only the controls and earlier states
-it is handed.  `BACKEND` is "c" or "python"; `FALLBACK_REASON`
-is None or the error that forced the fallback.  Every kernel raises
-`model.ZeroPopulationError` in the step whose right-hand side meets a
-zero or negative human total, and `ode.NonFiniteError` at the first
-node holding a NaN or an infinity.
+zero control efficacies.  `sweep` checks a sweep's arguments and
+allocates its output buffers once, then iterates it over those buffers,
+one loop call per iteration (`_iterations`).  `BACKEND` is "c" or
+"python"; `FALLBACK_REASON` is None or the error that forced the
+fallback.  Every kernel raises `model.ZeroPopulationError` in the step
+whose right-hand side meets a zero or negative human total, and
+`ode.NonFiniteError` at the first node holding a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -40,10 +38,11 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
+import itertools
 import logging
 import os
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -66,34 +65,7 @@ class Kernels:
     rk4_basic: Callable
     rk4_controlled: Callable
     rk4_adjoint: Callable
-    sweep_plan: Callable
-
-
-class SweepPlan(NamedTuple):  # a NamedTuple builds faster than a dataclass
-    """One sweep on a grid of `rows` nodes: its fixed arguments, checked
-    and converted once, the buffers its iterations write, and `run`, the
-    backend's iteration loop bound to both.
-
-    `sweep_step` writes an iteration's states into the one of `states`
-    that its `prev_states` argument does not occupy, its relaxed controls
-    into the one of `controls` that its `u` does not occupy, and its
-    adjoints into `adjoints`.  So the states and controls a step returns
-    keep their values through the next step, and the adjoints until it.
-    The C loop holds the addresses of these arrays, which the plan keeps
-    alive."""
-
-    rows: int
-    par: np.ndarray
-    cpar: np.ndarray
-    wts: np.ndarray
-    mask: np.ndarray
-    mix: float
-    x0: np.ndarray
-    dt: float
-    states: tuple
-    adjoints: np.ndarray
-    controls: tuple
-    run: Callable
+    sweep: Callable
 
 
 _NO_HUMANS = -2  # NO_HUMANS in rk4.c
@@ -142,55 +114,44 @@ def _checked(backend: str, controlled, adjoint, bind_sweep) -> Kernels:
         return adjoint(_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
                        states, _array(u, (len(states), 5)), dt)
 
-    def sweep_plan(par, cpar, wts, mask, mix, x0, rows, dt) -> SweepPlan:
-        """The plan of one sweep on `rows` grid nodes with step dt and
-        relaxation weight mix, under the 0/1 strategy mask, for
-        `sweep_step` to run."""
+    def sweep(par, cpar, wts, mask, mix, x0, u0, dt):
+        """The iterations of one sweep from the node controls u0 (rows, 5),
+        with step dt and relaxation weight mix, under the 0/1 strategy
+        mask (see `_iterations`)."""
         mask = _array(mask, (5,))
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError(f"mask entries must be 0 or 1, got {mask}")
-        rows = int(rows)
-        if rows < 1:
-            raise ValueError(f"rows must be >= 1, got {rows}")
-        fixed = {"par": _array(par, (21,)), "cpar": _array(cpar, (6,)),
-                 "wts": _array(wts, (9,)), "mask": mask, "mix": float(mix),
-                 "x0": _array(x0, (10,)), "dt": float(dt)}
-        buffers = {"states": (np.empty((rows, 10)), np.empty((rows, 10))),
-                   "adjoints": np.empty((rows, 10)),
-                   "controls": (np.empty((rows, 5)), np.empty((rows, 5)))}
-        return SweepPlan(rows, **fixed, **buffers,
-                         run=bind_sweep(**fixed, **buffers))
+        u0 = _array(u0, (None, 5))
+        rows = len(u0)
+        fixed = (_array(par, (21,)), _array(cpar, (6,)), _array(wts, (9,)),
+                 mask, float(mix), _array(x0, (10,)), float(dt))
+        states = (np.empty((rows, 10)), np.empty((rows, 10)))
+        adjoints = np.empty((rows, 10))
+        controls = (np.empty((rows, 5)), np.empty((rows, 5)))
+        run = bind_sweep(*fixed, states, adjoints, controls)
+        return _iterations(run, fixed, u0, states, adjoints, controls)
 
     return Kernels(backend, None, rk4_basic, rk4_controlled, rk4_adjoint,
-                   sweep_plan)
+                   sweep)
 
 
-def sweep_step(plan: SweepPlan, u, prev_states):
-    """One sweep iteration of `plan` under the node controls u (rows, 5):
-    returns (states, adjoints, u_new, control_change, state_change), where
+def _iterations(run, fixed, u, states, adjoints, controls):
+    """The sweep iterations from the node controls u, each item
+    (states, adjoints, u_new, control_change, state_change), where
     u_new = mix * u_char + (1 - mix) * u for the masked, clamped
     characterization u_char, and each change is the relative sup-norm
-    change (`_rel_sup_change`); the state change against prev_states is
-    infinite when prev_states is None.  The three arrays are the plan's
-    buffers (see `SweepPlan`); u and prev_states are checked here on every
-    call, since the C loop reads them through bare addresses, and
-    prev_states may not be the plan's adjoints, which the step overwrites."""
-    u = _array(u, (plan.rows, 5))
-    if prev_states is not None:
-        prev_states = _array(prev_states, (plan.rows, 10))
-        if np.may_share_memory(prev_states, plan.adjoints):
-            raise ValueError("prev_states shares memory with the plan's "
-                             "adjoints, which the step overwrites")
-    s = _vacant(plan.states, prev_states)
-    c = _vacant(plan.controls, u)
-    control_change, state_change = plan.run(u, prev_states, s, c)
-    return (plan.states[s], plan.adjoints, plan.controls[c], control_change,
-            state_change)
-
-
-def _vacant(pair: tuple, arg) -> int:
-    """The index of the buffer of `pair` that `arg` does not occupy."""
-    return int(arg is not None and np.may_share_memory(arg, pair[0]))
+    change (`_rel_sup_change`) against the item before, the first state
+    change infinite.  Item k runs under the item before's u_new (u for
+    the first), writes its states and u_new into buffer k % 2 of each
+    pair and its adjoints into the one adjoint buffer.  So u keeps its
+    bytes, an item's states and controls keep theirs through the next
+    item, and its adjoints until it.  The C loop reads the checked fixed
+    arguments through bare addresses, so the iterator holds them."""
+    prev_states = None
+    for i in itertools.cycle((1, 0)):
+        changes = run(u, prev_states, i)
+        yield (states[i], adjoints, controls[i], *changes)
+        u, prev_states = controls[i], states[i]
 
 
 def _model_params(par) -> model.ModelParams:
@@ -232,8 +193,8 @@ def _py_sweep(par, cpar, wts, mask, mix, x0, dt, states, adjoints, controls):
     w = ObjectiveWeights(*wts.tolist())
     active = StrategyMask(tuple((mask == 1.0).tolist()))
 
-    def run(u, prev_states, s, k):
-        x, u_new = states[s], controls[k]
+    def run(u, prev_states, i):
+        x, u_new = states[i], controls[i]
         x[...] = _py_controlled(par, cpar, x0, u, dt)
         adjoints[...] = _py_adjoint(par, cpar, wts, x, u, dt)
         u_char = characterize_controls(x, adjoints, p, c, w, active)
@@ -277,11 +238,11 @@ def _c_kernels(lib: ctypes.CDLL) -> Kernels:
         n_steps, adjoints_at = len(adjoints) - 1, adjoints.ctypes.data
         change_at = change.ctypes.data
 
-        def run(u, prev_states, s, k):
+        def run(u, prev_states, i):
             _check(lib.sweep_step(
                 *head, u.ctypes.data,
                 None if prev_states is None else prev_states.ctypes.data,
-                n_steps, dt, states_at[s], adjoints_at, controls_at[k],
+                n_steps, dt, states_at[i], adjoints_at, controls_at[i],
                 change_at), dt)
             return float(change[0]), float(change[1])
         return run
@@ -356,8 +317,7 @@ FALLBACK_REASON = _active.reason
 rk4_basic = _active.rk4_basic
 rk4_controlled = _active.rk4_controlled
 rk4_adjoint = _active.rk4_adjoint
-sweep_plan = _active.sweep_plan
+sweep = _active.sweep
 
-__all__ = ["BACKEND", "FALLBACK_REASON", "PYTHON", "Kernels", "SweepPlan",
-           "load", "rk4_adjoint", "rk4_basic", "rk4_controlled", "sweep_plan",
-           "sweep_step"]
+__all__ = ["BACKEND", "FALLBACK_REASON", "PYTHON", "Kernels", "load",
+           "rk4_adjoint", "rk4_basic", "rk4_controlled", "sweep"]

@@ -5,7 +5,8 @@
  * sweep iteration: both passes, the control update in one pass over the
  * nodes, then the two change norms, each in one branch-free pass over
  * its finished arrays.  The outputs are written into arrays the caller
- * owns (_kernels.SweepPlan keeps them from one iteration to the next).
+ * owns (the iterator of _kernels.sweep reuses them from one iteration to
+ * the next).
  *
  * The right-hand side and its state derivative are written in the same
  * operation order as their Python counterparts (model.controlled_field,

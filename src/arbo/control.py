@@ -167,15 +167,14 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
     the config's `sweep` section, and a `ValueError` names each as
     `sweep.mix` (in (0, 1]), `sweep.tol` (> 0) or `sweep.max_iters`
     (>= 1); it is raised before any kernel runs.
-    One `_kernels.sweep_plan` checks the fixed arguments and allocates
-    the buffers once; each iteration is then one `_kernels.sweep_step`
-    call, which writes into those buffers, and its log entry holds J of
-    the controls it started from and of their states.  The returned
-    states and adjoints are those of the final controls: one more forward
-    and adjoint pass computes them, unless the last update left the
-    controls bitwise unchanged (as under `StrategyMask.none()`); then the
-    last iteration's passes already are those, and so the last logged J
-    is the final J.
+    One `_kernels.sweep` checks the arguments and allocates the buffers
+    once, and its iterator runs one iteration per item, writing into
+    those buffers; each log entry holds J of the controls the iteration
+    started from and of their states.  The returned states and adjoints
+    are those of the final controls: one more item computes them, unless
+    the last update left the controls bitwise unchanged (as under
+    `StrategyMask.none()`); then the last iteration's passes already are
+    those, and so the last logged J is the final J.
 
     Non-convergence is reported (converged=False) with the full log;
     controls-only convergence with drifting states is flagged suspect.
@@ -189,21 +188,19 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         raise ValueError(f"sweep.max_iters must be >= 1, got {max_iters}")
     par, cpar, wts = params_to_array(p), params_to_array(c), params_to_array(w)
     u = np.zeros((grid.n_steps + 1, N_CONTROLS))
-    plan = _kernels.sweep_plan(par, cpar, wts, mask.as_array(), mix, x0,
-                               len(u), grid.dt)
+    sweep = _kernels.sweep(par, cpar, wts, mask.as_array(), mix, x0, u,
+                           grid.dt)
     log = []
-    prev_states = None
 
     with grid.kernel_clock():
-        for iterations in range(1, max_iters + 1):
-            states, adjoints, u_new, control_change, state_change = \
-                _kernels.sweep_step(plan, u, prev_states)
+        # The range comes first, so no iteration runs past the last one.
+        for iterations, (states, adjoints, u_new, control_change,
+                         state_change) in zip(range(1, max_iters + 1), sweep):
             j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
             log.append({"iteration": iterations, "J": j,
                         "control_change": control_change,
                         "state_change": state_change})
             u, u_start = u_new, u
-            prev_states = states
             if control_change < tol:
                 break
         converged = control_change < tol
@@ -211,14 +208,10 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
 
         # The kernels are deterministic, so when the last update left every
         # control's bytes as they were (bytes, so that -0.0 against 0.0 counts
-        # as a move), the final passes would give that iteration's states and
+        # as a move), one more item would give that iteration's states and
         # adjoints again, bit for bit, and J of those states and controls.
         if u.tobytes() != u_start.tobytes():
-            # Only u is read from here on: free the plan's other buffers
-            # before the final passes allocate theirs.
-            del plan, states, adjoints, prev_states, u_start
-            states = _kernels.rk4_controlled(par, cpar, x0, u, grid.dt)
-            adjoints = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
+            states, adjoints, *_ = next(sweep)
             j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
 
     return SweepResult(

@@ -175,7 +175,7 @@ def _infection(x, p: ModelParams):
     (from infected humans), for one state (10,) or a stack (m, 10)."""
     x = np.asarray(x).T
     n_h = x[S_H] + x[E_H] + x[I_H] + x[R_H]
-    if (n_h <= 0.0).any():
+    if np.any(n_h <= 0.0):
         raise ZeroPopulationError("total human population is zero")
     foi_h = p.a * p.beta_hv * (p.eta_v * x[E_V] + x[I_V]) / n_h
     foi_v = p.a * p.beta_vh * (p.eta_h * x[E_H] + x[I_H]) / n_h
@@ -204,7 +204,7 @@ def controlled_field(x, u, p: ModelParams, c: ControlParams) -> np.ndarray:
     foi_v_c = protect * foi_v
     mu_v_c = p.mu_v + c.c_m * u4
 
-    dx = np.empty(x.T.shape)
+    dx = np.empty(x.T.shape, np.result_type(x, np.float64))
     dx[S_H] = (p.lambda_h_in - (foi_h_c + p.mu_h + u1) * s_h
                + c.omega * u1 * r_h)
     dx[E_H] = foi_h_c * s_h - (p.mu_h + p.gamma_h) * e_h
@@ -250,7 +250,7 @@ def field_vjp(x, u, lam, p: ModelParams, c: ControlParams) -> np.ndarray:
     flux_v = (l5 - l4) * protect
     via_n_h = -(flux_h * foi_h * s_h + flux_v * foi_v * s_v) / n_h
 
-    g = np.empty(x.T.shape)
+    g = np.empty(x.T.shape, np.result_type(x, np.float64))
     g[S_H] = via_n_h + flux_h * foi_h - (p.mu_h + u1) * l0 + u1 * l3
     g[E_H] = (via_n_h + flux_v * p.a * p.beta_vh * p.eta_h * s_v / n_h
               - (p.mu_h + p.gamma_h) * l1 + p.gamma_h * l2)

@@ -237,7 +237,7 @@ def test_bad_sweep_setting_runs_no_kernel(config_file, tmp_path, capsys,
     calls = []
     entries = [f.name for f in dataclasses.fields(_kernels.Kernels)
                if callable(getattr(_kernels.PYTHON, f.name))]
-    for name in [*entries, "sweep_step"]:
+    for name in entries:
         monkeypatch.setattr(_kernels, name,
                             lambda *args, name=name: calls.append(name))
     cfg = _table5()

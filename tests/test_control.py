@@ -260,13 +260,14 @@ def test_sweep_nonconvergence_reported(table5, short_grid):
 @pytest.mark.parametrize("name, final_passes", [("none", 0), ("Z1", 1)])
 def test_final_pass_runs_only_when_the_controls_moved(name, final_passes,
                                                       table5, monkeypatch):
-    """[DERIVED] After its iterations the sweep runs one more forward and
-    adjoint pass under the final controls only if the last update moved
-    them: the no-control sweep, whose controls stay exactly zero, makes
-    no such call and Z1 makes one of each.  Either way its states and
-    adjoints are the bytes of an explicit pass under its returned
-    controls, and with `arbo._kernels` patched to the Python kernels the
-    whole sweep, Z1's over several iterations, gives the same bytes."""
+    """[DERIVED] After its iterations the sweep runs one more iteration,
+    for its forward and adjoint passes under the final controls, only if
+    the last update moved them: the no-control sweep, whose controls stay
+    exactly zero, pulls no such item from its iterator and Z1 pulls one.
+    Either way its states and adjoints are the bytes of an explicit pass
+    under its returned controls, and with `arbo._kernels` patched to the
+    Python kernels the whole sweep, Z1's over several iterations, gives
+    the same bytes."""
     p, c, w = table5.params, table5.control_params, table5.weights
     grid = TimeGrid(0.0, 2.0, 200)
     mask = StrategyMask.none() if name == "none" else StrategyMask.named(name)
@@ -274,21 +275,17 @@ def test_final_pass_runs_only_when_the_controls_moved(name, final_passes,
     def sweep():
         return forward_backward_sweep(p, c, w, table5.x0, grid, mask)
 
-    calls = dict.fromkeys(("rk4_controlled", "rk4_adjoint"), 0)
+    pulls = []
 
-    def counted(kernel):
-        run = getattr(_kernels, kernel)
-
-        def call(*args):
-            calls[kernel] += 1
-            return run(*args)
-        return call
+    def counted(*args, run=_kernels.sweep):
+        for item in run(*args):
+            pulls.append(item)
+            yield item
 
     with monkeypatch.context() as m:
-        for kernel in calls:
-            m.setattr(_kernels, kernel, counted(kernel))
+        m.setattr(_kernels, "sweep", counted)
         result = sweep()
-    assert calls == dict.fromkeys(calls, final_passes)
+    assert len(pulls) == result.iterations + final_passes
     assert result.converged and (name == "none" or result.iterations > 2)
 
     par, cpar, wts = (params_to_array(r) for r in (p, c, w))

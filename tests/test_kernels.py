@@ -3,6 +3,7 @@ sides driven by the generic RK4 loops of `ode`), and the build/fallback
 machinery around them."""
 
 import dataclasses
+import itertools
 import logging
 import os
 import pathlib
@@ -167,15 +168,17 @@ def _scaled(rng, record, capped=()):
 
 
 def _entry(kernels, name):
-    """The entry point `name` of `kernels`, where "sweep" stands for one
-    `sweep_step` on a fresh plan: (par, cpar, wts, mask, mix, x0, u,
-    prev_states, dt) -> the step's five results."""
+    """The entry point `name` of `kernels`, where "sweep" stands for the
+    first iterations of a fresh sweep: (par, cpar, wts, mask, mix, x0,
+    u0, dt, iterations=1) -> the iterations' five results each, in one
+    tuple, each array copied before the next iteration reuses it."""
     if name != "sweep":
         return getattr(kernels, name)
 
-    def sweep(par, cpar, wts, mask, mix, x0, u, prev_states, dt):
-        plan = kernels.sweep_plan(par, cpar, wts, mask, mix, x0, len(u), dt)
-        return _kernels.sweep_step(plan, u, prev_states)
+    def sweep(par, cpar, wts, mask, mix, x0, u0, dt, iterations=1):
+        items = kernels.sweep(par, cpar, wts, mask, mix, x0, u0, dt)
+        return tuple(np.array(a) for item in itertools.islice(items, iterations)
+                     for a in item)
     return sweep
 
 
@@ -191,10 +194,11 @@ def _outcome(kernel, args):
 
 def _domain_draws(table5):
     """40 random draws, each the arguments of the four entry points (the
-    sweep's as `_entry` takes them): model and control parameters and
-    weights, each field 0.1-10x its Table 5 value (fractions bounded by 1
-    capped at 0.99), random states, controls in and outside [0, 1] and
-    masks, on short grids."""
+    sweep's as `_entry` takes them, one iteration on even draws and two
+    on odd ones): model and control parameters and weights, each field
+    0.1-10x its Table 5 value (fractions bounded by 1 capped at 0.99),
+    random states, controls in and outside [0, 1] and masks, on short
+    grids."""
     rng = np.random.default_rng(41)
     for draw in range(40):
         par = _scaled(rng, table5.params, ("eta_h", "eta_v"))
@@ -205,23 +209,22 @@ def _domain_draws(table5):
         states = x0 * 10.0 ** rng.uniform(-0.5, 0.5, (n + 1, 10))
         u = rng.uniform(-0.25, 1.25, (n + 1, 5))
         mask = rng.integers(0, 2, 5).astype(float)
-        prev = states if draw % 2 else None
         yield draw, {
             "rk4_basic": (par, x0, n, dt),
             "rk4_controlled": (par, cpar, x0, u, dt),
             "rk4_adjoint": (par, cpar, wts, states, u, dt),
             "sweep": (par, cpar, wts, mask, rng.uniform(0.1, 1.0),
-                      x0, u, prev, dt),
+                      x0, u, dt, 1 + draw % 2),
         }
 
 
 def test_kernels_agree_bitwise_over_the_domain(table5):
     """[DERIVED] On the random draws of `_domain_draws` all four entry
-    points (the sweep as one step on a plan) give the same bytes on both
-    backends, or stop with the same error.  Table 5 has eta_h = eta_v,
-    beta_hv = beta_vh, a = 1 and B1 = ... = B5, so a term of `rk4.c`
-    that reads the wrong one of a pair agrees with Python there, but not
-    here."""
+    points (the sweep as its first one or two iterations) give the same
+    bytes on both backends, or stop with the same error.  Table 5 has
+    eta_h = eta_v, beta_hv = beta_vh, a = 1 and B1 = ... = B5, so a term
+    of `rk4.c` that reads the wrong one of a pair agrees with Python
+    there, but not here."""
     finished = {}
     with np.errstate(all="ignore"):
         for draw, calls in _domain_draws(table5):
@@ -259,14 +262,14 @@ def _strategy_mask(name):
 
 @pytest.mark.parametrize("name", ["none", "Z1", "Z2", "Z3", "Z4", "Z"])
 def test_sweep_step_agrees_bitwise(name, table5):
-    """[DERIVED] One sweep iteration gives the same bytes on both
-    backends: states, adjoints, relaxed controls and both changes, from
-    the zero start, from controls inside [0, 1] against earlier states
-    (one of them NaN, which the state change carries), and from controls
-    outside [0, 1] holding -0.0.  The last start has R_h > S_h / omega,
-    so the characterization meets a -0.0 that the clamp keeps, and the
-    relaxed controls hold -0.0 where the start did.  Each start runs one
-    step on a plan of its own per backend."""
+    """[DERIVED] The first two sweep iterations give the same bytes on
+    both backends: states, adjoints, relaxed controls and both changes,
+    from the zero start, from controls inside [0, 1] and from controls
+    outside [0, 1] holding -0.0.  The first state change is infinite and
+    the second, against the first iteration's states, finite.  The last
+    start has R_h > S_h / omega, so the characterization meets a -0.0
+    that the clamp keeps, and the relaxed controls hold -0.0 where the
+    start did.  Each start runs a sweep of its own per backend."""
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)
     wts = params_to_array(table5.weights)
@@ -278,24 +281,18 @@ def test_sweep_step_agrees_bitwise(name, table5):
     outside[-1] = -0.0
     recovered = table5.x0.copy()
     recovered[R_H] = 30.0 * recovered[S_H]
-    prev = _kernels.rk4_controlled(par, cpar, table5.x0, inside[::-1], dt)
-    with_nan = prev.copy()
-    with_nan[n // 4, 3] = np.nan
-    starts = [(table5.x0, np.zeros((n + 1, 5)), None),
-              (table5.x0, inside, prev),
-              (table5.x0, inside, with_nan),
-              (recovered, outside, prev)]
+    starts = [(table5.x0, np.zeros((n + 1, 5))), (table5.x0, inside),
+              (recovered, outside)]
     results = []
-    for x0, u, prev_states in starts:
-        got, want = (_entry(k, "sweep")(par, cpar, wts, mask, 0.5, x0, u,
-                                        prev_states, dt)
+    for x0, u0 in starts:
+        got, want = (_entry(k, "sweep")(par, cpar, wts, mask, 0.5, x0, u0,
+                                        dt, 2)
                      for k in (_kernels, PYTHON))
-        for a, b in zip(got, want):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
         results.append(got)
-    assert [r[4] == np.inf for r in results] == [True, False, False, False]
-    assert np.isnan(results[2][4])
-    assert np.signbit(results[3][2][-1, 0]) and results[3][2][-1, 0] == 0.0
+    assert all(r[4] == np.inf and np.isfinite(r[9]) for r in results)
+    assert np.signbit(results[2][2][-1, 0]) and results[2][2][-1, 0] == 0.0
 
 
 def _first_bad_step(call):
@@ -339,7 +336,7 @@ def _separate_passes(kernels, par, cpar, wts, x0, u, dt):
 
 
 def test_sweep_step_stops_where_its_passes_stop(table5):
-    """[DERIVED] A sweep step raises at the node where the forward and the
+    """[DERIVED] A sweep iteration raises at the node where the forward and the
     adjoint kernels called one after the other stop, on both backends:
     the forward overflow above, and an adjoint overflow under state
     penalties of 1e307 while the forward pass stays finite."""
@@ -361,7 +358,7 @@ def test_sweep_step_stops_where_its_passes_stop(table5):
             lambda: _separate_passes(_kernels, par, cpar, w, table5.x0, u, dt))
         for kernels in (_kernels, PYTHON):
             got = _first_bad_step(lambda: _entry(kernels, "sweep")(
-                par, cpar, w, mask, 0.5, table5.x0, u, None, dt))
+                par, cpar, w, mask, 0.5, table5.x0, u, dt))
             assert got == want, kernels
         assert 1 < want[0] < n
 
@@ -380,7 +377,7 @@ def test_zero_human_total_raises(kernels, table5):
         kernels.rk4_controlled(par, cpar, table5.x0, np.zeros((51, 5)), 1.0)
     with pytest.raises(ZeroPopulationError):
         _entry(kernels, "sweep")(par, cpar, np.ones(9), np.ones(5), 0.5,
-                                 table5.x0, np.zeros((51, 5)), None, 1.0)
+                                 table5.x0, np.zeros((51, 5)), 1.0)
     with pytest.raises(ZeroPopulationError):
         kernels.rk4_adjoint(par, cpar, np.ones(9), np.zeros((11, 10)),
                             np.zeros((11, 5)), 0.1)
@@ -390,10 +387,8 @@ def test_zero_human_total_raises(kernels, table5):
 def test_kernels_check_shapes(kernels, table5):
     """[TRIVIAL] Arrays of the wrong shape, masks other than 0/1, negative
     step counts and empty grids are refused, not read or written past,
-    and both backends refuse each with the same message.  A sweep plan
-    refuses its fixed arguments when it is built; each step on a plan
-    refuses controls and earlier states of the wrong shape, and earlier
-    states held in the adjoints it overwrites, also after a good step."""
+    and both backends refuse each with the same message.  A sweep
+    refuses its arguments when it is called, before any iteration."""
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)
     x0, wts, mask, u = table5.x0, np.ones(9), np.ones(5), np.zeros((11, 5))
@@ -413,13 +408,14 @@ def test_kernels_check_shapes(kernels, table5):
         ("rk4_adjoint", (par, cpar, wts, states, np.zeros((10, 5)), 0.1)),
         ("rk4_adjoint", (par, cpar, wts, np.ones((0, 10)), np.zeros((0, 5)),
                          0.1)),
-        ("sweep_plan", (par[:20], cpar, wts, mask, 0.5, x0, 11, 0.1)),
-        ("sweep_plan", (par, cpar[:5], wts, mask, 0.5, x0, 11, 0.1)),
-        ("sweep_plan", (par, cpar, np.ones(4), mask, 0.5, x0, 11, 0.1)),
-        ("sweep_plan", (par, cpar, wts, np.full(5, 0.5), 0.5, x0, 11, 0.1)),
-        ("sweep_plan", (par, cpar, wts, mask[:4], 0.5, x0, 11, 0.1)),
-        ("sweep_plan", (par, cpar, wts, mask, 0.5, x0[:9], 11, 0.1)),
-        ("sweep_plan", (par, cpar, wts, mask, 0.5, x0, 0, 0.1)),
+        ("sweep", (par[:20], cpar, wts, mask, 0.5, x0, u, 0.1)),
+        ("sweep", (par, cpar[:5], wts, mask, 0.5, x0, u, 0.1)),
+        ("sweep", (par, cpar, np.ones(4), mask, 0.5, x0, u, 0.1)),
+        ("sweep", (par, cpar, wts, np.full(5, 0.5), 0.5, x0, u, 0.1)),
+        ("sweep", (par, cpar, wts, mask[:4], 0.5, x0, u, 0.1)),
+        ("sweep", (par, cpar, wts, mask, 0.5, x0[:9], u, 0.1)),
+        ("sweep", (par, cpar, wts, mask, 0.5, x0, np.zeros((11, 4)), 0.1)),
+        ("sweep", (par, cpar, wts, mask, 0.5, x0, np.zeros((0, 5)), 0.1)),
     ]
     other = PYTHON if kernels is _kernels else _kernels
     for name, args in bad_calls:
@@ -430,28 +426,12 @@ def test_kernels_check_shapes(kernels, table5):
             messages.append(str(err.value))
         assert messages[0] == messages[1], name
 
-    messages = []
-    for k in (kernels, other):
-        plan = k.sweep_plan(par, cpar, wts, mask, 0.5, x0, 11, 0.1)
-        _kernels.sweep_step(plan, u, None)
-        bad_steps = [(np.zeros((10, 5)), None), (np.zeros((11, 4)), None),
-                     (np.zeros((0, 5)), None), (u, np.ones((10, 10))),
-                     (u, np.ones((11, 5))), (u, plan.adjoints),
-                     (u, plan.adjoints[:])]
-        for step in bad_steps:
-            with pytest.raises(ValueError) as err:
-                _kernels.sweep_step(plan, *step)
-            messages.append(str(err.value))
-    half = len(messages) // 2
-    assert messages[:half] == messages[half:]
-
 
 @pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
 def test_kernels_convert_their_arguments(kernels, table5):
     """[TRIVIAL] Lists, a strided control array and Fortran-order states
     give the bytes of the same call on C-contiguous arrays, for every
-    entry point: a sweep plan converts its fixed arguments, a step its
-    controls and earlier states."""
+    entry point, the sweep over two iterations."""
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)
     wts = params_to_array(table5.weights)
@@ -468,9 +448,9 @@ def test_kernels_convert_their_arguments(kernels, table5):
          (list(par), list(cpar), list(x0), big[:, ::2], 0.05)),
         ("rk4_adjoint", (par, cpar, wts, states, u, 0.05),
          (list(par), list(cpar), list(wts), fortran, big[:, ::2], 0.05)),
-        ("sweep", (par, cpar, wts, mask, 0.5, x0, u, states, 0.05),
+        ("sweep", (par, cpar, wts, mask, 0.5, x0, u, 0.05, 2),
          (list(par), list(cpar), list(wts), list(mask), 0.5, list(x0),
-          big[:, ::2], fortran, 0.05)),
+          big[:, ::2], 0.05, 2)),
     ]
     for name, plain, converted in calls:
         want = _entry(kernels, name)(*plain)
@@ -482,36 +462,29 @@ def test_kernels_convert_their_arguments(kernels, table5):
 
 
 @pytest.mark.parametrize("kernels", [_kernels, PYTHON], ids=["active", "python"])
-def test_sweep_steps_write_only_their_plans_buffers(kernels, table5):
-    """[TRIVIAL] A step writes its states and controls into the buffer of
-    each pair that its arguments do not occupy, and its adjoints into the
-    plan's own: arrays handed in from outside keep their bytes, a step
-    handed the previous step's arrays (or views of them) leaves those
-    as they were, and its results are the bytes of the same step on
-    copies."""
+def test_sweep_iterations_keep_their_bytes(kernels, table5):
+    """[TRIVIAL] A sweep never writes its starting controls; an
+    iteration's states and controls keep their bytes after the next
+    iteration is pulled; and two sweeps share no buffer: pulled in turn,
+    each gives the bytes of the other."""
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)
     wts = params_to_array(table5.weights)
-    rng = np.random.default_rng(28)
-    n, dt = 50, 0.05
-    u = _random_controls(rng, n)
-    prev = kernels.rk4_controlled(par, cpar, table5.x0, u[::-1], dt)
-    args = (par, cpar, wts, _strategy_mask("Z"), 0.5, table5.x0, n + 1, dt)
-    plan = kernels.sweep_plan(*args)
-    kept = (u.copy(), prev.copy())
-    states, adjoints, u_new, *_ = _kernels.sweep_step(plan, u, prev)
-    assert (u.tobytes(), prev.tobytes()) == tuple(a.tobytes() for a in kept)
-    for a in (states, adjoints, u_new):
-        assert not (np.may_share_memory(a, u) or np.may_share_memory(a, prev))
-    for view in (lambda a: a, lambda a: a[:]):
-        handed = (u_new.copy(), states.copy())
-        want = _kernels.sweep_step(kernels.sweep_plan(*args), *handed)
-        got = _kernels.sweep_step(plan, view(u_new), view(states))
-        assert (u_new.tobytes(), states.tobytes()) == tuple(
-            a.tobytes() for a in handed)
-        for a, b in zip(got, want, strict=True):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        states, u_new = got[0], got[2]
+    u0 = _random_controls(np.random.default_rng(28), 50)
+    start = u0.copy()
+    args = (par, cpar, wts, _strategy_mask("Z"), 0.5, table5.x0, u0, 0.05)
+    sweeps = (kernels.sweep(*args), kernels.sweep(*args))
+    arrays, kept = ([], []), []
+    for _ in range(3):
+        items = [next(sweep) for sweep in sweeps]
+        assert all(a.tobytes() == b for a, b in kept)
+        assert [np.asarray(a).tobytes() for a in items[0]] == [
+            np.asarray(a).tobytes() for a in items[1]]
+        kept = [(a, a.tobytes()) for a in (items[0][0], items[0][2])]
+        for found, item in zip(arrays, items):
+            found.extend(item[:3])
+    assert u0.tobytes() == start.tobytes()
+    assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
 
 
 def test_basic_kernel_matches_reference_integrator(table5):
