@@ -8,7 +8,6 @@ below are thin wrappers over `threshold_arrays`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,13 +21,13 @@ class ThresholdError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """All scalar thresholds of the model for one parameter set.
+    """All thresholds of the model, as floats for one parameter set
+    (`bifurcation_thresholds`) or as arrays over many (`threshold_arrays`).
 
-    Quantities that only exist in part of parameter space (R_1b, R_2b,
-    beta_minus, beta_plus) are None when absent.  `r0_defined` is False
-    when the vector population does not establish (N <= 1); R0 is then
-    reported as 0 by convention.  `threshold_arrays` returns the same
-    fields as arrays, with NaN in place of None.
+    NaN marks a quantity absent: R_1b, R_2b, beta_minus and beta_plus
+    where psi > 0, and beta_star and beta_bar where the vector population
+    does not establish (N <= 1).  `r0_defined` is False there, and R0 =
+    K_vh = K_hv = 0 by convention.
     """
 
     net_repro: float
@@ -37,13 +36,13 @@ class ThresholdReport:
     k_vh: float
     k_hv: float
     r_c: float
-    r_1b: float | None
-    r_2b: float | None
+    r_1b: float
+    r_2b: float
     psi: float
     beta_star: float
     beta_bar: float
-    beta_minus: float | None
-    beta_plus: float | None
+    beta_minus: float
+    beta_plus: float
 
 
 def net_reproductive_number(p: ModelParams) -> float:
@@ -99,9 +98,8 @@ def threshold_arrays(p) -> ThresholdReport:
     """The threshold report over every draw at once.
 
     `p` has the fields of `ModelParams`, as floats or as equal-length
-    arrays.  Every field of the result is an array (or a numpy scalar):
-    NaN where the scalar report has None, and, where N <= 1, R0 = K_vh =
-    K_hv = 0 with beta_star = beta_bar = NaN.
+    arrays.  Every field of the result is an array (or a numpy scalar),
+    with absent quantities NaN as `ThresholdReport` describes.
     """
     k = derive_constants(p)
     n = net_reproductive_number(p)
@@ -144,24 +142,21 @@ def threshold_arrays(p) -> ThresholdReport:
 def two_endemic_windows(rep: ThresholdReport):
     """(low, high): is R0 in the low window R_c < R0 < min(1, R_1b) or the
     high window max(R_c, R_2b) < R0 < 1 of the two-endemic case iii-a?
-    Elementwise; an absent bound (None or NaN) compares False."""
+    Elementwise, for a scalar or an array report; an absent (NaN) bound
+    puts R0 in neither window."""
     r0, r_c = rep.r0, rep.r_c
-    r_1b, r_2b = (np.asarray(b, dtype=float) for b in (rep.r_1b, rep.r_2b))
-    return ((r_c < r0) & (r0 < np.minimum(1.0, r_1b)),
-            (np.maximum(r_c, r_2b) < r0) & (r0 < 1.0))
-
-
-_OPTIONAL = ("r_1b", "r_2b", "beta_minus", "beta_plus")
+    return ((r_c < r0) & (r0 < np.minimum(1.0, rep.r_1b)),
+            (np.maximum(r_c, rep.r_2b) < r0) & (r0 < 1.0))
 
 
 def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     """Full threshold report: R0, R_c, the saddle-node bounds in both the
     R0 scale (R_1b, R_2b) and the beta_hv scale (beta_bar, beta_minus,
-    beta_plus), and the transcritical value beta_star."""
+    beta_plus), and the transcritical value beta_star: the row of
+    `threshold_arrays` as Python floats, with `r0_defined` a bool."""
     rep = threshold_arrays(p)
     values = {f.name: float(getattr(rep, f.name)) for f in fields(ThresholdReport)}
     values["r0_defined"] = bool(rep.r0_defined)
-    values.update((name, None) for name in _OPTIONAL if math.isnan(values[name]))
     return ThresholdReport(**values)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 import tracemalloc
 import warnings
 
@@ -206,7 +207,7 @@ def test_condition_probabilities_equal_per_draw_classification():
             counts["sup"] += 1
             continue
         counts["sub"] += 1
-        if rep.r_1b is not None:
+        if not math.isnan(rep.r_1b):
             if rep.r_c < rep.r0 < min(1.0, rep.r_1b):
                 counts["low"] += 1
             elif max(rep.r_c, rep.r_2b) < rep.r0 < 1.0:

@@ -7,6 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from arbo.control import (
+    ObjectiveWeights, StrategyMask, characterize_controls, running_cost,
+)
 from arbo.model import (
     N_CONTROLS, N_STATES, ControlParams, ModelParams, controlled_field,
     field_vjp,
@@ -42,3 +45,44 @@ def test_field_vjp_is_the_exact_transposed_jacobian():
     assert got.shape == (N_STATES,)
     for k in range(N_STATES):
         assert sympy.expand(got[k] - want[k]) == 0, k
+
+
+def test_characterize_controls_is_the_clamped_stationary_point():
+    """[DERIVED] `characterize_controls` equals, control by control, the
+    root of dH/du_j = 0 clamped to [0, 1], where H = `running_cost` +
+    lambda . `controlled_field` on symbols and SymPy solves for u_j.  H
+    is quadratic in each u_j with no cross terms, so dH/du_j is linear
+    in u_j and its root is free of the other controls.  Both sides are evaluated at random
+    nodes, states and rates 10**U(-2, 0) and adjoints of either sign
+    over six decades, so roots below 0, inside [0, 1] and above 1 all
+    occur."""
+    x, u = _symbols("x", N_STATES), _symbols("u", N_CONTROLS)
+    lam = np.array(sympy.symbols(f"lam0:{N_STATES}", real=True), dtype=object)
+    records = (ModelParams, ControlParams, ObjectiveWeights)
+    p, c, w = (_symbolic(r) for r in records)
+    h = running_cost(x, u, w) + lam @ controlled_field(x, u, p, c)
+    roots = []
+    for j in range(N_CONTROLS):
+        var, root = sympy.solve_linear(sympy.diff(h, u[j]), symbols=[u[j]])
+        assert var == u[j] and not root.free_symbols & set(u), j
+        roots.append(root)
+    names = [[f.name for f in dataclasses.fields(r)] for r in records]
+    rates = [sympy.Symbol(n, positive=True) for group in names for n in group]
+    root_at = sympy.lambdify([*x, *lam, *rates], roots, "numpy")
+
+    rng = np.random.default_rng(31)
+    nodes = 400
+    xs = 10.0 ** rng.uniform(-2.0, 0.0, (nodes, N_STATES))
+    lams = (rng.choice([-1.0, 1.0], (nodes, N_STATES))
+            * 10.0 ** rng.uniform(-3.0, 3.0, (nodes, N_STATES)))
+    values = [dict(zip(group, 10.0 ** rng.uniform(-2.0, 0.0, len(group))))
+              for group in names]
+    raw = np.stack(root_at(*xs.T, *lams.T, *(v for d in values for v in d.values())),
+                   axis=-1)
+    for j in range(N_CONTROLS):
+        assert np.any(raw[:, j] < 0.0) and np.any(raw[:, j] > 1.0), j
+        assert np.any((0.0 < raw[:, j]) & (raw[:, j] < 1.0)), j
+    got = characterize_controls(
+        xs, lams, *(SimpleNamespace(**d) for d in values),
+        StrategyMask((True,) * N_CONTROLS))
+    np.testing.assert_allclose(got, np.clip(raw, 0.0, 1.0), rtol=0.0, atol=1e-12)

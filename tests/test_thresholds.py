@@ -13,7 +13,7 @@ from arbo.sensitivity import PARAM_ORDER, baseline_ranges, lhs_sample
 from arbo.thresholds import (
     ThresholdError, ThresholdReport, basic_reproduction_number,
     bifurcation_thresholds, dfe_components, net_reproductive_number,
-    next_generation_matrices, threshold_arrays,
+    next_generation_matrices, threshold_arrays, two_endemic_windows,
 )
 from conftest import mixed_regime_ranges, random_established_params, random_params
 
@@ -81,8 +81,8 @@ def test_psi_positive_without_disease_mortality():
         p = random_params(rng, delta=0.0)
         rep = bifurcation_thresholds(p)
         assert rep.psi > 0.0
-        assert rep.r_1b is None and rep.r_2b is None
-        assert rep.beta_minus is None and rep.beta_plus is None
+        assert all(math.isnan(v) for v in (
+            rep.r_1b, rep.r_2b, rep.beta_minus, rep.beta_plus))
 
 
 def test_transcritical_value(sec22):
@@ -133,7 +133,7 @@ def test_beta_thresholds_map_to_r_thresholds():
         p = random_established_params(rng)
         rep = bifurcation_thresholds(p)
         pairs = [(rep.beta_bar, rep.r_c)]
-        if rep.r_1b is not None:
+        if not math.isnan(rep.r_1b):
             windows += 1
             pairs += [(rep.beta_minus, rep.r_1b), (rep.beta_plus, rep.r_2b)]
         for beta, r_x in pairs:
@@ -165,22 +165,26 @@ def test_low_saddle_node_bound_is_below_r_c():
 
 
 def test_threshold_arrays_equal_scalar_reports():
-    """[DERIVED] One array pass over a design equals the scalar report of
-    every draw field by field, bit for bit, with NaN exactly where the
-    scalar report has None."""
+    """[DERIVED] The scalar report of every draw is its row of one array
+    pass over the design: each float field holds the row's bytes, NaN
+    included, and `r0_defined` is the row's flag as a bool.  So the
+    two-endemic windows read the same off either report, absent bounds
+    included."""
     samples = lhs_sample(mixed_regime_ranges(), 300, seed=3)
     arrays = threshold_arrays(samples.columns())
+    windows = np.stack(two_endemic_windows(arrays), axis=-1)
     absent = {"r_1b": 0, "beta_minus": 0, "r0_defined": 0}
     for i, row in enumerate(samples.matrix):
         rep = bifurcation_thresholds(ModelParams(**dict(zip(PARAM_ORDER, row))))
+        absent["r_1b"] += math.isnan(rep.r_1b)
+        absent["beta_minus"] += math.isnan(rep.beta_minus)
         absent["r0_defined"] += not rep.r0_defined
         for f in dataclasses.fields(ThresholdReport):
             want, got = getattr(rep, f.name), getattr(arrays, f.name)[i]
-            if want is None:
-                absent[f.name] = absent.get(f.name, 0) + 1
-                assert math.isnan(got), (i, f.name)
-            elif isinstance(want, bool):
-                assert got == want, (i, f.name)
+            if f.name == "r0_defined":
+                assert type(want) is bool and want == got, i
             else:
+                assert type(want) is float, (i, f.name)
                 assert np.float64(want).tobytes() == got.tobytes(), (i, f.name)
+        assert list(two_endemic_windows(rep)) == windows[i].tolist(), i
     assert min(absent.values()) > 0  # every kind of draw occurs
