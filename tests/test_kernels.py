@@ -125,51 +125,81 @@ def _random_controls(rng, n):
 
 
 def test_basic_kernels_agree(table5):
-    """[DERIVED] C and Python-route forward integrations agree bitwise,
-    and the Python route is the generic RK4 driven by `basic_field`."""
-    p = table5.params
-    grid = TimeGrid(0.0, 10.0, 200)
-    ref = rk4_forward(lambda t, x: basic_field(x, p), table5.x0, grid).values
-    par = params_to_array(p)
-    traj_a = _kernels.rk4_basic(par, table5.x0, grid.n_steps, grid.dt)
-    traj_b = PYTHON.rk4_basic(par, table5.x0, grid.n_steps, grid.dt)
-    assert traj_a.tobytes() == traj_b.tobytes() == ref.tobytes()
+    """[DERIVED] C and Python-route forward integrations agree bitwise."""
+    par = params_to_array(table5.params)
+    traj_a = _kernels.rk4_basic(par, table5.x0, 200, 0.05)
+    traj_b = PYTHON.rk4_basic(par, table5.x0, 200, 0.05)
+    assert traj_a.tobytes() == traj_b.tobytes()
 
 
 def test_controlled_kernels_agree(table5):
-    """[DERIVED] Same for the controlled system with random controls,
-    against the generic RK4 driven by `controlled_field` with
-    midpoint-averaged controls."""
+    """[DERIVED] Same for the controlled system with random controls."""
     rng = np.random.default_rng(21)
-    p, c = table5.params, table5.control_params
-    grid = TimeGrid(0.0, 10.0, 200)
-    u = _random_controls(rng, grid.n_steps)
-    ref = rk4_forward(lambda t, x, uu: controlled_field(x, uu, p, c),
-                      table5.x0, grid, control_lookup=u).values
-    par, cpar = params_to_array(p), params_to_array(c)
-    traj_a = _kernels.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
-    traj_b = PYTHON.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
-    assert traj_a.tobytes() == traj_b.tobytes() == ref.tobytes()
+    par = params_to_array(table5.params)
+    cpar = params_to_array(table5.control_params)
+    u = _random_controls(rng, 200)
+    traj_a = _kernels.rk4_controlled(par, cpar, table5.x0, u, 0.05)
+    traj_b = PYTHON.rk4_controlled(par, cpar, table5.x0, u, 0.05)
+    assert traj_a.tobytes() == traj_b.tobytes()
 
 
 def test_adjoint_kernels_agree(table5):
     """[DERIVED] The backward adjoint integrations agree bitwise: `rk4.c`
     builds its adjoint right-hand side from its `field_vjp` in the
-    operation order of `model.field_vjp` and `control.adjoint_field`.
-    The Python route is the generic backward RK4 driven by
-    `adjoint_field`."""
+    operation order of `model.field_vjp` and `control.adjoint_field`."""
     rng = np.random.default_rng(22)
+    par = params_to_array(table5.params)
+    cpar = params_to_array(table5.control_params)
+    u = _random_controls(rng, 200)
+    states = _kernels.rk4_controlled(par, cpar, table5.x0, u, 0.05)
+    wts = params_to_array(table5.weights)
+    adj_a = _kernels.rk4_adjoint(par, cpar, wts, states, u, 0.05)
+    adj_b = PYTHON.rk4_adjoint(par, cpar, wts, states, u, 0.05)
+    assert adj_a.tobytes() == adj_b.tobytes()
+
+
+def test_basic_kernel_matches_reference_integrator(table5):
+    """[DERIVED] Both routes are, byte for byte, the generic RK4 driven
+    by `basic_field`."""
+    p = table5.params
+    grid = TimeGrid(0.0, 10.0, 200)
+    ref = rk4_forward(lambda t, x: basic_field(x, p), table5.x0, grid).values
+    par = params_to_array(p)
+    for kernels in (_kernels, PYTHON):
+        traj = kernels.rk4_basic(par, table5.x0, grid.n_steps, grid.dt)
+        assert traj.tobytes() == ref.tobytes()
+
+
+def test_controlled_kernel_matches_reference_integrator(table5):
+    """[DERIVED] Both routes are, byte for byte, the generic RK4 driven
+    by `controlled_field` with midpoint-averaged controls."""
+    p, c = table5.params, table5.control_params
+    rng = np.random.default_rng(23)
+    grid = TimeGrid(0.0, 10.0, 200)
+    u = _random_controls(rng, grid.n_steps)
+    ref = rk4_forward(lambda t, x, uu: controlled_field(x, uu, p, c),
+                      table5.x0, grid, control_lookup=u).values
+    par, cpar = params_to_array(p), params_to_array(c)
+    for kernels in (_kernels, PYTHON):
+        traj = kernels.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
+        assert traj.tobytes() == ref.tobytes()
+
+
+def test_adjoint_kernel_matches_reference_integrator(table5):
+    """[DERIVED] Both routes are, byte for byte, the generic backward RK4
+    driven by the closed-form `adjoint_field`."""
     p, c, w = table5.params, table5.control_params, table5.weights
+    rng = np.random.default_rng(24)
     grid = TimeGrid(0.0, 10.0, 200)
     u = _random_controls(rng, grid.n_steps)
     par, cpar, wts = params_to_array(p), params_to_array(c), params_to_array(w)
-    states = _kernels.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
+    states = PYTHON.rk4_controlled(par, cpar, table5.x0, u, grid.dt)
     ref = rk4_nodes(lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
                     np.zeros(10), (states, u), grid.dt, grid.times(),
                     backward=True)
-    adj_a = _kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
-    adj_b = PYTHON.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
-    assert adj_a.tobytes() == adj_b.tobytes() == ref.tobytes()
+    for kernels in (_kernels, PYTHON):
+        adj = kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
+        assert adj.tobytes() == ref.tobytes()
 
 
 def _scaled(rng, record, capped=()):
