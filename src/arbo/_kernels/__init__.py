@@ -185,19 +185,17 @@ def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def _py_sweep(par, cpar, wts, mask, mix, x0, dt, states, adjoints, controls):
-    from ..control import (  # control imports us
-        ObjectiveWeights, StrategyMask, characterize_controls,
-    )
+    # control imports us
+    from ..control import ObjectiveWeights, characterize_controls
 
     p, c = _model_params(par), _control_params(cpar)
     w = ObjectiveWeights(*wts.tolist())
-    active = StrategyMask(tuple((mask == 1.0).tolist()))
 
     def run(u, prev_states, i):
         x, u_new = states[i], controls[i]
         x[...] = _py_controlled(par, cpar, x0, u, dt)
         adjoints[...] = _py_adjoint(par, cpar, wts, x, u, dt)
-        u_char = characterize_controls(x, adjoints, p, c, w, active)
+        u_char = characterize_controls(x, adjoints, p, c, w, mask)
         u_new[...] = mix * u_char + (1.0 - mix) * u
         state_change = (float("inf") if prev_states is None
                         else _rel_sup_change(x, prev_states))

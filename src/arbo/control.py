@@ -132,11 +132,11 @@ def adjoint_field(x, u, adj, p: ModelParams, c: ControlParams,
 
 
 def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
-                          w: ObjectiveWeights, mask: StrategyMask) -> np.ndarray:
-    """The five stationary-point controls, clamped to [0,1]; masked-off
-    controls are exactly zero.  Works on one node (x, adj of shape (10,))
-    or on a whole grid at once (shape (n+1, 10), giving (n+1, 5)).
-    `rk4.c`'s `characterize` is a term-for-term copy."""
+                          w: ObjectiveWeights, mask: np.ndarray) -> np.ndarray:
+    """The five stationary-point controls, clamped to [0,1] and times the
+    0/1 float mask of shape (5,), so masked-off controls are exactly zero;
+    on one node (x, adj of shape (10,)) or a grid ((n+1, 10) to (n+1, 5)).
+    `rk4.c`'s `characterize` is a term-for-term copy, on the same mask."""
     x = np.asarray(x, dtype=float)
     adj = np.asarray(adj, dtype=float)
     _, fh, fv = _infection(x, p)
@@ -152,7 +152,7 @@ def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
         (c.eta1 * x[..., EGG] * l8 + c.eta2 * x[..., LAR] * l9) / (2.0 * w.B5),
     ], axis=-1)
     np.clip(u, 0.0, 1.0, out=u)
-    return u * mask.as_array()
+    return u * mask
 
 
 def forward_backward_sweep(p: ModelParams, c: ControlParams,

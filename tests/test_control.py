@@ -149,7 +149,7 @@ def test_characterization_clamped_and_masked(table5):
     """[TRIVIAL] Values live in [0,1]; masked entries are exactly zero."""
     p, c, w = table5.params, table5.control_params, table5.weights
     rng = np.random.default_rng(18)
-    mask = StrategyMask.named("Z3")
+    mask = StrategyMask.named("Z3").as_array()
     for _ in range(20):
         x = rng.uniform(1.0, 1e4, 10)
         adj = rng.uniform(-100.0, 100.0, 10)
@@ -166,7 +166,8 @@ def test_characterization_stationarity(table5):
     for _ in range(200):
         x = rng.uniform(1.0, 1e4, 10)
         adj = rng.uniform(-1.0, 1.0, 10) * 10.0 ** rng.uniform(-5.0, 1.0)
-        u = characterize_controls(x, adj, p, c, w, StrategyMask.named("Z"))
+        u = characterize_controls(x, adj, p, c, w,
+                                  StrategyMask.named("Z").as_array())
         for j in range(5):
             if not 1e-6 < u[j] < 1.0 - 1e-6:
                 continue

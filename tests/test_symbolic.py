@@ -84,5 +84,5 @@ def test_characterize_controls_is_the_clamped_stationary_point():
         assert np.any((0.0 < raw[:, j]) & (raw[:, j] < 1.0)), j
     got = characterize_controls(
         xs, lams, *(SimpleNamespace(**d) for d in values),
-        StrategyMask((True,) * N_CONTROLS))
+        StrategyMask((True,) * N_CONTROLS).as_array())
     np.testing.assert_allclose(got, np.clip(raw, 0.0, 1.0), rtol=0.0, atol=1e-12)
