@@ -175,8 +175,9 @@ def _located(exc: ParamError, where: str) -> ParamError:
                        for v in exc.violations])
 
 
-# The largest step count whose (n_steps + 1, 10) array of doubles numpy can
-# size; beyond it numpy refuses the shape with a message that names no field.
+# The largest step count whose (n_steps + 1, 10) array of doubles (a
+# trajectory, or a scan's disease-free states) numpy can size; beyond it
+# numpy refuses the shape with a message that names no field.
 _MAX_STEPS = sys.maxsize // 80 - 1
 
 
@@ -296,10 +297,15 @@ def cmd_bifurcation(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     if args.out is None:
         raise ConfigError("bifurcation requires --out CSV path")
+    if args.param not in {f.name for f in dataclasses.fields(ModelParams)}:
+        raise ConfigError(f"--param must name a field of params, "
+                          f"got {args.param!r}")
     lo, hi = _number(args.lo, "--lo"), _number(args.hi, "--hi")
     steps = _count(args.steps, "--steps")
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
+    if steps > _MAX_STEPS:
+        raise ConfigError(f"--steps must be <= {_MAX_STEPS}, got {steps}")
     t0 = time.perf_counter()
     rows = equilibria.bifurcation_scan(p, args.param, lo, hi, steps,
                                        stability=True)

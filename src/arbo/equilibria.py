@@ -21,7 +21,7 @@ from .stability import eigen_verdicts
 # calls made through this module's name for it.
 from .thresholds import (  # noqa: F401
     ThresholdReport, _established, bifurcation_thresholds, dfe_components,
-    net_reproductive_number, threshold_arrays, two_endemic_windows,
+    net_reproductive_number, nonfinite, threshold_arrays, two_endemic_windows,
 )
 
 # A discriminant this close to zero (relative to the coefficient scale
@@ -276,13 +276,16 @@ class ScanRow:
     error: str | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each is an error row
 def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
                      steps: int, stability: bool = False) -> list[ScanRow]:
     """Branch table over a uniform grid of one parameter.
 
     Branch 0 is the biological disease-free equilibrium; positive
     branches are endemic points ordered by increasing force of
-    infection.  Per-point failures become flagged rows, never aborts.
+    infection.  Per-point failures become flagged rows, never aborts:
+    among them a point whose thresholds or disease-free equilibrium
+    (`thresholds.nonfinite`) or endemic points are not finite.
     The whole grid goes through each step as one array pass, and each
     row comes out bitwise as `solve_endemic` computes it under the
     parameters of its own grid point.  With `stability`, each row
@@ -300,30 +303,39 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
             errors[i] = str(exc)
 
     # Grid points with valid parameters, then those of them where the
-    # vector population establishes: the rows that get equilibria.  Every
-    # field is a column, so every derived quantity has one entry per row.
+    # vector population establishes and every quantity of `nonfinite` is
+    # finite: the rows that get equilibria.  Every field is a column, so
+    # every derived quantity has one entry per row.
     grid = np.flatnonzero(valid)
     columns = {name: np.full(grid.size, v) for name, v in vars(p).items()}
     columns[param_name] = values[grid]
     pv = SimpleNamespace(**columns)
     rep = threshold_arrays(pv)
-    est = np.flatnonzero(rep.r0_defined)
+    dfe = dfe_components(pv, trivial=True)
+    established = np.flatnonzero(rep.r0_defined)
+    dfe[established] = dfe_components(param_rows(pv, established))
+    kept = rep.r0_defined.copy()
+    for i, error in enumerate(nonfinite(rep, dfe)):
+        if error is not None:
+            errors[grid[i].item()], kept[i] = error, False
+    est = np.flatnonzero(kept)
     pe = param_rows(pv, est)
     roots, _, row, root, x = _endemic_points(
         pe, _quadratic(pe, rep.r0[est], rep.r_c[est]))
 
     # One field call for the residuals of every DFE and endemic point.
-    states = np.concatenate([dfe_components(pe), x])
+    states = np.concatenate([dfe[est], x])
     owner = param_rows(pe, np.concatenate([np.arange(est.size), row]))
     residual = np.max(np.abs(basic_field(states, owner)), axis=1)
     for i, error in zip(row.tolist(), _residual_errors(
             roots[row, root], x, residual[est.size:])):
         if error is not None:
             errors.setdefault(grid[est[i]].item(), error)
-    if stability:
-        flags = [v.stable for v in eigen_verdicts(states, owner)]
-    else:
-        flags = [None] * len(states)
+    flags = np.full(len(states), None)
+    if stability:  # an endemic point that is not finite has its error row
+        ok = np.flatnonzero(np.isfinite(states).all(axis=1))
+        flags[ok] = [v.stable for v in eigen_verdicts(states[ok],
+                                                      param_rows(owner, ok))]
 
     at = np.full(values.shape, -1)  # grid point -> row of `pe`
     at[grid[est]] = np.arange(est.size)

@@ -148,8 +148,9 @@ def bifurcation_coefficients(p: ModelParams) -> BifurcationCoefficients:
     u, s, vt = np.linalg.svd(jac)
     w, v = vt[-1], u[:, -1]
     # One-dimensional: sigma_min vanishes on the scale of J and against
-    # the next singular value, which can itself be as small as mu_h.
-    if s[-1] > 1e-6 * scale or s[-1] > 1e-6 * s[-2]:
+    # the next singular value, which can itself be as small as mu_h but
+    # not zero.
+    if s[-1] > 1e-6 * scale or s[-1] >= 1e-6 * s[-2]:
         raise KernelError(
             f"Jacobian kernel is not one-dimensional: sigma_min={s[-1]:.3g}, "
             f"next={s[-2]:.3g} (scale {scale:.3g})")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import S_H, S_V, ModelParams, derive_constants
+from .model import S_H, S_V, STATE_NAMES, ModelParams, derive_constants
 
 
 class ThresholdError(ValueError):
@@ -149,12 +149,39 @@ def two_endemic_windows(rep: ThresholdReport):
             (np.maximum(r_c, rep.r_2b) < r0) & (r0 < 1.0))
 
 
+_FINITE = ("N", *(f"{s} of the disease-free equilibrium" for s in STATE_NAMES),
+           "K_vh", "K_hv", "R0", "R_c", "psi", "R_1b", "R_2b")
+
+
+def nonfinite(rep: ThresholdReport, dfe) -> list:
+    """Per row of the report and of the disease-free equilibrium `dfe`
+    (biological where N > 1, else trivial; shape (10,) or (m, 10)): the
+    message naming the first quantity that exists there but is not
+    finite, else None.  The quantities, in the order they are derived:
+    N, the DFE, K_vh, K_hv, R0, R_c, psi, and R_1b and R_2b where
+    psi <= 0.  The beta-scale thresholds are not among them, since
+    beta_vh = 0 puts beta_star at infinity."""
+    table = np.column_stack([rep.net_repro, np.atleast_2d(dfe), rep.k_vh,
+                             rep.k_hv, rep.r0, rep.r_c, rep.psi, rep.r_1b,
+                             rep.r_2b])
+    bad = ~np.isfinite(table)
+    bad[:, -2:] &= (np.atleast_1d(rep.psi) <= 0.0)[:, None]
+    return [f"{_FINITE[j]} is {table[i, j]}" if bad[i, j] else None
+            for i, j in enumerate(bad.argmax(axis=1).tolist())]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # refused, so not warned of
 def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     """Full threshold report: R0, R_c, the saddle-node bounds in both the
     R0 scale (R_1b, R_2b) and the beta_hv scale (beta_bar, beta_minus,
     beta_plus), and the transcritical value beta_star: the row of
-    `threshold_arrays` as Python floats, with `r0_defined` a bool."""
+    `threshold_arrays` as Python floats, with `r0_defined` a bool.
+    Raises `ThresholdError` naming the first quantity of `nonfinite`
+    that is not finite."""
     rep = threshold_arrays(p)
+    [error] = nonfinite(rep, dfe_components(p, trivial=not rep.r0_defined))
+    if error is not None:
+        raise ThresholdError(error)
     values = {f.name: float(getattr(rep, f.name)) for f in fields(ThresholdReport)}
     values["r0_defined"] = bool(rep.r0_defined)
     return ThresholdReport(**values)

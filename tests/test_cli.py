@@ -141,11 +141,17 @@ def test_marginal_endemic_point_is_null_in_equilibria_and_scan(
     ("--steps", "-1", "--steps must be >= 0, got -1"),
     ("--lo", "nan", "--lo must be a finite number, got nan"),
     ("--hi", "inf", "--hi must be a finite number, got inf"),
+    ("--steps", "100000000000000000000",
+     f"--steps must be <= {_MAX_STEPS}, got 100000000000000000000"),
+    ("--param", "beta_xy", "--param must name a field of params, "
+                           "got 'beta_xy'"),
 ])
 def test_bifurcation_refuses_bad_flags(flag, value, message, config_file,
                                        tmp_path, capsys):
-    """[TRIVIAL] A negative --steps or a non-finite --lo or --hi exits 2
-    with one `error:` line naming the flag, and writes no CSV."""
+    """[TRIVIAL] A negative --steps or one too large for numpy to size
+    the scan's arrays, a non-finite --lo or --hi, or a --param that is no
+    model parameter exits 2 with one `error:` line naming the flag, and
+    writes no CSV."""
     args = {"--lo": "0.0", "--hi": "0.09", "--steps": "10", flag: value}
     out = tmp_path / "scan.csv"
     code = main(["bifurcation", "--config",
@@ -900,6 +906,55 @@ def test_non_finite_endemic_point_is_a_numeric_error(config_file, tmp_path,
     assert capsys.readouterr().err == (
         "numeric error: endemic point at lambda_h=0.000900606 is not finite\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["thresholds", "equilibria"])
+@pytest.mark.parametrize("param, value, message", [
+    ("Gamma_E", 1e308, "S_v of the disease-free equilibrium is nan"),
+    ("a", 1e200, "R0 is inf"),
+])
+def test_overflowing_report_is_a_numeric_error(command, param, value, message,
+                                               config_file, tmp_path, capsys):
+    """[TRIVIAL] An egg capacity of 1e308 overflows the disease-free
+    vector population, and a biting rate of 1e200 overflows R0: both
+    commands exit 3 with one `numeric error:` line naming the quantity
+    (the first in the order of derivation) and write nothing, rather than
+    a report with null in its place.  numpy does not warn of it."""
+    cfg = load_fixture("sec22_backward")
+    cfg["params"][param] = value
+    out = tmp_path / "report.json"
+    code = main([command, "--config", config_file(cfg), "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scan_makes_each_non_finite_point_an_error_row(config_file, tmp_path,
+                                                       capsys, sec22, table5):
+    """[TRIVIAL] A scan whose grid points overflow the disease-free
+    vectors, R0 or the endemic point exits 0 and writes each as an error
+    row, with nothing on stderr, rather than handing the non-finite states
+    to the eigenvalue verdicts; a finite point beside them keeps its rows
+    and verdicts."""
+    out = tmp_path / "scan.csv"
+    code = main(["bifurcation", "--config",
+                 config_file(load_fixture("sec22_backward")), "--param",
+                 "Gamma_E", "--lo", "0", "--hi", "1e308", "--steps", "3",
+                 "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert [row[2] for row in _csv(out)[1]] == ["-1"] * 4
+    for p, name, value, error in [
+            (sec22.params, "a", 1e200, "R0 is inf"),
+            (table5.params, "gamma_v", 1e308,
+             "endemic point at lambda_h=0.000900606 is not finite")]:
+        first = getattr(p, name)
+        rows = bifurcation_scan(p, name, first, value, 1, stability=True)
+        assert rows[-1].error == error and rows[-1].branch_id == -1
+        assert rows[:-1] == bifurcation_scan(p, name, first, first, 0,
+                                             stability=True)
+        assert all(r.stable is not None for r in rows[:-1])
 
 
 def test_numeric_error_reports_grid_time(config_file, tmp_path, capsys):

@@ -403,3 +403,64 @@ def test_criterion_7_is_converged_in_tol():
     j2000, j4000 = (_table5_sweep("Z", n).objective_j for n in (2000, 4000))
     tight = _table5_sweep("Z", 2000, tol=1e-6).objective_j
     assert 0.0 < j2000 - tight < j2000 - j4000, (j2000 - tight, j2000 - j4000)
+
+
+
+_STEPS = np.array([0.1, 0.01, 0.001])
+
+
+def _relative_rises(t5, u, mask, count=20, seed=4) -> np.ndarray:
+    """(J(clip(u + e v, 0, 1)) - J(u)) / J(u) for `count` smooth random
+    directions v (rows) and each step e in `_STEPS` (columns).  Direction
+    i moves only the i-th control that `mask` leaves on (cyclically), by
+    four sines of the grid's time scaled to max|v| = 1, so that the
+    first-order rise of a control at its bound cannot hide the fall of
+    another.  J is `objective` of the controls and of their
+    `rk4_controlled` states."""
+    par, cpar, grid = (params_to_array(t5.params),
+                       params_to_array(t5.control_params), t5.grid)
+
+    def j(controls):
+        states = _kernels.rk4_controlled(par, cpar, t5.x0, controls, grid.dt)
+        return objective(Trajectory(grid, states), Trajectory(grid, controls),
+                         t5.weights)
+
+    rng = np.random.default_rng(seed)
+    phase = np.pi * (grid.times() - grid.t0) / (grid.tf - grid.t0)
+    k, active = np.arange(1.0, 5.0), np.flatnonzero(mask)
+    j0, rises = j(u), []
+    for i in range(count):
+        a, b = rng.standard_normal((2, 4))
+        v = np.zeros_like(u)
+        v[:, active[i % active.size]] = np.sum(
+            a * np.sin(k * phase[:, None] + b), axis=-1)
+        v /= np.max(np.abs(v))
+        rises.append([(j(np.clip(u + e * v, 0.0, 1.0)) - j0) / j0
+                      for e in _STEPS])
+    return np.array(rises)
+
+
+@_C_ONLY
+@pytest.mark.parametrize("name", ["Z", "Z4"])
+def test_sweep_answer_is_not_lowered_by_any_probed_perturbation(name, table5):
+    """[DERIVED] Pontryagin's conditions, which the sweep solves, are only
+    necessary (Lenhart & Workman 2007, ch. 4), and acceptance 9 checks
+    dH/du alone; this checks the discrete J that criterion 7 ranks.  At
+    the default settings on Table 5, no probed step e lowers J by more
+    than 1e-6 e of J.  The allowance is first order in e because the
+    default tol 1e-3 stops the sweep short of its fixed point: under Z
+    one u1 direction lowers J by 1.3e-7 e of J, about as much at 1,000
+    and 4,000 steps, and by nothing at tol 1e-8.
+    A flipped sign of u2's (l2 - l1) term lowers J by 2.4e-4 e (Z) and
+    1.4e-3 e (Z4); after one iteration the probe lowers J by 3.4 % (Z)
+    and 1.5 % (Z4).  The seed is fixed: a failure is to be explained,
+    not reseeded."""
+    t5, mask = table5, StrategyMask.named(name)
+    for max_iters, lowered in ((200, False), (1, True)):
+        result = forward_backward_sweep(
+            t5.params, t5.control_params, t5.weights, t5.x0, t5.grid, mask,
+            max_iters=max_iters)
+        rises = _relative_rises(t5, result.controls.values, mask.as_array())
+        assert np.any(rises < -1e-6 * _STEPS) == lowered, (
+            max_iters, rises.min(axis=0))
+        assert result.converged is not lowered

@@ -213,6 +213,38 @@ def test_bifurcation_requires_vectors(table5):
         bifurcation_coefficients(p)
 
 
+def _kernel_jacobian(zero=(), jordan=None) -> np.ndarray:
+    """diag(1, ..., 10) with zeros on the diagonal at the compartments
+    `zero`, and with a 2x2 Jordan block [[0, 1], [0, 0]] on the pair of
+    compartments `jordan`, if given."""
+    jac = np.diag(np.arange(1.0, 11.0))
+    jac[zero, zero] = 0.0
+    if jordan is not None:
+        i, j = jordan
+        jac[i, i] = jac[j, j] = 0.0
+        jac[i, j] = 1.0
+    return jac
+
+
+@pytest.mark.parametrize("jac, message", [
+    (_kernel_jacobian(zero=[E_V, I_V]), "kernel is not one-dimensional"),
+    (_kernel_jacobian(zero=[E_H]),
+     "right null vector has zero infectious-vector component"),
+    (_kernel_jacobian(jordan=(I_V, E_H)),
+     "left and right null vectors are orthogonal"),
+], ids=["two-dimensional", "no-I_v", "jordan"])
+def test_bifurcation_refuses_a_degenerate_kernel(jac, message, sec22,
+                                                 monkeypatch):
+    """[TRIVIAL] Each kernel check of `bifurcation_coefficients` raises
+    on a Jacobian built to fail it alone: a two-dimensional kernel, two
+    singular values of exactly zero; a null vector e_{E_h} with no I_v
+    component; and a Jordan block whose right null vector e_{I_v} is
+    orthogonal to its left one e_{E_h}."""
+    monkeypatch.setattr("arbo.stability.jacobian", lambda x, p: jac)
+    with pytest.raises(KernelError, match=message):
+        bifurcation_coefficients(sec22.params)
+
+
 def test_zero_eigenvalue_at_transcritical(sec22):
     """[DERIVED] At beta* the Jacobian at the DFE is singular."""
     rep = bifurcation_thresholds(sec22.params)
