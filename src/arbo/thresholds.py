@@ -16,7 +16,8 @@ from .model import S_H, S_V, STATE_NAMES, ModelParams, derive_constants
 
 
 class ThresholdError(ValueError):
-    """A quantity was requested outside the parameter region where it exists."""
+    """A quantity was requested outside the parameter region where it
+    exists, or is not finite there."""
 
 
 @dataclass(frozen=True)
