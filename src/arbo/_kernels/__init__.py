@@ -253,7 +253,12 @@ def _addresses(arrays) -> list:
 
 
 def _cache_dirs() -> list[Path]:
-    user = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    """`__pycache__` next to the source, then the user cache directory,
+    left out when no home directory can be found to name it by."""
+    try:
+        user = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    except (KeyError, RuntimeError):  # KeyError before Python 3.11
+        return [SOURCE.parent / "__pycache__"]
     return [SOURCE.parent / "__pycache__", Path(user) / "arbo"]
 
 

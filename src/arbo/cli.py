@@ -35,7 +35,7 @@ from .model import (
 from .ode import TimeGrid, Trajectory
 from .stability import eigen_verdict  # perfbench traces cli.eigen_verdict
 from .thresholds import (  # perfbench traces cli.bifurcation_thresholds
-    ThresholdError, bifurcation_thresholds, derive_constants,
+    REPORT_NAMES, ThresholdError, bifurcation_thresholds, derive_constants,
 )
 
 EXIT_PARSE = 2
@@ -250,23 +250,9 @@ def _strategies(value, where: str) -> list:
 def cmd_thresholds(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     rep = bifurcation_thresholds(p)
-    k = derive_constants(p)
-    _emit_json({
-        "N": rep.net_repro,
-        "R0": rep.r0,
-        "R0_defined": rep.r0_defined,
-        "K_vh": rep.k_vh,
-        "K_hv": rep.k_hv,
-        "R_c": rep.r_c,
-        "R_1b": rep.r_1b,
-        "R_2b": rep.r_2b,
-        "psi": rep.psi,
-        "beta_star": rep.beta_star,
-        "beta_bar": rep.beta_bar,
-        "beta_minus": rep.beta_minus,
-        "beta_plus": rep.beta_plus,
-        "derived_constants": k,
-    }, args.out)
+    report = {REPORT_NAMES[f.name]: getattr(rep, f.name)
+              for f in dataclasses.fields(rep)}
+    _emit_json({**report, "derived_constants": derive_constants(p)}, args.out)
     return 0
 
 

@@ -84,10 +84,6 @@ class SweepResult:
     log: list = field(repr=False)
 
 
-class GridMismatchError(ValueError):
-    """State and control trajectories live on different grids."""
-
-
 def running_cost(x, u, w: ObjectiveWeights):
     """Integrand of the objective at one node (x (10,), u (5,)) or at
     every node of a grid (x (n+1, 10), u (n+1, 5)).  The sums run in
@@ -103,14 +99,12 @@ def running_cost(x, u, w: ObjectiveWeights):
     return total
 
 
-def objective(states: Trajectory, controls: Trajectory,
-              w: ObjectiveWeights) -> float:
-    """Trapezoidal quadrature of the running cost over the grid."""
-    if states.grid != controls.grid:
-        raise GridMismatchError(
-            f"state grid {states.grid} != control grid {controls.grid}")
-    return float(np.trapezoid(running_cost(states.values, controls.values, w),
-                              dx=states.grid.dt))
+def objective(x, u, w: ObjectiveWeights, dt: float) -> float:
+    """Trapezoidal quadrature, step `dt`, of the running cost over the
+    nodes of a grid: states x (n+1, 10) and controls u (n+1, 5)."""
+    if len(x) != len(u):
+        raise ValueError(f"{len(x)} state nodes != {len(u)} control nodes")
+    return float(np.trapezoid(running_cost(x, u, w), dx=dt))
 
 
 def hamiltonian(x, u, adj, p: ModelParams, c: ControlParams,
@@ -196,7 +190,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         # The range comes first, so no iteration runs past the last one.
         for iterations, (states, adjoints, u_new, control_change,
                          state_change) in zip(range(1, max_iters + 1), sweep):
-            j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
+            j = objective(states, u, w, grid.dt)
             log.append({"iteration": iterations, "J": j,
                         "control_change": control_change,
                         "state_change": state_change})
@@ -212,7 +206,7 @@ def forward_backward_sweep(p: ModelParams, c: ControlParams,
         # adjoints again, bit for bit, and J of those states and controls.
         if u.tobytes() != u_start.tobytes():
             states, adjoints, *_ = next(sweep)
-            j = objective(Trajectory(grid, states), Trajectory(grid, u), w)
+            j = objective(states, u, w, grid.dt)
 
     return SweepResult(
         states=Trajectory(grid, states),

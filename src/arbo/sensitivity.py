@@ -116,7 +116,8 @@ class SampleSet:
         are read-only.  Raises `ThresholdError` at the first draw whose
         R0 is not finite, which would otherwise drop out of the
         histogram and turn the mean and spread into NaN."""
-        rep = threshold_arrays(self.columns())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            rep = threshold_arrays(self.columns())
         bad = np.flatnonzero(~np.isfinite(rep.r0))
         if bad.size:
             raise ThresholdError(

@@ -46,6 +46,14 @@ class ThresholdReport:
     beta_plus: float
 
 
+# The output name of each `ThresholdReport` field, in field order: the
+# keys of `arbo thresholds` and the labels of `nonfinite`.
+REPORT_NAMES = dict(
+    net_repro="N", r0="R0", r0_defined="R0_defined", k_vh="K_vh", k_hv="K_hv",
+    r_c="R_c", r_1b="R_1b", r_2b="R_2b", psi="psi", beta_star="beta_star",
+    beta_bar="beta_bar", beta_minus="beta_minus", beta_plus="beta_plus")
+
+
 def net_reproductive_number(p: ModelParams) -> float:
     """Vector-population persistence threshold: mosquitoes establish iff > 1."""
     k = derive_constants(p)
@@ -150,8 +158,11 @@ def two_endemic_windows(rep: ThresholdReport):
             (np.maximum(r_c, rep.r_2b) < r0) & (r0 < 1.0))
 
 
-_FINITE = ("N", *(f"{s} of the disease-free equilibrium" for s in STATE_NAMES),
-           "K_vh", "K_hv", "R0", "R_c", "psi", "R_1b", "R_2b")
+# The report fields that `nonfinite` checks after N and the DFE, in order.
+_CHECKED = ("k_vh", "k_hv", "r0", "r_c", "psi", "r_1b", "r_2b")
+_FINITE = (REPORT_NAMES["net_repro"],
+           *(f"{s} of the disease-free equilibrium" for s in STATE_NAMES),
+           *(REPORT_NAMES[f] for f in _CHECKED))
 
 
 def nonfinite(rep: ThresholdReport, dfe) -> list:
@@ -162,9 +173,8 @@ def nonfinite(rep: ThresholdReport, dfe) -> list:
     N, the DFE, K_vh, K_hv, R0, R_c, psi, and R_1b and R_2b where
     psi <= 0.  The beta-scale thresholds are not among them, since
     beta_vh = 0 puts beta_star at infinity."""
-    table = np.column_stack([rep.net_repro, np.atleast_2d(dfe), rep.k_vh,
-                             rep.k_hv, rep.r0, rep.r_c, rep.psi, rep.r_1b,
-                             rep.r_2b])
+    table = np.column_stack([rep.net_repro, np.atleast_2d(dfe),
+                             *(getattr(rep, f) for f in _CHECKED)])
     bad = ~np.isfinite(table)
     bad[:, -2:] &= (np.atleast_1d(rep.psi) <= 0.0)[:, None]
     return [f"{_FINITE[j]} is {table[i, j]}" if bad[i, j] else None
@@ -188,10 +198,17 @@ def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     return ThresholdReport(**values)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused, so not warned of
 def basic_reproduction_number(p: ModelParams) -> float:
-    """Closed-form R0; requires an established vector population (N > 1)."""
+    """Closed-form R0; requires an established vector population (N > 1).
+    Where R0 is not finite, raises `ThresholdError` naming the first
+    quantity of `nonfinite` that is not, as `bifurcation_thresholds`
+    does."""
     _established(p, "R0 requires")
-    return float(threshold_arrays(p).r0)
+    rep = threshold_arrays(p)
+    if not np.isfinite(rep.r0):
+        raise ThresholdError(nonfinite(rep, dfe_components(p))[0])
+    return float(rep.r0)
 
 
 def next_generation_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:

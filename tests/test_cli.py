@@ -405,15 +405,17 @@ def test_non_finite_r0_is_a_numeric_error(config_file, tmp_path, capsys):
     overflow the disease-free vector population, so no draw has a finite
     R0: `sensitivity` exits 3 naming the first draw and writes nothing,
     rather than a report with a null mean and a histogram without those
-    draws.  numpy warns of the overflow on the way."""
+    draws.  numpy does not warn of the overflow."""
     cfg = load_fixture("table2_baseline")
     cfg["sensitivity"]["ranges"].update(Gamma_E=[1e300, 1e308],
                                         Gamma_L=[1e300, 1e308])
     out, hist = tmp_path / "sens.json", tmp_path / "hist.csv"
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["sensitivity", "--config", config_file(cfg),
                      "--samples", "200", "--seed", "1", "--out", str(out),
                      "--hist-csv", str(hist)])
+    assert [str(w.message) for w in caught] == []
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err == (
         "numeric error: R0 is nan at draw 0 of the design; it is not finite "

@@ -8,13 +8,13 @@ import pytest
 
 from arbo import _kernels
 from arbo.control import (
-    GridMismatchError, ObjectiveWeights, StrategyMask,
+    ObjectiveWeights, StrategyMask,
     adjoint_field, characterize_controls, forward_backward_sweep, hamiltonian,
     objective, running_cost,
 )
 from arbo.econ import cumulated_infectious, efficiency_index
 from arbo.model import ParamError, controlled_field, params_to_array
-from arbo.ode import TimeGrid, Trajectory
+from arbo.ode import TimeGrid
 from conftest import Scenario
 
 
@@ -49,13 +49,11 @@ def test_strategy_mask_needs_five_flags():
 
 
 def test_objective_grid_mismatch(table5):
-    """[TRIVIAL] State and control trajectories must share a grid."""
-    g1 = TimeGrid(0.0, 1.0, 10)
-    g2 = TimeGrid(0.0, 2.0, 10)
-    states = Trajectory(g1, np.ones((11, 10)))
-    controls = Trajectory(g2, np.zeros((11, 5)))
-    with pytest.raises(GridMismatchError):
-        objective(states, controls, table5.weights)
+    """[TRIVIAL] States and controls must hold one row per node of the
+    same grid."""
+    with pytest.raises(ValueError,
+                       match=r"^11 state nodes != 12 control nodes$"):
+        objective(np.ones((11, 10)), np.zeros((12, 5)), table5.weights, 0.1)
 
 
 def test_objective_matches_running_cost(table5):
@@ -64,11 +62,10 @@ def test_objective_matches_running_cost(table5):
     grid = TimeGrid(0.0, 1.0, 20)
     xs = rng.uniform(1.0, 100.0, (21, 10))
     us = rng.uniform(0.0, 1.0, (21, 5))
-    states, controls = Trajectory(grid, xs), Trajectory(grid, us)
     manual = np.trapezoid(
         [running_cost(x, u, table5.weights) for x, u in zip(xs, us)],
         dx=grid.dt)
-    assert objective(states, controls, table5.weights) == pytest.approx(
+    assert objective(xs, us, table5.weights, grid.dt) == pytest.approx(
         manual, rel=1e-12)
 
 
@@ -109,7 +106,7 @@ def _reduced_gradient_gaps(kernels, scen, n_steps):
 
     def cost(controls):
         states = kernels.rk4_controlled(par, cpar, scen.x0, controls, grid.dt)
-        return objective(Trajectory(grid, states), Trajectory(grid, controls), w)
+        return objective(states, controls, w, grid.dt)
 
     states = kernels.rk4_controlled(par, cpar, scen.x0, u, grid.dt)
     adj = kernels.rk4_adjoint(par, cpar, params_to_array(w), states, u,
@@ -422,8 +419,7 @@ def _relative_rises(t5, u, mask, count=20, seed=4) -> np.ndarray:
 
     def j(controls):
         states = _kernels.rk4_controlled(par, cpar, t5.x0, controls, grid.dt)
-        return objective(Trajectory(grid, states), Trajectory(grid, controls),
-                         t5.weights)
+        return objective(states, controls, t5.weights, grid.dt)
 
     rng = np.random.default_rng(seed)
     phase = np.pi * (grid.times() - grid.t0) / (grid.tf - grid.t0)

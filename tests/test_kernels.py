@@ -76,6 +76,19 @@ def test_unwritable_cache_falls_back_with_reason(tmp_path):
     assert "no writable cache directory" in kernels.reason
 
 
+def test_kernels_load_without_a_home_directory(monkeypatch):
+    """[TRIVIAL] With no home directory to name the user cache by and no
+    XDG_CACHE_HOME, the library in (or built into) `__pycache__` still
+    loads, rather than the Python kernels with that error as the reason."""
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(pathlib.Path, "home", classmethod(no_home))
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    kernels = _kernels.load()
+    assert kernels.backend == "c", kernels.reason
+
+
 def test_only_control_and_cli_load_the_kernels():
     """[TRIVIAL] The analysis modules import without `arbo._kernels`, so
     they neither build nor load the C library; `arbo.control` loads it."""

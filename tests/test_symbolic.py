@@ -11,9 +11,12 @@ from arbo.control import (
     ObjectiveWeights, StrategyMask, characterize_controls, running_cost,
 )
 from arbo.model import (
-    N_CONTROLS, N_STATES, ControlParams, ModelParams, controlled_field,
-    field_vjp,
+    I_V, N_CONTROLS, N_STATES, ControlParams, ModelParams, basic_field,
+    controlled_field, field_vjp, params_to_array,
 )
+from arbo.stability import bifurcation_coefficients
+from arbo.thresholds import bifurcation_thresholds, dfe_components
+from conftest import load_fixture
 
 sympy = pytest.importorskip("sympy")
 
@@ -86,3 +89,27 @@ def test_characterize_controls_is_the_clamped_stationary_point():
         xs, lams, *(SimpleNamespace(**d) for d in values),
         StrategyMask((True,) * N_CONTROLS).as_array())
     np.testing.assert_allclose(got, np.clip(raw, 0.0, 1.0), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["sec22_backward", "table2_baseline",
+                                     "table5_control"])
+def test_bif_a1_is_the_exact_hessian_sum(fixture):
+    """[DERIVED] `bif_a1` equals a1 = sum_kij v_k w_i w_j d2f_k/dx_i dx_j
+    (Castillo-Chavez & Song 2004, Thm 4.1) to 1e-11 relative, with f
+    `basic_field` on symbolic states and parameters, its Jacobian and
+    Hessians taken by SymPy and evaluated at the biological DFE at
+    beta_hv = beta*, and w, v the right and left null vectors of that
+    Jacobian scaled as the code scales them: w[I_V] = 1 and v . w = 1."""
+    p = ModelParams(**load_fixture(fixture)["params"])
+    ps = dataclasses.replace(p, beta_hv=bifurcation_thresholds(p).beta_star)
+    x, q = _symbols("x", N_STATES), _symbolic(ModelParams)
+    field = sympy.Matrix(basic_field(x, q))
+    derivatives = [field.jacobian(x), [sympy.hessian(f, x) for f in field]]
+    at = sympy.lambdify([x, list(vars(q).values())], derivatives, "numpy")
+    jac, hess = (np.array(d, dtype=float)
+                 for d in at(dfe_components(ps), params_to_array(ps)))
+    u, _, vt = np.linalg.svd(jac)
+    w = vt[-1] / vt[-1][I_V]
+    v = u[:, -1] / (u[:, -1] @ w)
+    exact = np.einsum("k,kij,i,j", v, hess, w, w)
+    assert bifurcation_coefficients(p).bif_a1 == pytest.approx(exact, rel=1e-11)

@@ -49,6 +49,22 @@ def test_r0_requires_establishment(table5):
         basic_reproduction_number(p)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_r0_refuses_a_non_finite_value():
+    """[TRIVIAL] On Table 2's lower bounds with egg and larval capacities
+    of 1e308 the disease-free vector population overflows to NaN, and so
+    does R0: `basic_reproduction_number` raises the `ThresholdError` of
+    the full report, naming that population, without a numpy warning,
+    rather than returning NaN."""
+    lower = {name: lo for name, (lo, _) in baseline_ranges().ranges.items()}
+    p = dataclasses.replace(ModelParams(**lower), Gamma_E=1e308, Gamma_L=1e308)
+    message = r"^S_v of the disease-free equilibrium is nan$"
+    with pytest.raises(ThresholdError, match=message):
+        bifurcation_thresholds(p)
+    with pytest.raises(ThresholdError, match=message):
+        basic_reproduction_number(p)
+
+
 def test_dfe_components_are_equilibria(sec22):
     """[DERIVED] Both closed-form disease-free points zero the field."""
     p = sec22.params
