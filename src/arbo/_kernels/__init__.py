@@ -19,7 +19,8 @@ cache directory when that is not writable.
 If the build or the load fails, the same kernels run the Python
 right-hand sides (`model.controlled_field`, `control.adjoint_field`)
 through `ode.rk4_nodes`, forward and backward, and the sweep iteration
-composes those with `control.characterize_controls`; built without fused
+composes those with `control.characterize_controls`; like the C kernels,
+they take the parameter arrays unchecked.  Built without fused
 multiply-add, the C kernels give the same values to the last bit.
 `_checked` builds both backends' entry points: each checks and converts
 its arguments once, in front of the backend, whose loops take only
@@ -42,6 +43,7 @@ import itertools
 import logging
 import os
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -154,25 +156,25 @@ def _iterations(run, fixed, u, states, adjoints, controls):
         u, prev_states = controls[i], states[i]
 
 
-def _model_params(par) -> model.ModelParams:
-    return model.ModelParams(*par.tolist())
+def _namespaces(*arrays) -> list:
+    """The arrays of `ModelParams`, `ControlParams` and then
+    `control.ObjectiveWeights` as namespaces of their fields, unchecked."""
+    from ..control import ObjectiveWeights  # control imports us
+
+    records = (model.ModelParams, model.ControlParams, ObjectiveWeights)
+    return [SimpleNamespace(**dict(zip([f.name for f in dataclasses.fields(r)],
+                                       a.tolist())))
+            for r, a in zip(records, arrays)]
 
 
-def _control_params(cpar) -> model.ControlParams:
-    return model.ControlParams(*cpar.tolist())
-
-
-def _py_controlled(par, cpar, x0, u, dt):
-    p, c = _model_params(par), _control_params(cpar)
+def _forward(p, c, x0, u, dt):
     return ode.rk4_nodes(lambda t, x, uu: model.controlled_field(x, uu, p, c),
                          x0, (u,), dt, dt * np.arange(len(u), dtype=float))
 
 
-def _py_adjoint(par, cpar, wts, states, u, dt):
-    from ..control import ObjectiveWeights, adjoint_field  # control imports us
+def _backward(p, c, w, states, u, dt):
+    from ..control import adjoint_field  # control imports us
 
-    p, c = _model_params(par), _control_params(cpar)
-    w = ObjectiveWeights(*wts.tolist())
     return ode.rk4_nodes(lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
                          np.zeros(10), (states, u), dt,
                          dt * np.arange(len(u), dtype=float), backward=True)
@@ -185,16 +187,14 @@ def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def _py_sweep(par, cpar, wts, mask, mix, x0, dt, states, adjoints, controls):
-    # control imports us
-    from ..control import ObjectiveWeights, characterize_controls
+    from ..control import characterize_controls  # control imports us
 
-    p, c = _model_params(par), _control_params(cpar)
-    w = ObjectiveWeights(*wts.tolist())
+    p, c, w = _namespaces(par, cpar, wts)
 
     def run(u, prev_states, i):
         x, u_new = states[i], controls[i]
-        x[...] = _py_controlled(par, cpar, x0, u, dt)
-        adjoints[...] = _py_adjoint(par, cpar, wts, x, u, dt)
+        x[...] = _forward(p, c, x0, u, dt)
+        adjoints[...] = _backward(p, c, w, x, u, dt)
         u_char = characterize_controls(x, adjoints, p, c, w, mask)
         u_new[...] = mix * u_char + (1.0 - mix) * u
         state_change = (float("inf") if prev_states is None
@@ -203,7 +203,11 @@ def _py_sweep(par, cpar, wts, mask, mix, x0, dt, states, adjoints, controls):
     return run
 
 
-PYTHON = _checked("python", _py_controlled, _py_adjoint, _py_sweep)
+PYTHON = _checked(
+    "python",
+    lambda par, cpar, *rest: _forward(*_namespaces(par, cpar), *rest),
+    lambda par, cpar, wts, *rest: _backward(*_namespaces(par, cpar, wts), *rest),
+    _py_sweep)
 
 
 def _c_kernels(lib: ctypes.CDLL) -> Kernels:

@@ -199,6 +199,7 @@ def _classify(rep: ThresholdReport,
     return Classification.NO_ENDEMIC, "iii-c"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused, so not warned of
 def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
     """All equilibria: both disease-free points and every positive
     endemic root of the quadratic, with field-residual verification.

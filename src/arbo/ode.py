@@ -99,6 +99,7 @@ def rk4_forward(field, x0, grid: TimeGrid, control_lookup=None) -> Trajectory:
     return Trajectory(grid, rk4_nodes(field, x0, inputs, grid.dt, grid.times()))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused, so not warned of
 def rk4_nodes(rhs, y0, inputs, dt: float, times, backward: bool = False
               ) -> np.ndarray:
     """Classic RK4 over the nodes of `times` with step `dt`, or from the

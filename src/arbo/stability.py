@@ -166,10 +166,9 @@ def bifurcation_coefficients(p: ModelParams) -> BifurcationCoefficients:
     k = derive_constants(ps)
     nh0 = e1[S_H]
     nv0 = e1[S_V]
-    k1c = ps.mu_b * (1.0 - e1[EGG] / ps.Gamma_E)
-    k2c = k.k5 + ps.mu_b * nv0 / ps.Gamma_E
-    k3c = ps.s * (1.0 - e1[LAR] / ps.Gamma_L)
-    k4c = k.k6 + ps.s * e1[EGG] / ps.Gamma_L
+    # Egg laying per adult, egg loss, egg-to-larva transfer, larval loss.
+    k1c, k2c = jac[EGG, S_V], -jac[EGG, EGG]
+    k3c, k4c = jac[LAR, EGG], -jac[LAR, LAR]
 
     w1, w2, w3, w4 = w[S_H], w[E_H], w[I_H], w[R_H]
     w6, w7, w10 = w[E_V], w[I_V], w[PUP]

@@ -71,9 +71,12 @@ def _established(p: ModelParams, what: str) -> float:
 
 
 def _disease_free_vectors(p: ModelParams, k, n):
-    """Adult vectors at the biological DFE (positive only where N > 1)."""
+    """(S_v, G, D) at the biological DFE: the adult vectors G (N - 1) / D
+    (positive only where N > 1), and the factors G = G_E G_L k5 k6 and
+    D = mu_b (G_E s + k6 G_L) that the aquatic stages share."""
+    shared = p.Gamma_E * p.Gamma_L * k.k5 * k.k6
     denom = p.mu_b * (p.Gamma_E * p.s + k.k6 * p.Gamma_L)
-    return p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * (n - 1.0) / denom
+    return shared * (n - 1.0) / denom, shared, denom
 
 
 def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
@@ -88,15 +91,12 @@ def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
     if not trivial:
         n = _established(p, "biological DFE requires")
         k = derive_constants(p)
-        denom = p.mu_b * (p.Gamma_E * p.s + k.k6 * p.Gamma_L)
-        vectors = _disease_free_vectors(p, k, n)
-        pup = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k8 * (n - 1.0)
-               / (p.theta * denom))
-        lar = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k7 * k.k8 * (n - 1.0)
-               / (p.theta * p.l * denom))
-        egg = (p.Gamma_E * p.Gamma_L * k.k5 * k.k6 * k.k7 * k.k8 * (n - 1.0)
-               / (p.s * (p.mu_b * p.l * p.Gamma_L * p.theta
-                         + k.k5 * k.k7 * k.k8 * p.Gamma_E)))
+        vectors, shared, denom = _disease_free_vectors(p, k, n)
+        pup = shared * k.k8 * (n - 1.0) / (p.theta * denom)
+        aquatic = shared * k.k7 * k.k8 * (n - 1.0)  # larvae and eggs
+        lar = aquatic / (p.theta * p.l * denom)
+        egg = aquatic / (p.s * (p.mu_b * p.l * p.Gamma_L * p.theta
+                                + k.k5 * k.k7 * k.k8 * p.Gamma_E))
     # In state order: S_h, E_h, I_h, R_h, S_v, E_v, I_v, E, L, P.
     return np.stack(np.broadcast_arrays(
         p.lambda_h_in / p.mu_h, 0.0, 0.0, 0.0, vectors, 0.0, 0.0,
@@ -127,12 +127,10 @@ def threshold_arrays(p) -> ThresholdReport:
     r_2b = scale * (root_a + root_b)
 
     nh0 = p.lambda_h_in / p.mu_h
-    nv0 = _disease_free_vectors(p, k, n)
-    k_vh = np.where(established, p.a * p.beta_vh * (p.gamma_h + k.k4 * p.eta_h)
-                    * nv0 / (k.k3 * k.k4 * nh0), 0.0)
-    k_hv = np.where(established,
-                    p.a * p.beta_hv * (p.gamma_v + k.k8 * p.eta_v) / (k.k8 * k.k9),
-                    0.0)
+    nv0 = _disease_free_vectors(p, k, n)[0]
+    k_vh = np.where(established,
+                    p.a * p.beta_vh * k.k10 * nv0 / (k.k3 * k.k4 * nh0), 0.0)
+    k_hv = np.where(established, p.a * p.beta_hv * k.k11 / (k.k8 * k.k9), 0.0)
 
     # R0^2 is linear in beta_hv, so R0(beta_x) = R_x at beta_x = beta_star * R_x^2.
     # np.divide so that scalar inputs also divide by zero into inf.
@@ -198,17 +196,12 @@ def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     return ThresholdReport(**values)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # refused, so not warned of
 def basic_reproduction_number(p: ModelParams) -> float:
-    """Closed-form R0; requires an established vector population (N > 1).
-    Where R0 is not finite, raises `ThresholdError` naming the first
-    quantity of `nonfinite` that is not, as `bifurcation_thresholds`
-    does."""
+    """Closed-form R0, read off `bifurcation_thresholds`; requires an
+    established vector population (N > 1), and raises its `ThresholdError`
+    wherever the report has a quantity that is not finite."""
     _established(p, "R0 requires")
-    rep = threshold_arrays(p)
-    if not np.isfinite(rep.r0):
-        raise ThresholdError(nonfinite(rep, dfe_components(p))[0])
-    return float(rep.r0)
+    return bifurcation_thresholds(p).r0
 
 
 def next_generation_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -840,20 +840,25 @@ def test_generated_config_mutations(config_file, tmp_path, capsys,
     that every refusal runs, since a refusal stops before any compute.
     Of the mutations that reach the compute, `_FULL_RUNS` drawn with
     `_FULL_RUN_SEED` then run in full.  RuntimeWarnings of overflowing
-    values are ignored: the exit code and message are checked."""
+    values are ignored there: the exit code and message are checked.
+    Last, every `params` mutation runs through `equilibria` as well, which
+    must not warn at all, since a process prints a warning as further
+    lines on stderr."""
     fixtures = {name: load_fixture(name) for name in
                 ("table5_control", "table2_baseline", "sec22_backward")}
 
-    def run(fixture, path, value):
-        argv = _mutation_argv(path)
+    def run(fixture, path, value, command=None):
+        argv = [command] if command else _mutation_argv(path)
         cfg = _mutated(fixtures[fixture], path, value)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always" if command else "ignore",
+                                  RuntimeWarning)
             code = main([argv[0], "--config", config_file(cfg),
                          "--out", str(tmp_path / "out"), *argv[1:]])
         err = capsys.readouterr().err
-        case = (fixture, path, "del" if value is _DELETE else value, err)
-        assert code in (0, 2, 3, 4), case
+        case = (fixture, path, "del" if value is _DELETE else value, err,
+                [str(w.message) for w in caught])
+        assert code in (0, 2, 3, 4) and not caught, case
         if code:
             first = {2: "error: ", 3: "numeric error: ",
                      4: "sweep did not converge"}[code]
@@ -880,6 +885,10 @@ def test_generated_config_mutations(config_file, tmp_path, capsys,
     assert len(mutations) > 1500 and len(reached) > _FULL_RUNS
     for mutation in random.Random(_FULL_RUN_SEED).sample(reached, _FULL_RUNS):
         run(*mutation)
+    params = [m for m in mutations if m[1][0] == "params"]
+    assert len(params) == 3 * 21 * len(_MUTANTS)
+    for mutation in params:
+        run(*mutation, command="equilibria")
 
 
 def test_numeric_error_exit_code(config_file, tmp_path):
@@ -892,18 +901,18 @@ def test_numeric_error_exit_code(config_file, tmp_path):
     assert code == EXIT_NUMERIC
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_endemic_point_is_a_numeric_error(config_file, tmp_path,
                                                      capsys):
     """[TRIVIAL] A gamma_v of 1e308 makes the endemic I_v infinite:
     `equilibria` exits 3 naming the point, and writes nothing, rather than
-    handing the point to the eigenvalue check.  numpy warns of the
-    overflow on the way."""
+    handing the point to the eigenvalue check.  numpy does not warn of the
+    overflow on the way, so the refusal is the one line on stderr."""
     cfg = _table5()
     cfg["params"]["gamma_v"] = 1e308
     out = tmp_path / "eq.json"
-    with pytest.warns(RuntimeWarning):
-        code = main(["equilibria", "--config", config_file(cfg),
-                     "--out", str(out)])
+    code = main(["equilibria", "--config", config_file(cfg),
+                 "--out", str(out)])
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err == (
         "numeric error: endemic point at lambda_h=0.000900606 is not finite\n")

@@ -21,6 +21,7 @@ from arbo.model import (
     params_to_array,
 )
 from arbo.ode import NonFiniteError, TimeGrid, rk4_forward, rk4_nodes
+from arbo.sensitivity import PARAM_ORDER
 
 PYTHON = _kernels.PYTHON
 
@@ -385,6 +386,45 @@ def test_kernels_report_first_nonfinite_step(table5):
         want = _first_bad_step(lambda: getattr(PYTHON, name)(*args))
         assert got == want, name
         assert 1 < got[0] < n, name
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernels_raise_the_same_error_without_warning(table5):
+    """[TRIVIAL] With warnings as errors, an egg-laying rate of 1e300
+    overflows the first step of 1 on both backends into the same
+    `NonFiniteError`: the Python loop, like the C one, warns of no
+    overflow on the way to refusing it."""
+    p = dataclasses.replace(table5.params, mu_b=1e300)
+    par = params_to_array(p)
+    for kernels in (_kernels, PYTHON):
+        with pytest.raises(NonFiniteError) as err:
+            kernels.rk4_basic(par, table5.x0, 50, 1.0)
+        assert (err.value.step, err.value.t) == (1, 1.0), kernels
+
+
+def test_kernels_take_out_of_domain_parameter_arrays(table5):
+    """[TRIVIAL] The kernels read a parameter array as it is, without the
+    bounds of `ModelParams`: under mu_v = -0.01 the four entry points give
+    the same bytes on both backends, rather than a `ParamError` from the
+    Python ones only."""
+    par = params_to_array(table5.params)
+    par[PARAM_ORDER.index("mu_v")] = -0.01
+    cpar = params_to_array(table5.control_params)
+    wts = params_to_array(table5.weights)
+    n, dt = 50, 0.1
+    u = _random_controls(np.random.default_rng(26), n)
+    states = np.tile(table5.x0, (n + 1, 1))
+    calls = {
+        "rk4_basic": (par, table5.x0, n, dt),
+        "rk4_controlled": (par, cpar, table5.x0, u, dt),
+        "rk4_adjoint": (par, cpar, wts, states, u, dt),
+        "sweep": (par, cpar, wts, _strategy_mask("Z"), 0.5, table5.x0, u, dt,
+                  2),
+    }
+    for name, args in calls.items():
+        got = _outcome(_entry(_kernels, name), args)
+        assert isinstance(got, list), (name, got)
+        assert got == _outcome(_entry(PYTHON, name), args), name
 
 
 def _separate_passes(kernels, par, cpar, wts, x0, u, dt):

@@ -218,8 +218,8 @@ def test_params_to_array_order(table5):
 
 
 def test_params_to_array_round_trips_through_the_kernels(table5):
-    """[TRIVIAL] The kernels' unpacking reads back the record packed in
+    """[TRIVIAL] The kernels' unpacking reads back the records packed in
     field order."""
-    p, c = table5.params, table5.control_params
-    assert _kernels._model_params(params_to_array(p)) == p
-    assert _kernels._control_params(params_to_array(c)) == c
+    records = (table5.params, table5.control_params, table5.weights)
+    unpacked = _kernels._namespaces(*map(params_to_array, records))
+    assert [vars(ns) for ns in unpacked] == list(map(dataclasses.asdict, records))

@@ -65,6 +65,21 @@ def test_r0_refuses_a_non_finite_value():
         basic_reproduction_number(p)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, message", [("mu_h", "R_c is nan"),
+                                            ("delta", "R_1b is nan")])
+def test_r0_refuses_wherever_the_report_does(table5, field, message):
+    """[TRIVIAL] R0 is read off the full report, so it is refused wherever
+    the report is: on Table 5 with mu_h = 1e200 R0 underflows to a finite
+    0.0 but R_c is NaN, and with delta = 1e200 R0 is finite but R_1b is
+    NaN.  Both functions raise that `ThresholdError`, without a numpy
+    warning."""
+    p = dataclasses.replace(table5.params, **{field: 1e200})
+    for threshold in (bifurcation_thresholds, basic_reproduction_number):
+        with pytest.raises(ThresholdError, match=f"^{message}$"):
+            threshold(p)
+
+
 def test_dfe_components_are_equilibria(sec22):
     """[DERIVED] Both closed-form disease-free points zero the field."""
     p = sec22.params
