@@ -2,12 +2,12 @@
 
 `rk4.c` holds the controlled right-hand side, its state derivative
 `field_vjp` (J^T lambda, as `model.field_vjp`), the adjoint right-hand
-side built from that derivative (as `control.adjoint_field`) and the
-control characterization (as `control.characterize_controls`), over
+side built from that derivative (as `model.adjoint_field`) and the
+control characterization (as `model.characterize_controls`), over
 flat double arrays with the model and control parameters and the nine
 objective weights `wts` = (D1..D4, B1..B5) each in the order
 `model.params_to_array` gives `ModelParams`, `ControlParams` and
-`control.ObjectiveWeights`.  Its three entry points are `rk4_controlled`
+`model.ObjectiveWeights`.  Its three entry points are `rk4_controlled`
 (forward states), `rk4_adjoint` (backward adjoints, which read only
 D1..D4 of `wts`) and `sweep_step`, one whole sweep iteration: both
 passes, the relaxed control update and the two relative changes.  On
@@ -17,9 +17,9 @@ compile command, in `__pycache__` next to the source, or in the user
 cache directory when that is not writable.
 
 If the build or the load fails, the same kernels run the Python
-right-hand sides (`model.controlled_field`, `control.adjoint_field`)
+right-hand sides (`model.controlled_field`, `model.adjoint_field`)
 through `ode.rk4_nodes`, forward and backward, and the sweep iteration
-composes those with `control.characterize_controls`; like the C kernels,
+composes those with `model.characterize_controls`; like the C kernels,
 they take the parameter arrays unchecked.  Built without fused
 multiply-add, the C kernels give the same values to the last bit.
 `_checked` builds both backends' entry points: each checks and converts
@@ -158,10 +158,8 @@ def _iterations(run, fixed, u, states, adjoints, controls):
 
 def _namespaces(*arrays) -> list:
     """The arrays of `ModelParams`, `ControlParams` and then
-    `control.ObjectiveWeights` as namespaces of their fields, unchecked."""
-    from ..control import ObjectiveWeights  # control imports us
-
-    records = (model.ModelParams, model.ControlParams, ObjectiveWeights)
+    `ObjectiveWeights` as namespaces of their fields, unchecked."""
+    records = (model.ModelParams, model.ControlParams, model.ObjectiveWeights)
     return [SimpleNamespace(**dict(zip([f.name for f in dataclasses.fields(r)],
                                        a.tolist())))
             for r, a in zip(records, arrays)]
@@ -173,11 +171,10 @@ def _forward(p, c, x0, u, dt):
 
 
 def _backward(p, c, w, states, u, dt):
-    from ..control import adjoint_field  # control imports us
-
-    return ode.rk4_nodes(lambda t, lam, x, uu: adjoint_field(x, uu, lam, p, c, w),
-                         np.zeros(10), (states, u), dt,
-                         dt * np.arange(len(u), dtype=float), backward=True)
+    return ode.rk4_nodes(
+        lambda t, lam, x, uu: model.adjoint_field(x, uu, lam, p, c, w),
+        np.zeros(10), (states, u), dt, dt * np.arange(len(u), dtype=float),
+        backward=True)
 
 
 def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -187,15 +184,13 @@ def _rel_sup_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def _py_sweep(par, cpar, wts, mask, mix, x0, dt, states, adjoints, controls):
-    from ..control import characterize_controls  # control imports us
-
     p, c, w = _namespaces(par, cpar, wts)
 
     def run(u, prev_states, i):
         x, u_new = states[i], controls[i]
         x[...] = _forward(p, c, x0, u, dt)
         adjoints[...] = _backward(p, c, w, x, u, dt)
-        u_char = characterize_controls(x, adjoints, p, c, w, mask)
+        u_char = model.characterize_controls(x, adjoints, p, c, w, mask)
         u_new[...] = mix * u_char + (1.0 - mix) * u
         state_change = (float("inf") if prev_states is None
                         else _rel_sup_change(x, prev_states))

@@ -11,17 +11,17 @@
  * The right-hand side and its state derivative are written in the same
  * operation order as their Python counterparts (model.controlled_field,
  * model.field_vjp), the adjoint right-hand side is built from the
- * derivative as control.adjoint_field is, each loop runs in the same
+ * derivative as model.adjoint_field is, each loop runs in the same
  * order as ode.rk4_nodes does forward and backward, and the control
- * update follows control.characterize_controls term for term, so that
+ * update follows model.characterize_controls term for term, so that
  * without fused multiply-add the two routes agree to the last bit.  The
  * uncontrolled system is the controlled one with zero controls and zero
  * control efficacies.
  *
  * Arrays are C-contiguous doubles: par, cpar and wts = (D1, D2, D3, D4,
  * B1, ..., B5) in the order model.params_to_array gives ModelParams,
- * ControlParams and control.ObjectiveWeights, states
- * and out as (n_steps + 1) x 10 and the controls u as (n_steps + 1) x 5.
+ * ControlParams and model.ObjectiveWeights, states and out as
+ * (n_steps + 1) x 10 and the controls u as (n_steps + 1) x 5.
  * Every loop stops at the first node holding a NaN or an infinity and
  * returns its index.  It returns NO_HUMANS when a right-hand side met a
  * zero or negative human total (where the Python right-hand sides raise
@@ -117,7 +117,7 @@ static int field_vjp(const double *x, const double *u, const double *l,
     return empty;
 }
 
-/* -dH/dx (control.adjoint_field): minus the running cost's state
+/* -dH/dx (model.adjoint_field): minus the running cost's state
  * gradient and J^T l; only the state penalties w[0..3] = D1..D4 enter. */
 static int adjoint_rhs(const double *l, const double *x, const double *u,
                        const double *p, const double *c, const double *w,
@@ -211,7 +211,7 @@ long rk4_adjoint(const double *par, const double *cpar, const double *wts,
     return FINITE;
 }
 
-/* The stationary-point controls at one node (control.characterize_controls):
+/* The stationary-point controls at one node (model.characterize_controls):
  * the root of dH/du_j, clamped to [0, 1] as np.clip does (NaN and -0.0
  * pass through), times the strategy mask; two_b = (2 B1, ..., 2 B5). */
 static int characterize(const double *x, const double *l, const double *p,

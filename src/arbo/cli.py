@@ -26,11 +26,11 @@ from ._kernels import (  # perfbench traces cli.rk4_basic
     BACKEND, FALLBACK_REASON, rk4_basic,
 )
 from .control import (  # perfbench traces cli.forward_backward_sweep
-    STRATEGY_SETS, ObjectiveWeights, StrategyMask, forward_backward_sweep,
+    STRATEGY_SETS, StrategyMask, forward_backward_sweep,
 )
 from .model import (
-    STATE_NAMES, ControlParams, ModelParams, ParamError, ZeroPopulationError,
-    params_to_array,
+    STATE_NAMES, ControlParams, ModelParams, ObjectiveWeights, ParamError,
+    ZeroPopulationError, params_to_array,
 )
 from .ode import TimeGrid, Trajectory
 from .stability import eigen_verdict  # perfbench traces cli.eigen_verdict

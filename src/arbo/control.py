@@ -1,41 +1,22 @@
-"""Optimal-control machinery: objective functional, Hamiltonian, adjoint
-system, bang-clamp control characterization with strategy masks, and the
-forward-backward sweep iteration."""
+"""Optimal-control driver: the objective functional, the Hamiltonian,
+strategy masks and the forward-backward sweep iteration.  The pieces the
+kernels mirror, the objective weights, the adjoint right-hand side and
+the control characterization, live in `model`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .model import (
-    E_V, EGG, I_H, I_V, LAR, N_CONTROLS, R_H, S_H, S_V,
-    ControlParams, ModelParams, ParamError, _infection, controlled_field,
-    field_vjp, params_to_array,
+    E_V, EGG, I_H, I_V, LAR, N_CONTROLS, S_V, ControlParams, ModelParams,
+    ObjectiveWeights, controlled_field, params_to_array,
 )
+# Unused here: tests/test_acceptance.py imports both from arbo.control.
+from .model import adjoint_field, characterize_controls  # noqa: F401
 from .ode import TimeGrid, Trajectory
-
-
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """State penalties D1..D4 and quadratic control costs B1..B5."""
-
-    D1: float
-    D2: float
-    D3: float
-    D4: float
-    B1: float
-    B2: float
-    B3: float
-    B4: float
-    B5: float
-
-    def __post_init__(self):
-        bad = [f"{f.name} must be > 0, got {getattr(self, f.name)!r}"
-               for f in fields(self) if not getattr(self, f.name) > 0]
-        if bad:
-            raise ParamError(bad)
 
 
 STRATEGY_SETS = {
@@ -111,42 +92,6 @@ def hamiltonian(x, u, adj, p: ModelParams, c: ControlParams,
                 w: ObjectiveWeights) -> float:
     adj = np.asarray(adj, dtype=float)
     return running_cost(x, u, w) + float(adj @ controlled_field(x, u, p, c))
-
-
-def adjoint_field(x, u, adj, p: ModelParams, c: ControlParams,
-                  w: ObjectiveWeights) -> np.ndarray:
-    """Right-hand side of the ten adjoint equations, -dH/dx: minus the
-    running cost's state gradient and J^T adj (`model.field_vjp`)."""
-    cost = np.zeros(10)
-    cost[I_H] = w.D1
-    cost[[S_V, E_V, I_V]] = w.D2
-    cost[EGG] = w.D3
-    cost[LAR] = w.D4
-    return -(cost + field_vjp(x, u, adj, p, c))
-
-
-def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
-                          w: ObjectiveWeights, mask: np.ndarray) -> np.ndarray:
-    """The five stationary-point controls, clamped to [0,1] and times the
-    0/1 float mask of shape (5,), so masked-off controls are exactly zero;
-    on one node (x, adj of shape (10,)) or a grid ((n+1, 10) to (n+1, 5)).
-    `rk4.c`'s `characterize` is a term-for-term copy, on the same mask."""
-    x = np.asarray(x, dtype=float)
-    adj = np.asarray(adj, dtype=float)
-    _, fh, fv = _infection(x, p)
-    l1, l2, l3, l4, l5, l6, l7, l8, l9 = (adj[..., i] for i in range(9))
-
-    u = np.stack([
-        (l1 - l4) * (x[..., S_H] - c.omega * x[..., R_H]) / (2.0 * w.B1),
-        c.alpha1 * (fh * x[..., S_H] * (l2 - l1)
-                    + fv * x[..., S_V] * (l6 - l5)) / (2.0 * w.B2),
-        c.alpha2 * ((1.0 - p.delta) * l3 - l4) * x[..., I_H] / (2.0 * w.B3),
-        c.c_m * (x[..., S_V] * l5 + x[..., E_V] * l6
-                 + x[..., I_V] * l7) / (2.0 * w.B4),
-        (c.eta1 * x[..., EGG] * l8 + c.eta2 * x[..., LAR] * l9) / (2.0 * w.B5),
-    ], axis=-1)
-    np.clip(u, 0.0, 1.0, out=u)
-    return u * mask
 
 
 def forward_backward_sweep(p: ModelParams, c: ControlParams,

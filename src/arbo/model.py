@@ -1,5 +1,7 @@
-"""Core arboviral transmission model: parameters, derived constants, and
-right-hand sides of the uncontrolled and controlled ODE systems.
+"""Core arboviral transmission model: the parameter records under one
+domain table, derived constants, the uncontrolled right-hand side and
+the controlled system's four pieces that `_kernels/rk4.c` mirrors: its
+right-hand side, state derivative, adjoint and control characterization.
 
 State ordering (used everywhere in the package):
 
@@ -47,6 +49,36 @@ class ZeroPopulationError(ValueError):
     """Total human population is zero; forces of infection are undefined."""
 
 
+# The domain of each field of `ModelParams`, `ControlParams` and
+# `ObjectiveWeights`, as the words a refusal states it in and its test;
+# a field not listed here must be > 0.
+_POSITIVE = ("> 0", lambda v: v > 0)
+_DOMAINS = {
+    **dict.fromkeys(("delta", "beta_hv", "beta_vh", "omega", "c_m", "eta1",
+                     "eta2"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("eta_h", "eta_v"),
+                    ("in [0, 1)", lambda v: (0 <= v) & (v < 1))),
+    **dict.fromkeys(("alpha1", "alpha2"),
+                    ("in [0, 1]", lambda v: (0 <= v) & (v <= 1))),
+}
+
+
+def in_bounds(name: str, value):
+    """Whether `value` is in the domain of the record field `name`;
+    elementwise on arrays, False for NaN."""
+    return _DOMAINS.get(name, _POSITIVE)[1](value)
+
+
+def _check_domains(record) -> None:
+    """The `__post_init__` of the three parameter records: one
+    `ParamError` listing, in field order, each field outside its domain."""
+    violations = [f"{name} must be {_DOMAINS.get(name, _POSITIVE)[0]}, "
+                  f"got {value!r}" for name, value in vars(record).items()
+                  if not in_bounds(name, value)]
+    if violations:
+        raise ParamError(violations)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Biological and demographic rates of the transmission model.
@@ -76,28 +108,7 @@ class ModelParams:
     s: float            # egg -> larva transfer
     l: float            # larva -> pupa transfer
 
-    def __post_init__(self):
-        positive = [f.name for f in fields(self)
-                    if f.name not in _NONNEGATIVE + _UNIT_INTERVAL]
-        groups = ((positive, "> 0"), (_NONNEGATIVE, ">= 0"),
-                  (_UNIT_INTERVAL, "in [0, 1)"))
-        violations = [f"{name} must be {bound}, got {getattr(self, name)!r}"
-                      for names, bound in groups for name in names
-                      if not in_bounds(name, getattr(self, name))]
-        if violations:
-            raise ParamError(violations)
-
-
-_NONNEGATIVE = ("delta", "beta_hv", "beta_vh")
-_UNIT_INTERVAL = ("eta_h", "eta_v")
-
-
-def in_bounds(name: str, value):
-    """Whether `value` is allowed for the `ModelParams` field `name`;
-    elementwise on arrays, False for NaN."""
-    if name in _UNIT_INTERVAL:
-        return (0 <= value) & (value < 1)
-    return value >= 0 if name in _NONNEGATIVE else value > 0
+    __post_init__ = _check_domains
 
 
 def param_rows(p, index):
@@ -119,14 +130,24 @@ class ControlParams:
     eta1: float    # chemical egg mortality increment
     eta2: float    # chemical larva mortality increment
 
-    def __post_init__(self):
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        violations = [f"{name} must be >= 0, got {v!r}"
-                      for name, v in values.items() if not v >= 0]
-        violations += [f"{name} must be <= 1, got {values[name]!r}"
-                       for name in ("alpha1", "alpha2") if values[name] > 1]
-        if violations:
-            raise ParamError(violations)
+    __post_init__ = _check_domains
+
+
+@dataclass(frozen=True)
+class ObjectiveWeights:
+    """State penalties D1..D4 and quadratic control costs B1..B5."""
+
+    D1: float
+    D2: float
+    D3: float
+    D4: float
+    B1: float
+    B2: float
+    B3: float
+    B4: float
+    B5: float
+
+    __post_init__ = _check_domains
 
 
 @dataclass(frozen=True)
@@ -272,6 +293,42 @@ def field_vjp(x, u, lam, p: ModelParams, c: ControlParams) -> np.ndarray:
     return g.T
 
 
+def adjoint_field(x, u, adj, p: ModelParams, c: ControlParams,
+                  w: ObjectiveWeights) -> np.ndarray:
+    """Right-hand side of the ten adjoint equations, -dH/dx: minus the
+    running cost's state gradient and J^T adj (`field_vjp`)."""
+    cost = np.zeros(10)
+    cost[I_H] = w.D1
+    cost[[S_V, E_V, I_V]] = w.D2
+    cost[EGG] = w.D3
+    cost[LAR] = w.D4
+    return -(cost + field_vjp(x, u, adj, p, c))
+
+
+def characterize_controls(x, adj, p: ModelParams, c: ControlParams,
+                          w: ObjectiveWeights, mask: np.ndarray) -> np.ndarray:
+    """The five stationary-point controls, clamped to [0,1] and times the
+    0/1 float mask of shape (5,), so masked-off controls are exactly zero;
+    on one node (x, adj of shape (10,)) or a grid ((n+1, 10) to (n+1, 5)).
+    `rk4.c`'s `characterize` is a term-for-term copy, on the same mask."""
+    x = np.asarray(x, dtype=float)
+    adj = np.asarray(adj, dtype=float)
+    _, fh, fv = _infection(x, p)
+    l1, l2, l3, l4, l5, l6, l7, l8, l9 = (adj[..., i] for i in range(9))
+
+    u = np.stack([
+        (l1 - l4) * (x[..., S_H] - c.omega * x[..., R_H]) / (2.0 * w.B1),
+        c.alpha1 * (fh * x[..., S_H] * (l2 - l1)
+                    + fv * x[..., S_V] * (l6 - l5)) / (2.0 * w.B2),
+        c.alpha2 * ((1.0 - p.delta) * l3 - l4) * x[..., I_H] / (2.0 * w.B3),
+        c.c_m * (x[..., S_V] * l5 + x[..., E_V] * l6
+                 + x[..., I_V] * l7) / (2.0 * w.B4),
+        (c.eta1 * x[..., EGG] * l8 + c.eta2 * x[..., LAR] * l9) / (2.0 * w.B5),
+    ], axis=-1)
+    np.clip(u, 0.0, 1.0, out=u)
+    return u * mask
+
+
 _NO_CONTROL = np.zeros(N_CONTROLS)
 _NO_EFFECT = ControlParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -284,6 +341,6 @@ def basic_field(x, p: ModelParams) -> np.ndarray:
 
 def params_to_array(p) -> np.ndarray:
     """Flatten a parameter record (`ModelParams`, `ControlParams`,
-    `control.ObjectiveWeights`) in its field order, the order the
-    compiled kernels read."""
+    `ObjectiveWeights`) in its field order, the order the compiled
+    kernels read."""
     return np.array([getattr(p, f.name) for f in fields(p)])

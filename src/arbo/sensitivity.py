@@ -66,9 +66,9 @@ class RangeError(ValueError):
 
 
 class SingularSampleError(ValueError):
-    """A non-degenerate parameter column is constant, or the rank
-    correlation matrix of the parameters and the output is singular; either
-    way the regression behind PRCC has no solution."""
+    """A non-degenerate parameter column or the output is constant, or the
+    rank correlation matrix of the parameters and the output is singular;
+    either way the regression behind PRCC has no solution."""
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,8 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
     all other parameters' ranks.  By Frisch-Waugh this equals
     -P[j, y] / sqrt(P[j, j] P[y, y]) with P the inverse of the rank
     correlation matrix, so one inverse gives every coefficient.
-    Degenerate-range columns are excluded.
+    Degenerate-range columns are excluded; a constant output or other
+    column raises `SingularSampleError` before any column is sorted.
     """
     outputs = np.asarray(outputs, dtype=float)
     n = samples.n
@@ -302,12 +303,11 @@ def prcc(samples: SampleSet, outputs) -> PRCCReport:
         else:
             np.subtract(strata, (n - 1) / 2, out=row)
     # A certified column is a permutation of its strata, so only an
-    # unranked one can be constant.
-    for _, j in unranked:
-        col = samples.matrix[:, j]
+    # unranked one, or the output, can be constant.
+    for what, col in [*((f"parameter {PARAM_ORDER[j]}", samples.matrix[:, j])
+                        for _, j in unranked), ("the output", outputs)]:
         if np.all(col == col[0]):
-            raise SingularSampleError(
-                f"parameter {PARAM_ORDER[j]} is constant over the sample")
+            raise SingularSampleError(f"{what} is constant over the sample")
     sorted_columns = []
     for row, j in unranked:
         name = PARAM_ORDER[j]

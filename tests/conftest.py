@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import arbo
-from arbo.control import ObjectiveWeights
-from arbo.model import ControlParams, ModelParams
+from arbo.model import ControlParams, ModelParams, ObjectiveWeights
 from arbo.ode import TimeGrid
 from arbo.sensitivity import PARAM_ORDER, ParamDistribution, baseline_ranges
 from arbo.thresholds import net_reproductive_number

@@ -20,9 +20,9 @@ from arbo.cli import (
     _MAX_STEPS, EXIT_NO_CONVERGENCE, EXIT_NUMERIC, EXIT_PARSE, _jsonable,
     build_parser, main,
 )
-from arbo.control import ObjectiveWeights, StrategyMask, forward_backward_sweep
+from arbo.control import StrategyMask, forward_backward_sweep
 from arbo.equilibria import bifurcation_scan
-from arbo.model import STATE_NAMES, ControlParams, ModelParams
+from arbo.model import STATE_NAMES, ControlParams, ModelParams, ObjectiveWeights
 from arbo.ode import TimeGrid
 from arbo.thresholds import basic_reproduction_number, bifurcation_thresholds
 from conftest import FIXTURES, load_fixture
@@ -397,6 +397,28 @@ def test_singular_prcc_is_a_configuration_error(config_file, tmp_path,
     assert capsys.readouterr().err == (
         "error: the rank correlation matrix of the 3 active parameters and "
         "the output is singular over 6 draws\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["mu_v", "mu_E", "mu_L", "mu_P",
+                                  "lambda_h_in"])
+def test_constant_r0_is_a_configuration_error(name, config_file, tmp_path,
+                                              capsys):
+    """[TRIVIAL] A range whose upper bound is 1e308 makes R0 zero at every
+    draw, so PRCC has no output ranks: `sensitivity` exits 2 with one
+    `error:` line, before it logs a column it sorts, and writes no
+    report."""
+    cfg = load_fixture("table2_baseline")
+    cfg["sensitivity"]["ranges"][name][1] = 1e308
+    out = tmp_path / "sens.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sensitivity", "--config", config_file(cfg),
+                     "--samples", "2000", "--seed", "1", "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: the output is constant over the sample\n")
     assert not out.exists()
 
 

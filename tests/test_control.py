@@ -8,12 +8,13 @@ import pytest
 
 from arbo import _kernels
 from arbo.control import (
-    ObjectiveWeights, StrategyMask,
-    adjoint_field, characterize_controls, forward_backward_sweep, hamiltonian,
-    objective, running_cost,
+    StrategyMask, forward_backward_sweep, hamiltonian, objective, running_cost,
 )
 from arbo.econ import cumulated_infectious, efficiency_index
-from arbo.model import ParamError, controlled_field, params_to_array
+from arbo.model import (
+    ObjectiveWeights, ParamError, adjoint_field, characterize_controls,
+    controlled_field, params_to_array,
+)
 from arbo.ode import TimeGrid
 from conftest import Scenario
 

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from arbo import _kernels
-from arbo.control import StrategyMask, adjoint_field
+from arbo.control import StrategyMask
 from arbo.model import (
-    R_H, S_H, ZeroPopulationError, basic_field, controlled_field,
-    params_to_array,
+    R_H, S_H, ZeroPopulationError, adjoint_field, basic_field,
+    controlled_field, params_to_array,
 )
 from arbo.ode import NonFiniteError, TimeGrid, rk4_forward, rk4_nodes
 from arbo.sensitivity import PARAM_ORDER
@@ -106,6 +106,31 @@ def test_only_control_and_cli_load_the_kernels():
     assert out == "False True\n"
 
 
+def test_python_kernels_run_without_control():
+    """[TRIVIAL] In a fresh interpreter, one item of the Python kernels'
+    sweep on Table 5 (100 steps, strategy Z) runs with `arbo.control`
+    never imported: the kernels need only `model` and `ode`."""
+    code = (
+        "import json, pathlib, sys\n"
+        "import numpy as np\n"
+        "from arbo import _kernels, model\n"
+        "fixture = pathlib.Path(model.__file__).with_name('fixtures')\n"
+        "cfg = json.loads((fixture / 'table5_control.json').read_text())\n"
+        "records = (model.ModelParams(**cfg['params']),\n"
+        "           model.ControlParams(**cfg['control_params']),\n"
+        "           model.ObjectiveWeights(**cfg['weights']))\n"
+        "item = next(_kernels.PYTHON.sweep(\n"
+        "    *map(model.params_to_array, records), np.ones(5), 0.5,\n"
+        "    cfg['initial_state'], np.zeros((101, 5)), 0.01))\n"
+        "assert np.isfinite(item[0]).all() and item[3] > 0, item[3]\n"
+        "print('arbo.control' in sys.modules)\n")
+    src = pathlib.Path(_kernels.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_every_exported_name_resolves():
     """[TRIVIAL] `import *` of `arbo` and of `arbo._kernels` finds every
     name in their `__all__`, so no deleted name lingers there."""
@@ -160,7 +185,7 @@ def test_controlled_kernels_agree(table5):
 def test_adjoint_kernels_agree(table5):
     """[DERIVED] The backward adjoint integrations agree bitwise: `rk4.c`
     builds its adjoint right-hand side from its `field_vjp` in the
-    operation order of `model.field_vjp` and `control.adjoint_field`."""
+    operation order of `model.field_vjp` and `model.adjoint_field`."""
     rng = np.random.default_rng(22)
     par = params_to_array(table5.params)
     cpar = params_to_array(table5.control_params)

@@ -149,18 +149,25 @@ def test_field_vjp_matches_central_differences(table5):
 
 
 def test_bounds_check_matches_construction(table5):
-    """[TRIVIAL] `in_bounds` on an array of values says, per value,
-    whether a `ModelParams` with that value can be built."""
-    values = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, np.nan, np.inf])
-    for name in ("mu_h", "beta_hv", "eta_h"):
-        ok = in_bounds(name, values)
-        for v, expect in zip(values.tolist(), ok.tolist()):
-            try:
-                dataclasses.replace(table5.params, **{name: v})
-            except ParamError:
-                assert not expect, (name, v)
-            else:
-                assert expect, (name, v)
+    """[TRIVIAL] For each of the 36 fields of `ModelParams`,
+    `ControlParams` and `ObjectiveWeights`, `in_bounds` on one value, and
+    per value on an array of them, says whether a valid record with that
+    field set to the value can be built."""
+    values = [-1.0, 0.0, 0.5, 1.0, 1.5, np.nan, np.inf]
+    records = (table5.params, table5.control_params, table5.weights)
+    names = [f.name for r in records for f in dataclasses.fields(r)]
+    assert len(set(names)) == len(names) == 36
+    for record in records:
+        for f in dataclasses.fields(record):
+            on_array = in_bounds(f.name, np.array(values)).tolist()
+            for v, ok in zip(values, on_array):
+                try:
+                    dataclasses.replace(record, **{f.name: v})
+                except ParamError:
+                    builds = False
+                else:
+                    builds = True
+                assert in_bounds(f.name, v) == ok == builds, (f.name, v)
 
 
 def test_total_protection_blocks_transmission(table5):
@@ -176,14 +183,16 @@ def test_total_protection_blocks_transmission(table5):
 
 
 def test_param_validation_collects_all_violations(table5):
-    """[TRIVIAL] Every bound violation is reported at once."""
+    """[TRIVIAL] Every bound violation is reported at once, in the
+    record's field order rather than grouped by bound: sigma (> 0) comes
+    between beta_hv (>= 0) and eta_h (in [0, 1))."""
     values = dataclasses.asdict(table5.params)
-    values.update(mu_h=-1.0, eta_h=1.5, beta_hv=-0.2)
+    values.update(mu_h=-1.0, eta_h=1.5, beta_hv=-0.2, sigma=0.0)
     with pytest.raises(ParamError) as err:
         ModelParams(**values)
-    text = str(err.value)
-    assert "mu_h" in text and "eta_h" in text and "beta_hv" in text
-    assert len(err.value.violations) == 3
+    assert err.value.violations == [
+        "mu_h must be > 0, got -1.0", "beta_hv must be >= 0, got -0.2",
+        "sigma must be > 0, got 0.0", "eta_h must be in [0, 1), got 1.5"]
 
 
 def test_boundary_values_allowed(table5):
@@ -194,13 +203,16 @@ def test_boundary_values_allowed(table5):
 
 
 def test_control_params_validation():
-    """[TRIVIAL] Efficacies above 1 and negative rates are rejected."""
-    with pytest.raises(ParamError):
+    """[TRIVIAL] Efficacies above 1 and negative rates are rejected, each
+    named with its field's domain."""
+    with pytest.raises(ParamError) as err:
         ControlParams(omega=0.05, alpha1=1.5, alpha2=0.5, c_m=0.2,
                       eta1=0.001, eta2=0.3)
-    with pytest.raises(ParamError):
+    assert err.value.violations == ["alpha1 must be in [0, 1], got 1.5"]
+    with pytest.raises(ParamError) as err:
         ControlParams(omega=-0.05, alpha1=0.5, alpha2=0.5, c_m=0.2,
                       eta1=0.001, eta2=0.3)
+    assert err.value.violations == ["omega must be >= 0, got -0.05"]
 
 
 def test_params_to_array_order(table5):

@@ -419,6 +419,26 @@ def test_prcc_refuses_a_constant_column(caplog):
     assert not [r for r in caplog.records if r.name == "arbo"]
 
 
+def test_prcc_refuses_a_constant_output(caplog):
+    """[TRIVIAL] A constant output has no ranks to correlate: PRCC raises
+    `SingularSampleError` naming it, and logs no WARNING about a tied
+    column (mu_v, which it would sort), since it checks the output before
+    it sorts any; numpy does not warn of the 0/0 it would divide."""
+    samples = lhs_sample(baseline_ranges(), 100, seed=4)
+    matrix = np.array(samples.matrix)
+    tied = PARAM_ORDER.index("mu_v")
+    matrix[1, tied] = matrix[0, tied]
+    design = SampleSet(matrix=matrix, distribution=samples.distribution)
+    with caplog.at_level(logging.WARNING, logger="arbo"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSampleError,
+                               match="^the output is constant over the "
+                                     "sample$"):
+                prcc(design, np.zeros(design.n))
+    assert not [r for r in caplog.records if r.name == "arbo"]
+
+
 def test_prcc_refuses_a_constant_column_after_a_tied_one(caplog):
     """[TRIVIAL] A tied column (mu_v, sorted when ranked) comes before a
     constant one (gamma_v) in PARAM_ORDER: PRCC still raises

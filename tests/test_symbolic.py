@@ -7,12 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from arbo.control import (
-    ObjectiveWeights, StrategyMask, characterize_controls, running_cost,
-)
+from arbo.control import StrategyMask, running_cost
 from arbo.model import (
-    I_V, N_CONTROLS, N_STATES, ControlParams, ModelParams, basic_field,
-    controlled_field, field_vjp, params_to_array,
+    I_V, N_CONTROLS, N_STATES, ControlParams, ModelParams, ObjectiveWeights,
+    basic_field, characterize_controls, controlled_field, field_vjp,
+    params_to_array,
 )
 from arbo.stability import bifurcation_coefficients
 from arbo.thresholds import bifurcation_thresholds, dfe_components
