@@ -20,8 +20,9 @@ from .stability import eigen_verdicts
 # net_reproductive_number has no caller here; perfbench's tracer counts
 # calls made through this module's name for it.
 from .thresholds import (  # noqa: F401
-    ThresholdReport, _established, bifurcation_thresholds, dfe_components,
-    net_reproductive_number, nonfinite, threshold_arrays, two_endemic_windows,
+    ThresholdError, ThresholdReport, _established, bifurcation_thresholds,
+    dfe_components, net_reproductive_number, nonfinite, threshold_arrays,
+    two_endemic_windows,
 )
 
 # A discriminant this close to zero (relative to the coefficient scale
@@ -89,7 +90,7 @@ def endemic_quadratic(p: ModelParams) -> EndemicQuadratic:
 
 def _quadratic(p, r0, r_c) -> EndemicQuadratic:
     """Coefficients for one parameter set, or per row when `p`, `r0` and
-    `r_c` hold arrays.  d0 is 0 where |R0 - 1| <= 1e-12 (`_R0_ONE_TOL`)."""
+    `r_c` hold arrays."""
     k = derive_constants(p)
     pref = k.k3 * k.k3 * k.k4 * k.k4 * k.k8 * p.mu_h
     d2 = -k.k2 * (k.k10 * p.a * p.mu_h * p.beta_vh + k.k2 * k.k8)
@@ -150,36 +151,68 @@ def back_substitute(p, lambda_h) -> np.ndarray:
     return x
 
 
-def _endemic_points(p, q: EndemicQuadratic):
-    """The endemic points of every row of `p` (fields scalar or of length
-    m, vectors established at every row) with quadratic `q`.
+def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
+    """Every equilibrium of `size` rows, each field of `p` a column (the
+    arrays in `columns` in place of theirs), so that every derived
+    quantity has one entry per row; each row comes out bitwise as alone.
 
-    Returns (lam, reason, row, root, x): the ascending roots (m, 2); the
-    reason each rejected root was dropped, else None (m, 2); and the kept
-    points in (row, root) order, as indices into `lam` (K,) and states
-    (K, 10).
+    In order: the threshold report; each row's DFE, biological where
+    N > 1, else trivial; `nonfinite`, which gives a row its
+    `ThresholdError`; on the rows that establish vectors and pass it
+    (`est`), the quadratic's roots, the positivity filter and
+    back-substitution; one field call for the residuals of every DFE and
+    endemic point; and the residual check, which gives a row its
+    `ResidualError` where an endemic point is not finite or max|f(x)|
+    exceeds its tolerance.  A row keeps its first error.
+
+    Returns per row `rep` and `errors`; per `est` row `quad`, `roots`
+    (ascending, NaN if absent) and each rejected root's `reason`; the
+    `states` (the DFEs of `est`, then the endemic points in (row, root)
+    order) with their `owner` parameters and `residual`; and per endemic
+    point its `row` in `est` and `lam`.
     """
-    lam = _quadratic_roots(q).reshape(-1, 2)
-    positive = lam > 0.0  # False for an absent root
-    reason = np.full(lam.shape, None, dtype=object)
-    reason[~np.isnan(lam) & ~positive] = "non-positive force of infection"
+    pv = SimpleNamespace(**{name: np.full(size, v)
+                            for name, v in vars(p).items()} | columns)
+    rep = threshold_arrays(pv)
+    dfe = dfe_components(pv, trivial=True)
+    established = np.flatnonzero(rep.r0_defined)
+    dfe[established] = dfe_components(param_rows(pv, established))
+    messages = nonfinite(rep, dfe)
+    errors = [None if m is None else ThresholdError(m) for m in messages]
+    est = np.flatnonzero(rep.r0_defined & np.equal(messages, None))
+    pe = param_rows(pv, est)
+    quad = _quadratic(pe, rep.r0[est], rep.r_c[est])
+
+    roots = _quadratic_roots(quad)
+    positive = roots > 0.0  # False for an absent root
+    reason = np.full(roots.shape, None, dtype=object)
+    reason[~np.isnan(roots) & ~positive] = "non-positive force of infection"
     row, root = np.nonzero(positive)
-    x = back_substitute(param_rows(p, row), lam[row, root])
+    x = back_substitute(param_rows(pe, row), roots[row, root])
     kept = np.all(x > 0.0, axis=1)
     reason[row[~kept], root[~kept]] = (
         "non-positive component after back-substitution")
-    return lam, reason, row[kept], root[kept], x[kept]
+    row, lam, x = row[kept], roots[row[kept], root[kept]], x[kept]
 
-
-def _residual_errors(lam, x, residual) -> list:
-    """Per point: the `ResidualError` message when the point is not
-    finite or max|f(x)| exceeds the tolerance, else None."""
+    states = np.concatenate([dfe[est], x])
+    owner = param_rows(pe, np.concatenate([np.arange(est.size), row]))
+    residual = np.max(np.abs(basic_field(states, owner)), axis=1)
     tol = _RESIDUAL_RTOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))
-    return [None if r <= t < math.inf else
-            f"endemic point at lambda_h={lm:.6g} " + (
+    for i, lm, r, t in zip(est[row].tolist(), lam.tolist(),
+                           residual[est.size:].tolist(), tol.tolist()):
+        if errors[i] is None and not r <= t < math.inf:
+            errors[i] = ResidualError(f"endemic point at lambda_h={lm:.6g} " + (
                 f"has field residual {r:.3g} > {t:.3g}" if t < math.inf
-                else "is not finite")
-            for lm, r, t in zip(lam.tolist(), residual.tolist(), tol.tolist())]
+                else "is not finite"))
+    return SimpleNamespace(rep=rep, errors=errors, est=est, quad=quad,
+                           roots=roots, reason=reason, states=states,
+                           owner=owner, residual=residual, row=row, lam=lam)
+
+
+def _row(record):
+    """The record of one-row arrays `record` as Python scalars."""
+    return type(record)(**{f.name: getattr(record, f.name)[0].item()
+                           for f in dataclasses.fields(record)})
 
 
 def _classify(rep: ThresholdReport,
@@ -199,40 +232,32 @@ def _classify(rep: ThresholdReport,
     return Classification.NO_ENDEMIC, "iii-c"
 
 
-@np.errstate(over="ignore", invalid="ignore")  # refused, so not warned of
+@np.errstate(all="ignore")  # refused, so not warned of
 def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
     """All equilibria: both disease-free points and every positive
-    endemic root of the quadratic, with field-residual verification.
+    endemic root of the quadratic, with field-residual verification: the
+    one-row case of `_equilibria`, raising that row's error.
 
     `stability_checker(x)` may be supplied to attach a stable/unstable
     flag per endemic point (see the stability module); otherwise the
     flag is None.
     """
-    rep = bifurcation_thresholds(p)
-    dfe0 = dfe_components(p, trivial=True)
-    if not rep.r0_defined:  # N <= 1: no vectors, no endemic point
-        return EquilibriumSet(
-            dfe_trivial=dfe0, dfe_biological=None, endemic=[],
-            classification=Classification.NO_ENDEMIC, case="N<=1",
-            quadratic=None, rejected=[], residuals=[])
-
-    dfe1 = dfe_components(p)
-    quad = _quadratic(p, rep.r0, rep.r_c)
-    classification, case = _classify(rep, quad)
-    roots, reason, _, root, states = _endemic_points(p, quad)
-    rejected = [(r, why) for r, why in zip(roots[0].tolist(), reason[0])
-                if why is not None]
-    lam = roots[0, root]
-    residuals = np.max(np.abs(basic_field(states, p)), axis=1)
-    for error in _residual_errors(lam, states, residuals):
-        if error is not None:
-            raise ResidualError(error)
+    eq = _equilibria(p)
+    if eq.errors[0] is not None:
+        raise eq.errors[0]
+    n = eq.est.size  # 0 where N <= 1: no vectors, no endemic point
+    quad = _row(eq.quad) if n else None
+    classification, case = (_classify(_row(eq.rep), quad) if n else
+                            (Classification.NO_ENDEMIC, "N<=1"))
+    rejected = [(r, why) for r, why in zip(eq.roots.ravel().tolist(),
+                                           eq.reason.ravel()) if why is not None]
     endemic = [(x, r, None if stability_checker is None else stability_checker(x))
-               for x, r in zip(states, lam.tolist())]
+               for x, r in zip(eq.states[n:], eq.lam.tolist())]
     return EquilibriumSet(
-        dfe_trivial=dfe0, dfe_biological=dfe1, endemic=endemic,
+        dfe_trivial=dfe_components(p, trivial=True),
+        dfe_biological=eq.states[0] if n else None, endemic=endemic,
         classification=classification, case=case, quadratic=quad,
-        rejected=rejected, residuals=residuals.tolist())
+        rejected=rejected, residuals=eq.residual[n:].tolist())
 
 
 def delta_zero_check(p: ModelParams) -> dict:
@@ -277,7 +302,7 @@ class ScanRow:
     error: str | None = None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # each is an error row
+@np.errstate(all="ignore")  # each is an error row
 def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
                      steps: int, stability: bool = False) -> list[ScanRow]:
     """Branch table over a uniform grid of one parameter.
@@ -287,10 +312,9 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
     infection.  Per-point failures become flagged rows, never aborts:
     among them a point whose thresholds or disease-free equilibrium
     (`thresholds.nonfinite`) or endemic points are not finite.
-    The whole grid goes through each step as one array pass, and each
-    row comes out bitwise as `solve_endemic` computes it under the
-    parameters of its own grid point.  With `stability`, each row
-    carries the eigenvalue verdict under those parameters.
+    The grid goes through `_equilibria` at once, and each row is bitwise
+    what `solve_endemic` gives at its grid point; with `stability`, it
+    carries the eigenvalue verdict under that point's parameters.
     """
     if param_name not in {f.name for f in dataclasses.fields(ModelParams)}:
         raise ValueError(f"unknown parameter {param_name!r}")
@@ -303,47 +327,23 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
         except ParamError as exc:
             errors[i] = str(exc)
 
-    # Grid points with valid parameters, then those of them where the
-    # vector population establishes and every quantity of `nonfinite` is
-    # finite: the rows that get equilibria.  Every field is a column, so
-    # every derived quantity has one entry per row.
     grid = np.flatnonzero(valid)
-    columns = {name: np.full(grid.size, v) for name, v in vars(p).items()}
-    columns[param_name] = values[grid]
-    pv = SimpleNamespace(**columns)
-    rep = threshold_arrays(pv)
-    dfe = dfe_components(pv, trivial=True)
-    established = np.flatnonzero(rep.r0_defined)
-    dfe[established] = dfe_components(param_rows(pv, established))
-    kept = rep.r0_defined.copy()
-    for i, error in enumerate(nonfinite(rep, dfe)):
-        if error is not None:
-            errors[grid[i].item()], kept[i] = error, False
-    est = np.flatnonzero(kept)
-    pe = param_rows(pv, est)
-    roots, _, row, root, x = _endemic_points(
-        pe, _quadratic(pe, rep.r0[est], rep.r_c[est]))
-
-    # One field call for the residuals of every DFE and endemic point.
-    states = np.concatenate([dfe[est], x])
-    owner = param_rows(pe, np.concatenate([np.arange(est.size), row]))
-    residual = np.max(np.abs(basic_field(states, owner)), axis=1)
-    for i, error in zip(row.tolist(), _residual_errors(
-            roots[row, root], x, residual[est.size:])):
-        if error is not None:
-            errors.setdefault(grid[est[i]].item(), error)
+    eq = _equilibria(p, grid.size, **{param_name: values[grid]})
+    errors.update((i, str(e)) for i, e in zip(grid.tolist(), eq.errors) if e)
+    est, states = eq.est, eq.states
     flags = np.full(len(states), None)
     if stability:  # an endemic point that is not finite has its error row
         ok = np.flatnonzero(np.isfinite(states).all(axis=1))
-        flags[ok] = [v.stable for v in eigen_verdicts(states[ok],
-                                                      param_rows(owner, ok))]
+        flags[ok] = [v.stable for v in eigen_verdicts(
+            states[ok], param_rows(eq.owner, ok))]
 
-    at = np.full(values.shape, -1)  # grid point -> row of `pe`
+    at = np.full(values.shape, -1)  # grid point -> index into `est`
     at[grid[est]] = np.arange(est.size)
-    first = np.searchsorted(row, np.arange(est.size + 1)).tolist()
-    r0 = rep.r0[est].tolist()
-    residual = residual.tolist()
-    i_h, i_v = x[:, I_H].tolist(), x[:, I_V].tolist()
+    # The states of grid point e's endemic points: first[e]:first[e + 1].
+    first = (est.size + np.searchsorted(eq.row, np.arange(est.size + 1))).tolist()
+    r0 = eq.rep.r0[est].tolist()
+    residual = eq.residual.tolist()
+    i_h, i_v = states[:, I_H].tolist(), states[:, I_V].tolist()
     rows = []
     for i, (value, e) in enumerate(zip(values.tolist(), at.tolist())):
         if i in errors:
@@ -353,9 +353,8 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
             rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, None, 0.0))
         else:
             rows.append(ScanRow(value, r0[e], 0, 0.0, 0.0, flags[e], residual[e]))
-            for branch, k in enumerate(range(first[e], first[e + 1]), start=1):
-                j = est.size + k
-                rows.append(ScanRow(value, r0[e], branch, i_h[k], i_v[k],
+            for branch, j in enumerate(range(first[e], first[e + 1]), start=1):
+                rows.append(ScanRow(value, r0[e], branch, i_h[j], i_v[j],
                                     flags[j], residual[j]))
     return rows
 

@@ -90,6 +90,19 @@ def test_non_finite_endemic_point_is_refused_alike(table5):
     assert row.branch_id == -1
 
 
+@pytest.mark.filterwarnings("error")
+def test_underflowing_human_population_is_refused_alike(table5):
+    """[TRIVIAL] lambda_h_in = 1e-320 and mu_h = 1e10 underflow the
+    disease-free human population to 0, so K_vh divides by zero:
+    `solve_endemic` raises `ThresholdError` naming K_vh and the scan
+    writes that error row, with no numpy warning on the way."""
+    p = dataclasses.replace(table5.params, lambda_h_in=1e-320, mu_h=1e10)
+    with pytest.raises(ThresholdError, match="^K_vh is inf$"):
+        solve_endemic(p)
+    (row,) = bifurcation_scan(p, "beta_hv", p.beta_hv, p.beta_hv, 0)
+    assert row.error == "K_vh is inf"
+
+
 def test_no_endemic_without_transmission(table5):
     """[TRIVIAL] beta_hv = 0 leaves only the disease-free points."""
     p = dataclasses.replace(table5.params, beta_hv=0.0)

@@ -8,8 +8,10 @@ test's own tolerance: the same set with beta_hv = 0.1, R_c reported
 squared, and the endemic quadratic's d1 and d0, but not d2, times
 k9 = gamma_v + mu_v.  The documented endemic vectors match the beta_hv =
 0.1 endemic points in E, P, I_h and R_h, in L up to a factor 10 and in
-S_v at one of the two points, and in no other component.  README "Known
-paper inconsistencies" rests on them.
+S_v at one of the two points, and in no other component.  Criterion 5's
+two starts, run at beta_hv = 0.1, reach the two stable states, the other
+way round from the documented split.  README "Known paper
+inconsistencies" rests on them.
 """
 
 import dataclasses
@@ -17,9 +19,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from arbo import _kernels
 from arbo.equilibria import endemic_quadratic, solve_endemic
 from arbo.model import (
     E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V, derive_constants,
+    params_to_array,
 )
 from arbo.stability import eigen_verdict
 from arbo.thresholds import bifurcation_thresholds
@@ -119,3 +123,24 @@ def test_documented_endemic_vectors_are_partly_the_beta_hv_one_tenth_points(
         assert _rel(doc[E_H], doc[S_H]) <= 1e-3, i
     (first, doc1), (second, doc2) = pairs
     assert _rel(second[S_V], doc2[S_V]) <= 0.025 < _rel(first[S_V], doc1[S_V])
+
+
+def test_criterion_5_starts_swap_their_fates_at_beta_hv_one_tenth(at_beta):
+    """[PAPER] At beta_hv = 0.1, inside the two-endemic window, criterion
+    5's two starts and grid (300,000 RK4 steps of 0.1) reach the two
+    stable states, swapped: the first start, documented as dying out,
+    ends at I_h = 29.5014, within 0.1 % of the stable endemic point's
+    29.4967, and the second (S_h = 733,650), documented as reaching that
+    point, dies out (I_h = 6.5e-309), below the acceptance test's 1e-6."""
+    eq = solve_endemic(at_beta, stability_checker=lambda x: eigen_verdict(
+        x, at_beta).stable)
+    [target] = [x[I_H] for x, _, stable in eq.endemic if stable]
+    first = np.array([700., 220., 15., 60., 3000., 400., 120.,
+                      10000., 5000., 3000.])
+    second = first.copy()
+    second[S_H] = 733650.0
+    par = params_to_array(at_beta)
+    ends = [_kernels.rk4_basic(par, x0, 300_000, 0.1)[-1, I_H]
+            for x0 in (first, second)]
+    assert _rel(ends[0], target) <= 1e-3
+    assert abs(ends[1]) <= 1e-6

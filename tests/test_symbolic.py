@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from arbo.control import StrategyMask, running_cost
+from arbo.equilibria import solve_endemic
 from arbo.model import (
-    I_V, N_CONTROLS, N_STATES, ControlParams, ModelParams, ObjectiveWeights,
-    basic_field, characterize_controls, controlled_field, field_vjp,
-    params_to_array,
+    E_H, E_V, I_H, I_V, N_CONTROLS, N_STATES, PUP, R_H, S_H, S_V,
+    ControlParams, ModelParams, ObjectiveWeights, basic_field,
+    characterize_controls, controlled_field, field_vjp, params_to_array,
 )
 from arbo.stability import bifurcation_coefficients
 from arbo.thresholds import bifurcation_thresholds, dfe_components
@@ -112,3 +113,53 @@ def test_bif_a1_is_the_exact_hessian_sum(fixture):
     v = u[:, -1] / (u[:, -1] @ w)
     exact = np.einsum("k,kij,i,j", v, hess, w, w)
     assert bifurcation_coefficients(p).bif_a1 == pytest.approx(exact, rel=1e-11)
+
+
+def _eliminated_quadratic(p):
+    """(c2, c1, c0), exact: with the human force of infection held at a
+    symbol lambda_h, the human and vector compartments of `basic_field`
+    eliminated, and the pupae (the one aquatic stage the vector equations
+    read) at the biological DFE, the I_v equation's numerator is
+    lambda_h (c2 lambda_h^2 + c1 lambda_h + c0).  The parameters enter
+    as the exact rationals of their floats, and `nsimplify` turns the
+    field's literal 1.0 factors into 1, so no step rounds."""
+    lam = sympy.Symbol("lambda_h", positive=True)
+    x, q = _symbols("x", N_STATES), _symbolic(ModelParams)
+    exact = {s: sympy.Rational(getattr(p, n)) for n, s in vars(q).items()}
+    exact[x[PUP]] = sympy.Rational(float(dfe_components(p)[PUP]))
+    f = sympy.nsimplify(sympy.Matrix(basic_field(x, q)), rational=True)
+    f = f.xreplace(exact)
+    # lambda_h = a beta_hv (eta_v E_v + I_v) / N_h, solved for I_v.
+    n_h = x[S_H] + x[E_H] + x[I_H] + x[R_H]
+    f = f.subs(x[I_V], lam * n_h / (exact[q.a] * exact[q.beta_hv])
+               - exact[q.eta_v] * x[E_V])
+    # Each of these equations' numerators is linear in its own compartment.
+    solved = {}
+    for k in (S_H, E_H, I_H, R_H, S_V, E_V):
+        num = sympy.fraction(sympy.cancel(f[k].subs(solved)))[0]
+        slope = num.diff(x[k])
+        assert slope.diff(x[k]) == 0, k
+        solved[x[k]] = sympy.cancel(-num.subs(x[k], 0) / slope)
+    closing = sympy.fraction(sympy.cancel(f[I_V].subs(solved)))[0]
+    c2, c1, c0, constant = sympy.Poly(closing, lam).all_coeffs()
+    assert constant == 0  # lambda_h = 0, the disease-free point, is a root
+    return c2, c1, c0
+
+
+@pytest.mark.parametrize("fixture", ["sec22_backward", "table2_baseline",
+                                     "table5_control"])
+def test_endemic_quadratic_is_the_eliminated_field(fixture):
+    """[DERIVED] The quadratic of `solve_endemic` (d2, d1, d0) is one
+    constant times the quadratic left by eliminating the human and vector
+    compartments of `basic_field` at a fixed human force of infection,
+    to 1e-12 relative, and its discriminant over d2^2 is that
+    quadratic's over its leading coefficient squared."""
+    p = ModelParams(**load_fixture(fixture)["params"])
+    quad = solve_endemic(p).quadratic
+    exact = _eliminated_quadratic(p)
+    scale = float(exact[0]) / quad.d2
+    for c, d in zip(exact, (quad.d2, quad.d1, quad.d0)):
+        assert float(c) / d == pytest.approx(scale, rel=1e-12)
+    c2, c1, c0 = exact
+    assert quad.discriminant / quad.d2 ** 2 == pytest.approx(
+        float((c1 * c1 - 4 * c2 * c0) / (c2 * c2)), rel=1e-12)
