@@ -13,16 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (
-    E_H, E_V, I_H, I_V, N_STATES, PUP, R_H, S_H, S_V, ModelParams, ParamError,
+    E_H, E_V, I_H, I_V, PUP, R_H, S_H, S_V, ModelParams, ParamError,
     _infection, basic_field, derive_constants, in_bounds, param_rows,
 )
 from .stability import eigen_verdicts
 # net_reproductive_number has no caller here; perfbench's tracer counts
 # calls made through this module's name for it.
 from .thresholds import (  # noqa: F401
-    ThresholdError, ThresholdReport, _established, bifurcation_thresholds,
-    dfe_components, net_reproductive_number, nonfinite, threshold_arrays,
-    two_endemic_windows,
+    ThresholdError, ThresholdReport, _established, _scalars, _x_and_y,
+    bifurcation_thresholds, dfe_components, net_reproductive_number, nonfinite,
+    threshold_arrays, two_endemic_windows,
 )
 
 # A discriminant this close to zero (relative to the coefficient scale
@@ -85,19 +85,18 @@ def endemic_quadratic(p: ModelParams) -> EndemicQuadratic:
     """Closed-form coefficients; requires an established vector population."""
     _established(p, "endemic quadratic requires")
     rep = bifurcation_thresholds(p)
-    return _quadratic(p, rep.r0, rep.r_c)
+    return _scalars(_quadratic(p, rep.r0, rep.r_c))
 
 
 def _quadratic(p, r0, r_c) -> EndemicQuadratic:
-    """Coefficients for one parameter set, or per row when `p`, `r0` and
-    `r_c` hold arrays."""
+    """Coefficients as numpy values: per row when `p`, `r0` and `r_c`
+    hold arrays, else for one parameter set."""
     k = derive_constants(p)
     pref = k.k3 * k.k3 * k.k4 * k.k4 * k.k8 * p.mu_h
-    d2 = -k.k2 * (k.k10 * p.a * p.mu_h * p.beta_vh + k.k2 * k.k8)
+    d2 = -k.k2 * _x_and_y(p, k)[1]
     d1 = pref * (r0 * r0 - r_c * r_c)
-    # [()]: a scalar, not a 0-d array, for one parameter set.
     d0 = np.where(np.abs(r0 - 1.0) <= _R0_ONE_TOL, 0.0,
-                  pref * p.mu_h * (r0 * r0 - 1.0))[()]
+                  pref * p.mu_h * (r0 * r0 - 1.0))
     return EndemicQuadratic(d2=d2, d1=d1, d0=d0,
                             discriminant=d1 * d1 - 4.0 * d2 * d0)
 
@@ -125,15 +124,14 @@ def is_double_root(q: EndemicQuadratic):
     return (scale == 0.0) | (np.abs(q.discriminant) <= _DOUBLE_ROOT_RTOL * scale)
 
 
-def back_substitute(p, lambda_h) -> np.ndarray:
+def back_substitute(p, lambda_h, dfe) -> np.ndarray:
     """Endemic state vector from the human force of infection at
-    equilibrium; a stack (m, 10) for an array `lambda_h`, row i under row
-    i of `p` (fields scalar or of length m).  Requires net reproductive
-    number > 1."""
+    equilibrium and the biological disease-free equilibrium `dfe`; a
+    stack (m, 10) for an array `lambda_h` and a stack `dfe`, row i under
+    row i of `p` (fields scalar or of length m)."""
     # Aquatic stages decouple from infection status: eggs, larvae and
     # pupae sit at their disease-free levels.
-    x = np.broadcast_to(dfe_components(p),
-                        np.shape(lambda_h) + (N_STATES,)).copy()
+    x = np.array(dfe)
     k = derive_constants(p)
     s_h = p.lambda_h_in / (p.mu_h + lambda_h)
     x[..., S_H] = s_h
@@ -188,7 +186,7 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
     reason = np.full(roots.shape, None, dtype=object)
     reason[~np.isnan(roots) & ~positive] = "non-positive force of infection"
     row, root = np.nonzero(positive)
-    x = back_substitute(param_rows(pe, row), roots[row, root])
+    x = back_substitute(param_rows(pe, row), roots[row, root], dfe[est[row]])
     kept = np.all(x > 0.0, axis=1)
     reason[row[~kept], root[~kept]] = (
         "non-positive component after back-substitution")
@@ -207,12 +205,6 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
     return SimpleNamespace(rep=rep, errors=errors, est=est, quad=quad,
                            roots=roots, reason=reason, states=states,
                            owner=owner, residual=residual, row=row, lam=lam)
-
-
-def _row(record):
-    """The record of one-row arrays `record` as Python scalars."""
-    return type(record)(**{f.name: getattr(record, f.name)[0].item()
-                           for f in dataclasses.fields(record)})
 
 
 def _classify(rep: ThresholdReport,
@@ -246,8 +238,8 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
     if eq.errors[0] is not None:
         raise eq.errors[0]
     n = eq.est.size  # 0 where N <= 1: no vectors, no endemic point
-    quad = _row(eq.quad) if n else None
-    classification, case = (_classify(_row(eq.rep), quad) if n else
+    quad = _scalars(eq.quad) if n else None
+    classification, case = (_classify(_scalars(eq.rep), quad) if n else
                             (Classification.NO_ENDEMIC, "N<=1"))
     rejected = [(r, why) for r, why in zip(eq.roots.ravel().tolist(),
                                            eq.reason.ravel()) if why is not None]
@@ -275,7 +267,7 @@ def delta_zero_check(p: ModelParams) -> dict:
     k = derive_constants(p)
     rep = bifurcation_thresholds(p)
     common = p.mu_b * p.lambda_h_in * k.k9
-    p1 = common * (k.k10 * p.a * p.mu_h * p.beta_vh + k.k2 * k.k8)
+    p1 = common * _x_and_y(p, k)[1]
     p0 = -p.mu_h * k.k3 * k.k4 * k.k8 * common * (rep.r0 ** 2 - 1.0)
     if rep.r0 - 1.0 <= _R0_ONE_TOL:
         root = 0.0 if abs(rep.r0 - 1.0) <= _R0_ONE_TOL else None

@@ -60,6 +60,13 @@ def net_reproductive_number(p: ModelParams) -> float:
     return p.mu_b * p.theta * p.l * p.s / (k.k5 * k.k6 * k.k7 * k.k8)
 
 
+def _x_and_y(p, k):
+    """(X, Y): X = k10 a mu_h beta_vh and Y = X + k2 k8, the terms that R_c,
+    psi, the saddle-node bounds and the endemic quadratic share."""
+    x = k.k10 * p.a * p.mu_h * p.beta_vh
+    return x, x + k.k2 * k.k8
+
+
 def _established(p: ModelParams, what: str) -> float:
     """N, after checking that the vector population establishes (at every
     row, for array fields)."""
@@ -114,30 +121,28 @@ def threshold_arrays(p) -> ThresholdReport:
     n = net_reproductive_number(p)
     established = n > 1.0
 
-    psi = k.k10 * p.a * p.mu_h * p.beta_vh - p.delta * p.gamma_h * k.k8
-    r_c = np.sqrt((2.0 * k.k8 * k.k2 + k.k10 * p.a * p.mu_h * p.beta_vh)
-                  / (k.k3 * k.k4 * k.k8))
+    x, y = _x_and_y(p, k)
+    psi = x - p.delta * p.gamma_h * k.k8
+    r_c = np.sqrt((2.0 * k.k8 * k.k2 + x) / (k.k3 * k.k4 * k.k8))
 
     # The saddle-node bounds exist only where psi <= 0.
-    root_a = np.sqrt(p.delta * p.gamma_h
-                     * (p.a * p.mu_h * p.beta_vh * k.k10 + k.k2 * k.k8))
+    root_a = np.sqrt(p.delta * p.gamma_h * y)
     root_b = np.sqrt(np.where(psi <= 0.0, -k.k2 * psi, np.nan))
     scale = 1.0 / (k.k3 * k.k4) * np.sqrt(1.0 / k.k8)
     r_1b = scale * np.abs(root_a - root_b)
     r_2b = scale * (root_a + root_b)
 
-    nh0 = p.lambda_h_in / p.mu_h
+    nh0 = np.divide(p.lambda_h_in, p.mu_h)  # numpy, so /0 gives inf below
     nv0 = _disease_free_vectors(p, k, n)[0]
     k_vh = np.where(established,
                     p.a * p.beta_vh * k.k10 * nv0 / (k.k3 * k.k4 * nh0), 0.0)
     k_hv = np.where(established, p.a * p.beta_hv * k.k11 / (k.k8 * k.k9), 0.0)
 
     # R0^2 is linear in beta_hv, so R0(beta_x) = R_x at beta_x = beta_star * R_x^2.
-    # np.divide so that scalar inputs also divide by zero into inf.
     with np.errstate(divide="ignore"):  # beta_vh = 0, or nv0 = 0 at N = 1
         beta_star = np.where(established,
-                             np.divide(k.k3 * k.k4 * k.k8 * k.k9 * nh0,
-                                       p.a * p.a * p.beta_vh * k.k10 * k.k11 * nv0),
+                             k.k3 * k.k4 * k.k8 * k.k9 * nh0
+                             / (p.a * p.a * p.beta_vh * k.k10 * k.k11 * nv0),
                              np.nan)
     return ThresholdReport(
         net_repro=n, r0=np.sqrt(k_vh * k_hv), r0_defined=established,
@@ -179,7 +184,14 @@ def nonfinite(rep: ThresholdReport, dfe) -> list:
             for i, j in enumerate(bad.argmax(axis=1).tolist())]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # refused, so not warned of
+def _scalars(record):
+    """The one-value record `record` with each field a Python scalar of its
+    annotated type (a string that names a numpy dtype: float or bool)."""
+    return type(record)(**{f.name: np.asarray(getattr(record, f.name), f.type).item()
+                           for f in fields(record)})
+
+
+@np.errstate(all="ignore")  # refused, so not warned of
 def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     """Full threshold report: R0, R_c, the saddle-node bounds in both the
     R0 scale (R_1b, R_2b) and the beta_hv scale (beta_bar, beta_minus,
@@ -191,9 +203,7 @@ def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     [error] = nonfinite(rep, dfe_components(p, trivial=not rep.r0_defined))
     if error is not None:
         raise ThresholdError(error)
-    values = {f.name: float(getattr(rep, f.name)) for f in fields(ThresholdReport)}
-    values["r0_defined"] = bool(rep.r0_defined)
-    return ThresholdReport(**values)
+    return _scalars(rep)
 
 
 def basic_reproduction_number(p: ModelParams) -> float:

@@ -942,16 +942,17 @@ def test_non_finite_endemic_point_is_a_numeric_error(config_file, tmp_path,
 
 
 @pytest.mark.filterwarnings("error")
-def test_underflowing_human_population_is_a_numeric_error(config_file,
+@pytest.mark.parametrize("command", ["thresholds", "equilibria"])
+def test_underflowing_human_population_is_a_numeric_error(command, config_file,
                                                           tmp_path, capsys):
     """[TRIVIAL] lambda_h_in = 1e-320 with mu_h = 1e10 puts 0 humans at the
-    disease-free equilibrium: `equilibria` exits 3 with one line naming
-    K_vh, which divides by that 0, and writes nothing."""
+    disease-free equilibrium: both commands exit 3 with one line naming
+    K_vh, which divides by that 0, without a numpy warning, and write
+    nothing."""
     cfg = _table5()
     cfg["params"].update(lambda_h_in=1e-320, mu_h=1e10)
-    out = tmp_path / "eq.json"
-    code = main(["equilibria", "--config", config_file(cfg),
-                 "--out", str(out)])
+    out = tmp_path / "out.json"
+    code = main([command, "--config", config_file(cfg), "--out", str(out)])
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err == "numeric error: K_vh is inf\n"
     assert not out.exists()

@@ -9,17 +9,20 @@ import pytest
 import arbo.equilibria
 from arbo.equilibria import (
     Classification, ResidualError, ScanRow, bifurcation_scan,
-    delta_zero_check, endemic_quadratic, scan_to_csv, solve_endemic,
+    delta_zero_check, endemic_quadratic, is_double_root, scan_to_csv,
+    solve_endemic,
 )
 from arbo.model import (
-    E_H, I_H, I_V, PUP, S_H, S_V, ParamError, basic_field, derive_constants,
+    E_H, I_H, I_V, PUP, S_H, S_V, ModelParams, ParamError, basic_field,
+    derive_constants,
 )
+from arbo.sensitivity import PARAM_ORDER, lhs_sample
 from arbo.stability import eigen_verdict
 from arbo.thresholds import (
     ThresholdError, bifurcation_thresholds, dfe_components,
-    net_reproductive_number,
+    net_reproductive_number, threshold_arrays,
 )
-from conftest import random_established_params
+from conftest import mixed_regime_ranges, random_established_params
 
 
 def test_quadratic_requires_vectors(table5):
@@ -94,11 +97,13 @@ def test_non_finite_endemic_point_is_refused_alike(table5):
 def test_underflowing_human_population_is_refused_alike(table5):
     """[TRIVIAL] lambda_h_in = 1e-320 and mu_h = 1e10 underflow the
     disease-free human population to 0, so K_vh divides by zero:
-    `solve_endemic` raises `ThresholdError` naming K_vh and the scan
-    writes that error row, with no numpy warning on the way."""
+    `bifurcation_thresholds` and `solve_endemic` raise `ThresholdError`
+    naming K_vh and the scan writes that error row, with no numpy warning
+    on the way."""
     p = dataclasses.replace(table5.params, lambda_h_in=1e-320, mu_h=1e10)
-    with pytest.raises(ThresholdError, match="^K_vh is inf$"):
-        solve_endemic(p)
+    for refuse in (bifurcation_thresholds, solve_endemic):
+        with pytest.raises(ThresholdError, match="^K_vh is inf$"):
+            refuse(p)
     (row,) = bifurcation_scan(p, "beta_hv", p.beta_hv, p.beta_hv, 0)
     assert row.error == "K_vh is inf"
 
@@ -404,6 +409,31 @@ def test_double_root_at_the_fold(sec22):
     eq = solve_endemic(dataclasses.replace(sec22.params, beta_hv=beta))
     assert (eq.classification, eq.case) == (Classification.UNIQUE, "iii-b")
     assert len(eq.endemic) == 1
+
+
+def test_saddle_node_bounds_are_the_folds_of_the_quadratic(sec22):
+    """[DERIVED] beta_minus and beta_plus are where the endemic quadratic
+    has a double root (its discriminant zero up to its rounding level).
+    On sec. 2.2 at both, with the vertex -d1 / (2 d2) at -0.0022753 and
+    +0.0021935.  At beta_minus on every one of 2,000 mixed-regime draws
+    with established vectors and psi <= 0, where the vertex is negative:
+    the low fold is never biological."""
+    rep = bifurcation_thresholds(sec22.params)
+    for beta, vertex in ((rep.beta_minus, -0.0022753),
+                         (rep.beta_plus, 0.0021935)):
+        q = endemic_quadratic(dataclasses.replace(sec22.params, beta_hv=beta))
+        assert is_double_root(q)
+        assert -q.d1 / (2.0 * q.d2) == pytest.approx(vertex, abs=5e-8)
+    samples = lhs_sample(mixed_regime_ranges(), 2000, seed=3)
+    reps = threshold_arrays(samples.columns())
+    rows = np.flatnonzero(reps.r0_defined & (reps.psi <= 0.0))
+    assert rows.size > 1800
+    for i in rows.tolist():
+        p = ModelParams(**dict(zip(PARAM_ORDER, samples.matrix[i].tolist())))
+        q = endemic_quadratic(dataclasses.replace(
+            p, beta_hv=reps.beta_minus[i].item()))
+        assert is_double_root(q), i
+        assert -q.d1 / (2.0 * q.d2) < 0.0, i
 
 
 def _endemic_cases(p, betas):

@@ -155,6 +155,19 @@ def test_report_without_vectors(table5):
     assert math.isnan(rep.beta_star)
 
 
+def test_scalar_report_is_floats_on_integer_parameters(table5):
+    """[TRIVIAL] A config may give a rate as a JSON integer.  With every
+    term of psi an int, the scalar report still holds floats, and
+    `r0_defined` a bool, so `arbo thresholds` prints psi as 1.0, not 1."""
+    p = dataclasses.replace(table5.params, eta_h=0, mu_h=1, delta=0, sigma=1,
+                            gamma_h=1, a=1, beta_vh=1, mu_v=1)
+    rep = bifurcation_thresholds(p)
+    assert rep.psi == 1.0
+    for f in dataclasses.fields(rep):
+        want = bool if f.name == "r0_defined" else float
+        assert type(getattr(rep, f.name)) is want, f.name
+
+
 def test_beta_thresholds_map_to_r_thresholds():
     """[DERIVED] Setting beta_hv to beta_bar, beta_minus or beta_plus
     gives R0 = R_c, R_1b or R_2b (R0^2 is linear in beta_hv)."""
