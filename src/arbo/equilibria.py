@@ -110,8 +110,7 @@ def _quadratic_roots(q: EndemicQuadratic) -> np.ndarray:
     split = ~double & (q.discriminant > 0.0)
     sgn = np.where(q.d1 >= 0.0, 1.0, -1.0)
     qq = -0.5 * (q.d1 + sgn * np.sqrt(np.maximum(q.discriminant, 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # qq = 0 when double
-        r1, r2 = qq / q.d2, q.d0 / qq
+    r1, r2 = qq / q.d2, q.d0 / qq  # qq = 0 when double: discarded below
     lo = np.select([double, split], [-q.d1 / (2.0 * q.d2), np.minimum(r1, r2)],
                    np.nan)
     hi = np.where(split, np.maximum(r1, r2), np.nan)
@@ -154,14 +153,14 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
     arrays in `columns` in place of theirs), so that every derived
     quantity has one entry per row; each row comes out bitwise as alone.
 
-    In order: the threshold report; each row's DFE, biological where
-    N > 1, else trivial; `nonfinite`, which gives a row its
-    `ThresholdError`; on the rows that establish vectors and pass it
-    (`est`), the quadratic's roots, the positivity filter and
-    back-substitution; one field call for the residuals of every DFE and
-    endemic point; and the residual check, which gives a row its
-    `ResidualError` where an endemic point is not finite or max|f(x)|
-    exceeds its tolerance.  A row keeps its first error.
+    In order: the threshold report; each row's DFE (`dfe_components`);
+    `nonfinite`, which gives a row its `ThresholdError`; on the rows that
+    establish vectors and pass it (`est`), the quadratic's roots, the
+    positivity filter and back-substitution; one field call for the
+    residuals of every DFE and endemic point; and the residual check,
+    which gives a row its `ResidualError` where an endemic point is not
+    finite or max|f(x)| exceeds its tolerance.  A row keeps its first
+    error.
 
     Returns per row `rep` and `errors`; per `est` row `quad`, `roots`
     (ascending, NaN if absent) and each rejected root's `reason`; the
@@ -172,9 +171,7 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
     pv = SimpleNamespace(**{name: np.full(size, v)
                             for name, v in vars(p).items()} | columns)
     rep = threshold_arrays(pv)
-    dfe = dfe_components(pv, trivial=True)
-    established = np.flatnonzero(rep.r0_defined)
-    dfe[established] = dfe_components(param_rows(pv, established))
+    dfe = dfe_components(pv)
     messages = nonfinite(rep, dfe)
     errors = [None if m is None else ThresholdError(m) for m in messages]
     est = np.flatnonzero(rep.r0_defined & np.equal(messages, None))

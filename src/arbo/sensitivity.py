@@ -15,8 +15,9 @@ from .model import ModelParams
 # bifurcation_thresholds and net_reproductive_number have no caller here;
 # perfbench's tracer counts calls made through this module's name for both.
 from .thresholds import (  # noqa: F401
-    ThresholdError, ThresholdReport, bifurcation_thresholds,
-    net_reproductive_number, threshold_arrays, two_endemic_windows,
+    CHECKED, REPORT_NAMES, ThresholdError, ThresholdReport,
+    bifurcation_thresholds, net_reproductive_number, threshold_arrays,
+    two_endemic_windows,
 )
 
 PARAM_ORDER = tuple(f.name for f in fields(ModelParams))
@@ -115,14 +116,23 @@ class SampleSet:
         shared by `r0_values` and `condition_probabilities`; its arrays
         are read-only.  Raises `ThresholdError` at the first draw whose
         R0 is not finite, which would otherwise drop out of the
-        histogram and turn the mean and spread into NaN."""
+        histogram and turn the mean and spread into NaN.  Then raises it,
+        in the same form, for the first other field of `thresholds.CHECKED`
+        that is not finite at some draw, on the draws named there."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             rep = threshold_arrays(self.columns())
-        bad = np.flatnonzero(~np.isfinite(rep.r0))
-        if bad.size:
-            raise ThresholdError(
-                f"R0 is {rep.r0[bad[0]]} at draw {bad[0]} of the design; it "
-                f"is not finite at {bad.size} of {self.n} draws")
+        vectors = rep.r0_defined
+        window = vectors & (rep.psi <= 0.0)
+        for name, rows in (("r0", True), ("net_repro", True),
+                           *((f, window if windowed else vectors)
+                             for f, windowed in CHECKED
+                             if f not in ("net_repro", "k_vh", "k_hv", "r0"))):
+            bad = np.flatnonzero(~np.isfinite(getattr(rep, name)) & rows)
+            if bad.size:
+                raise ThresholdError(
+                    f"{REPORT_NAMES[name]} is {getattr(rep, name)[bad[0]]} at "
+                    f"draw {bad[0]} of the design; it is not finite at "
+                    f"{bad.size} of {self.n} draws")
         for f in fields(rep):
             np.asarray(getattr(rep, f.name)).flags.writeable = False
         return rep

@@ -88,15 +88,14 @@ def _disease_free_vectors(p: ModelParams, k, n):
 
 def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
     """Disease-free equilibrium as a state vector, or as a stack (m, 10)
-    when fields of `p` hold arrays of length m.
-
-    With `trivial=True` returns the vector-free equilibrium (humans only).
-    Otherwise returns the biological DFE with the vector population at its
-    persistence level, which requires net reproductive number > 1.
+    when fields of `p` hold arrays of length m: on each row the biological
+    DFE, vectors at their persistence level, where net reproductive number
+    N > 1, else (and on every row with `trivial=True`) the vector-free one.
     """
     vectors = egg = lar = pup = 0.0
-    if not trivial:
-        n = _established(p, "biological DFE requires")
+    n = 0.0 if trivial else net_reproductive_number(p)
+    # Skipped if no row has N > 1: a Python-float divisor may underflow to 0.
+    if np.any(n > 1.0):
         k = derive_constants(p)
         vectors, shared, denom = _disease_free_vectors(p, k, n)
         pup = shared * k.k8 * (n - 1.0) / (p.theta * denom)
@@ -104,6 +103,8 @@ def dfe_components(p: ModelParams, trivial: bool = False) -> np.ndarray:
         lar = aquatic / (p.theta * p.l * denom)
         egg = aquatic / (p.s * (p.mu_b * p.l * p.Gamma_L * p.theta
                                 + k.k5 * k.k7 * k.k8 * p.Gamma_E))
+        vectors, egg, lar, pup = (np.where(n > 1.0, v, 0.0)
+                                  for v in (vectors, egg, lar, pup))
     # In state order: S_h, E_h, I_h, R_h, S_v, E_v, I_v, E, L, P.
     return np.stack(np.broadcast_arrays(
         p.lambda_h_in / p.mu_h, 0.0, 0.0, 0.0, vectors, 0.0, 0.0,
@@ -161,25 +162,35 @@ def two_endemic_windows(rep: ThresholdReport):
             (np.maximum(r_c, rep.r_2b) < r0) & (r0 < 1.0))
 
 
-# The report fields that `nonfinite` checks after N and the DFE, in order.
-_CHECKED = ("k_vh", "k_hv", "r0", "r_c", "psi", "r_1b", "r_2b")
+# The report fields that must be finite where they exist, in the order
+# they are derived, each with whether it exists only where psi <= 0 (else
+# on every row).  `nonfinite` checks them all, with the DFE after N.
+# `sensitivity.SampleSet.thresholds` checks R0 first on every draw, which
+# covers K_vh and K_hv (R0 = sqrt(K_vh K_hv), both >= 0), then N, and
+# R_c, psi, R_1b and R_2b only at draws that establish vectors: a design
+# reads them only there, the regime of a draw without vectors being N's
+# alone, while `arbo thresholds` prints every one.
+CHECKED = (("net_repro", False), ("k_vh", False), ("k_hv", False),
+           ("r0", False), ("r_c", False), ("psi", False),
+           ("r_1b", True), ("r_2b", True))
 _FINITE = (REPORT_NAMES["net_repro"],
            *(f"{s} of the disease-free equilibrium" for s in STATE_NAMES),
-           *(REPORT_NAMES[f] for f in _CHECKED))
+           *(REPORT_NAMES[f] for f, _ in CHECKED[1:]))
 
 
 def nonfinite(rep: ThresholdReport, dfe) -> list:
     """Per row of the report and of the disease-free equilibrium `dfe`
-    (biological where N > 1, else trivial; shape (10,) or (m, 10)): the
+    (as `dfe_components` gives it; shape (10,) or (m, 10)): the
     message naming the first quantity that exists there but is not
     finite, else None.  The quantities, in the order they are derived:
-    N, the DFE, K_vh, K_hv, R0, R_c, psi, and R_1b and R_2b where
-    psi <= 0.  The beta-scale thresholds are not among them, since
-    beta_vh = 0 puts beta_star at infinity."""
+    N, the DFE, then the rest of `CHECKED`.  The beta-scale thresholds
+    are not among them, since beta_vh = 0 puts beta_star at infinity."""
+    rest = CHECKED[1:]
     table = np.column_stack([rep.net_repro, np.atleast_2d(dfe),
-                             *(getattr(rep, f) for f in _CHECKED)])
+                             *(getattr(rep, f) for f, _ in rest)])
     bad = ~np.isfinite(table)
-    bad[:, -2:] &= (np.atleast_1d(rep.psi) <= 0.0)[:, None]
+    bad[:, -len(rest):] &= (np.array([not windowed for _, windowed in rest])
+                            | (np.atleast_1d(rep.psi) <= 0.0)[:, None])
     return [f"{_FINITE[j]} is {table[i, j]}" if bad[i, j] else None
             for i, j in enumerate(bad.argmax(axis=1).tolist())]
 
@@ -200,7 +211,7 @@ def bifurcation_thresholds(p: ModelParams) -> ThresholdReport:
     Raises `ThresholdError` naming the first quantity of `nonfinite`
     that is not finite."""
     rep = threshold_arrays(p)
-    [error] = nonfinite(rep, dfe_components(p, trivial=not rep.r0_defined))
+    [error] = nonfinite(rep, dfe_components(p))
     if error is not None:
         raise ThresholdError(error)
     return _scalars(rep)
@@ -217,6 +228,7 @@ def basic_reproduction_number(p: ModelParams) -> float:
 def next_generation_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """New-infection and transfer matrices (F, V) for the four infected
     compartments (E_h, I_h, E_v, I_v) at the biological DFE."""
+    _established(p, "next-generation matrices require")
     k = derive_constants(p)
     dfe = dfe_components(p)
     nv0, nh0 = dfe[S_V], dfe[S_H]

@@ -445,6 +445,30 @@ def test_non_finite_r0_is_a_numeric_error(config_file, tmp_path, capsys):
     assert not out.exists() and not hist.exists()
 
 
+def test_non_finite_r_c_is_a_numeric_error(config_file, tmp_path, capsys):
+    """[TRIVIAL] Human mortality drawn up to 2e154 makes R_c NaN at 662
+    of 2000 draws, where R0 underflows to a finite 0: `sensitivity` exits
+    3 with one `numeric error:` line naming R_c, as `thresholds` does on
+    such a draw, and writes none of its files, rather than counting those
+    draws as subcritical without an endemic point.  numpy does not warn."""
+    cfg = load_fixture("table2_baseline")
+    cfg["sensitivity"]["ranges"]["mu_h"][1] = 2e154
+    outs = {flag: tmp_path / name for flag, name in (
+        ("--out", "sens.json"), ("--prcc-csv", "prcc.csv"),
+        ("--hist-csv", "hist.csv"))}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sensitivity", "--config", config_file(cfg),
+                     "--samples", "2000",
+                     *(str(a) for kv in outs.items() for a in kv)])
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric error: R_c is nan at draw 1 of the design; it is not finite "
+        "at 662 of 2000 draws\n")
+    assert not any(path.exists() for path in outs.values())
+
+
 def test_negative_seed_flag_is_named(config_file, tmp_path, capsys):
     """[TRIVIAL] `--seed -1` exits 2 naming the flag, before sampling."""
     out = tmp_path / "sens.json"
@@ -956,6 +980,25 @@ def test_underflowing_human_population_is_a_numeric_error(command, config_file,
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err == "numeric error: K_vh is inf\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, key, value", [
+    ("thresholds", "R0_defined", False),
+    ("equilibria", "dfe_biological", None),
+])
+def test_vanishing_vector_population_is_reported(command, key, value,
+                                                 config_file, tmp_path):
+    """[TRIVIAL] theta = mu_b = 1e-200 puts N at 0, and theta times the
+    aquatic factor D underflows to 0: both commands report a set without
+    vectors (exit 0, no numpy warning) rather than divide by that 0 to
+    build a biological disease-free equilibrium that does not exist."""
+    cfg = _table5()
+    cfg["params"].update(theta=1e-200, mu_b=1e-200)
+    out = tmp_path / "out.json"
+    code = main([command, "--config", config_file(cfg), "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())[key] is value
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -21,7 +21,7 @@ from arbo.thresholds import (
     ThresholdError, bifurcation_thresholds, net_reproductive_number,
     threshold_arrays,
 )
-from conftest import mixed_regime_ranges, random_params
+from conftest import load_fixture, mixed_regime_ranges, random_params
 
 
 def _ranges(**overrides):
@@ -490,6 +490,26 @@ def test_a_non_finite_r0_is_refused():
                 r"^R0 is nan at draw 3 of the design; it is not finite at "
                 r"1 of 100 draws$")):
             r0_values(design)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_threshold_is_refused_as_by_thresholds():
+    """[TRIVIAL] Table 2's ranges with mu_h up to 2e154: at 662 of 2000
+    draws R0 underflows to a finite 0 but R_c is NaN.  The design's
+    threshold pass raises the `ThresholdError` naming R_c and its first
+    such draw, the quantity that `bifurcation_thresholds` refuses that
+    draw for, rather than counting those draws as subcritical without an
+    endemic point.  No numpy warning on the way."""
+    ranges = dict(load_fixture("table2_baseline")["sensitivity"]["ranges"])
+    ranges["mu_h"] = [ranges["mu_h"][0], 2e154]
+    samples = lhs_sample(ParamDistribution(ranges), 2000, seed=42)
+    with pytest.raises(ThresholdError, match=(
+            r"^R_c is nan at draw 1 of the design; it is not finite at 662 "
+            r"of 2000 draws$")):
+        condition_probabilities(samples)
+    p = ModelParams(**dict(zip(PARAM_ORDER, samples.matrix[1].tolist())))
+    with pytest.raises(ThresholdError, match=r"^R_c is nan$"):
+        bifurcation_thresholds(p)
 
 
 def _pinned_but(*names) -> ParamDistribution:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from arbo.model import basic_field, derive_constants
+from arbo.model import S_H, S_V, basic_field, derive_constants, param_rows
 from arbo.model import ModelParams
 from arbo.sensitivity import PARAM_ORDER, baseline_ranges, lhs_sample
 from arbo.thresholds import (
@@ -34,11 +34,60 @@ def test_net_reproductive_number_boundary(table5):
 
 
 def test_biological_dfe_requires_establishment(table5):
-    """[TRIVIAL] N <= 1 leaves only the vector-free equilibrium."""
+    """[TRIVIAL] N <= 1 leaves only the vector-free equilibrium, which
+    `dfe_components` then gives bitwise: S_h at lambda_h_in / mu_h and
+    every other entry 0."""
     p = dataclasses.replace(table5.params, mu_b=0.1)
     assert net_reproductive_number(p) < 1.0
-    with pytest.raises(ThresholdError):
-        dfe_components(p)
+    x = dfe_components(p)
+    assert x.tobytes() == dfe_components(p, trivial=True).tobytes()
+    assert x[S_H] == p.lambda_h_in / p.mu_h and not np.any(x[S_H + 1:])
+
+
+def test_vanishing_vector_population_has_the_vector_free_dfe(table5):
+    """[TRIVIAL] theta = mu_b = 1e-200 (N = 0) underflow theta times the
+    aquatic factor D to 0 in Python floats: `dfe_components` still gives
+    the vector-free point, and `bifurcation_thresholds` a report without
+    vectors, rather than raising ZeroDivisionError."""
+    p = dataclasses.replace(table5.params, theta=1e-200, mu_b=1e-200)
+    assert net_reproductive_number(p) == 0.0
+    assert dfe_components(p).tobytes() == dfe_components(
+        p, trivial=True).tobytes()
+    assert bifurcation_thresholds(p).r0_defined is False
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dfe_components_picks_each_rows_equilibrium():
+    """[DERIVED] Over mixed-regime draws, with rows of N <= 1 added: each
+    row of one `dfe_components` pass is bitwise the biological DFE that
+    the call on the established rows alone gives (N > 1, a positive
+    vector population), and the vector-free point elsewhere; and each row
+    is the one-parameter-set call on it.  No numpy warning on the way."""
+    samples = lhs_sample(mixed_regime_ranges(), 300, seed=4)
+    matrix = np.concatenate([samples.matrix, samples.matrix[:50]])
+    matrix[300:, PARAM_ORDER.index("mu_b")] = 0.1  # N < 1
+    draws = SimpleNamespace(**dict(zip(PARAM_ORDER, matrix.T)))
+    est = net_reproductive_number(draws) > 1.0
+    assert 50 < np.count_nonzero(~est) and 100 < np.count_nonzero(est)
+    x = dfe_components(draws)
+    biological = dfe_components(param_rows(draws, est))
+    assert x[est].tobytes() == biological.tobytes()
+    assert np.all(biological[:, S_V] > 0.0)
+    assert x[~est].tobytes() == dfe_components(
+        param_rows(draws, ~est), trivial=True).tobytes()
+    for row, want in zip(matrix, x):
+        p = ModelParams(**dict(zip(PARAM_ORDER, row.tolist())))
+        assert dfe_components(p).tobytes() == want.tobytes()
+
+
+def test_next_generation_matrices_require_establishment(table5):
+    """[TRIVIAL] The matrices are taken at the biological DFE, so N <= 1
+    is refused by name rather than read off the vector-free point."""
+    p = dataclasses.replace(table5.params, mu_b=0.1)
+    with pytest.raises(ThresholdError, match=(
+            r"^next-generation matrices require net reproductive number "
+            r"> 1, got 0\.\d+$")):
+        next_generation_matrices(p)
 
 
 def test_r0_requires_establishment(table5):
