@@ -249,14 +249,14 @@ def field_vjp(x, u, lam, p: ModelParams, c: ControlParams) -> np.ndarray:
     (x, u): the exact derivative, row k of J being `field_vjp` at the
     k-th unit vector.
 
-    Takes the shapes of `controlled_field`, with `lam` shaped like `x`;
-    each row of a stack's result equals the single-state call bitwise.
+    Takes the shapes of `controlled_field`, `lam` broadcasting against
+    `x`; each row of a stack's result equals the single-state call bitwise.
     `rk4.c`'s `field_vjp` is this function term for term.
     """
-    x = np.asarray(x)
+    x, lam = np.asarray(x), np.asarray(lam)
     n_h, foi_h, foi_v = _infection(x, p)
     s_h, e_h, i_h, r_h, s_v, e_v, i_v, egg, lar, pup = x.T
-    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9 = np.asarray(lam).T
+    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9 = lam.T
     u1, u2, u3, u4, u5 = np.asarray(u).T
     n_v = s_v + e_v + i_v
 
@@ -271,7 +271,8 @@ def field_vjp(x, u, lam, p: ModelParams, c: ControlParams) -> np.ndarray:
     flux_v = (l5 - l4) * protect
     via_n_h = -(flux_h * foi_h * s_h + flux_v * foi_v * s_v) / n_h
 
-    g = np.empty(x.T.shape, np.result_type(x, np.float64))
+    g = np.empty(np.broadcast_shapes(x.T.shape, lam.T.shape),
+                 np.result_type(x, np.float64))
     g[S_H] = via_n_h + flux_h * foi_h - (p.mu_h + u1) * l0 + u1 * l3
     g[E_H] = (via_n_h + flux_v * p.a * p.beta_vh * p.eta_h * s_v / n_h
               - (p.mu_h + p.gamma_h) * l1 + p.gamma_h * l2)

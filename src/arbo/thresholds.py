@@ -124,7 +124,7 @@ def threshold_arrays(p) -> ThresholdReport:
 
     x, y = _x_and_y(p, k)
     psi = x - p.delta * p.gamma_h * k.k8
-    r_c = np.sqrt((2.0 * k.k8 * k.k2 + x) / (k.k3 * k.k4 * k.k8))
+    r_c = np.sqrt((2.0 * (k.k8 * k.k2) + x) / (k.k3 * k.k4 * k.k8))
 
     # The saddle-node bounds exist only where psi <= 0.
     root_a = np.sqrt(p.delta * p.gamma_h * y)

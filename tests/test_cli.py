@@ -1001,6 +1001,25 @@ def test_vanishing_vector_population_is_reported(command, key, value,
     assert json.loads(out.read_text())[key] is value
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, key, value", [
+    ("thresholds", "R_c", 1.4092919155978427),
+    ("equilibria", "case", "N<=1"),
+])
+def test_huge_vector_mortality_keeps_r_c_finite(command, key, value,
+                                               config_file, tmp_path):
+    """[TRIVIAL] mu_v = 1e308 overflows 2 k8 but not R_c's numerator
+    2 (k8 k2) + X: both commands exit 0 (no numpy warning), `thresholds`
+    with R_c at its limit sqrt(2 k2 / (k3 k4)) and `equilibria` with no
+    vectors (N <= 1), rather than a numeric error on R_c = inf."""
+    cfg = _table5()
+    cfg["params"]["mu_v"] = 1e308
+    out = tmp_path / "out.json"
+    code = main([command, "--config", config_file(cfg), "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())[key] == value
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["thresholds", "equilibria"])
 @pytest.mark.parametrize("param, value, message", [

@@ -148,6 +148,25 @@ def test_field_vjp_matches_central_differences(table5):
     assert np.all(np.abs(fd - exact) < 1e-7 * scale)
 
 
+def test_field_vjp_broadcasts_states_against_lam(table5):
+    """[TRIVIAL] States (m, 1, 10) against the identity broadcast to
+    (m, 10, 10), with controls and parameters per row, give (m, 10, 10),
+    bitwise the stack of single-state calls at each unit vector."""
+    c = table5.control_params
+    rng = np.random.default_rng(8)
+    ps = [random_params(rng) for _ in range(16)]
+    rows = SimpleNamespace(**{name: np.array([getattr(p, name) for p in ps])
+                              for name in PARAM_ORDER})
+    xs = rng.uniform(1.0, 1e4, (16, 10))
+    us = rng.uniform(0.0, 1.0, (16, 5))
+    eye = np.broadcast_to(np.eye(10), (16, 10, 10))
+    got = field_vjp(xs[:, None], us, eye, rows, c)
+    assert got.shape == (16, 10, 10)
+    assert got.tobytes() == np.array(
+        [[field_vjp(x, u, e, p, c) for e in np.eye(10)]
+         for x, u, p in zip(xs, us, ps)]).tobytes()
+
+
 def test_bounds_check_matches_construction(table5):
     """[TRIVIAL] For each of the 36 fields of `ModelParams`,
     `ControlParams` and `ObjectiveWeights`, `in_bounds` on one value, and

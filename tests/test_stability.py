@@ -14,7 +14,7 @@ from arbo.model import (
 from arbo.ode import TimeGrid, Trajectory
 from arbo.stability import (
     Direction, KernelError, bifurcation_coefficients, eigen_verdict,
-    eigen_verdicts, hessian_double_sum, jacobian, jacobians,
+    eigen_verdicts, hessian_double_sum, jacobians,
     lyapunov_trivial_check, lyapunov_weights, routh_hurwitz_trivial,
 )
 from arbo.thresholds import (
@@ -64,7 +64,7 @@ def test_jacobian_matches_closed_form_at_trivial_dfe(table5, sec22):
     for scen in (table5, sec22):
         p = scen.params
         x0 = dfe_components(p, trivial=True)
-        exact = jacobian(x0, p)
+        exact = jacobians(x0, p)
         closed = _trivial_dfe_jacobian_closed_form(p)
         assert np.allclose(exact, closed, atol=1e-12, rtol=1e-12)
 
@@ -98,15 +98,15 @@ def test_exact_jacobian_matches_column_loop(table5, sec22):
     (endemic, _, _), = solve_endemic(table5.params).endemic
     for x, p in ((dfe_components(sec22.params), sec22.params),
                  (endemic, table5.params)):
-        assert _relative_gap(jacobian(x, p),
+        assert _relative_gap(jacobians(x, p),
                              _column_by_column_jacobian(x, p)) < 1e-6
 
 
 def test_batched_jacobians_and_verdicts_equal_one_point_calls(sec22):
     """[TRIVIAL] Jacobians and verdicts of a stack of 300 states (several
-    blocks), each row under its own parameter set, equal `jacobian` and
+    blocks), each row under its own parameter set, equal `jacobians` and
     `eigen_verdict` at each row alone bitwise, and the column loop to
-    the stencil's accuracy."""
+    the stencil's accuracy; one state gives one (10, 10) Jacobian."""
     rng = np.random.default_rng(21)
     ps = [random_params(rng) for _ in range(300)]
     ps[:2] = [sec22.params, dataclasses.replace(
@@ -116,8 +116,9 @@ def test_batched_jacobians_and_verdicts_equal_one_point_calls(sec22):
     rows = SimpleNamespace(**{name: np.array([getattr(p, name) for p in ps])
                               for name in vars(ps[0])})
     jac = jacobians(xs, rows)
-    assert jac.tobytes() == np.array(
-        [jacobian(x, p) for x, p in zip(xs, ps)]).tobytes()
+    one = [jacobians(x, p) for x, p in zip(xs, ps)]
+    assert {j.shape for j in one} == {(10, 10)}
+    assert jac.tobytes() == np.array(one).tobytes()
     fd = np.array([_column_by_column_jacobian(x, p) for x, p in zip(xs, ps)])
     assert np.all(_relative_gap(jac, fd) < 1e-6)
     verdicts = eigen_verdicts(xs, rows)
@@ -240,7 +241,7 @@ def test_bifurcation_refuses_a_degenerate_kernel(jac, message, sec22,
     singular values of exactly zero; a null vector e_{E_h} with no I_v
     component; and a Jordan block whose right null vector e_{I_v} is
     orthogonal to its left one e_{E_h}."""
-    monkeypatch.setattr("arbo.stability.jacobian", lambda x, p: jac)
+    monkeypatch.setattr("arbo.stability.jacobians", lambda x, p: jac)
     with pytest.raises(KernelError, match=message):
         bifurcation_coefficients(sec22.params)
 
@@ -249,7 +250,7 @@ def test_zero_eigenvalue_at_transcritical(sec22):
     """[DERIVED] At beta* the Jacobian at the DFE is singular."""
     rep = bifurcation_thresholds(sec22.params)
     p = dataclasses.replace(sec22.params, beta_hv=rep.beta_star)
-    jac = jacobian(dfe_components(p), p)
+    jac = jacobians(dfe_components(p), p)
     eigs = np.linalg.eigvals(jac)
     assert np.min(np.abs(eigs)) <= 1e-8 * np.max(np.abs(jac))
 
