@@ -22,13 +22,13 @@ from .stability import eigen_verdicts
 from .thresholds import (  # noqa: F401
     ThresholdError, ThresholdReport, _established, _scalars, _x_and_y,
     bifurcation_thresholds, dfe_components, net_reproductive_number, nonfinite,
-    threshold_arrays, two_endemic_windows,
+    threshold_arrays, two_endemic_window,
 )
 
-# A discriminant this close to zero (relative to the coefficient scale
-# max(d1^2, |4 d2 d0|)) is treated as a double root: the rounding level
-# of d1^2 - 4 d2 d0, whose coefficients each carry a few roundings.  A
-# wider band would take -d1 / (2 d2) for a root where there is none.
+# A discriminant this close to zero, relative to d1^2 and 4 d2 d0 at
+# their sizes before R0^2 - R_c^2 and R0^2 - 1 cancel in them (a scale
+# that cancels with them misses folds), is a double root.  A wider band
+# would take -d1 / (2 d2) for a root where there is none.
 _DOUBLE_ROOT_RTOL = 64 * np.finfo(float).eps
 
 # R0 this close to 1 is R0 = 1: case ii of the classification, and d0 = 0
@@ -85,28 +85,30 @@ def endemic_quadratic(p: ModelParams) -> EndemicQuadratic:
     """Closed-form coefficients; requires an established vector population."""
     _established(p, "endemic quadratic requires")
     rep = bifurcation_thresholds(p)
-    return _scalars(_quadratic(p, rep.r0, rep.r_c))
+    return _scalars(_quadratic(p, rep.r0, rep.r_c)[0])
 
 
-def _quadratic(p, r0, r_c) -> EndemicQuadratic:
-    """Coefficients as numpy values: per row when `p`, `r0` and `r_c`
-    hold arrays, else for one parameter set."""
+def _quadratic(p, r0, r_c) -> tuple[EndemicQuadratic, np.ndarray]:
+    """Coefficients as numpy values and the double-root flag: per row
+    when `p`, `r0` and `r_c` hold arrays, else for one parameter set."""
     k = derive_constants(p)
     pref = k.k3 * k.k3 * k.k4 * k.k4 * k.k8 * p.mu_h
     d2 = -k.k2 * _x_and_y(p, k)[1]
     d1 = pref * (r0 * r0 - r_c * r_c)
-    d0 = np.where(np.abs(r0 - 1.0) <= _R0_ONE_TOL, 0.0,
-                  pref * p.mu_h * (r0 * r0 - 1.0))
-    return EndemicQuadratic(d2=d2, d1=d1, d0=d0,
-                            discriminant=d1 * d1 - 4.0 * d2 * d0)
+    one = np.abs(r0 - 1.0) <= _R0_ONE_TOL
+    d0 = np.where(one, 0.0, pref * p.mu_h * (r0 * r0 - 1.0))
+    disc = d1 * d1 - 4.0 * d2 * d0
+    scale = (2.0 * np.abs(d1) * pref * (r0 * r0 + r_c * r_c) + np.where(
+        one, 0.0, 4.0 * np.abs(d2) * pref * p.mu_h * (r0 * r0 + 1.0)))
+    double = (scale == 0.0) | (np.abs(disc) <= _DOUBLE_ROOT_RTOL * scale)
+    return EndemicQuadratic(d2=d2, d1=d1, d0=d0, discriminant=disc), double
 
 
-def _quadratic_roots(q: EndemicQuadratic) -> np.ndarray:
+def _quadratic_roots(q: EndemicQuadratic, double) -> np.ndarray:
     """Real roots in ascending order, shape (..., 2) with NaN for an
     absent root, via the numerically stable form (coefficients span many
     orders of magnitude, so the naive formula cancels).  A double root
-    (`is_double_root`) is the one root -d1 / (2 d2)."""
-    double = is_double_root(q)
+    (`double`, from `_quadratic`) is the one root -d1 / (2 d2)."""
     split = ~double & (q.discriminant > 0.0)
     sgn = np.where(q.d1 >= 0.0, 1.0, -1.0)
     qq = -0.5 * (q.d1 + sgn * np.sqrt(np.maximum(q.discriminant, 0.0)))
@@ -115,12 +117,6 @@ def _quadratic_roots(q: EndemicQuadratic) -> np.ndarray:
                    np.nan)
     hi = np.where(split, np.maximum(r1, r2), np.nan)
     return np.stack([lo, hi], axis=-1)
-
-
-def is_double_root(q: EndemicQuadratic):
-    """Per row: is the discriminant zero up to its rounding level?"""
-    scale = np.maximum(q.d1 * q.d1, np.abs(4.0 * q.d2 * q.d0))
-    return (scale == 0.0) | (np.abs(q.discriminant) <= _DOUBLE_ROOT_RTOL * scale)
 
 
 def back_substitute(p, lambda_h, dfe) -> np.ndarray:
@@ -162,11 +158,11 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
     finite or max|f(x)| exceeds its tolerance.  A row keeps its first
     error.
 
-    Returns per row `rep` and `errors`; per `est` row `quad`, `roots`
-    (ascending, NaN if absent) and each rejected root's `reason`; the
-    `states` (the DFEs of `est`, then the endemic points in (row, root)
-    order) with their `owner` parameters and `residual`; and per endemic
-    point its `row` in `est` and `lam`.
+    Returns per row `rep` and `errors`; per `est` row `quad`, `double`,
+    `roots` (ascending, NaN if absent) and each rejected root's `reason`;
+    the `states` (the DFEs of `est`, then the endemic points in (row,
+    root) order) with their `owner` parameters and `residual`; and per
+    endemic point its `row` in `est` and `lam`.
     """
     pv = SimpleNamespace(**{name: np.full(size, v)
                             for name, v in vars(p).items()} | columns)
@@ -176,9 +172,9 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
     errors = [None if m is None else ThresholdError(m) for m in messages]
     est = np.flatnonzero(rep.r0_defined & np.equal(messages, None))
     pe = param_rows(pv, est)
-    quad = _quadratic(pe, rep.r0[est], rep.r_c[est])
+    quad, double = _quadratic(pe, rep.r0[est], rep.r_c[est])
 
-    roots = _quadratic_roots(quad)
+    roots = _quadratic_roots(quad, double)
     positive = roots > 0.0  # False for an absent root
     reason = np.full(roots.shape, None, dtype=object)
     reason[~np.isnan(roots) & ~positive] = "non-positive force of infection"
@@ -200,12 +196,12 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
                 f"has field residual {r:.3g} > {t:.3g}" if t < math.inf
                 else "is not finite"))
     return SimpleNamespace(rep=rep, errors=errors, est=est, quad=quad,
-                           roots=roots, reason=reason, states=states,
-                           owner=owner, residual=residual, row=row, lam=lam)
+                           double=double, roots=roots, reason=reason,
+                           states=states, owner=owner, residual=residual,
+                           row=row, lam=lam)
 
 
-def _classify(rep: ThresholdReport,
-              q: EndemicQuadratic) -> tuple[Classification, str]:
+def _classify(rep: ThresholdReport, double) -> tuple[Classification, str]:
     """Root-count classification, each boundary by the roots' own rule."""
     r0, r_c = rep.r0, rep.r_c
     if abs(r0 - 1.0) <= _R0_ONE_TOL:
@@ -214,9 +210,9 @@ def _classify(rep: ThresholdReport,
         return Classification.NO_ENDEMIC, "ii"
     if r0 > 1.0:
         return Classification.UNIQUE, "i"
-    if r_c < r0 and is_double_root(q):
+    if r_c < r0 and double:
         return Classification.UNIQUE, "iii-b"
-    if any(two_endemic_windows(rep)):
+    if two_endemic_window(rep):
         return Classification.TWO, "iii-a"
     return Classification.NO_ENDEMIC, "iii-c"
 
@@ -236,7 +232,7 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
         raise eq.errors[0]
     n = eq.est.size  # 0 where N <= 1: no vectors, no endemic point
     quad = _scalars(eq.quad) if n else None
-    classification, case = (_classify(_scalars(eq.rep), quad) if n else
+    classification, case = (_classify(_scalars(eq.rep), *eq.double) if n else
                             (Classification.NO_ENDEMIC, "N<=1"))
     rejected = [(r, why) for r, why in zip(eq.roots.ravel().tolist(),
                                            eq.reason.ravel()) if why is not None]

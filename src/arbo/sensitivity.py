@@ -17,7 +17,7 @@ from .model import ModelParams
 from .thresholds import (  # noqa: F401
     CHECKED, REPORT_NAMES, ThresholdError, ThresholdReport,
     bifurcation_thresholds, net_reproductive_number, threshold_arrays,
-    two_endemic_windows,
+    two_endemic_window,
 )
 
 PARAM_ORDER = tuple(f.name for f in fields(ModelParams))
@@ -202,30 +202,27 @@ def r0_distribution(samples: SampleSet) -> dict:
 def condition_probabilities(samples: SampleSet) -> dict:
     """Empirical frequencies of the equilibrium regimes.
 
-    two_endemic_low / two_endemic_high are the two sub-cases of the
-    two-equilibria window below R0 = 1; the three top-level events
-    (no vectors / subcritical / supercritical) partition the draws.
+    two_endemic is `thresholds.two_endemic_window`; the paper's low
+    window is empty, so two_endemic_low is 0.0.  The three top-level
+    events (no vectors / subcritical / supercritical) partition the draws.
     """
     n = samples.n
     rep = samples.thresholds
     vectors = rep.r0_defined
     supercritical = vectors & (rep.r0 >= 1.0)
     subcritical = vectors & ~supercritical
-    low, high = two_endemic_windows(rep)
-    low &= subcritical
-    high &= subcritical & ~low
-    trivial, sub, sup, two_low, two_high = (
-        int(np.count_nonzero(m))
-        for m in (~vectors, subcritical, supercritical, low, high))
+    two_endemic = subcritical & two_endemic_window(rep)
+    trivial, sub, sup, two = (int(np.count_nonzero(m)) for m in (
+        ~vectors, subcritical, supercritical, two_endemic))
     return {
         "p_no_vectors": trivial / n,
         "p_vectors": (sub + sup) / n,
         "p_subcritical": sub / n,
         "p_supercritical": sup / n,
-        "p_two_endemic_low": two_low / n,
-        "p_two_endemic_high": two_high / n,
-        "p_two_endemic": (two_low + two_high) / n,
-        "p_no_endemic_subcritical": (sub - two_low - two_high) / n,
+        "p_two_endemic_low": 0.0,
+        "p_two_endemic_high": two / n,
+        "p_two_endemic": two / n,
+        "p_no_endemic_subcritical": (sub - two) / n,
     }
 
 

@@ -152,14 +152,13 @@ def threshold_arrays(p) -> ThresholdReport:
         beta_minus=beta_star * r_1b * r_1b, beta_plus=beta_star * r_2b * r_2b)
 
 
-def two_endemic_windows(rep: ThresholdReport):
-    """(low, high): is R0 in the low window R_c < R0 < min(1, R_1b) or the
-    high window max(R_c, R_2b) < R0 < 1 of the two-endemic case iii-a?
-    Elementwise, for a scalar or an array report; an absent (NaN) bound
-    puts R0 in neither window."""
-    r0, r_c = rep.r0, rep.r_c
-    return ((r_c < r0) & (r0 < np.minimum(1.0, rep.r_1b)),
-            (np.maximum(r_c, rep.r_2b) < r0) & (r0 < 1.0))
+def two_endemic_window(rep: ThresholdReport):
+    """Is R0 in the window max(R_c, R_2b) < R0 < 1 of the two-endemic
+    case iii-a?  Elementwise, for a scalar or an array report; an absent
+    (NaN) R_2b puts R0 outside it.  The paper's second window, R_c < R0 <
+    min(1, R_1b), is empty: R_c^2 - R_1b^2 >= 2 k2 Y / ((k3 k4)^2 k8) > 0
+    wherever psi <= 0 (`tests/test_symbolic.py` proves the identity)."""
+    return (np.maximum(rep.r_c, rep.r_2b) < rep.r0) & (rep.r0 < 1.0)
 
 
 # The report fields that must be finite where they exist, in the order

@@ -9,8 +9,7 @@ import pytest
 import arbo.equilibria
 from arbo.equilibria import (
     Classification, ResidualError, ScanRow, bifurcation_scan,
-    delta_zero_check, endemic_quadratic, is_double_root, scan_to_csv,
-    solve_endemic,
+    delta_zero_check, endemic_quadratic, scan_to_csv, solve_endemic,
 )
 from arbo.model import (
     E_H, I_H, I_V, PUP, S_H, S_V, ModelParams, ParamError, basic_field,
@@ -411,7 +410,28 @@ def test_double_root_at_the_fold(sec22):
     assert len(eq.endemic) == 1
 
 
-def test_saddle_node_bounds_are_the_folds_of_the_quadratic(sec22):
+@pytest.fixture(scope="module")
+def mixed_design():
+    """The 2,000 mixed-regime draws of seed 3, their threshold report and
+    the rows that establish vectors with psi <= 0, where the saddle-node
+    bounds beta_minus and beta_plus exist."""
+    samples = lhs_sample(mixed_regime_ranges(), 2000, seed=3)
+    reps = threshold_arrays(samples.columns())
+    rows = np.flatnonzero(reps.r0_defined & (reps.psi <= 0.0))
+    assert rows.size > 1800
+    return samples, reps, rows
+
+
+def _at_beta(p, samples, rows, beta):
+    """The `_equilibria` pass over `rows` of `samples`, row i at beta_hv =
+    beta[i]; every row must establish vectors and pass `nonfinite`."""
+    columns = {name: v[rows] for name, v in vars(samples.columns()).items()}
+    eq = arbo.equilibria._equilibria(p, rows.size, **columns | {"beta_hv": beta})
+    assert eq.est.tolist() == list(range(rows.size))
+    return eq
+
+
+def test_saddle_node_bounds_are_the_folds_of_the_quadratic(sec22, mixed_design):
     """[DERIVED] beta_minus and beta_plus are where the endemic quadratic
     has a double root (its discriminant zero up to its rounding level).
     On sec. 2.2 at both, with the vertex -d1 / (2 d2) at -0.0022753 and
@@ -421,19 +441,38 @@ def test_saddle_node_bounds_are_the_folds_of_the_quadratic(sec22):
     rep = bifurcation_thresholds(sec22.params)
     for beta, vertex in ((rep.beta_minus, -0.0022753),
                          (rep.beta_plus, 0.0021935)):
-        q = endemic_quadratic(dataclasses.replace(sec22.params, beta_hv=beta))
-        assert is_double_root(q)
-        assert -q.d1 / (2.0 * q.d2) == pytest.approx(vertex, abs=5e-8)
-    samples = lhs_sample(mixed_regime_ranges(), 2000, seed=3)
-    reps = threshold_arrays(samples.columns())
-    rows = np.flatnonzero(reps.r0_defined & (reps.psi <= 0.0))
-    assert rows.size > 1800
-    for i in rows.tolist():
-        p = ModelParams(**dict(zip(PARAM_ORDER, samples.matrix[i].tolist())))
-        q = endemic_quadratic(dataclasses.replace(
-            p, beta_hv=reps.beta_minus[i].item()))
-        assert is_double_root(q), i
-        assert -q.d1 / (2.0 * q.d2) < 0.0, i
+        eq = arbo.equilibria._equilibria(
+            dataclasses.replace(sec22.params, beta_hv=beta))
+        assert eq.double.tolist() == [True]
+        q = eq.quad
+        assert (-q.d1 / (2.0 * q.d2)).item() == pytest.approx(vertex, abs=5e-8)
+    samples, reps, rows = mixed_design
+    eq = _at_beta(sec22.params, samples, rows, reps.beta_minus[rows])
+    assert np.all(eq.double)
+    assert np.all(-eq.quad.d1 / (2.0 * eq.quad.d2) < 0.0)
+
+
+def test_every_high_fold_is_one_double_root(sec22, mixed_design):
+    """[DERIVED] At beta_plus on each of the mixed-regime draws above,
+    the pass flags the double root, and `solve_endemic` finds as many
+    endemic points as it classifies: one (case iii-b) where the vertex
+    -d1 / (2 d2) is positive, none (iii-c) elsewhere.  The rounding level
+    of the discriminant is measured on d1^2 and 4 d2 d0 before R0^2 -
+    R_c^2 and R0^2 - 1 cancel in them: a scale taken from d1 and d0
+    themselves shrinks with that cancellation and misses folds here."""
+    samples, reps, rows = mixed_design
+    beta = reps.beta_plus[rows]
+    eq = _at_beta(sec22.params, samples, rows, beta)
+    want = np.where(-eq.quad.d1 / (2.0 * eq.quad.d2) > 0.0, "iii-b", "iii-c")
+    count = {Classification.NO_ENDEMIC: 0, Classification.UNIQUE: 1,
+             Classification.TWO: 2}
+    for j, (values, b, case) in enumerate(zip(
+            samples.matrix[rows].tolist(), beta.tolist(), want.tolist())):
+        p = ModelParams(**dict(zip(PARAM_ORDER, values)) | {"beta_hv": b})
+        got = solve_endemic(p)
+        assert got.case == case, j
+        assert len(got.endemic) == count[got.classification], j
+    assert np.all(eq.double)
 
 
 def _endemic_cases(p, betas):
@@ -471,3 +510,25 @@ def test_endemic_count_matches_classification_at_the_boundaries(sec22, table5):
     beta_star = bifurcation_thresholds(table5.params).beta_star
     assert _endemic_cases(table5.params, _either_side(beta_star, 10)) == {
         "i", "ii", "iii-c"}
+
+
+def test_roots_at_r0_one_are_zero_and_minus_d1_over_d2(sec22):
+    """[DERIVED] At R0 = 1 the quadratic has d0 = 0, so its roots are 0
+    and -d1 / d2 even where d1 nearly cancels: with R_c 1e-8 below 1 (the
+    biting rate a chosen for it), the one endemic point is at -d1 / d2.
+    A d0 set to 0 carries no rounding, so only d1's own rounding can make
+    the root double; counting 4 |d2| pref mu_h (R0^2 + 1) there would
+    take the vertex -d1 / (2 d2) instead."""
+    p, k = sec22.params, derive_constants(sec22.params)
+    # R_c^2 = 2 k2 / (k3 k4) + k10 a mu_h beta_vh / (k3 k4 k8) = 1 - 2e-8.
+    a = ((1.0 - 2e-8) * k.k3 * k.k4 - 2.0 * k.k2) * k.k8 / (
+        k.k10 * p.mu_h * p.beta_vh)
+    p = dataclasses.replace(p, a=a)
+    p = dataclasses.replace(p, beta_hv=bifurcation_thresholds(p).beta_star)
+    eq = solve_endemic(p)
+    assert 0.0 < 1.0 - bifurcation_thresholds(p).r_c < 2e-8
+    assert (eq.classification, eq.case) == (Classification.UNIQUE, "ii")
+    q = eq.quadratic
+    assert q.d0 == 0.0
+    [(_, lam, _)] = eq.endemic
+    assert lam == pytest.approx(-q.d1 / q.d2, rel=1e-12)

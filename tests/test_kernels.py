@@ -17,11 +17,12 @@ import pytest
 from arbo import _kernels
 from arbo.control import StrategyMask
 from arbo.model import (
-    R_H, S_H, ZeroPopulationError, adjoint_field, basic_field,
-    controlled_field, params_to_array,
+    EGG, I_V, R_H, S_H, S_V, ControlParams, ZeroPopulationError,
+    adjoint_field, basic_field, controlled_field, params_to_array,
 )
 from arbo.ode import NonFiniteError, TimeGrid, rk4_forward, rk4_nodes
 from arbo.sensitivity import PARAM_ORDER
+from conftest import Scenario
 
 PYTHON = _kernels.PYTHON
 
@@ -239,6 +240,58 @@ def test_adjoint_kernel_matches_reference_integrator(table5):
     for kernels in (_kernels, PYTHON):
         adj = kernels.rk4_adjoint(par, cpar, wts, states, u, grid.dt)
         assert adj.tobytes() == ref.tobytes()
+
+
+def _vectors_and_aquatic_stages(y, u, p, c):
+    """(N_v, E, L, P)', written from the model's equations: the adult
+    vectors N_v = S_v + E_v + I_v emerge from pupae at theta and all die
+    at mu_v + c_m u4 whatever their infection status, which only moves
+    them between S_v, E_v and I_v, and all of them lay eggs."""
+    n_v, egg, lar, pup = y
+    return np.array([
+        p.theta * pup - (p.mu_v + c.c_m * u[3]) * n_v,
+        p.mu_b * (1.0 - egg / p.Gamma_E) * n_v
+        - (p.s + p.mu_E + c.eta1 * u[4]) * egg,
+        p.s * egg * (1.0 - lar / p.Gamma_L) - (p.l + p.mu_L + c.eta2 * u[4]) * lar,
+        p.l * lar - (p.theta + p.mu_P) * pup,
+    ])
+
+
+@pytest.mark.parametrize("controlled", [False, True],
+                         ids=["uncontrolled", "controlled"])
+@pytest.mark.parametrize("fixture", ["table5_control", "sec22_backward",
+                                     "table2_baseline"])
+def test_kernels_keep_the_decoupled_subsystems(fixture, controlled):
+    """[DERIVED] Over the fixture's 2,000 steps with delta = 0, with
+    random controls or none, the trajectory of each backend holds two
+    subsystems written here from the model's equations rather than from
+    its right-hand side: (N_v, E, L, P) is autonomous, so its sums of the
+    kernel's rows equal RK4 on that 4-D system; and the human total obeys
+    N_h' = Lambda_h - mu_h N_h, on which RK4 steps N_h - N* by the factor
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -mu_h dt, N* = Lambda_h /
+    mu_h.  They agree to rounding, 1e-12 relative; a dropped or wrong
+    rate in a vector, egg or larva row of `rk4.c` breaks the first."""
+    s = Scenario(fixture)
+    n, dt = s.grid.n_steps, s.grid.dt
+    p = dataclasses.replace(s.params, delta=0.0)
+    c = s.control_params if controlled else ControlParams(0, 0, 0, 0, 0, 0)
+    u = np.random.default_rng(29).uniform(0.0, 1.0, (n + 1, 5)) * controlled
+    y0 = np.concatenate([[s.x0[S_V:I_V + 1].sum()], s.x0[EGG:]])
+    vectors = rk4_nodes(lambda t, y, uu: _vectors_and_aquatic_stages(y, uu, p, c),
+                        y0, (u,), dt, s.grid.times())
+    z = -p.mu_h * dt
+    n0, n_star = s.x0[S_H:R_H + 1].sum(), p.lambda_h_in / p.mu_h
+    # N* + (n0 - N*) R(z)^k, without the cancellation of N* >> N_h.
+    humans = n0 + (n0 - n_star) * np.expm1(np.arange(n + 1) * np.log1p(
+        z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0))
+    for name, kernels in (("active", _kernels), ("python", PYTHON)):
+        traj = kernels.rk4_controlled(params_to_array(p), params_to_array(c),
+                                      s.x0, u, dt)
+        np.testing.assert_allclose(
+            np.column_stack([traj[:, S_V:I_V + 1].sum(axis=1), traj[:, EGG:]]),
+            vectors, rtol=1e-12, err_msg=name)
+        np.testing.assert_allclose(traj[:, S_H:R_H + 1].sum(axis=1), humans,
+                                   rtol=1e-12, err_msg=name)
 
 
 def _scaled(rng, record, capped=()):

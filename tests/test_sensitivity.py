@@ -195,9 +195,10 @@ def test_r0_values_equal_per_draw_r0():
 
 def test_condition_probabilities_equal_per_draw_classification():
     """[DERIVED] The regime frequencies equal a draw-by-draw
-    classification from the scalar threshold reports."""
+    classification from the scalar threshold reports; the low
+    two-endemic window, empty for every parameter set, reads 0.0."""
     samples = lhs_sample(mixed_regime_ranges(), 500, seed=12)
-    counts = dict.fromkeys(("none", "sub", "sup", "low", "high"), 0)
+    counts = dict.fromkeys(("none", "sub", "sup", "high"), 0)
     for p in _draws(samples):
         if net_reproductive_number(p) <= 1.0:
             counts["none"] += 1
@@ -207,11 +208,8 @@ def test_condition_probabilities_equal_per_draw_classification():
             counts["sup"] += 1
             continue
         counts["sub"] += 1
-        if not math.isnan(rep.r_1b):
-            if rep.r_c < rep.r0 < min(1.0, rep.r_1b):
-                counts["low"] += 1
-            elif max(rep.r_c, rep.r_2b) < rep.r0 < 1.0:
-                counts["high"] += 1
+        if not math.isnan(rep.r_2b) and max(rep.r_c, rep.r_2b) < rep.r0 < 1.0:
+            counts["high"] += 1
     n = samples.n
     assert min(counts["none"], counts["sup"], counts["high"]) > 0
     assert condition_probabilities(samples) == {
@@ -219,11 +217,10 @@ def test_condition_probabilities_equal_per_draw_classification():
         "p_vectors": (counts["sub"] + counts["sup"]) / n,
         "p_subcritical": counts["sub"] / n,
         "p_supercritical": counts["sup"] / n,
-        "p_two_endemic_low": counts["low"] / n,
+        "p_two_endemic_low": 0.0,
         "p_two_endemic_high": counts["high"] / n,
-        "p_two_endemic": (counts["low"] + counts["high"]) / n,
-        "p_no_endemic_subcritical":
-            (counts["sub"] - counts["low"] - counts["high"]) / n,
+        "p_two_endemic": counts["high"] / n,
+        "p_no_endemic_subcritical": (counts["sub"] - counts["high"]) / n,
     }
 
 

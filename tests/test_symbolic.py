@@ -12,10 +12,11 @@ from arbo.equilibria import solve_endemic
 from arbo.model import (
     E_H, E_V, I_H, I_V, N_CONTROLS, N_STATES, PUP, R_H, S_H, S_V,
     ControlParams, ModelParams, ObjectiveWeights, basic_field,
-    characterize_controls, controlled_field, field_vjp, params_to_array,
+    characterize_controls, controlled_field, derive_constants, field_vjp,
+    params_to_array,
 )
 from arbo.stability import bifurcation_coefficients
-from arbo.thresholds import bifurcation_thresholds, dfe_components
+from arbo.thresholds import _x_and_y, bifurcation_thresholds, dfe_components
 from conftest import load_fixture
 
 sympy = pytest.importorskip("sympy")
@@ -163,3 +164,24 @@ def test_endemic_quadratic_is_the_eliminated_field(fixture):
     c2, c1, c0 = exact
     assert quad.discriminant / quad.d2 ** 2 == pytest.approx(
         float((c1 * c1 - 4 * c2 * c0) / (c2 * c2)), rel=1e-12)
+
+
+def test_low_saddle_node_bound_identity():
+    """[DERIVED] k3 k4 (2 k2 k8 + X) - (root_a^2 + root_b^2) = 2 k2 Y
+    exactly, with X and Y from `_x_and_y`, the constants from
+    `derive_constants`, and root_a^2 = delta gamma_h Y and root_b^2 =
+    -k2 psi (psi = X - delta gamma_h k8), the squares whose roots
+    `threshold_arrays` takes.  Since R_c^2 = k3 k4 (2 k2 k8 + X) /
+    ((k3 k4)^2 k8) and R_1b^2 = (root_a - root_b)^2 / ((k3 k4)^2 k8),
+    R_c^2 - R_1b^2 >= 2 k2 Y / ((k3 k4)^2 k8), and 2 k2 Y expands to a
+    sum of products of positive rates.  So R_1b < R_c wherever psi <= 0,
+    and the paper's low two-endemic window R_c < R0 < min(1, R_1b) is
+    empty for every parameter set."""
+    p = _symbolic(ModelParams)
+    k = derive_constants(p)
+    x, y = _x_and_y(p, k)
+    psi = x - p.delta * p.gamma_h * k.k8
+    root_a2, root_b2 = p.delta * p.gamma_h * y, -k.k2 * psi
+    gap = k.k3 * k.k4 * (2 * k.k2 * k.k8 + x) - (root_a2 + root_b2)
+    assert sympy.expand(gap - 2 * k.k2 * y) == 0
+    assert sympy.expand(2 * k.k2 * y).is_positive

@@ -13,7 +13,7 @@ from arbo.sensitivity import PARAM_ORDER, baseline_ranges, lhs_sample
 from arbo.thresholds import (
     ThresholdError, ThresholdReport, basic_reproduction_number,
     bifurcation_thresholds, dfe_components, net_reproductive_number,
-    next_generation_matrices, threshold_arrays, two_endemic_windows,
+    next_generation_matrices, threshold_arrays, two_endemic_window,
 )
 from conftest import mixed_regime_ranges, random_established_params, random_params
 
@@ -237,11 +237,13 @@ def test_beta_thresholds_map_to_r_thresholds():
 
 def test_low_saddle_node_bound_is_below_r_c():
     """[DERIVED] R_1b < R_c wherever the saddle-node bounds exist (psi <=
-    0), so the low two-endemic window R_c < R0 < min(1, R_1b) is empty:
-    with X = k10 a mu_h beta_vh, (root_a - root_b)^2 <= root_a^2 +
-    root_b^2 < k3 k4 (2 k2 k8 + X) because delta gamma_h < k3 k4.  Checked
-    on LHS designs over the baseline and the mixed-regime ranges and on
-    log-uniform draws over several decades of every rate."""
+    0), so the paper's low two-endemic window R_c < R0 < min(1, R_1b) is
+    empty and `thresholds.two_endemic_window` is the high one alone.  The
+    proof is the identity k3 k4 (2 k2 k8 + X) - (root_a^2 + root_b^2) =
+    2 k2 Y (`test_symbolic.py::test_low_saddle_node_bound_identity`);
+    this is its check in floats, on LHS designs over the baseline and the
+    mixed-regime ranges and on log-uniform draws over several decades of
+    every rate."""
     rng = np.random.default_rng(11)
     n = 20000
     wide = {name: 10.0 ** rng.uniform(-4.0, 3.0, n) for name in PARAM_ORDER}
@@ -261,11 +263,11 @@ def test_threshold_arrays_equal_scalar_reports():
     """[DERIVED] The scalar report of every draw is its row of one array
     pass over the design: each float field holds the row's bytes, NaN
     included, and `r0_defined` is the row's flag as a bool.  So the
-    two-endemic windows read the same off either report, absent bounds
+    two-endemic window reads the same off either report, absent bounds
     included."""
     samples = lhs_sample(mixed_regime_ranges(), 300, seed=3)
     arrays = threshold_arrays(samples.columns())
-    windows = np.stack(two_endemic_windows(arrays), axis=-1)
+    window = two_endemic_window(arrays)
     absent = {"r_1b": 0, "beta_minus": 0, "r0_defined": 0}
     for i, row in enumerate(samples.matrix):
         rep = bifurcation_thresholds(ModelParams(**dict(zip(PARAM_ORDER, row))))
@@ -279,5 +281,5 @@ def test_threshold_arrays_equal_scalar_reports():
             else:
                 assert type(want) is float, (i, f.name)
                 assert np.float64(want).tobytes() == got.tobytes(), (i, f.name)
-        assert list(two_endemic_windows(rep)) == windows[i].tolist(), i
+        assert two_endemic_window(rep) == window[i], i
     assert min(absent.values()) > 0  # every kind of draw occurs
