@@ -37,6 +37,12 @@ _R0_ONE_TOL = 1e-12
 
 _RESIDUAL_RTOL = 1e-8
 
+# Grid points per `_equilibria` pass in `bifurcation_scan`: a flagged sec. 2.2
+# scan of 100,000 steps peaks at 91 MB in chunks of 256, 96 MB of 1,024,
+# 114 MB of 4,096 and 430 MB in one pass, and is no faster in smaller
+# chunks; a 500-step scan is one pass.
+_CHUNK = 1024
+
 
 class ResidualError(ArithmeticError):
     """A back-substituted equilibrium fails the field-residual tolerance."""
@@ -201,11 +207,11 @@ def _equilibria(p: ModelParams, size: int = 1, **columns) -> SimpleNamespace:
                            row=row, lam=lam)
 
 
-def _classify(rep: ThresholdReport, double) -> tuple[Classification, str]:
+def _classify(rep: ThresholdReport, d1, double) -> tuple[Classification, str]:
     """Root-count classification, each boundary by the roots' own rule."""
     r0, r_c = rep.r0, rep.r_c
     if abs(r0 - 1.0) <= _R0_ONE_TOL:
-        if r_c < 1.0:
+        if d1 > 0.0:  # the roots are 0 and -d1 / d2, where d2 < 0
             return Classification.UNIQUE, "ii"
         return Classification.NO_ENDEMIC, "ii"
     if r0 > 1.0:
@@ -232,8 +238,9 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
         raise eq.errors[0]
     n = eq.est.size  # 0 where N <= 1: no vectors, no endemic point
     quad = _scalars(eq.quad) if n else None
-    classification, case = (_classify(_scalars(eq.rep), *eq.double) if n else
-                            (Classification.NO_ENDEMIC, "N<=1"))
+    classification, case = (
+        _classify(_scalars(eq.rep), quad.d1, *eq.double) if n
+        else (Classification.NO_ENDEMIC, "N<=1"))
     rejected = [(r, why) for r, why in zip(eq.roots.ravel().tolist(),
                                            eq.reason.ravel()) if why is not None]
     endemic = [(x, r, None if stability_checker is None else stability_checker(x))
@@ -297,9 +304,9 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
     infection.  Per-point failures become flagged rows, never aborts:
     among them a point whose thresholds or disease-free equilibrium
     (`thresholds.nonfinite`) or endemic points are not finite.
-    The grid goes through `_equilibria` at once, and each row is bitwise
-    what `solve_endemic` gives at its grid point; with `stability`, it
-    carries the eigenvalue verdict under that point's parameters.
+    The grid goes through `_equilibria` in chunks of `_CHUNK` points; each
+    row is bitwise what `solve_endemic` gives at its grid point and, with
+    `stability`, carries the eigenvalue verdict under that point's parameters.
     """
     if param_name not in {f.name for f in dataclasses.fields(ModelParams)}:
         raise ValueError(f"unknown parameter {param_name!r}")
@@ -312,35 +319,36 @@ def bifurcation_scan(p: ModelParams, param_name: str, lo: float, hi: float,
         except ParamError as exc:
             errors[i] = str(exc)
 
-    grid = np.flatnonzero(valid)
-    eq = _equilibria(p, grid.size, **{param_name: values[grid]})
-    errors.update((i, str(e)) for i, e in zip(grid.tolist(), eq.errors) if e)
-    est, states = eq.est, eq.states
-    flags = np.full(len(states), None)
-    if stability:  # an endemic point that is not finite has its error row
-        ok = np.flatnonzero(np.isfinite(states).all(axis=1))
-        flags[ok] = [v.stable for v in eigen_verdicts(
-            states[ok], param_rows(eq.owner, ok))]
-
-    at = np.full(values.shape, -1)  # grid point -> index into `est`
-    at[grid[est]] = np.arange(est.size)
-    # The states of grid point e's endemic points: first[e]:first[e + 1].
-    first = (est.size + np.searchsorted(eq.row, np.arange(est.size + 1))).tolist()
-    r0 = eq.rep.r0[est].tolist()
-    residual = eq.residual.tolist()
-    i_h, i_v = states[:, I_H].tolist(), states[:, I_V].tolist()
     rows = []
-    for i, (value, e) in enumerate(zip(values.tolist(), at.tolist())):
-        if i in errors:
-            rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, None,
-                                math.nan, error=errors[i]))
-        elif e < 0:  # N <= 1
-            rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, None, 0.0))
-        else:
-            rows.append(ScanRow(value, r0[e], 0, 0.0, 0.0, flags[e], residual[e]))
-            for branch, j in enumerate(range(first[e], first[e + 1]), start=1):
-                rows.append(ScanRow(value, r0[e], branch, i_h[j], i_v[j],
-                                    flags[j], residual[j]))
+    for start in range(0, values.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        grid = start + np.flatnonzero(valid[chunk])
+        eq = _equilibria(p, grid.size, **{param_name: values[grid]})
+        errors.update((i, str(e)) for i, e in zip(grid.tolist(), eq.errors) if e)
+        est, states = eq.est, eq.states
+        flags = np.full(len(states), None)
+        if stability:  # an endemic point that is not finite has its error row
+            ok = np.flatnonzero(np.isfinite(states).all(axis=1))
+            flags[ok] = [v.stable for v in eigen_verdicts(
+                states[ok], param_rows(eq.owner, ok))]
+
+        at = np.full(values[chunk].size, -1)  # chunk point -> index into `est`
+        at[grid[est] - start] = np.arange(est.size)
+        # The states of est row e's endemic points: first[e]:first[e + 1].
+        first = (est.size + np.searchsorted(eq.row, np.arange(est.size + 1))).tolist()
+        r0, residual = eq.rep.r0[est].tolist(), eq.residual.tolist()
+        i_h, i_v = states[:, I_H].tolist(), states[:, I_V].tolist()
+        for i, (value, e) in enumerate(zip(values[chunk].tolist(), at.tolist()), start):
+            if i in errors:
+                rows.append(ScanRow(value, math.nan, -1, math.nan, math.nan, None,
+                                    math.nan, error=errors[i]))
+            elif e < 0:  # N <= 1
+                rows.append(ScanRow(value, 0.0, 0, 0.0, 0.0, None, 0.0))
+            else:
+                rows.append(ScanRow(value, r0[e], 0, 0.0, 0.0, flags[e], residual[e]))
+                for branch, j in enumerate(range(first[e], first[e + 1]), start=1):
+                    rows.append(ScanRow(value, r0[e], branch, i_h[j], i_v[j],
+                                        flags[j], residual[j]))
     return rows
 
 

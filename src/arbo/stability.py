@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import (
     _NO_CONTROL, _NO_EFFECT, E_H, E_V, EGG, I_H, I_V, LAR, PUP, R_H, S_H, S_V,
-    ModelParams, basic_field, derive_constants, field_vjp, param_rows,
+    ModelParams, basic_field, derive_constants, field_vjp,
 )
 from .ode import Trajectory
 from .thresholds import (
@@ -23,10 +23,6 @@ from .thresholds import (
 
 # A max real part within this of zero gives a marginal verdict (None).
 _STABLE_TOL = 1e-9
-
-# Equilibria per field call in `eigen_verdicts`: a sec. 2.2 scan of 100,000
-# steps peaks at 207.7 MB in these blocks and at 426.6 MB in one call.
-_BLOCK = 64
 
 
 class Direction(enum.Enum):
@@ -82,13 +78,8 @@ def jacobians(x, p) -> np.ndarray:
 
 def eigen_verdicts(x, p) -> list[StabilityVerdict]:
     """Stability of a stack of equilibria (m, 10), row i under row i of
-    `p`, from the dense eigenspectra, taken in blocks of `_BLOCK` rows."""
-    x = np.asarray(x, dtype=float)
-    max_real = np.empty(len(x))
-    for start in range(0, len(x), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        jac = jacobians(x[rows], param_rows(p, rows))
-        max_real[rows] = np.linalg.eigvals(jac).real.max(axis=1)
+    `p`, from the dense eigenspectra of one `jacobians` stack."""
+    max_real = np.linalg.eigvals(jacobians(x, p)).real.max(axis=-1)
     return [_verdict(v, v < -_STABLE_TOL) for v in max_real.tolist()]
 
 

@@ -237,6 +237,28 @@ def test_scan_handles_collapsed_vector_population(table5):
     assert all(r.error is None for r in rows)
 
 
+def test_scan_rows_do_not_depend_on_the_chunk(sec22, table5, monkeypatch):
+    """[DERIVED] Each grid point comes out of its chunk as alone, so chunks
+    of 7 points give the rows of one pass: on sec. 2.2 with verdicts from
+    beta_hv = -0.01, whose out-of-domain rows cross chunk edges; on Table 5
+    over mu_b, across N = 1; and on Table 5 up to gamma_v = 1e306, whose
+    last grid points are error rows of their own (I_v overflows)."""
+    scans = [(sec22.params, "beta_hv", -0.01, 0.0877, 300, True),
+             (table5.params, "mu_b", 0.05, 6.0, 40),
+             (table5.params, "gamma_v", table5.params.gamma_v, 1e306, 20)]
+    rows = {}
+    for chunk in (7, 10**9):
+        monkeypatch.setattr(arbo.equilibria, "_CHUNK", chunk)
+        rows[chunk] = [bifurcation_scan(*scan) for scan in scans]
+    assert rows[7] == rows[10**9]
+    sec, tab, overflow = rows[7]
+    assert sum(r.error is not None for r in sec) == 31  # beta_hv < 0
+    assert {r.stable for r in sec} == {None, False, True}
+    assert any(r.r0 == 0.0 for r in tab) and any(r.branch_id == 1 for r in tab)
+    assert {r.error for r in overflow} == {
+        None, "endemic point at lambda_h=0.000900606 is not finite"}
+
+
 def test_scan_rejects_unknown_parameter(table5):
     """[TRIVIAL] Typos in the scan parameter fail fast."""
     with pytest.raises(ValueError):
@@ -499,7 +521,10 @@ def test_endemic_count_matches_classification_at_the_boundaries(sec22, table5):
     count: on sec. 2.2 at each of the 401 floats from 200 ulps below the
     fold beta_plus to 200 above, and at relative offsets 1e-13 ... 1e-9
     either side of beta_star (R0 = 1); on Table 5, where R_c > 1 leaves
-    no endemic point at R0 = 1, either side of its beta_star."""
+    no endemic point at R0 = 1, either side of its beta_star; and on
+    sec. 2.2 with the biting rate a within 8 ulps of R_c = 1, 5e-13 either
+    side of beta_star, where the sign of d1 = pref (R0^2 - R_c^2) and not
+    R_c < 1 decides case ii."""
     rep = bifurcation_thresholds(sec22.params)
     # Adjacent positive floats have adjacent bit patterns.
     fold = (np.float64(rep.beta_plus).view(np.int64)
@@ -510,6 +535,15 @@ def test_endemic_count_matches_classification_at_the_boundaries(sec22, table5):
     beta_star = bifurcation_thresholds(table5.params).beta_star
     assert _endemic_cases(table5.params, _either_side(beta_star, 10)) == {
         "i", "ii", "iii-c"}
+    p, k = sec22.params, derive_constants(sec22.params)
+    a_one = (k.k3 * k.k4 - 2.0 * k.k2) * k.k8 / (k.k10 * p.mu_h * p.beta_vh)
+    cases = set()
+    for a in (np.float64(a_one).view(np.int64)
+              + np.arange(-8, 9)).view(np.float64).tolist():
+        p = dataclasses.replace(sec22.params, a=a)
+        beta_star = bifurcation_thresholds(p).beta_star
+        cases |= _endemic_cases(p, beta_star * np.array([1.0 - 5e-13, 1.0 + 5e-13]))
+    assert cases == {"ii"}
 
 
 def test_roots_at_r0_one_are_zero_and_minus_d1_over_d2(sec22):
