@@ -10,7 +10,6 @@ build.  `arbo.cli` is imported after the swap, so the CLI's `simulate`
 runs the swapped-in kernel too.  Exits with pytest's status.
 """
 
-import dataclasses
 import sys
 
 import pytest
@@ -21,9 +20,9 @@ compiler, cache_dir, *pytest_args = sys.argv[1:]
 kernels = k.load(compiler=compiler, cache_dir=cache_dir)
 if kernels.backend != "c":
     sys.exit(f"no build with {compiler}: {kernels.reason}")
-for field in dataclasses.fields(kernels):
-    if callable(getattr(kernels, field.name)):
-        setattr(k, field.name, getattr(kernels, field.name))
+for name in kernels._fields:
+    if callable(getattr(kernels, name)):
+        setattr(k, name, getattr(kernels, name))
 import arbo.cli  # noqa: E402  (binds the swapped-in kernels)
 if arbo.cli.rk4_basic is not kernels.rk4_basic:
     sys.exit("arbo.cli holds another rk4_basic than the swapped-in one")

@@ -10,11 +10,13 @@ objective weights `wts` = (D1..D4, B1..B5) each in the order
 `model.ObjectiveWeights`.  Its three entry points are `rk4_controlled`
 (forward states), `rk4_adjoint` (backward adjoints, which read only
 D1..D4 of `wts`) and `sweep_step`, one whole sweep iteration: both
-passes, the relaxed control update and the two relative changes.  On
-first import it is compiled with the system C compiler and loaded with
-ctypes.  The library is cached under a hash of the source and the
-compile command, in `__pycache__` next to the source, or in the user
-cache directory when that is not writable.
+passes, the relaxed control update and the two relative changes.  At
+the first kernel call, or the first read of `BACKEND` or
+`FALLBACK_REASON`, it is compiled with the system C compiler and loaded
+with ctypes; importing this module builds, hashes and loads nothing.
+The library is cached under a hash of the source and the compile
+command, in `__pycache__` next to the source, or in the user cache
+directory when that is not writable.
 
 If the build or the load fails, the same kernels run the Python
 right-hand sides (`model.controlled_field`, `model.adjoint_field`)
@@ -27,24 +29,26 @@ its arguments once, in front of the backend, whose loops take only
 checked arrays; `rk4_basic` is `rk4_controlled` with zero controls and
 zero control efficacies.  `sweep` checks a sweep's arguments and
 allocates its output buffers once, then iterates it over those buffers,
-one loop call per iteration (`_iterations`).  `BACKEND` is "c" or
-"python"; `FALLBACK_REASON` is None or the error that forced the
-fallback.  Every kernel raises `model.ZeroPopulationError` in the step
-whose right-hand side meets a zero or negative human total, and
-`ode.NonFiniteError` at the first node holding a NaN or an infinity.
+one loop call per iteration (`_iterations`).  The module-level
+`rk4_basic`, `rk4_controlled`, `rk4_adjoint` and `sweep` call those of
+the loaded backend.  `BACKEND` is "c" or "python"; `FALLBACK_REASON` is
+None or the error that forced the fallback.  Every kernel raises
+`model.ZeroPopulationError` in the step whose right-hand side meets a
+zero or negative human total, and `ode.NonFiniteError` at the first node
+holding a NaN or an infinity.
 """
 
 from __future__ import annotations
 
 import ctypes
 import dataclasses
-import hashlib
+import functools
 import itertools
 import logging
 import os
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,8 +61,7 @@ LIBS = ("-lm",)
 _log = logging.getLogger("arbo")
 
 
-@dataclasses.dataclass(frozen=True)
-class Kernels:
+class Kernels(NamedTuple):
     """One backend's kernels, with the reason it was chosen when it is
     the fallback."""
 
@@ -263,6 +266,8 @@ def _cache_dirs() -> list[Path]:
 
 def _library(compiler: str, cache_dir) -> Path:
     """The cached shared library, built first if no cache holds it."""
+    import hashlib  # only loading needs it; keeps start-up lean
+
     command = [compiler, *FLAGS]
     recipe = SOURCE.read_bytes() + "\0".join([*command, *LIBS]).encode()
     name = f"rk4-{hashlib.sha256(recipe).hexdigest()[:16]}.so"
@@ -310,16 +315,42 @@ def load(compiler: str = "cc", cache_dir=None) -> Kernels:
         reason = f"{type(exc).__name__}: {exc}"
         _log.warning("compiled RK4 kernels unavailable, using the Python "
                      "kernels: %s", reason)
-        return dataclasses.replace(PYTHON, reason=reason)
+        return PYTHON._replace(reason=reason)
 
 
-_active = load()
-BACKEND = _active.backend
-FALLBACK_REASON = _active.reason
-rk4_basic = _active.rk4_basic
-rk4_controlled = _active.rk4_controlled
-rk4_adjoint = _active.rk4_adjoint
-sweep = _active.sweep
+@functools.cache
+def _loaded() -> Kernels:
+    """The kernels of `load()`, loaded on the first call."""
+    return load()
+
+
+# Real module names, not aliases read through `__getattr__`: callers and
+# tests patch them with `setattr`, and the benchmark's tracer finds them
+# in the module `__dict__`.
+def rk4_basic(par, x0, n_steps, dt):
+    return _loaded().rk4_basic(par, x0, n_steps, dt)
+
+
+def rk4_controlled(par, cpar, x0, u, dt):
+    return _loaded().rk4_controlled(par, cpar, x0, u, dt)
+
+
+def rk4_adjoint(par, cpar, wts, states, u, dt):
+    return _loaded().rk4_adjoint(par, cpar, wts, states, u, dt)
+
+
+def sweep(par, cpar, wts, mask, mix, x0, u0, dt):
+    return _loaded().sweep(par, cpar, wts, mask, mix, x0, u0, dt)
+
+
+def __getattr__(name):
+    """`BACKEND` and `FALLBACK_REASON`, read off the loaded kernels."""
+    if name == "BACKEND":
+        return _loaded().backend
+    if name == "FALLBACK_REASON":
+        return _loaded().reason
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["BACKEND", "FALLBACK_REASON", "PYTHON", "Kernels", "load",
            "rk4_adjoint", "rk4_basic", "rk4_controlled", "sweep"]

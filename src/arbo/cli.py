@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 configuration/parse errors, 3 numeric errors,
 4 solver non-convergence.
 
 A command imports `econ`, `equilibria` and `sensitivity` only when it
-runs them, so that start-up does not pay for modules it leaves unused.
+runs them, and the C kernels are built and loaded at the first kernel
+call (`simulate` and `control`), so that start-up does not pay for what
+the command leaves unused.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import time
 
 import numpy as np
 
-from . import SPEC_VERSION
-from ._kernels import (  # perfbench traces cli.rk4_basic
-    BACKEND, FALLBACK_REASON, rk4_basic,
-)
+from . import SPEC_VERSION, _kernels
+from ._kernels import rk4_basic  # perfbench traces cli.rk4_basic
 from .control import (  # perfbench traces cli.forward_backward_sweep
     STRATEGY_SETS, StrategyMask, forward_backward_sweep,
 )
@@ -50,6 +50,8 @@ class ConfigError(ValueError):
 
 
 def _jsonable(obj):
+    if hasattr(obj, "_asdict"):  # a result record: an object, not an array
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -60,8 +62,6 @@ def _jsonable(obj):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # JSON has no NaN or infinity
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 
@@ -250,8 +250,7 @@ def _strategies(value, where: str) -> list:
 def cmd_thresholds(args, cfg: dict) -> int:
     p = _record(cfg, ModelParams, "params")
     rep = bifurcation_thresholds(p)
-    report = {REPORT_NAMES[f.name]: getattr(rep, f.name)
-              for f in dataclasses.fields(rep)}
+    report = {REPORT_NAMES[name]: v for name, v in zip(rep._fields, rep)}
     _emit_json({**report, "derived_constants": derive_constants(p)}, args.out)
     return 0
 
@@ -410,8 +409,8 @@ def cmd_control(args, cfg: dict) -> int:
         "converged": result.converged,
         "suspect": result.suspect,
         "cumulated_Ih": cumulated,
-        "kernel_backend": BACKEND,
-        "kernel_fallback_reason": FALLBACK_REASON,
+        "kernel_backend": _kernels.BACKEND,
+        "kernel_fallback_reason": _kernels.FALLBACK_REASON,
         "log": result.log,
     }, args.out)
     if not result.converged:

@@ -5,7 +5,8 @@ the control characterization, live in `model`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class StrategyMask:
         return np.array(self.active, dtype=float)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     states: Trajectory
     adjoints: Trajectory
     controls: Trajectory
@@ -62,7 +62,7 @@ class SweepResult:
     iterations: int
     converged: bool
     suspect: bool
-    log: list = field(repr=False)
+    log: list
 
 
 def running_cost(x, u, w: ObjectiveWeights):

@@ -5,7 +5,7 @@ ranking with strong-dominance elimination."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +15,7 @@ from .ode import Trajectory
 _EQUIVALENT_RTOL = 1e-12  # equal effect and cost: equivalent strategies
 
 
-@dataclass(frozen=True)
-class StrategyReport:
+class StrategyReport(NamedTuple):
     """Outcome summary for one control strategy."""
 
     name: str
@@ -26,8 +25,7 @@ class StrategyReport:
     infections_averted: float
 
 
-@dataclass(frozen=True)
-class IcerRow:
+class IcerRow(NamedTuple):
     strategy: str
     averted: float
     cost: float
@@ -35,8 +33,7 @@ class IcerRow:
     status: str              # kept | dominated | equivalent
 
 
-@dataclass(frozen=True)
-class IcerTable:
+class IcerTable(NamedTuple):
     rows: list
     eliminations: list       # (round, eliminated strategy, reason)
     kept: list               # surviving strategy names, ascending averted

@@ -7,8 +7,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class Classification(enum.Enum):
     TWO = "Two"
 
 
-@dataclass(frozen=True)
-class EndemicQuadratic:
+class EndemicQuadratic(NamedTuple):
     """Coefficients of d2*x^2 + d1*x + d0 = 0 in the human force of
     infection at equilibrium, plus the discriminant.  d0 is 0 when
     |R0 - 1| <= 1e-12 (`_R0_ONE_TOL`)."""
@@ -66,8 +65,7 @@ class EndemicQuadratic:
     discriminant: float
 
 
-@dataclass(frozen=True)
-class EquilibriumSet:
+class EquilibriumSet(NamedTuple):
     """All equilibria of the uncontrolled system for one parameter set.
 
     `endemic` lists (state vector, lambda_h, stable flag or None), and
@@ -252,31 +250,7 @@ def solve_endemic(p: ModelParams, stability_checker=None) -> EquilibriumSet:
         rejected=rejected, residuals=eq.residual[n:].tolist())
 
 
-def delta_zero_check(p: ModelParams) -> dict:
-    """Endemic-root analysis on the no-disease-death submodel.
-
-    With delta = 0 the equilibrium condition is linear in the force of
-    infection; there is no endemic point unless R0 > 1, in which case
-    the unique root is -p0/p1.  R0 = 1 is the band of `solve_endemic`
-    (`_R0_ONE_TOL`), where the root is lambda = 0; with delta = 0,
-    R_c^2 >= 2, so that band is its case ii with no endemic point.
-    """
-    if p.delta != 0.0:
-        raise ValueError(f"delta_zero_check requires delta = 0, got {p.delta!r}")
-    _established(p, "delta_zero_check requires")
-    k = derive_constants(p)
-    rep = bifurcation_thresholds(p)
-    common = p.mu_b * p.lambda_h_in * k.k9
-    p1 = common * _x_and_y(p, k)[1]
-    p0 = -p.mu_h * k.k3 * k.k4 * k.k8 * common * (rep.r0 ** 2 - 1.0)
-    if rep.r0 - 1.0 <= _R0_ONE_TOL:
-        root = 0.0 if abs(rep.r0 - 1.0) <= _R0_ONE_TOL else None
-        return {"no_endemic": True, "lambda_root": root, "p1": p1, "p0": p0}
-    return {"no_endemic": False, "lambda_root": -p0 / p1, "p1": p1, "p0": p0}
-
-
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One (parameter value, branch) record of a bifurcation scan.
 
     `stable` is the eigenvalue verdict: True or False, or None when no

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +151,7 @@ class ObjectiveWeights:
     __post_init__ = _check_domains
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Grouped rate constants k1..k11 (k2 is the composite one)."""
 
     k1: float

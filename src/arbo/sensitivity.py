@@ -8,6 +8,7 @@ import logging
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,13 +134,12 @@ class SampleSet:
                     f"{REPORT_NAMES[name]} is {getattr(rep, name)[bad[0]]} at "
                     f"draw {bad[0]} of the design; it is not finite at "
                     f"{bad.size} of {self.n} draws")
-        for f in fields(rep):
-            np.asarray(getattr(rep, f.name)).flags.writeable = False
+        for v in rep:
+            np.asarray(v).flags.writeable = False
         return rep
 
 
-@dataclass(frozen=True)
-class PRCCReport:
+class PRCCReport(NamedTuple):
     """PRCC per active parameter.  `sorted_columns` names the parameter
     columns whose ranks could not be read off their LHS strata and were
     found by sorting (`average_ranks`)."""

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class KernelError(ArithmeticError):
     """The Jacobian kernel at the bifurcation point is not one-dimensional."""
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """`stable` is True or False, or None when the max real part is
     within `_STABLE_TOL` of zero."""
 
@@ -43,8 +42,7 @@ class StabilityVerdict:
     stable: bool | None
 
 
-@dataclass(frozen=True)
-class BifurcationCoefficients:
+class BifurcationCoefficients(NamedTuple):
     """Center-manifold constants at the transcritical point beta_hv = beta*.
 
     `bif_a1` is zeta1 - zeta2 from the closed forms; `bif_a1_generic` is

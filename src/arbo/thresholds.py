@@ -8,7 +8,7 @@ below are thin wrappers over `threshold_arrays`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ class ThresholdError(ValueError):
     exists, or is not finite there."""
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """All thresholds of the model, as floats for one parameter set
     (`bifurcation_thresholds`) or as arrays over many (`threshold_arrays`).
 
@@ -195,10 +194,11 @@ def nonfinite(rep: ThresholdReport, dfe) -> list:
 
 
 def _scalars(record):
-    """The one-value record `record` with each field a Python scalar of its
-    annotated type (a string that names a numpy dtype: float or bool)."""
-    return type(record)(**{f.name: np.asarray(getattr(record, f.name), f.type).item()
-                           for f in fields(record)})
+    """The one-value record `record` with each field a Python scalar: a
+    bool for `r0_defined`, else a float."""
+    return type(record)._make(
+        np.asarray(v, bool if name == "r0_defined" else float).item()
+        for name, v in zip(record._fields, record))
 
 
 @np.errstate(all="ignore")  # refused, so not warned of

@@ -241,8 +241,8 @@ def test_bad_sweep_setting_runs_no_kernel(config_file, tmp_path, capsys,
     """[TRIVIAL] A sweep setting out of its range is refused before any
     kernel runs: exit 2, the config's name for the setting, no output."""
     calls = []
-    entries = [f.name for f in dataclasses.fields(_kernels.Kernels)
-               if callable(getattr(_kernels.PYTHON, f.name))]
+    entries = [name for name in _kernels.Kernels._fields
+               if callable(getattr(_kernels.PYTHON, name))]
     for name in entries:
         monkeypatch.setattr(_kernels, name,
                             lambda *args, name=name: calls.append(name))

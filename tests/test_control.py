@@ -1,6 +1,5 @@
 """Objective, Hamiltonian, adjoint system, and the sweep iteration."""
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -194,10 +193,10 @@ def _assert_same_on_python_kernels(result, sweep, monkeypatch):
     """`sweep()` run again with every entry point of `arbo._kernels`
     patched to the Python kernels' gives `result`'s bytes: states,
     adjoints, controls, J, iterations, flags and log."""
-    for f in dataclasses.fields(_kernels.PYTHON):
-        entry = getattr(_kernels.PYTHON, f.name)
+    for name in _kernels.PYTHON._fields:
+        entry = getattr(_kernels.PYTHON, name)
         if callable(entry):
-            monkeypatch.setattr(_kernels, f.name, entry)
+            monkeypatch.setattr(_kernels, name, entry)
     python = sweep()
     for traj in ("states", "adjoints", "controls"):
         assert (getattr(result, traj).values.tobytes()

@@ -8,8 +8,8 @@ import pytest
 
 import arbo.equilibria
 from arbo.equilibria import (
-    Classification, ResidualError, ScanRow, bifurcation_scan,
-    delta_zero_check, endemic_quadratic, scan_to_csv, solve_endemic,
+    _R0_ONE_TOL, Classification, ResidualError, ScanRow, bifurcation_scan,
+    endemic_quadratic, scan_to_csv, solve_endemic,
 )
 from arbo.model import (
     E_H, I_H, I_V, PUP, S_H, S_V, ModelParams, ParamError, basic_field,
@@ -18,8 +18,8 @@ from arbo.model import (
 from arbo.sensitivity import PARAM_ORDER, lhs_sample
 from arbo.stability import eigen_verdict
 from arbo.thresholds import (
-    ThresholdError, bifurcation_thresholds, dfe_components,
-    net_reproductive_number, threshold_arrays,
+    ThresholdError, _established, _x_and_y, bifurcation_thresholds,
+    dfe_components, net_reproductive_number, threshold_arrays,
 )
 from conftest import mixed_regime_ranges, random_established_params
 
@@ -164,6 +164,30 @@ def test_classification_subcritical_outside_window(sec22):
     eq = solve_endemic(sec22.params)
     assert eq.classification is Classification.NO_ENDEMIC
     assert eq.case == "iii-c"
+
+
+def delta_zero_check(p: ModelParams) -> dict:
+    """Endemic-root analysis on the no-disease-death submodel, apart from
+    the quadratic of `solve_endemic`.
+
+    With delta = 0 the equilibrium condition is linear in the force of
+    infection; there is no endemic point unless R0 > 1, in which case
+    the unique root is -p0/p1.  R0 = 1 is the band of `solve_endemic`
+    (`_R0_ONE_TOL`), where the root is lambda = 0; with delta = 0,
+    R_c^2 >= 2, so that band is its case ii with no endemic point.
+    """
+    if p.delta != 0.0:
+        raise ValueError(f"delta_zero_check requires delta = 0, got {p.delta!r}")
+    _established(p, "delta_zero_check requires")
+    k = derive_constants(p)
+    rep = bifurcation_thresholds(p)
+    common = p.mu_b * p.lambda_h_in * k.k9
+    p1 = common * _x_and_y(p, k)[1]
+    p0 = -p.mu_h * k.k3 * k.k4 * k.k8 * common * (rep.r0 ** 2 - 1.0)
+    if rep.r0 - 1.0 <= _R0_ONE_TOL:
+        root = 0.0 if abs(rep.r0 - 1.0) <= _R0_ONE_TOL else None
+        return {"no_endemic": True, "lambda_root": root, "p1": p1, "p0": p0}
+    return {"no_endemic": False, "lambda_root": -p0 / p1, "p1": p1, "p0": p0}
 
 
 def test_delta_zero_requires_delta_zero(table5):

@@ -92,8 +92,9 @@ def test_kernels_load_without_a_home_directory(monkeypatch):
 
 
 def test_only_control_and_cli_load_the_kernels():
-    """[TRIVIAL] The analysis modules import without `arbo._kernels`, so
-    they neither build nor load the C library; `arbo.control` loads it."""
+    """[TRIVIAL] The analysis modules import without `arbo._kernels`;
+    `arbo.control` imports it (which builds and loads nothing, see
+    `test_a_command_loads_the_kernels_at_its_first_kernel_call`)."""
     code = (
         "import sys, arbo, arbo.thresholds, arbo.equilibria, "
         "arbo.sensitivity, arbo.stability, arbo.econ\n"
@@ -105,6 +106,34 @@ def test_only_control_and_cli_load_the_kernels():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False True\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the mapped libraries from /proc/self/maps")
+def test_a_command_loads_the_kernels_at_its_first_kernel_call():
+    """[TRIVIAL] A fresh `arbo thresholds` imports no `hashlib` and maps no
+    kernel library into the process; one `rk4_basic` call afterwards maps it,
+    and `BACKEND` then reads "c" where a C compiler is present."""
+    config = pathlib.Path(_kernels.__file__).parents[1] / "fixtures/sec22_backward.json"
+    code = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "import arbo.cli, arbo._kernels as k\n"
+        "def mapped():\n"
+        "    with open('/proc/self/maps', encoding='utf-8') as f:\n"
+        "        return any('/rk4-' in line for line in f)\n"
+        f"assert arbo.cli.main(['thresholds', '--config', {str(config)!r},\n"
+        "                       '--out', os.devnull]) == 0\n"
+        "print('hashlib' in sys.modules, mapped())\n"
+        "k.rk4_basic(np.ones(21), np.ones(10), 1, 0.1)\n"
+        "print(mapped(), k.BACKEND)\n")
+    src = pathlib.Path(_kernels.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "False False"
+    if shutil.which("cc"):
+        assert out[1] == "True c"
 
 
 def test_python_kernels_run_without_control():

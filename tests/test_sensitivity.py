@@ -1,6 +1,5 @@
 """Latin hypercube design, R0 statistics, and PRCC machinery."""
 
-import dataclasses
 import logging
 import math
 import tracemalloc
@@ -290,10 +289,10 @@ def test_thresholds_are_computed_once_per_design(monkeypatch):
     assert len(calls) == 1
     assert stats["values"] is values
     fresh = threshold_arrays(samples.columns())
-    for f in dataclasses.fields(fresh):
-        got, want = getattr(samples.thresholds, f.name), getattr(fresh, f.name)
-        assert got.tobytes() == want.tobytes(), f.name
-        assert not got.flags.writeable, f.name
+    for name in fresh._fields:
+        got, want = getattr(samples.thresholds, name), getattr(fresh, name)
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
 
 
 @pytest.mark.parametrize("n, seed", [(5000, 20260823), (20000, 1)])

@@ -212,9 +212,9 @@ def test_scalar_report_is_floats_on_integer_parameters(table5):
                             gamma_h=1, a=1, beta_vh=1, mu_v=1)
     rep = bifurcation_thresholds(p)
     assert rep.psi == 1.0
-    for f in dataclasses.fields(rep):
-        want = bool if f.name == "r0_defined" else float
-        assert type(getattr(rep, f.name)) is want, f.name
+    for name in rep._fields:
+        want = bool if name == "r0_defined" else float
+        assert type(getattr(rep, name)) is want, name
 
 
 def test_beta_thresholds_map_to_r_thresholds():
@@ -274,12 +274,12 @@ def test_threshold_arrays_equal_scalar_reports():
         absent["r_1b"] += math.isnan(rep.r_1b)
         absent["beta_minus"] += math.isnan(rep.beta_minus)
         absent["r0_defined"] += not rep.r0_defined
-        for f in dataclasses.fields(ThresholdReport):
-            want, got = getattr(rep, f.name), getattr(arrays, f.name)[i]
-            if f.name == "r0_defined":
+        for name in ThresholdReport._fields:
+            want, got = getattr(rep, name), getattr(arrays, name)[i]
+            if name == "r0_defined":
                 assert type(want) is bool and want == got, i
             else:
-                assert type(want) is float, (i, f.name)
-                assert np.float64(want).tobytes() == got.tobytes(), (i, f.name)
+                assert type(want) is float, (i, name)
+                assert np.float64(want).tobytes() == got.tobytes(), (i, name)
         assert two_endemic_window(rep) == window[i], i
     assert min(absent.values()) > 0  # every kind of draw occurs
